@@ -5,8 +5,8 @@ interval objectives.
 The pipeline: build the product of a labeled MDP with a deterministic Rabin
 automaton, decompose its accepting maximal end components, assemble a mixed
 integer linear program over occupation measures and reachability flows, drive
-an external MILP solver through LP files, and independently verify the induced
-chain's asymptotic behavior.
+a MILP solver (the bundled scipy/HiGHS command or an external one) through LP
+files, and independently verify the induced chain's asymptotic behavior.
 """
 
 from ssltl.errors import (

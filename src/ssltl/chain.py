@@ -1,5 +1,5 @@
 """Numerical Markov-chain analysis: stationary distributions, multichain
-limiting distributions, ordinary-lumpability residuals, and class sums.
+limiting distributions, and class sums.
 
 Everything uses dense direct solves; the models here stay well below a few
 thousand states, where determinism beats sparse machinery.
@@ -140,25 +140,6 @@ class _Restriction:
         self.rows = {s: {t: p for t, p in chain.rows[s].items() if t in subset}
                      for s in self.states}
         self.initial = self.states[0]
-
-
-def check_lumpable(chain, p: Partition) -> float:
-    """Max over classes and member pairs (alpha, beta) of the sup-norm of
-    (e_alpha - e_beta) T V; 0 (up to 1e-12) iff ordinarily lumpable."""
-    states, idx, t = _kernel(chain)
-    class_ids = sorted(p.classes, key=str)
-    col = {c: j for j, c in enumerate(class_ids)}
-    v = np.zeros((len(states), len(class_ids)))
-    for s in states:
-        v[idx[s], col[p.of[s]]] = 1.0
-    tv = t @ v
-    worst = 0.0
-    for c in class_ids:
-        members = [s for s in states if p.of[s] == c]
-        for i in range(1, len(members)):
-            diff = np.max(np.abs(tv[idx[members[0]]] - tv[idx[members[i]]]))
-            worst = max(worst, float(diff))
-    return worst
 
 
 def lump_distribution(dist: Mapping, p: Partition) -> dict:

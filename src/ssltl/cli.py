@@ -19,13 +19,7 @@ from typing import Optional
 
 from ssltl.errors import SsltlError, SolverError
 from ssltl.hoa import load_hoa
-from ssltl.ilp import (
-    IlpConfig,
-    SolverConfig,
-    build_program,
-    default_solver_command,
-    export_lp,
-)
+from ssltl.ilp import IlpConfig, SolverConfig, build_program, export_lp
 from ssltl.chain import limiting_distribution, lump_distribution, \
     product_state_partition
 from ssltl.graph import accepting_mecs, mec_decomposition
@@ -51,8 +45,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _solver_config(args) -> SolverConfig:
-    cmd = args.solver_cmd or default_solver_command()
-    return SolverConfig(command=cmd, timeout=args.timeout)
+    return SolverConfig(command=args.solver_cmd, timeout=args.timeout)
 
 
 def _ilp_config(args) -> IlpConfig:
@@ -67,7 +60,9 @@ def _add_solver_flags(p):
                    help="command template with {lp} and {sol} placeholders "
                         "(default: $SSLTL_SOLVER_CMD, else auto-detect)")
     p.add_argument("--timeout", type=float, default=None,
-                   help="solver wall-clock limit per invocation, seconds")
+                   help="seconds per solve: the time limit of the bundled "
+                        "backend (default 60), or the wall-clock limit "
+                        "after which an external command is killed")
     p.add_argument("--eps", type=float, default=None,
                    help="flow strict-decrease increment (default: "
                         "min(1e-4, 1/(4 n)))")
@@ -79,7 +74,8 @@ def _add_solver_flags(p):
                    default="reward")
     p.add_argument("--max-cut-rounds", type=int, default=64)
     p.add_argument("--keep-files", default=None, metavar="DIR",
-                   help="keep LP and solution files in this directory")
+                   help="keep round_<k>.lp and round_<k>.sol of every "
+                        "solver round in this directory")
 
 
 def cmd_gen_grid(args) -> int:
@@ -129,6 +125,10 @@ def cmd_synth(args) -> int:
         return EXIT_INFEASIBLE
     if result.status == "unverified":
         return EXIT_UNVERIFIED
+    if result.status == "timeout":
+        sys.stderr.write(f"solver time limit reached: {result.detail}\n")
+    else:
+        sys.stderr.write(f"error: {result.detail}\n")
     return EXIT_SOLVER
 
 
@@ -227,11 +227,11 @@ def _bench_one(task) -> RunRecord:
 def cmd_bench(args) -> int:
     sizes = [int(x) for x in args.sizes.split(",") if x]
     specs = [x for x in args.specs.split(",") if x]
-    solver_cmd = args.solver_cmd or default_solver_command()
     objective = {"reward": "expected_reward",
                  "feasibility": "feasibility"}[args.objective]
-    tasks = [(size, args.seed_base + i, spec_path, solver_cmd, args.timeout,
-              objective, {"det": "deterministic", "slip": "slip"}[args.dynamics])
+    tasks = [(size, args.seed_base + i, spec_path, args.solver_cmd,
+              args.timeout, objective,
+              {"det": "deterministic", "slip": "slip"}[args.dynamics])
              for spec_path in specs for size in sizes
              for i in range(args.seeds)]
 
@@ -260,7 +260,8 @@ def cmd_bench(args) -> int:
                                  f"{mean:.6f}", "", ""])
                 writer.writerow(["summary", size, name, "stddev",
                                  f"{sdev:.6f}", "", ""])
-    failures = [r for r in records if r.status in ("error", "unverified")]
+    failures = [r for r in records
+                if r.status in ("error", "timeout", "unverified")]
     print(f"{len(records)} runs, {len(failures)} failures -> {args.output}")
     return EXIT_OK
 

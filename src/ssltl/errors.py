@@ -23,8 +23,8 @@ class PolicyError(SsltlError):
 
 
 class SolverError(SsltlError):
-    """External solver could not be launched, timed out, or produced
-    unparseable output."""
+    """External solver could not be launched, or failed and left no
+    parseable solution."""
 
 
 class NoAcceptingStructureError(SsltlError):

@@ -333,8 +333,3 @@ def to_hoa(d: Dra) -> str:
             out.append(f"[{expr}] {node_index[d.delta[(q, letter)]]}")
     out.append("--END--")
     return "\n".join(out) + "\n"
-
-
-def save_hoa(d: Dra, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_hoa(d))

@@ -1,12 +1,15 @@
 """Mixed-integer program over the product MDP: occupation measures, policy
 binaries, reachability flows, and the accepting-component indicator system;
-LP-file export, external-solver driving, and policy extraction.
+LP-file export, solver driving, and policy extraction.
 
-Solver interaction is file-based: the program is written in CPLEX LP format
-and handed to whatever command template is configured (``{lp}`` and ``{sol}``
-placeholders), never a linked library.  Solution files in either a generic
-``name value`` layout or the index-prefixed column layout written by CBC are
-understood.
+The program is indexed by integers: terms and solution values refer to a
+column by its position in ``IlpModel.variables`` (see ``Columns``), and
+variable names exist only in LP text.  Solver interaction is file-based: the
+program is written in CPLEX LP format and handed to the configured command
+template (``{lp}`` and ``{sol}`` placeholders), by default the bundled
+scipy/HiGHS backend run as ``python -m ssltl.milp_shim``.  Solution files in
+either a generic ``name value`` layout or the index-prefixed column layout
+written by CBC are mapped back to columns.
 """
 
 from __future__ import annotations
@@ -18,14 +21,15 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
 
 from ssltl.errors import NoAcceptingStructureError, PolicyError, SolverError
 from ssltl.model import SsLtlSpec, labeled_subset
 from ssltl.product import Policy, ProductLmdp
 
-FEASIBILITY_TOL = 1e-6
 POLICY_IDENTITY_TOL = 1e-6
 MASS_FLOOR = 1e-8
 INTEGRALITY_WARN_BAND = 1e-6
@@ -66,7 +70,6 @@ class IlpConfig:
 
 @dataclass(frozen=True)
 class IlpVar:
-    name: str
     lb: float
     ub: float
     binary: bool
@@ -75,59 +78,80 @@ class IlpVar:
 @dataclass(frozen=True)
 class IlpRow:
     name: str
-    terms: tuple          # ((coef, varname), ...)
+    terms: tuple          # ((coef, column), ...)
     sense: str            # "<=", ">=", "="
     rhs: float
 
 
 @dataclass(frozen=True)
 class IlpModel:
-    variables: tuple
-    objective: tuple      # ((coef, varname), ...)
+    variables: tuple      # IlpVar per column
+    objective: tuple      # ((coef, column), ...)
     rows: tuple
     product: ProductLmdp
     amecs: tuple
     spec: SsLtlSpec
     cfg: IlpConfig
     epsilon: float
-    var_index: Mapping = field(repr=False, default_factory=dict)
-
-    def binaries(self):
-        return [v.name for v in self.variables if v.binary]
 
 
-# ---------------------------------------------------------------------------
-# Variable naming: indices are positions in the model/automaton orderings.
-# ---------------------------------------------------------------------------
+_CONTINUOUS = IlpVar(0.0, 1.0, False)
+_BINARY = IlpVar(0.0, 1.0, True)
+# The terms of a row that has none: an explicit zero on column 0, so that the
+# row still names a column in LP text.
+_ANCHOR = ((0.0, 0),)
 
-class _Names:
-    def __init__(self, p: ProductLmdp):
-        self.s_pos = {s: i for i, s in enumerate(p.model.states)}
-        self.q_pos = {q: i for i, q in enumerate(p.dra.nodes)}
-        self.a_pos = {a: i for i, a in enumerate(p.model.actions)}
 
-    def x(self, sq, a):
-        return f"x_{self.s_pos[sq[0]]}_{self.q_pos[sq[1]]}_{self.a_pos[a]}"
+class Columns:
+    """Column positions of the program's variables, block by block in this
+    order: x per (product state, enabled action) pair, f per product edge, pi
+    per pair, isq per product state, is per model state, ik per accepting
+    component, iks per (component, model state).  Pairs are listed by product
+    state, then in the order of the model's enabled actions; x of pair k is
+    column k.  Every column from ``pi0`` on is binary."""
 
-    def pi(self, sq, a):
-        return f"pi_{self.s_pos[sq[0]]}_{self.q_pos[sq[1]]}_{self.a_pos[a]}"
+    def __init__(self, p: ProductLmdp, n_amecs: int = 0):
+        self._enabled = p.model.enabled
+        self._state_pos = p.state_pos
+        self._s_pos = {s: i for i, s in enumerate(p.model.states)}
+        self._first = {}
+        n = 0
+        for sq in p.states:
+            self._first[sq] = n
+            n += len(self._enabled[sq[0]])
+        self.n_pairs = n
+        self.f0 = n
+        self.pi0 = self.f0 + len(p.edges)
+        self.isq0 = self.pi0 + n
+        self.is0 = self.isq0 + len(p.states)
+        self.ik0 = self.is0 + len(p.model.states)
+        self.iks0 = self.ik0 + n_amecs
+        self.end = self.iks0 + n_amecs * len(p.model.states)
 
-    def f(self, edge):
-        (s, q), (s2, q2) = edge
-        return (f"f_{self.s_pos[s]}_{self.q_pos[q]}"
-                f"_{self.s_pos[s2]}_{self.q_pos[q2]}")
+    def x(self, sq) -> range:
+        """x columns of ``sq``, one per enabled action in model order."""
+        first = self._first[sq]
+        return range(first, first + len(self._enabled[sq[0]]))
 
-    def isq(self, sq):
-        return f"isq_{self.s_pos[sq[0]]}_{self.q_pos[sq[1]]}"
+    def pi(self, sq) -> range:
+        """pi columns of ``sq``, one per enabled action in model order."""
+        first = self.pi0 + self._first[sq]
+        return range(first, first + len(self._enabled[sq[0]]))
 
-    def i_s(self, s):
-        return f"is_{self.s_pos[s]}"
+    def pi_of(self, sq, a) -> int:
+        return self.pi0 + self._first[sq] + self._enabled[sq[0]].index(a)
 
-    def ik(self, k):
-        return f"ik_{k}"
+    def isq(self, sq) -> int:
+        return self.isq0 + self._state_pos[sq]
 
-    def iks(self, k, s):
-        return f"iks_{k}_{self.s_pos[s]}"
+    def i_s(self, s) -> int:
+        return self.is0 + self._s_pos[s]
+
+    def ik(self, k: int) -> int:
+        return self.ik0 + k
+
+    def iks(self, k: int, s) -> int:
+        return self.iks0 + k * len(self._s_pos) + self._s_pos[s]
 
 
 def build_program(p: ProductLmdp, amecs, spec: SsLtlSpec,
@@ -148,168 +172,146 @@ def build_program(p: ProductLmdp, amecs, spec: SsLtlSpec,
 
     m = p.model
     d = p.dra
-    names = _Names(p)
+    cols = Columns(p, len(amecs))
     eps = cfg.resolve_epsilon(len(p.states))
 
     sa_pairs = [(sq, a) for sq in p.states for a in m.enabled[sq[0]]]
     in_edges: dict = {sq: [] for sq in p.states}
     out_edges: dict = {sq: [] for sq in p.states}
-    for edge in p.edges:
-        out_edges[edge[0]].append(edge)
-        in_edges[edge[1]].append(edge)
+    for e, (src, tgt) in enumerate(p.edges):
+        out_edges[src].append(cols.f0 + e)
+        in_edges[tgt].append(cols.f0 + e)
 
-    variables = []
-    for sq, a in sa_pairs:
-        variables.append(IlpVar(names.x(sq, a), 0.0, 1.0, False))
-    for edge in p.edges:
-        variables.append(IlpVar(names.f(edge), 0.0, 1.0, False))
-    for sq, a in sa_pairs:
-        variables.append(IlpVar(names.pi(sq, a), 0.0, 1.0, True))
-    for sq in p.states:
-        variables.append(IlpVar(names.isq(sq), 0.0, 1.0, True))
-    for s in m.states:
-        variables.append(IlpVar(names.i_s(s), 0.0, 1.0, True))
-    for k in range(len(amecs)):
-        variables.append(IlpVar(names.ik(k), 0.0, 1.0, True))
-    for k in range(len(amecs)):
-        for s in m.states:
-            variables.append(IlpVar(names.iks(k, s), 0.0, 1.0, True))
+    variables = ((_CONTINUOUS,) * cols.pi0
+                 + (_BINARY,) * (cols.end - cols.pi0))
 
     objective = []
     if cfg.objective == "expected_reward":
-        for sq, a in sa_pairs:
+        for k, (sq, a) in enumerate(sa_pairs):
             s = sq[0]
             coef = sum(prob * m.reward_value(s, a, s2)
                        for s2, prob in m.trans[(s, a)].items())
             if coef != 0.0:
-                objective.append((coef, names.x(sq, a)))
+                objective.append((coef, k))
 
     rows = []
 
     # (i) occupation balance: inflow of measure equals outflow, per state.
     inflow: dict = {tgt: {} for tgt in p.states}
-    for sq, a in sa_pairs:
-        name = names.x(sq, a)
+    for k, (sq, a) in enumerate(sa_pairs):
         for tgt, prob in p.trans[(sq, a)].items():
             if prob:
                 acc = inflow[tgt]
-                acc[name] = acc.get(name, 0.0) + prob
+                acc[k] = acc.get(k, 0.0) + prob
     for j, tgt in enumerate(p.states):
         acc = inflow[tgt]
-        for a in m.enabled[tgt[0]]:
-            name = names.x(tgt, a)
-            acc[name] = acc.get(name, 0.0) - 1.0
-        terms = tuple((c, v) for v, c in acc.items() if c != 0.0)
+        for k in cols.x(tgt):
+            acc[k] = acc.get(k, 0.0) - 1.0
+        terms = tuple((c, k) for k, c in acc.items() if c != 0.0)
         rows.append(IlpRow(f"c_i_{j}", terms, "=", 0.0))
 
     # (ii) normalization
     rows.append(IlpRow("c_ii_0",
-                       tuple((1.0, names.x(sq, a)) for sq, a in sa_pairs),
+                       tuple((1.0, k) for k in range(cols.n_pairs)),
                        "=", 1.0))
 
     # (iii) positive measure forces the action: x <= pi
-    for j, (sq, a) in enumerate(sa_pairs):
-        rows.append(IlpRow(f"c_iii_{j}",
-                           ((1.0, names.x(sq, a)), (-1.0, names.pi(sq, a))),
+    for k in range(cols.n_pairs):
+        rows.append(IlpRow(f"c_iii_{k}", ((1.0, k), (-1.0, cols.pi0 + k)),
                            "<=", 0.0))
 
     # (iv) the policy is a point distribution per product state
     for j, sq in enumerate(p.states):
-        rows.append(IlpRow(
-            f"c_iv_{j}",
-            tuple((1.0, names.pi(sq, a)) for a in m.enabled[sq[0]]),
-            "=", 1.0))
+        rows.append(IlpRow(f"c_iv_{j}",
+                           tuple((1.0, k) for k in cols.pi(sq)), "=", 1.0))
 
     # (v) flow capacity: f_e <= sum_a T(e|a) pi_a
-    for j, edge in enumerate(p.edges):
-        sq, tgt = edge
-        terms = [(1.0, names.f(edge))]
-        for a in m.enabled[sq[0]]:
+    for e, (sq, tgt) in enumerate(p.edges):
+        terms = [(1.0, cols.f0 + e)]
+        for a, k in zip(m.enabled[sq[0]], cols.pi(sq)):
             prob = p.trans[(sq, a)].get(tgt, 0.0)
             if prob:
-                terms.append((-prob, names.pi(sq, a)))
-        rows.append(IlpRow(f"c_v_{j}", tuple(terms), "<=", 0.0))
+                terms.append((-prob, k))
+        rows.append(IlpRow(f"c_v_{e}", tuple(terms), "<=", 0.0))
 
     # (vi) strict decrease: inflow >= outflow + eps * isq, all but the root
     j = 0
     for sq in p.states:
         if sq == p.initial:
             continue
-        terms = [(1.0, names.f(e)) for e in in_edges[sq]]
-        terms += [(-1.0, names.f(e)) for e in out_edges[sq]]
-        terms.append((-eps, names.isq(sq)))
+        terms = [(1.0, f) for f in in_edges[sq]]
+        terms += [(-1.0, f) for f in out_edges[sq]]
+        terms.append((-eps, cols.isq(sq)))
         rows.append(IlpRow(f"c_vi_{j}", _merge(terms), ">=", 0.0))
         j += 1
 
     # (vii) incoming flow forces the visit flag
     for j, sq in enumerate(p.states):
-        terms = [(1.0, names.f(e)) for e in in_edges[sq]]
-        terms.append((-1.0, names.isq(sq)))
+        terms = [(1.0, f) for f in in_edges[sq]]
+        terms.append((-1.0, cols.isq(sq)))
         rows.append(IlpRow(f"c_vii_{j}", _merge(terms), "<=", 0.0))
 
     # (viii) outgoing >= incoming / flow_ratio
     inv = 1.0 / cfg.flow_ratio
     for j, sq in enumerate(p.states):
-        terms = [(1.0, names.f(e)) for e in out_edges[sq]]
-        terms += [(-inv, names.f(e)) for e in in_edges[sq]]
+        terms = [(1.0, f) for f in out_edges[sq]]
+        terms += [(-inv, f) for f in in_edges[sq]]
         rows.append(IlpRow(f"c_viii_{j}", _merge(terms), ">=", 0.0))
 
     # (ix) no measure on unflagged states
     for j, sq in enumerate(p.states):
-        terms = [(1.0, names.x(sq, a)) for a in m.enabled[sq[0]]]
-        terms.append((-1.0, names.isq(sq)))
+        terms = [(1.0, k) for k in cols.x(sq)]
+        terms.append((-1.0, cols.isq(sq)))
         rows.append(IlpRow(f"c_ix_{j}", tuple(terms), "<=", 0.0))
 
     # (x) steady-state intervals, one lower and one upper row per operator
     j = 0
     for interval in spec.ss:
         member = labeled_subset(m, interval.formula)
-        terms = tuple((1.0, names.x(sq, a)) for sq, a in sa_pairs
+        terms = tuple((1.0, k) for k, (sq, _) in enumerate(sa_pairs)
                       if sq[0] in member)
         if not terms:
             # no product copy of any member state: pin an explicit zero
-            terms = ((0.0, names.x(*sa_pairs[0])),)
+            terms = _ANCHOR
         rows.append(IlpRow(f"c_x_{j}", terms, ">=", interval.lower))
         rows.append(IlpRow(f"c_x_{j + 1}", terms, "<=", interval.upper))
         j += 2
 
     # (xi) accepting mass: strict positivity relaxed to >= acc_eps
     inf_union = d.inf_union()
-    terms = tuple((1.0, names.x(sq, a)) for sq, a in sa_pairs
+    terms = tuple((1.0, k) for k, (sq, _) in enumerate(sa_pairs)
                   if sq[1] in inf_union)
-    if not terms:
-        terms = ((0.0, names.x(*sa_pairs[0])),)
-    rows.append(IlpRow("c_xi_0", terms, ">=", cfg.acc_eps))
+    rows.append(IlpRow("c_xi_0", terms or _ANCHOR, ">=", cfg.acc_eps))
 
     # (xii) component carries measure -> component flag
     for k, amec in enumerate(amecs):
-        terms = [(1.0, names.x(sq, a)) for sq in sorted(
+        terms = [(1.0, j) for sq in sorted(
             amec.mec.states, key=lambda t: p.state_pos[t])
-            for a in m.enabled[sq[0]]]
-        terms.append((-1.0, names.ik(k)))
+            for j in cols.x(sq)]
+        terms.append((-1.0, cols.ik(k)))
         rows.append(IlpRow(f"c_xii_{k}", tuple(terms), "<=", 0.0))
 
     # (xiii)/(xiv) per-state component membership flags
-    j = 0
-    for k, amec in enumerate(amecs):
-        copies: dict = {}
+    copies = []
+    for amec in amecs:
+        by_state: dict = {}
         for sq in sorted(amec.mec.states, key=lambda t: p.state_pos[t]):
-            copies.setdefault(sq[0], []).append(sq)
+            by_state.setdefault(sq[0], []).append(sq)
+        copies.append(by_state)
+    j = 0
+    for k in range(len(amecs)):
         for s in m.states:
-            terms = [(1.0, names.iks(k, s))]
-            terms += [(-1.0, names.isq(sq)) for sq in copies.get(s, ())]
+            terms = [(1.0, cols.iks(k, s))]
+            terms += [(-1.0, cols.isq(sq)) for sq in copies[k].get(s, ())]
             rows.append(IlpRow(f"c_xiii_{j}", tuple(terms), "<=", 0.0))
             j += 1
     j = 0
     n_nodes = len(d.nodes)
-    for k, amec in enumerate(amecs):
-        copies = {}
-        for sq in sorted(amec.mec.states, key=lambda t: p.state_pos[t]):
-            copies.setdefault(sq[0], []).append(sq)
+    for k in range(len(amecs)):
         for s in m.states:
-            terms = [(1.0 / n_nodes, names.isq(sq))
-                     for sq in copies.get(s, ())]
-            terms.append((-1.0, names.iks(k, s)))
+            terms = [(1.0 / n_nodes, cols.isq(sq))
+                     for sq in copies[k].get(s, ())]
+            terms.append((-1.0, cols.iks(k, s)))
             rows.append(IlpRow(f"c_xiv_{j}", tuple(terms), "<=", 0.0))
             j += 1
 
@@ -317,38 +319,58 @@ def build_program(p: ProductLmdp, amecs, spec: SsLtlSpec,
     if amecs:
         inv_k = 1.0 / len(amecs)
         for j, s in enumerate(m.states):
-            terms = [(1.0, names.i_s(s))]
+            terms = [(1.0, cols.i_s(s))]
             for k in range(len(amecs)):
-                terms.append((-inv_k, names.iks(k, s)))
-                terms.append((inv_k, names.ik(k)))
+                terms.append((-inv_k, cols.iks(k, s)))
+                terms.append((inv_k, cols.ik(k)))
             rows.append(IlpRow(f"c_xv_{j}", tuple(terms), "<=", 1.0))
 
     # (xvi) some shared state exists
     rows.append(IlpRow("c_xvi_0",
-                       tuple((1.0, names.i_s(s)) for s in m.states),
+                       tuple((1.0, cols.i_s(s)) for s in m.states),
                        ">=", 1.0))
 
-    variables = tuple(variables)
     return IlpModel(variables=variables, objective=tuple(objective),
                     rows=tuple(rows), product=p, amecs=amecs, spec=spec,
-                    cfg=cfg, epsilon=eps,
-                    var_index={v.name: i for i, v in enumerate(variables)})
+                    cfg=cfg, epsilon=eps)
 
 
 def _merge(terms):
     acc: dict = {}
     order = []
-    for coef, name in terms:
-        if name not in acc:
-            acc[name] = 0.0
-            order.append(name)
-        acc[name] += coef
-    return tuple((acc[n], n) for n in order if acc[n] != 0.0)
+    for coef, j in terms:
+        if j not in acc:
+            acc[j] = 0.0
+            order.append(j)
+        acc[j] += coef
+    return tuple((acc[j], j) for j in order if acc[j] != 0.0)
 
 
 # ---------------------------------------------------------------------------
 # LP-file export
 # ---------------------------------------------------------------------------
+
+def column_names(model: IlpModel) -> list:
+    """LP names of the columns.  Indices in a name are positions in the
+    model's state and action orderings and the automaton's node ordering."""
+    p = model.product
+    m = p.model
+    s_pos = {s: i for i, s in enumerate(m.states)}
+    q_pos = {q: i for i, q in enumerate(p.dra.nodes)}
+    a_pos = {a: i for i, a in enumerate(m.actions)}
+    sq_id = {(s, q): f"{s_pos[s]}_{q_pos[q]}" for s, q in p.states}
+    pairs = [f"{sq_id[sq]}_{a_pos[a]}"
+             for sq in p.states for a in m.enabled[sq[0]]]
+    n_amecs = len(model.amecs)
+    return ([f"x_{t}" for t in pairs]
+            + [f"f_{sq_id[src]}_{sq_id[tgt]}" for src, tgt in p.edges]
+            + [f"pi_{t}" for t in pairs]
+            + [f"isq_{sq_id[sq]}" for sq in p.states]
+            + [f"is_{i}" for i in range(len(m.states))]
+            + [f"ik_{k}" for k in range(n_amecs)]
+            + [f"iks_{k}_{i}" for k in range(n_amecs)
+               for i in range(len(m.states))])
+
 
 def _num(v: float) -> str:
     if v == int(v) and abs(v) < 1e15:
@@ -356,35 +378,36 @@ def _num(v: float) -> str:
     return repr(v)
 
 
-def _expr(terms) -> str:
+def _expr(terms, names) -> str:
     if not terms:
         return "0"
     parts = []
-    for i, (coef, name) in enumerate(terms):
+    for i, (coef, j) in enumerate(terms):
         mag = _num(abs(coef))
         if i == 0:
-            parts.append(f"-{mag} {name}" if coef < 0 else f"{mag} {name}")
+            parts.append(f"-{mag} {names[j]}" if coef < 0
+                         else f"{mag} {names[j]}")
         else:
-            parts.append(f"{'-' if coef < 0 else '+'} {mag} {name}")
+            parts.append(f"{'-' if coef < 0 else '+'} {mag} {names[j]}")
     return " ".join(parts)
 
 
 def export_lp(model: IlpModel) -> str:
-    anchor = model.variables[0].name  # for rows whose terms all cancelled
+    names = column_names(model)
     out = ["Maximize"]
-    out.append(f" obj: {_expr(model.objective)}")
+    out.append(f" obj: {_expr(model.objective, names)}")
     out.append("Subject To")
     for row in model.rows:
-        expr = _expr(row.terms) if row.terms else f"0 {anchor}"
-        out.append(f" {row.name}: {expr} {row.sense} {_num(row.rhs)}")
+        out.append(f" {row.name}: {_expr(row.terms or _ANCHOR, names)} "
+                   f"{row.sense} {_num(row.rhs)}")
     out.append("Bounds")
-    for v in model.variables:
+    for j, v in enumerate(model.variables):
         if not v.binary:
-            out.append(f" {_num(v.lb)} <= {v.name} <= {_num(v.ub)}")
+            out.append(f" {_num(v.lb)} <= {names[j]} <= {_num(v.ub)}")
     out.append("Binary")
-    for v in model.variables:
+    for j, v in enumerate(model.variables):
         if v.binary:
-            out.append(f" {v.name}")
+            out.append(f" {names[j]}")
     out.append("End")
     return "\n".join(out) + "\n"
 
@@ -398,19 +421,24 @@ def write_lp(model: IlpModel, path) -> None:
 # Solving
 # ---------------------------------------------------------------------------
 
+BUNDLED_TIME_LIMIT = 60.0           # seconds inside the bundled backend
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """External command template with {lp} and {sol} placeholders."""
+    """``command``: an external solver's template with {lp} and {sol}
+    placeholders; None selects the configured one, else the bundled backend.
+    ``timeout``: seconds; the bundled backend's in-solver time limit (default
+    BUNDLED_TIME_LIMIT), or when an external command is killed."""
 
-    command: str
+    command: Optional[str] = None
     timeout: Optional[float] = None
 
 
-def default_solver_command(solve_time_limit: float = 60.0) -> str:
-    """Resolve the solver template: the SSLTL_SOLVER_CMD environment variable
-    wins, then a ``highs`` or ``cbc`` binary on PATH, then the bundled
-    LP-file backend (which gets an in-solver time budget so plateau instances
-    return their incumbent instead of hanging)."""
+def _external_command() -> Optional[str]:
+    """The external solver in use when no command is given: the
+    SSLTL_SOLVER_CMD environment variable, then a ``highs`` or ``cbc`` binary
+    on PATH.  None selects the bundled backend."""
     env = os.environ.get("SSLTL_SOLVER_CMD")
     if env:
         return env
@@ -418,19 +446,29 @@ def default_solver_command(solve_time_limit: float = 60.0) -> str:
         return "highs --solution_file {sol} {lp}"
     if shutil.which("cbc"):
         return "cbc {lp} solve printingOptions all solution {sol}"
+    return None
+
+
+def _bundled_command(time_limit: float) -> str:
     return (f"{sys.executable} -m ssltl.milp_shim {{lp}} {{sol}} "
-            f"--time-limit {solve_time_limit:g}")
+            f"--time-limit {time_limit:g}")
+
+
+def default_solver_command(
+        solve_time_limit: float = BUNDLED_TIME_LIMIT) -> str:
+    """Resolve the solver template: the SSLTL_SOLVER_CMD environment variable
+    wins, then a ``highs`` or ``cbc`` binary on PATH, then the bundled
+    LP-file backend (which gets an in-solver time budget so plateau instances
+    return their incumbent instead of hanging)."""
+    return _external_command() or _bundled_command(solve_time_limit)
 
 
 @dataclass(frozen=True)
 class Solution:
-    status: str                      # optimal | feasible | infeasible | error
-    values: Mapping
+    status: str          # optimal | feasible | infeasible | timeout | error
+    values: Optional[np.ndarray]     # one value per column; None: no point
     objective: Optional[float]
     solver_output: str = ""
-
-    def value(self, name: str) -> float:
-        return self.values.get(name, 0.0)
 
 
 def parse_solution_text(text: str, varnames) -> tuple:
@@ -471,36 +509,43 @@ def parse_solution_text(text: str, varnames) -> tuple:
 
 
 def solve(model: IlpModel, solver: Optional[SolverConfig] = None,
-          keep_files: Optional[str] = None) -> Solution:
-    """Write the LP, run the external solver command, parse the solution.
+          keep_files: Optional[str] = None, round_no: int = 1) -> Solution:
+    """Write the LP, run the solver command, and map its solution file back
+    to columns.
 
-    ``keep_files`` names a directory to keep lp/sol artifacts in; otherwise a
-    fresh temporary directory is used and removed.
+    ``keep_files`` names a directory that keeps ``round_<round_no>.lp`` and
+    ``round_<round_no>.sol``; otherwise a fresh temporary directory is used
+    and removed.
     """
-    if solver is None:
-        solver = SolverConfig(command=default_solver_command())
+    solver = solver or SolverConfig()
+    command = solver.command or _external_command()
+    kill_after = solver.timeout
+    if command is None:             # the bundled backend stops by itself
+        command = _bundled_command(BUNDLED_TIME_LIMIT if solver.timeout is None
+                                   else solver.timeout)
+        kill_after = None
 
     tmpdir = None
     if keep_files is None:
         tmpdir = tempfile.mkdtemp(prefix="ssltl_")
-        workdir = tmpdir
+        stem = os.path.join(tmpdir, "model")
     else:
         os.makedirs(keep_files, exist_ok=True)
-        workdir = keep_files
-    lp_path = os.path.join(workdir, "model.lp")
-    sol_path = os.path.join(workdir, "model.sol")
+        stem = os.path.join(keep_files, f"round_{round_no}")
+    lp_path, sol_path = stem + ".lp", stem + ".sol"
     write_lp(model, lp_path)
 
-    cmd = solver.command.format(lp=lp_path, sol=sol_path)
+    cmd = command.format(lp=lp_path, sol=sol_path)
     try:
         try:
             proc = subprocess.run(shlex.split(cmd), capture_output=True,
-                                  text=True, timeout=solver.timeout)
+                                  text=True, timeout=kill_after)
         except FileNotFoundError as exc:
             raise SolverError(f"cannot launch solver: {cmd!r}: {exc}") from exc
-        except subprocess.TimeoutExpired as exc:
-            raise SolverError(
-                f"solver timed out after {solver.timeout}s: {cmd!r}") from exc
+        except subprocess.TimeoutExpired:
+            return Solution(status="timeout", values=None, objective=None,
+                            solver_output=f"killed after {kill_after:g} s: "
+                                          f"{cmd!r}")
 
         output = (proc.stdout or "") + "\n" + (proc.stderr or "")
         sol_text = ""
@@ -512,29 +557,32 @@ def solve(model: IlpModel, solver: Optional[SolverConfig] = None,
         if tmpdir is not None:
             shutil.rmtree(tmpdir, ignore_errors=True)
 
-    values, hint = parse_solution_text(sol_text, model.var_index)
+    names = column_names(model)
+    by_name, hint = parse_solution_text(sol_text, names)
     if not hint:
-        _, hint = parse_solution_text(output, model.var_index)
+        _, hint = parse_solution_text(output, names)
 
     if hint == "infeasible":
-        return Solution(status="infeasible", values={}, objective=None,
+        return Solution(status="infeasible", values=None, objective=None,
                         solver_output=output)
-    if not values:
+    if not by_name:
+        if hint == "feasible":      # stopped at a limit before any solution
+            return Solution(status="timeout", values=None, objective=None,
+                            solver_output=(sol_text + output).strip())
         if proc.returncode != 0:
             raise SolverError(
                 f"solver failed (exit {proc.returncode}) and wrote no "
                 f"solution: {output[-2000:]}")
         raise SolverError(f"unparseable solver output: {sol_text[-2000:]!r}")
 
-    status = hint or "feasible"
-    objective = sum(coef * values.get(name, 0.0)
-                    for coef, name in model.objective)
-    return Solution(status=status, values=values, objective=objective,
-                    solver_output=output)
+    values = np.array([by_name.get(name, 0.0) for name in names])
+    objective = sum(coef * values[j] for coef, j in model.objective)
+    return Solution(status=hint or "feasible", values=values,
+                    objective=float(objective), solver_output=output)
 
 
 # ---------------------------------------------------------------------------
-# Policy extraction and solution checking
+# Policy extraction
 # ---------------------------------------------------------------------------
 
 def extract_policy(sol: Solution, p: ProductLmdp) -> Policy:
@@ -543,83 +591,33 @@ def extract_policy(sol: Solution, p: ProductLmdp) -> Policy:
     stationary-policy identity |x - pi * sum_a x| <= 1e-6 is asserted."""
     if sol.status not in ("optimal", "feasible"):
         raise PolicyError(f"cannot extract a policy from status {sol.status!r}")
-    names = _Names(p)
+    cols = Columns(p)
+    values = sol.values
     choice = {}
     for sq in p.states:
         acts = p.model.enabled[sq[0]]
-        winners = [a for a in acts if sol.value(names.pi(sq, a)) > 0.5]
+        pis = [values[j] for j in cols.pi(sq)]
+        winners = [i for i, v in enumerate(pis) if v > 0.5]
         if len(winners) != 1:
             raise PolicyError(
                 f"no unique policy binary above 0.5 at {sq!r} "
-                f"(values {[sol.value(names.pi(sq, a)) for a in acts]})")
-        a_star = winners[0]
-        slack = 1.0 - sol.value(names.pi(sq, a_star))
+                f"(values {[float(v) for v in pis]})")
+        best = winners[0]
+        slack = 1.0 - pis[best]
         if slack > INTEGRALITY_WARN_BAND:
             warnings.warn(
-                f"integrality slack {slack:g} on {names.pi(sq, a_star)}",
-                stacklevel=2)
-        choice[sq] = a_star
+                f"integrality slack {slack:g} on the policy binary of "
+                f"{acts[best]!r} at {sq!r}", stacklevel=2)
+        choice[sq] = acts[best]
 
-        total = sum(sol.value(names.x(sq, a)) for a in acts)
+        xs = [values[j] for j in cols.x(sq)]
+        total = sum(xs)
         if total >= MASS_FLOOR:
-            for a in acts:
-                indicator = 1.0 if a == a_star else 0.0
-                resid = abs(sol.value(names.x(sq, a)) - indicator * total)
+            for i, x in enumerate(xs):
+                indicator = 1.0 if i == best else 0.0
+                resid = abs(x - indicator * total)
                 if resid > POLICY_IDENTITY_TOL:
                     raise PolicyError(
                         f"occupation/policy identity violated at {sq!r}, "
-                        f"action {a!r}: residual {resid:g}")
+                        f"action {acts[i]!r}: residual {resid:g}")
     return Policy(choice=choice)
-
-
-def policy_identity_residual(sol: Solution, p: ProductLmdp, pi: Policy,
-                             states) -> float:
-    """Max over the given product states and their actions of
-    |x_sqa - [a == pi(sq)] * sum_a x_sqa| from the solver assignment."""
-    names = _Names(p)
-    worst = 0.0
-    for sq in states:
-        acts = p.model.enabled[sq[0]]
-        total = sum(sol.value(names.x(sq, a)) for a in acts)
-        for a in acts:
-            indicator = 1.0 if pi.choice.get(sq) == a else 0.0
-            worst = max(worst,
-                        abs(sol.value(names.x(sq, a)) - indicator * total))
-    return worst
-
-
-def check_solution(model: IlpModel, sol: Solution,
-                   tol: float = FEASIBILITY_TOL) -> float:
-    """Re-evaluate every constraint row; returns the maximum violation."""
-    worst = 0.0
-    for row in model.rows:
-        val = sum(coef * sol.value(name) for coef, name in row.terms)
-        if row.sense == "<=":
-            viol = val - row.rhs
-        elif row.sense == ">=":
-            viol = row.rhs - val
-        else:
-            viol = abs(val - row.rhs)
-        worst = max(worst, viol)
-    for v in model.variables:
-        worst = max(worst, v.lb - sol.value(v.name),
-                    sol.value(v.name) - v.ub)
-    return worst
-
-
-def fix_policy(model: IlpModel, pi: Policy) -> IlpModel:
-    """Pin the policy binaries to a given deterministic policy (used to ask
-    the solver for a feasibility certificate of a known policy)."""
-    names = _Names(model.product)
-    extra = []
-    j = 0
-    for sq in model.product.states:
-        for a in model.product.model.enabled[sq[0]]:
-            want = 1.0 if pi.choice.get(sq) == a else 0.0
-            extra.append(IlpRow(f"c_fix_{j}",
-                                ((1.0, names.pi(sq, a)),), "=", want))
-            j += 1
-    return IlpModel(variables=model.variables, objective=model.objective,
-                    rows=model.rows + tuple(extra), product=model.product,
-                    amecs=model.amecs, spec=model.spec, cfg=model.cfg,
-                    epsilon=model.epsilon, var_index=model.var_index)

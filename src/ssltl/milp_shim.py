@@ -56,18 +56,14 @@ def _is_number(tok: str) -> bool:
 
 
 def _tokenize(expr: str):
-    out = []
-    for raw in expr.replace("+", " + ").replace("-", " - ").split():
-        out.append(raw)
+    out = expr.replace("+", " + ").replace("-", " - ").split()
     # Re-join scientific-notation splits like ['1e', '-', '05'].
     merged = []
     i = 0
     while i < len(out):
         tok = out[i]
-        if (i + 2 < len(out) + 1 and tok and tok[-1] in "eE"
-                and _is_number(tok[:-1] or "0") and i + 2 <= len(out) - 0
-                and i + 2 < len(out) and out[i + 1] in "+-"
-                and out[i + 2].isdigit()):
+        if (i + 2 < len(out) and tok[-1] in "eE" and _is_number(tok[:-1])
+                and out[i + 1] in "+-" and out[i + 2].isdigit()):
             merged.append(tok + out[i + 1] + out[i + 2])
             i += 3
         else:
@@ -234,7 +230,7 @@ def solve_lp_problem(prob: LpProblem, time_limit=None, mip_rel_gap=None):
     return res, idx
 
 
-def write_solution(path, prob, res, idx):
+def write_solution(path, prob, res, idx, time_limit=None):
     lines = []
     if res.status == 0:
         status = "Optimal"
@@ -244,6 +240,8 @@ def write_solution(path, prob, res, idx):
         status = "Unbounded"
     elif res.x is not None:
         status = "Feasible (limit reached)"
+    elif res.status == 1 and time_limit is not None:
+        status = f"Time limit reached ({time_limit:g} s)"
     else:
         status = "Error"
     lines.append(f"Model status: {status}")
@@ -273,7 +271,7 @@ def main(argv=None) -> int:
         prob = parse_lp(fh.read())
     res, idx = solve_lp_problem(prob, time_limit=args.time_limit,
                                 mip_rel_gap=args.mip_rel_gap)
-    write_solution(args.sol, prob, res, idx)
+    write_solution(args.sol, prob, res, idx, args.time_limit)
     return 0
 
 

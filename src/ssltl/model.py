@@ -180,9 +180,6 @@ class Lmdp:
     labels: Mapping[str, frozenset]
     initial: str
 
-    def state_index(self, s: str) -> int:
-        return self.states.index(s)
-
     def reward_value(self, s: str, a: str, s2: str) -> float:
         return self.reward.get((s, a, s2), 0.0)
 

@@ -1,5 +1,5 @@
 """Product construction: model x automaton MDP, policy-induced chains, and
-aggregation of product chains back to model-state chains."""
+policy IO."""
 
 from __future__ import annotations
 
@@ -7,11 +7,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from ssltl.errors import LumpabilityError, ModelError, PolicyError
+from ssltl.errors import ModelError, PolicyError
 from ssltl.hoa import Dra, dra_step
-from ssltl.model import Lmc, Lmdp
-
-LUMP_ROW_TOL = 1e-12
+from ssltl.model import Lmdp
 
 
 @dataclass(frozen=True)
@@ -73,34 +71,6 @@ class ProductLmc:
     rows: Mapping
     initial: tuple
     model: Optional[Lmdp] = None
-
-
-def product_chain(c: Lmc, d: Dra) -> ProductLmc:
-    """Product of a labeled chain with an automaton (no actions involved)."""
-    def letter(s):
-        return frozenset(c.labels.get(s, frozenset())) & frozenset(d.alphabet)
-
-    initial = (c.initial, dra_step(d, d.initial, letter(c.initial)))
-    rows: dict = {}
-    seen = {initial}
-    frontier = [initial]
-    while frontier:
-        s, q = frontier.pop()
-        row: dict = {}
-        for s2, p in c.rows[s].items():
-            if p <= 0.0:
-                continue
-            q2 = dra_step(d, q, letter(s2))
-            row[(s2, q2)] = row.get((s2, q2), 0.0) + p
-            if (s2, q2) not in seen:
-                seen.add((s2, q2))
-                frontier.append((s2, q2))
-        rows[(s, q)] = row
-
-    s_pos = {s: i for i, s in enumerate(c.states)}
-    q_pos = {q: i for i, q in enumerate(d.nodes)}
-    states = tuple(sorted(seen, key=lambda sq: (s_pos[sq[0]], q_pos[sq[1]])))
-    return ProductLmc(states=states, rows=rows, initial=initial)
 
 
 # ---------------------------------------------------------------------------
@@ -166,53 +136,3 @@ def induce_chain(p: ProductLmdp, pi: Policy) -> ProductLmc:
     states = tuple(sq for sq in p.states if sq in seen)
     return ProductLmc(states=states, rows=rows, initial=p.initial,
                       model=p.model)
-
-
-# ---------------------------------------------------------------------------
-# Aggregation
-# ---------------------------------------------------------------------------
-
-def aggregate(c: ProductLmc) -> Lmc:
-    """Collapse classes [s] = {(s, q)} to an original-state chain.
-
-    Each class row is computed from a representative by summing over target
-    classes; representative-independence is asserted (all members must give
-    equal rows within 1e-12), turning ordinary lumpability into a runtime
-    check rather than a trusted fact.
-    """
-    classes: dict = {}
-    for sq in c.states:
-        classes.setdefault(sq[0], []).append(sq)
-
-    if c.model is not None:
-        order = [s for s in c.model.states if s in classes]
-    else:
-        order = sorted(classes)
-
-    rows: dict = {}
-    for s in order:
-        members = classes[s]
-        lumped_rows = []
-        for member in members:
-            lumped: dict = {}
-            for (s2, _), p in c.rows[member].items():
-                lumped[s2] = lumped.get(s2, 0.0) + p
-            lumped_rows.append(lumped)
-        base = lumped_rows[0]
-        for other, member in zip(lumped_rows[1:], members[1:]):
-            keys = set(base) | set(other)
-            for k in keys:
-                if abs(base.get(k, 0.0) - other.get(k, 0.0)) > LUMP_ROW_TOL:
-                    raise LumpabilityError(
-                        f"class [{s}] rows differ between representatives "
-                        f"{members[0]!r} and {member!r} at target {k!r}: "
-                        f"{base.get(k, 0.0)!r} vs {other.get(k, 0.0)!r}")
-        rows[s] = base
-
-    labels = {}
-    ap = ()
-    if c.model is not None:
-        labels = {s: c.model.labels.get(s, frozenset()) for s in order}
-        ap = c.model.ap
-    return Lmc(states=tuple(order), rows=rows, initial=c.initial[0],
-               labels=labels, ap=ap)

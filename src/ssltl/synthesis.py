@@ -13,7 +13,7 @@ policy is ever reported as feasible.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from ssltl.errors import NoAcceptingStructureError, PolicyError
@@ -21,12 +21,11 @@ from ssltl.graph import accepting_mecs, bscc_accepting, bsccs, \
     mec_decomposition
 from ssltl.hoa import Dra
 from ssltl.ilp import (
+    Columns,
     IlpConfig,
-    IlpModel,
     IlpRow,
     Solution,
     SolverConfig,
-    _Names,
     build_program,
     extract_policy,
     solve,
@@ -40,7 +39,7 @@ DEFAULT_MAX_CUT_ROUNDS = 64
 
 @dataclass(frozen=True)
 class SynthesisResult:
-    status: str                     # verified | infeasible | unverified | error
+    status: str     # verified | infeasible | unverified | timeout | error
     policy: Optional[Policy]
     report: Optional[VerificationReport]
     solution: Optional[Solution]
@@ -68,10 +67,10 @@ def _rejection_cuts(p: ProductLmdp, pi: Policy, round_index: int) -> list:
     <= |B| is valid for every truly feasible solution and removes the whole
     family at once.
     """
-    names = _Names(p)
+    cols = Columns(p)
     chain = induce_chain(p, pi)
     cuts = []
-    terms = tuple((1.0, names.pi(sq, pi.choice[sq])) for sq in chain.states)
+    terms = tuple((1.0, cols.pi_of(sq, pi.choice[sq])) for sq in chain.states)
     cuts.append(IlpRow(f"c_cut_{round_index}_nogood", terms, "<=",
                        float(len(terms) - 1)))
     dec = bsccs(chain)
@@ -79,9 +78,8 @@ def _rejection_cuts(p: ProductLmdp, pi: Policy, round_index: int) -> list:
         if bscc_accepting(b, p.dra):
             continue
         ordered = sorted(b, key=lambda sq: p.state_pos[sq])
-        mass_terms = [(1.0, names.x(sq, a)) for sq in ordered
-                      for a in p.model.enabled[sq[0]]]
-        kept = [(1.0, names.pi(sq, pi.choice[sq])) for sq in ordered]
+        mass_terms = [(1.0, j) for sq in ordered for j in cols.x(sq)]
+        kept = [(1.0, cols.pi_of(sq, pi.choice[sq])) for sq in ordered]
         cuts.append(IlpRow(f"c_cut_{round_index}_loop{b_idx}",
                            tuple(mass_terms + kept), "<=", float(len(b))))
     return cuts
@@ -114,7 +112,7 @@ def synthesize(m: Lmdp, d: Dra, spec: SsLtlSpec,
     while rounds < max_cut_rounds:
         rounds += 1
         t_solve = time.monotonic()
-        sol = solve(model, solver, keep_files=keep_files)
+        sol = solve(model, solver, keep_files=keep_files, round_no=rounds)
         solve_seconds += time.monotonic() - t_solve
         if sol.status == "infeasible":
             return SynthesisResult(
@@ -122,12 +120,15 @@ def synthesize(m: Lmdp, d: Dra, spec: SsLtlSpec,
                 solution=sol, objective=None, rounds=rounds,
                 solve_seconds=solve_seconds,
                 total_seconds=time.monotonic() - t0)
-        if sol.status == "error":
+        if sol.status in ("timeout", "error"):
+            what = ("stopped at its time limit without a feasible solution"
+                    if sol.status == "timeout"
+                    else "returned an unusable status")
             return SynthesisResult(
-                status="error", policy=None, report=None, solution=sol,
+                status=sol.status, policy=None, report=None, solution=sol,
                 objective=None, rounds=rounds, solve_seconds=solve_seconds,
                 total_seconds=time.monotonic() - t0,
-                detail="solver returned an unusable status")
+                detail=f"solver {what}: {sol.solver_output.strip()[-500:]}")
         try:
             pi = extract_policy(sol, product)
         except PolicyError as exc:
@@ -144,11 +145,7 @@ def synthesize(m: Lmdp, d: Dra, spec: SsLtlSpec,
                 solve_seconds=solve_seconds,
                 total_seconds=time.monotonic() - t0)
         cuts = _rejection_cuts(product, pi, rounds - 1)
-        model = IlpModel(
-            variables=model.variables, objective=model.objective,
-            rows=model.rows + tuple(cuts), product=model.product,
-            amecs=model.amecs, spec=model.spec, cfg=model.cfg,
-            epsilon=model.epsilon, var_index=model.var_index)
+        model = replace(model, rows=model.rows + tuple(cuts))
 
     return SynthesisResult(
         status="unverified", policy=last_policy, report=last_report,

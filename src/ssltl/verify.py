@@ -34,7 +34,6 @@ class SsResult:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    deterministic: bool
     product_bscc_sizes: tuple
     rabin_ok: tuple
     shared_state: Optional[str]
@@ -46,7 +45,6 @@ class VerificationReport:
 
     def to_json(self) -> dict:
         return {
-            "deterministic": self.deterministic,
             "product_bsccs": {"count": len(self.product_bscc_sizes),
                               "sizes": list(self.product_bscc_sizes)},
             "rabin_ok": list(self.rabin_ok),
@@ -102,7 +100,6 @@ def verify_policy(m: Lmdp, d: Dra, spec: SsLtlSpec, pi: Policy,
     verdict = (all(rabin_ok) and unichain
                and all(r.ok for r in ss_results))
     return VerificationReport(
-        deterministic=True,
         product_bscc_sizes=tuple(len(b) for b in dec.bsccs),
         rabin_ok=rabin_ok,
         shared_state=shared_state,

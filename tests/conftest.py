@@ -25,7 +25,15 @@ def automata_dir():
 @pytest.fixture(scope="session")
 def solver_cmd():
     """Solver command template for tests: the environment override if set,
-    else the in-repo LP-file MILP backend run as a subprocess."""
-    from ssltl.ilp import default_solver_command
+    else None, the default route (the bundled backend unless a ``highs`` or
+    ``cbc`` binary is on PATH)."""
+    return os.environ.get("SSLTL_SOLVER_CMD")
 
-    return os.environ.get("SSLTL_SOLVER_CMD", default_solver_command())
+
+@pytest.fixture
+def bundled_backend(monkeypatch):
+    """No external solver configured, whatever the environment holds."""
+    import shutil
+
+    monkeypatch.delenv("SSLTL_SOLVER_CMD", raising=False)
+    monkeypatch.setattr(shutil, "which", lambda *args, **kwargs: None)

@@ -1,6 +1,8 @@
 """Shared test utilities: an LTL-on-lasso-word evaluator used as the oracle
-for automaton fixtures, random model/chain/automaton generators, and small
-simulation helpers.
+for automaton fixtures, random model/chain/automaton generators, small
+simulation helpers, and oracles over chains, products and programs that only
+the tests use (chain products, aggregation, lumpability residuals, program
+rows re-evaluated on a solution).
 
 The LTL evaluator is independent of the package: it works directly on
 ultimately-periodic words by least-fixpoint iteration, so it can vouch for
@@ -9,10 +11,19 @@ the shipped HOA files.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from ssltl.hoa import Dra, letters_of
+from ssltl.chain import Partition, _kernel
+from ssltl.errors import LumpabilityError
+from ssltl.hoa import Dra, dra_step, letters_of
+from ssltl.ilp import Columns, IlpModel, IlpRow, Solution, column_names
 from ssltl.model import Lmc, Lmdp, validate_lmc, validate_lmdp
+from ssltl.product import Policy, ProductLmc, ProductLmdp
+
+LUMP_ROW_TOL = 1e-12
+FEASIBILITY_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +265,158 @@ def simulate_steps(chain, n_steps, rng, key_order=None):
     return path
 
 
+def product_chain(c: Lmc, d: Dra) -> ProductLmc:
+    """Product of a labeled chain with an automaton (no actions involved)."""
+    def letter(s):
+        return frozenset(c.labels.get(s, frozenset())) & frozenset(d.alphabet)
+
+    initial = (c.initial, dra_step(d, d.initial, letter(c.initial)))
+    rows: dict = {}
+    seen = {initial}
+    frontier = [initial]
+    while frontier:
+        s, q = frontier.pop()
+        row: dict = {}
+        for s2, p in c.rows[s].items():
+            if p <= 0.0:
+                continue
+            q2 = dra_step(d, q, letter(s2))
+            row[(s2, q2)] = row.get((s2, q2), 0.0) + p
+            if (s2, q2) not in seen:
+                seen.add((s2, q2))
+                frontier.append((s2, q2))
+        rows[(s, q)] = row
+
+    s_pos = {s: i for i, s in enumerate(c.states)}
+    q_pos = {q: i for i, q in enumerate(d.nodes)}
+    states = tuple(sorted(seen, key=lambda sq: (s_pos[sq[0]], q_pos[sq[1]])))
+    return ProductLmc(states=states, rows=rows, initial=initial)
+
+
+def aggregate(c: ProductLmc) -> Lmc:
+    """Collapse classes [s] = {(s, q)} to an original-state chain.
+
+    Each class row is computed from a representative by summing over target
+    classes; representative-independence is asserted (all members must give
+    equal rows within 1e-12), turning ordinary lumpability into a runtime
+    check rather than a trusted fact.
+    """
+    classes: dict = {}
+    for sq in c.states:
+        classes.setdefault(sq[0], []).append(sq)
+
+    if c.model is not None:
+        order = [s for s in c.model.states if s in classes]
+    else:
+        order = sorted(classes)
+
+    rows: dict = {}
+    for s in order:
+        members = classes[s]
+        lumped_rows = []
+        for member in members:
+            lumped: dict = {}
+            for (s2, _), p in c.rows[member].items():
+                lumped[s2] = lumped.get(s2, 0.0) + p
+            lumped_rows.append(lumped)
+        base = lumped_rows[0]
+        for other, member in zip(lumped_rows[1:], members[1:]):
+            keys = set(base) | set(other)
+            for k in keys:
+                if abs(base.get(k, 0.0) - other.get(k, 0.0)) > LUMP_ROW_TOL:
+                    raise LumpabilityError(
+                        f"class [{s}] rows differ between representatives "
+                        f"{members[0]!r} and {member!r} at target {k!r}: "
+                        f"{base.get(k, 0.0)!r} vs {other.get(k, 0.0)!r}")
+        rows[s] = base
+
+    labels = {}
+    ap = ()
+    if c.model is not None:
+        labels = {s: c.model.labels.get(s, frozenset()) for s in order}
+        ap = c.model.ap
+    return Lmc(states=tuple(order), rows=rows, initial=c.initial[0],
+               labels=labels, ap=ap)
+
+
+def check_lumpable(chain, p: Partition) -> float:
+    """Max over classes and member pairs (alpha, beta) of the sup-norm of
+    (e_alpha - e_beta) T V; 0 (up to 1e-12) iff ordinarily lumpable."""
+    states, idx, t = _kernel(chain)
+    class_ids = sorted(p.classes, key=str)
+    col = {c: j for j, c in enumerate(class_ids)}
+    v = np.zeros((len(states), len(class_ids)))
+    for s in states:
+        v[idx[s], col[p.of[s]]] = 1.0
+    tv = t @ v
+    worst = 0.0
+    for c in class_ids:
+        members = [s for s in states if p.of[s] == c]
+        for i in range(1, len(members)):
+            diff = np.max(np.abs(tv[idx[members[0]]] - tv[idx[members[i]]]))
+            worst = max(worst, float(diff))
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# Programs and solutions
+# ---------------------------------------------------------------------------
+
+def binaries(model: IlpModel) -> list:
+    """LP names of the binary columns, in column order."""
+    names = column_names(model)
+    return [names[j] for j, v in enumerate(model.variables) if v.binary]
+
+
+def check_solution(model: IlpModel, sol: Solution,
+                   tol: float = FEASIBILITY_TOL) -> float:
+    """Re-evaluate every constraint row; returns the maximum violation."""
+    values = sol.values
+    worst = 0.0
+    for row in model.rows:
+        val = sum(coef * values[j] for coef, j in row.terms)
+        if row.sense == "<=":
+            viol = val - row.rhs
+        elif row.sense == ">=":
+            viol = row.rhs - val
+        else:
+            viol = abs(val - row.rhs)
+        worst = max(worst, viol)
+    for j, v in enumerate(model.variables):
+        worst = max(worst, v.lb - values[j], values[j] - v.ub)
+    return worst
+
+
+def fix_policy(model: IlpModel, pi: Policy) -> IlpModel:
+    """Pin the policy binaries to a given deterministic policy (used to ask
+    the solver for a feasibility certificate of a known policy)."""
+    p = model.product
+    cols = Columns(p)
+    extra = []
+    for sq in p.states:
+        for a, j in zip(p.model.enabled[sq[0]], cols.pi(sq)):
+            want = 1.0 if pi.choice.get(sq) == a else 0.0
+            extra.append(IlpRow(f"c_fix_{j - cols.pi0}", ((1.0, j),), "=",
+                                want))
+    return replace(model, rows=model.rows + tuple(extra))
+
+
+def policy_identity_residual(sol: Solution, p: ProductLmdp, pi: Policy,
+                             states) -> float:
+    """Max over the given product states and their actions of
+    |x_sqa - [a == pi(sq)] * sum_a x_sqa| from the solver assignment."""
+    cols = Columns(p)
+    worst = 0.0
+    for sq in states:
+        acts = p.model.enabled[sq[0]]
+        xs = [sol.values[j] for j in cols.x(sq)]
+        total = sum(xs)
+        for a, x in zip(acts, xs):
+            indicator = 1.0 if pi.choice.get(sq) == a else 0.0
+            worst = max(worst, abs(x - indicator * total))
+    return worst
+
+
 # ---------------------------------------------------------------------------
 # Reconstructed fixtures
 # ---------------------------------------------------------------------------
@@ -268,8 +431,6 @@ def mirrored_bscc_fixture():
     start is 1/6 per (s1, .) state and 1/12 per (s2, .) state, and the class
     sums give (0, 2/3, 1/3).
     """
-    from ssltl.product import ProductLmc
-
     half = 0.5
     t0 = ("s0", "q0")
     rows = {

@@ -13,25 +13,26 @@ import numpy as np
 import pytest
 
 from helpers import (
+    aggregate,
+    check_lumpable,
     mirrored_bscc_fixture,
+    policy_identity_residual,
     power_iteration_limit,
+    product_chain,
     random_dra,
     random_irreducible_lmc,
     random_multichain,
 )
 from ssltl.chain import (
-    check_lumpable,
     limiting_distribution,
     lump_distribution,
     product_state_partition,
 )
 from ssltl.graph import bsccs
 from ssltl.hoa import load_hoa
-from ssltl.ilp import IlpConfig, SolverConfig, default_solver_command, \
-    policy_identity_residual
+from ssltl.ilp import IlpConfig, SolverConfig
 from ssltl.model import GridSpec, Lmc, generate_grid, load_model, load_spec
-from ssltl.product import aggregate, build_product, induce_chain, \
-    product_chain
+from ssltl.product import build_product, induce_chain
 from ssltl.synthesis import synthesize
 from ssltl.verify import brute_force_synth, verify_policy
 
@@ -44,10 +45,12 @@ def _report(criterion, ok, detail):
     assert ok, f"criterion {criterion}: {detail}"
 
 
-def _solver_cmd(budget):
-    if os.environ.get("SSLTL_SOLVER_CMD"):
-        return os.environ["SSLTL_SOLVER_CMD"]
-    return default_solver_command(solve_time_limit=budget)
+def _solver(budget, kill_after):
+    """The default route with an in-solver time limit of ``budget`` seconds;
+    a command from SSLTL_SOLVER_CMD is killed after ``kill_after`` seconds
+    instead."""
+    cmd = os.environ.get("SSLTL_SOLVER_CMD")
+    return SolverConfig(command=cmd, timeout=kill_after if cmd else budget)
 
 
 def test_criterion_1_lumpability():
@@ -125,7 +128,7 @@ def test_criterion_4_program_matches_exhaustive_oracle():
     from test_verify import battery_instance
 
     rng = np.random.default_rng(104)
-    solver = SolverConfig(command=_solver_cmd(30), timeout=300)
+    solver = _solver(30, kill_after=300)
     t0 = time.monotonic()
     n_feasible = 0
     for i in range(50):
@@ -160,7 +163,7 @@ def test_criterion_5_showcase_grid(fixtures_dir):
     m = load_model(fixtures_dir / "grid8x8" / "model.json")
     spec = load_spec(fixtures_dir / "grid8x8" / "spec.json")
     d = load_hoa(spec.dra_source)
-    solver = SolverConfig(command=_solver_cmd(120), timeout=540)
+    solver = _solver(120, kill_after=540)
     t0 = time.monotonic()
     result = synthesize(m, d, spec, cfg=IlpConfig(objective="feasibility"),
                         solver=solver, max_cut_rounds=64)
@@ -217,7 +220,7 @@ def test_criterion_8_end_to_end_grid_suite(fixtures_dir):
     """Runtime suite: recurrence-or-persistence
     and until-style specs on ten random 4x4 grids each complete end-to-end
     under 60 s per instance, with every feasible result verifier-passing."""
-    solver = SolverConfig(command=_solver_cmd(15), timeout=120)
+    solver = _solver(15, kill_after=120)
     worst_time = 0.0
     statuses = []
     for spec_name in ("theta2", "theta4"):

@@ -2,22 +2,22 @@ import numpy as np
 import pytest
 
 from helpers import (
+    check_lumpable,
     mirrored_bscc_fixture,
     power_iteration_limit,
+    product_chain,
     random_dra,
     random_irreducible_lmc,
     random_multichain,
 )
 from ssltl.chain import (
     Partition,
-    check_lumpable,
     limiting_distribution,
     lump_distribution,
     product_state_partition,
     stationary,
 )
 from ssltl.model import Lmc
-from ssltl.product import product_chain
 
 
 def chain(states, rows, initial=None):

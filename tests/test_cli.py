@@ -4,6 +4,9 @@ import subprocess
 import sys
 
 from ssltl.cli import main
+from ssltl.ilp import parse_solution_text
+from ssltl.milp_shim import parse_lp
+from ssltl.model import GridSpec, generate_grid, save_model
 
 
 def run_cli(*argv):
@@ -55,14 +58,13 @@ State: 0 {1}
     (tmp_path / "spec.json").write_text(json.dumps(spec))
 
 
-def test_synth_trivial_instance_and_external_verify(tmp_path, solver_cmd):
+def test_synth_trivial_instance_and_external_verify(tmp_path):
     write_trivial_instance(tmp_path)
     policy = tmp_path / "policy.json"
     record = tmp_path / "record.json"
     code = run_cli("synth", "--model", str(tmp_path / "model.json"),
                    "--spec", str(tmp_path / "spec.json"),
-                   "-o", str(policy), "--record", str(record),
-                   "--solver-cmd", solver_cmd)
+                   "-o", str(policy), "--record", str(record))
     assert code == 0
     doc = json.loads(policy.read_text())
     assert doc["policy"] == [{"s": "s0", "q": "q0", "action": "go"}]
@@ -82,7 +84,7 @@ def test_synth_trivial_instance_and_external_verify(tmp_path, solver_cmd):
     assert report["unichain"] is True
 
 
-def test_synth_infeasible_exit_2_and_no_policy_file(tmp_path, solver_cmd):
+def test_synth_infeasible_exit_2_and_no_policy_file(tmp_path):
     model = {
         "states": [{"id": "s0", "labels": ["p"]},
                    {"id": "s1", "labels": ["r"]}],
@@ -109,8 +111,7 @@ State: 0 {1}
     (tmp_path / "spec.json").write_text(json.dumps(spec))
     policy = tmp_path / "policy.json"
     code = run_cli("synth", "--model", str(tmp_path / "model.json"),
-                   "--spec", str(tmp_path / "spec.json"), "-o", str(policy),
-                   "--solver-cmd", solver_cmd)
+                   "--spec", str(tmp_path / "spec.json"), "-o", str(policy))
     assert code == 2
     assert not policy.exists()
 
@@ -158,12 +159,11 @@ def test_export_lp(tmp_path):
     assert "\nBinary\n" in text and text.endswith("End\n")
 
 
-def test_bench_csv_contract(tmp_path, solver_cmd):
+def test_bench_csv_contract(tmp_path):
     out = tmp_path / "bench.csv"
     code = run_cli("bench", "--sizes", "4", "--specs",
                    "fixtures/specs/theta2.json", "--seeds", "3",
-                   "--workers", "2", "--solver-cmd", solver_cmd,
-                   "-o", str(out))
+                   "--workers", "2", "-o", str(out))
     assert code == 0
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -189,11 +189,49 @@ def test_synth_solver_error_exit_4(tmp_path):
     assert code == 4
 
 
-def test_synth_unverified_exit_3(tmp_path, solver_cmd):
+def test_synth_unverified_exit_3(tmp_path):
     # a zero-round budget leaves the candidate unverified by construction
     write_trivial_instance(tmp_path)
     code = run_cli("synth", "--model", str(tmp_path / "model.json"),
                    "--spec", str(tmp_path / "spec.json"),
                    "-o", str(tmp_path / "policy.json"),
-                   "--solver-cmd", solver_cmd, "--max-cut-rounds", "0")
+                   "--max-cut-rounds", "0")
     assert code == 3
+
+
+def test_synth_time_limit_exit_4(tmp_path, bundled_backend, capsys):
+    """A 0 s limit stops HiGHS before it finds any point."""
+    save_model(generate_grid(GridSpec(3, 4, seed=1)), tmp_path / "m.json")
+    code = run_cli("synth", "--model", str(tmp_path / "m.json"),
+                   "--spec", "fixtures/specs/theta2.json",
+                   "-o", str(tmp_path / "policy.json"),
+                   "--record", str(tmp_path / "record.json"),
+                   "--timeout", "0")
+    assert code == 4
+    assert "time limit" in capsys.readouterr().err
+    rec = json.loads((tmp_path / "record.json").read_text())
+    assert rec["status"] == "timeout" and "(0 s)" in rec["detail"]
+    assert not (tmp_path / "policy.json").exists()
+
+
+def test_keep_files_keeps_every_round(tmp_path, bundled_backend):
+    """4x4 theta2 grid seed 0 in feasibility mode takes two rounds."""
+    save_model(generate_grid(GridSpec(4, 4, seed=0)), tmp_path / "m.json")
+    kept = tmp_path / "kept"
+    code = run_cli("synth", "--model", str(tmp_path / "m.json"),
+                   "--spec", "fixtures/specs/theta2.json",
+                   "--objective", "feasibility",
+                   "-o", str(tmp_path / "policy.json"),
+                   "--record", str(tmp_path / "record.json"),
+                   "--keep-files", str(kept))
+    assert code == 0
+    assert json.loads((tmp_path / "record.json").read_text())["rounds"] == 2
+    assert sorted(p.name for p in kept.iterdir()) == [
+        "round_1.lp", "round_1.sol", "round_2.lp", "round_2.sol"]
+    round_1 = (kept / "round_1.lp").read_text()
+    round_2 = (kept / "round_2.lp").read_text()
+    assert "c_cut_0_nogood" not in round_1 and "c_cut_0_nogood" in round_2
+    names = parse_lp(round_2).order
+    for sol in ("round_1.sol", "round_2.sol"):
+        values, hint = parse_solution_text((kept / sol).read_text(), names)
+        assert hint == "optimal" and len(values) == len(names)

@@ -3,6 +3,7 @@ import numpy as np
 from helpers import (
     six_state_until_lmdp,
     mirrored_bscc_fixture,
+    product_chain,
     random_dra,
     random_irreducible_lmc,
     simulate_steps,
@@ -17,7 +18,7 @@ from ssltl.graph import (
 )
 from ssltl.hoa import Dra, letters_of, load_hoa
 from ssltl.model import GridSpec, Lmc, generate_grid
-from ssltl.product import build_product, product_chain
+from ssltl.product import build_product
 
 
 def chain(states, rows, initial=None):

@@ -1,25 +1,29 @@
+import sys
+
+import numpy as np
 import pytest
 
-from helpers import six_state_until_lmdp
+from helpers import binaries, check_solution, fix_policy, six_state_until_lmdp
 from ssltl.errors import NoAcceptingStructureError, PolicyError, SolverError
 from ssltl.graph import accepting_mecs, mec_decomposition
 from ssltl.hoa import Dra, letters_of, load_hoa, parse_hoa
 from ssltl.ilp import (
+    Columns,
     IlpConfig,
     Solution,
     SolverConfig,
     build_program,
-    check_solution,
+    column_names,
     default_solver_command,
     export_lp,
     extract_policy,
-    fix_policy,
     parse_solution_text,
     solve,
 )
 from ssltl.model import GridSpec, Lmdp, generate_grid, spec_from_json, \
     validate_lmdp
 from ssltl.product import build_product
+from ssltl.synthesis import synthesize
 
 TRUE_DRA = parse_hoa("""HOA: v1
 States: 1
@@ -83,12 +87,13 @@ def test_variable_counts_grid_product():
     p = build_product(m, d)
     assert len(p.states) == 48
     model = build_for(m, d, one_interval_spec())
-    xs = [v for v in model.variables if v.name.startswith("x_")]
-    pis = [v for v in model.variables if v.name.startswith("pi_")]
-    fs = [v for v in model.variables if v.name.startswith("f_")]
+    names = column_names(model)
+    xs = [n for n in names if n.startswith("x_")]
+    pis = [n for n in names if n.startswith("pi_")]
+    fs = [n for n in names if n.startswith("f_")]
     assert len(xs) == 192 and len(pis) == 192
     assert len(fs) == len(p.edges)
-    assert len({v.name for v in model.variables}) == len(model.variables)
+    assert len(set(names)) == len(names) == len(model.variables)
 
 
 def test_one_interval_gives_two_rows():
@@ -104,8 +109,9 @@ def test_indicator_counts_two_amecs():
     m = two_absorbing_model()
     model = build_for(m, TRUE_DRA, no_ss_spec())
     assert len(model.amecs) == 2
-    iks = [v for v in model.variables if v.name.startswith("iks_")]
-    ik = [v for v in model.variables if v.name.startswith("ik_")]
+    names = column_names(model)
+    iks = [n for n in names if n.startswith("iks_")]
+    ik = [n for n in names if n.startswith("ik_")]
     xv_rows = [r for r in model.rows if r.name.startswith("c_xv_")]
     assert len(ik) == 2 and len(iks) == 6 and len(xv_rows) == 3
 
@@ -172,10 +178,10 @@ def test_binary_section_lists_each_binary_once():
     model = build_for(m, TRUE_DRA, no_ss_spec())
     text = export_lp(model)
     binary_block = text.split("Binary\n")[1].split("End")[0].split()
-    assert sorted(binary_block) == sorted(model.binaries())
+    assert sorted(binary_block) == sorted(binaries(model))
     assert len(set(binary_block)) == len(binary_block)
-    for v in model.variables:
-        assert v.binary == (v.name in binary_block)
+    for name, v in zip(column_names(model), model.variables):
+        assert v.binary == (name in binary_block)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +221,7 @@ def test_parse_infeasible_text():
 
 
 # ---------------------------------------------------------------------------
-# Solving end to end (through the subprocess backend)
+# Solving end to end
 # ---------------------------------------------------------------------------
 
 def one_state_model():
@@ -226,16 +232,20 @@ def one_state_model():
         ap=("g",), labels={"s0": frozenset(["g"])}, initial="s0"))
 
 
-def test_solve_one_state_instance(solver_cmd):
+def test_solve_one_state_instance():
+    """Through LP and solution files: the configured external command, else
+    the bundled backend run as ``python -m ssltl.milp_shim``."""
     m = one_state_model()
     spec = spec_from_json({"dra": "x",
                            "ss": [{"formula": "g", "lower": 1.0,
                                    "upper": 1.0}]})
     model = build_for(m, TRUE_DRA, spec)
-    sol = solve(model, SolverConfig(command=solver_cmd, timeout=120))
+    sol = solve(model, SolverConfig(command=default_solver_command(),
+                                    timeout=120))
+    cols = Columns(model.product)
     assert sol.status == "optimal"
-    assert sol.value("x_0_0_0") == pytest.approx(1.0, abs=1e-6)
-    assert sol.value("pi_0_0_0") == pytest.approx(1.0, abs=1e-6)
+    assert sol.values[0] == pytest.approx(1.0, abs=1e-6)            # x_0_0_0
+    assert sol.values[cols.pi0] == pytest.approx(1.0, abs=1e-6)     # pi_0_0_0
     assert sol.objective == pytest.approx(2.0, abs=1e-6)
     assert check_solution(model, sol) <= 1e-6
     pi = extract_policy(sol, model.product)
@@ -263,14 +273,10 @@ def test_unflagged_states_carry_no_measure(solver_cmd):
     sol = solve(model, SolverConfig(command=solver_cmd, timeout=300))
     assert sol.status in ("optimal", "feasible")
     assert check_solution(model, sol) <= 1e-6
-    names = [v.name for v in model.variables if v.name.startswith("isq_")]
-    for isq_name in names:
-        if sol.value(isq_name) < 0.5:
-            suffix = isq_name[len("isq_"):]
-            mass = sum(val for name, val in sol.values.items()
-                       if name.startswith("x_")
-                       and name[len("x_"):].rsplit("_", 1)[0] == suffix)
-            assert mass <= 1e-6
+    cols = Columns(model.product)
+    for sq in model.product.states:
+        if sol.values[cols.isq(sq)] < 0.5:
+            assert sum(sol.values[j] for j in cols.x(sq)) <= 1e-6
 
 
 def test_fixed_verified_policy_stays_feasible(solver_cmd):
@@ -304,6 +310,33 @@ def test_default_solver_command_has_placeholders():
 
 
 # ---------------------------------------------------------------------------
+# Time limits
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("width, height, seed, lower, upper", [
+    (3, 4, 1, 0.01, 0.5), (3, 4, 1, 0.9, 1.0), (4, 3, 0, 0.9, 1.0)])
+def test_time_limit_without_a_point_is_a_timeout(bundled_backend, width,
+                                                  height, seed, lower, upper):
+    """A 0 s limit stops HiGHS before it has any point."""
+    d = load_hoa("fixtures/automata/theta2.hoa")
+    spec = spec_from_json({"dra": "theta2.hoa", "ss": [
+        {"formula": "d", "lower": lower, "upper": upper}]})
+    result = synthesize(generate_grid(GridSpec(width, height, seed=seed)), d,
+                        spec, solver=SolverConfig(timeout=0))
+    assert result.status == "timeout" and result.rounds == 1
+    assert result.policy is None and "(0 s)" in result.detail
+
+
+def test_killed_command_is_a_timeout():
+    model = build_for(one_state_model(), TRUE_DRA, no_ss_spec())
+    sleeper = (f"{sys.executable} -c 'import time; time.sleep(30)' "
+               "{lp} {sol}")
+    sol = solve(model, SolverConfig(command=sleeper, timeout=0.5))
+    assert sol.status == "timeout"
+    assert "killed after 0.5 s" in sol.solver_output
+
+
+# ---------------------------------------------------------------------------
 # Policy extraction corner cases
 # ---------------------------------------------------------------------------
 
@@ -315,31 +348,33 @@ def two_action_product():
     return build_product(m, TRUE_DRA)
 
 
+def solution_at_s0(p, x, pi, status="optimal"):
+    """A solution whose x and pi columns of the one product state hold the
+    given per-action values; every other column is 0."""
+    cols = Columns(p)
+    values = np.zeros(cols.end)
+    sq = p.states[0]
+    values[list(cols.x(sq))] = x
+    values[list(cols.pi(sq))] = pi
+    return Solution(status=status, values=values, objective=0.0)
+
+
 def test_extract_concentrated_measure():
     p = two_action_product()
-    sol = Solution(status="optimal",
-                   values={"x_0_0_0": 0.3, "x_0_0_1": 0.0,
-                           "pi_0_0_0": 1.0, "pi_0_0_1": 0.0},
-                   objective=0.0)
+    sol = solution_at_s0(p, x=(0.3, 0.0), pi=(1.0, 0.0))
     pi = extract_policy(sol, p)
     assert pi.choice[("s0", "q0")] == "a0"
 
 
 def test_extract_transient_state_reads_pi_alone():
     p = two_action_product()
-    sol = Solution(status="optimal",
-                   values={"x_0_0_0": 0.0, "x_0_0_1": 0.0,
-                           "pi_0_0_0": 0.0, "pi_0_0_1": 1.0},
-                   objective=0.0)
+    sol = solution_at_s0(p, x=(0.0, 0.0), pi=(0.0, 1.0))
     assert extract_policy(sol, p).choice[("s0", "q0")] == "a1"
 
 
 def test_extract_loose_integrality_warns_and_picks_larger():
     p = two_action_product()
-    sol = Solution(status="feasible",
-                   values={"x_0_0_0": 0.0, "x_0_0_1": 0.0,
-                           "pi_0_0_0": 0.4, "pi_0_0_1": 0.6},
-                   objective=0.0)
+    sol = solution_at_s0(p, x=(0.0, 0.0), pi=(0.4, 0.6), status="feasible")
     with pytest.warns(UserWarning, match="integrality slack"):
         pi = extract_policy(sol, p)
     assert pi.choice[("s0", "q0")] == "a1"
@@ -347,19 +382,13 @@ def test_extract_loose_integrality_warns_and_picks_larger():
 
 def test_extract_rejects_identity_violation():
     p = two_action_product()
-    sol = Solution(status="optimal",
-                   values={"x_0_0_0": 0.3, "x_0_0_1": 0.0,
-                           "pi_0_0_0": 0.0, "pi_0_0_1": 1.0},
-                   objective=0.0)
+    sol = solution_at_s0(p, x=(0.3, 0.0), pi=(0.0, 1.0))
     with pytest.raises(PolicyError, match="identity"):
         extract_policy(sol, p)
 
 
 def test_extract_rejects_missing_winner():
     p = two_action_product()
-    sol = Solution(status="optimal",
-                   values={"x_0_0_0": 0.0, "x_0_0_1": 0.0,
-                           "pi_0_0_0": 0.5, "pi_0_0_1": 0.5},
-                   objective=0.0)
+    sol = solution_at_s0(p, x=(0.0, 0.0), pi=(0.5, 0.5))
     with pytest.raises(PolicyError, match="unique"):
         extract_policy(sol, p)

@@ -7,9 +7,11 @@ from ssltl.milp_shim import main, parse_lp, _parse_terms
 
 
 def test_parse_terms_signs_and_scientific_notation():
-    coefs, const = _parse_terms("0.5 x - 1 y + 2.5e-05 z - w + 3")
+    # 9.6e-05 is the flow increment eps above 2500 product states.
+    coefs, const = _parse_terms(
+        "0.5 x - 1 y + 2.5e-05 z - w - 9.6e-05 v + 1 e - 5 u + 3")
     assert coefs == {"x": 0.5, "y": -1.0, "z": pytest.approx(2.5e-05),
-                     "w": -1.0}
+                     "w": -1.0, "v": -9.6e-05, "e": 1.0, "u": -5.0}
     assert const == 3.0
 
 

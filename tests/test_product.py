@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from helpers import (
+    aggregate,
     six_state_until_lmdp,
     mirrored_bscc_fixture,
+    product_chain,
     random_dra,
     random_irreducible_lmc,
     random_lmdp,
@@ -15,12 +17,10 @@ from ssltl.hoa import dra_step, load_hoa, parse_hoa
 from ssltl.model import Lmdp, validate_lmdp
 from ssltl.product import (
     Policy,
-    aggregate,
     build_product,
     induce_chain,
     policy_from_json,
     policy_to_json,
-    product_chain,
 )
 
 TRUE_DRA = parse_hoa("""HOA: v1
