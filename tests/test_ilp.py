@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,10 +21,10 @@ from ssltl.ilp import (
     parse_solution_text,
     solve,
 )
-from ssltl.model import GridSpec, Lmdp, generate_grid, spec_from_json, \
-    validate_lmdp
-from ssltl.product import build_product
-from ssltl.synthesis import synthesize
+from ssltl.model import GridSpec, Lmdp, generate_grid, load_spec, \
+    spec_from_json, validate_lmdp
+from ssltl.product import Policy, build_product
+from ssltl.synthesis import _rejection_cuts, synthesize
 
 TRUE_DRA = parse_hoa("""HOA: v1
 States: 1
@@ -155,6 +156,25 @@ def test_golden_two_state_lp(tmp_path):
                                    "upper": 0.9}]})
     model = build_for(m, TRUE_DRA, spec, IlpConfig(epsilon=1e-4))
     with open("tests/golden/two_state.lp", "r", encoding="utf-8") as fh:
+        assert export_lp(model) == fh.read()
+
+
+def test_golden_grid_with_cut_rows_lp():
+    """3x3 theta2 slip grid, seed 0, feasibility, plus the cut rows of the
+    first-enabled-action policy (one no-good, one loop): several automaton
+    nodes, multi-successor rows and cut rows pin the row and column order."""
+    spec = load_spec("fixtures/specs/theta2.json")
+    d = load_hoa(spec.dra_source)
+    m = generate_grid(GridSpec(3, 3, seed=0, dynamics="slip"))
+    p = build_product(m, d)
+    model = build_program(p, accepting_mecs(mec_decomposition(p), d), spec,
+                          IlpConfig(objective="feasibility"))
+    pi = Policy({sq: m.enabled[sq[0]][0] for sq in p.states})
+    cuts = _rejection_cuts(p, pi, 0)
+    assert [c.name for c in cuts] == ["c_cut_0_nogood", "c_cut_0_loop0"]
+    model = replace(model, rows=model.rows + tuple(cuts))
+    with open("tests/golden/grid3_theta2_slip_cuts.lp", "r",
+              encoding="utf-8") as fh:
         assert export_lp(model) == fh.read()
 
 
