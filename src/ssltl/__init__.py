@@ -13,7 +13,6 @@ from ssltl.errors import (
     SsltlError,
     ModelError,
     HoaError,
-    LumpabilityError,
     PolicyError,
     SolverError,
     NoAcceptingStructureError,
@@ -26,7 +25,6 @@ __all__ = [
     "SsltlError",
     "ModelError",
     "HoaError",
-    "LumpabilityError",
     "PolicyError",
     "SolverError",
     "NoAcceptingStructureError",

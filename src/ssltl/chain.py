@@ -1,5 +1,5 @@
-"""Numerical Markov-chain analysis: stationary distributions, multichain
-limiting distributions, and class sums.
+"""Numerical Markov-chain analysis: stationary distributions and multichain
+limiting distributions.
 
 Everything uses dense direct solves; the models here stay well below a few
 thousand states, where determinism beats sparse machinery.
@@ -7,7 +7,6 @@ thousand states, where determinism beats sparse machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
@@ -17,29 +16,6 @@ from ssltl.graph import bsccs as bscc_decomposition
 
 STATIONARY_RESIDUAL_TOL = 1e-10
 MASS_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Partition of a state set; ``of`` maps state -> class id, ``classes``
-    maps class id -> member set."""
-
-    classes: Mapping
-    of: Mapping
-
-    @staticmethod
-    def from_assignment(of: Mapping) -> "Partition":
-        classes: dict = {}
-        for s, c in of.items():
-            classes.setdefault(c, set()).add(s)
-        return Partition(classes={c: frozenset(v) for c, v in classes.items()},
-                         of=dict(of))
-
-
-def product_state_partition(states) -> Partition:
-    """The canonical partition of product states into classes [s] that share
-    the model component."""
-    return Partition.from_assignment({sq: sq[0] for sq in states})
 
 
 def _kernel(chain, states=None):
@@ -140,11 +116,3 @@ class _Restriction:
         self.rows = {s: {t: p for t, p in chain.rows[s].items() if t in subset}
                      for s in self.states}
         self.initial = self.states[0]
-
-
-def lump_distribution(dist: Mapping, p: Partition) -> dict:
-    """Class mass = sum of member masses."""
-    out = {c: 0.0 for c in p.classes}
-    for s, mass in dist.items():
-        out[p.of[s]] += mass
-    return out

@@ -20,13 +20,10 @@ from typing import Optional
 from ssltl.errors import SsltlError, SolverError
 from ssltl.hoa import load_hoa
 from ssltl.ilp import IlpConfig, SolverConfig, build_program, export_lp
-from ssltl.chain import limiting_distribution, lump_distribution, \
-    product_state_partition
 from ssltl.graph import accepting_mecs, mec_decomposition
-from ssltl.model import GridSpec, generate_grid, load_model, load_spec, \
-    save_model
-from ssltl.product import build_product, induce_chain, load_policy, \
-    save_policy
+from ssltl.model import GridSpec, SsLtlSpec, generate_grid, load_model, \
+    load_spec, save_model
+from ssltl.product import build_product, load_policy, save_policy
 from ssltl.synthesis import synthesize
 from ssltl.verify import verify_policy
 
@@ -149,15 +146,12 @@ def cmd_steady(args) -> int:
     model = load_model(args.model)
     dra = load_hoa(args.dra)
     policy = load_policy(args.policy)
-    product = build_product(model, dra)
-    chain = induce_chain(product, policy)
-    dist = limiting_distribution(chain)
-    lumped = lump_distribution(dist, product_state_partition(chain.states))
+    report = verify_policy(model, dra, SsLtlSpec(dra_source=args.dra, ss=()),
+                           policy)
     doc = {
-        "product": [{"s": s, "q": q, "p": p}
-                    for (s, q), p in sorted(dist.items())],
-        "aggregate": [{"s": s, "p": lumped.get(s, 0.0)}
-                      for s in model.states],
+        "product": report.to_json()["product_distribution"],
+        "aggregate": [{"s": s, "p": p}
+                      for s, p in report.aggregate_distribution.items()],
     }
     text = json.dumps(doc, indent=2)
     if args.output:
@@ -171,7 +165,7 @@ def cmd_steady(args) -> int:
 def cmd_export_lp(args) -> int:
     model, spec, dra = _load_instance(args)
     product = build_product(model, dra)
-    amecs = accepting_mecs(mec_decomposition(product), dra)
+    amecs = accepting_mecs(mec_decomposition(product), product)
     ilp = build_program(product, amecs, spec, _ilp_config(args))
     with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(export_lp(ilp))

@@ -13,11 +13,6 @@ class HoaError(SsltlError):
     """Malformed, non-deterministic, incomplete or unsupported automaton."""
 
 
-class LumpabilityError(SsltlError):
-    """Aggregation found representative-dependent rows; the partition is not
-    ordinarily lumpable on the given chain."""
-
-
 class PolicyError(SsltlError):
     """Missing policy entries or a corrupt solver assignment."""
 

@@ -1,16 +1,15 @@
 """Strongly-connected-component and end-component analysis.
 
 Chains are any objects exposing ``states`` (ordered), ``rows`` (state ->
-{successor: probability}) and ``initial``.  Product MDPs come from
-``ssltl.product``.
+{successor: probability}) and ``initial``.  End components and acceptance
+work on the integer-indexed product MDP of ``ssltl.product``: states are
+product state indices and actions are pair ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
-
-from ssltl.hoa import Dra
 
 
 def strongly_connected_components(states: Sequence, succ: Mapping) -> list:
@@ -120,69 +119,53 @@ def bsccs(chain) -> BsccDecomposition:
 
 @dataclass(frozen=True)
 class Mec:
-    """Maximal end component: a state set plus the retained action map.  The
-    sub-MDP is strongly connected and every retained action keeps all successor
-    mass inside the state set."""
+    """Maximal end component: product state indices plus the retained pair
+    ids, in ascending order.  The sub-MDP is strongly connected, every state
+    keeps at least one pair, and every retained pair keeps all successor mass
+    inside the state set."""
 
     states: frozenset
-    actions: Mapping
+    pairs: tuple
 
 
-def mec_decomposition(product) -> list:
-    """Iterative SCC refinement: repeatedly drop actions leaving their SCC and
-    states with no actions left, until a fixpoint."""
-    states = set(product.states)
-    actions = {sq: list(product.enabled_actions(sq)) for sq in product.states}
+def mec_decomposition(p) -> list:
+    """Iterative SCC refinement: repeatedly drop pairs leaving their SCC and
+    states with no pairs left, until a fixpoint."""
+    kept = [list(p.pairs(i)) for i in range(len(p.states))]
+    states = set(range(len(p.states)))
 
     while True:
-        succ = {
-            sq: sorted({t for a in actions[sq]
-                        for t, p in product.trans[(sq, a)].items()
-                        if p > 0.0 and t in states},
-                       key=lambda x: product.state_pos[x])
-            for sq in states
-        }
-        ordered = [sq for sq in product.states if sq in states]
-        comps = strongly_connected_components(ordered, succ)
+        ordered = sorted(states)
+        succ = {i: sorted({j for k in kept[i] for j in p.succ[k]
+                           if j in states})
+                for i in ordered}
         comp_of = {}
-        for i, comp in enumerate(comps):
-            for sq in comp:
-                comp_of[sq] = i
+        for c, comp in enumerate(strongly_connected_components(ordered, succ)):
+            for i in comp:
+                comp_of[i] = c
 
         changed = False
-        for sq in list(states):
-            kept = []
-            for a in actions[sq]:
-                targets = [t for t, p in product.trans[(sq, a)].items() if p > 0.0]
-                if all(t in states and comp_of.get(t) == comp_of[sq]
-                       for t in targets):
-                    kept.append(a)
-                else:
-                    changed = True
-            actions[sq] = kept
-            if not kept:
-                states.discard(sq)
+        for i in ordered:
+            stay = [k for k in kept[i]
+                    if all(comp_of.get(j) == comp_of[i] for j in p.succ[k])]
+            if len(stay) != len(kept[i]):
+                kept[i] = stay
                 changed = True
+            if not stay:
+                states.discard(i)
         if not changed:
             break
 
-    # Surviving SCCs with at least one action per state are the MECs.  A
-    # singleton only counts with a self-loop action (guaranteed: its action
-    # set is non-empty and every retained action stays inside the component).
-    succ = {
-        sq: sorted({t for a in actions[sq]
-                    for t, p in product.trans[(sq, a)].items() if p > 0.0},
-                   key=lambda x: product.state_pos[x])
-        for sq in states
-    }
-    ordered = [sq for sq in product.states if sq in states]
-    comps = strongly_connected_components(ordered, succ)
-    mecs = []
-    for comp in comps:
-        comp_set = frozenset(comp)
-        mecs.append(Mec(states=comp_set,
-                        actions={sq: tuple(actions[sq]) for sq in comp}))
-    mecs.sort(key=lambda m: min(product.state_pos[sq] for sq in m.states))
+    # Surviving SCCs with at least one pair per state are the MECs.  A
+    # singleton only counts with a self-loop pair (guaranteed: its pair set
+    # is non-empty and every retained pair stays inside the component).
+    ordered = sorted(states)
+    succ = {i: sorted({j for k in kept[i] for j in p.succ[k]})
+            for i in ordered}
+    mecs = [Mec(states=frozenset(comp),
+                pairs=tuple(sorted(k for i in comp for k in kept[i])))
+            for comp in strongly_connected_components(ordered, succ)]
+    mecs.sort(key=lambda mec: min(mec.states))
     return mecs
 
 
@@ -192,21 +175,25 @@ class Amec:
     witnessed_pairs: tuple
 
 
-def accepting_mecs(mecs: Iterable[Mec], d: Dra) -> list:
-    """Filter MECs by the Rabin pair condition: no intersection with S x Fin_i
-    and a non-empty intersection with S x Inf_i for some pair i."""
+def _accepts(p, states, fin, inf) -> bool:
+    qs = {p.states[i][1] for i in states}
+    return not (qs & fin) and bool(qs & inf)
+
+
+def accepting_mecs(mecs: Iterable[Mec], p) -> list:
+    """Filter MECs of product ``p`` by the Rabin pair condition: no
+    intersection with S x Fin_i and a non-empty intersection with S x Inf_i
+    for some pair i."""
     out = []
     for mec in mecs:
-        qs = {q for (_, q) in mec.states}
-        witnesses = tuple(i for i, (fin, inf) in enumerate(d.pairs)
-                          if not (qs & fin) and (qs & inf))
+        witnesses = tuple(i for i, (fin, inf) in enumerate(p.dra.pairs)
+                          if _accepts(p, mec.states, fin, inf))
         if witnesses:
             out.append(Amec(mec=mec, witnessed_pairs=witnesses))
     return out
 
 
-def bscc_accepting(bscc: Iterable, d: Dra) -> bool:
-    """True iff some Rabin pair accepts: the BSCC misses S x Fin_i and meets
-    S x Inf_i."""
-    qs = {q for (_, q) in bscc}
-    return any(not (qs & fin) and (qs & inf) for fin, inf in d.pairs)
+def bscc_accepting(bscc: Iterable, p) -> bool:
+    """True iff some Rabin pair accepts: the BSCC (product state indices of
+    ``p``) misses S x Fin_i and meets S x Inf_i."""
+    return any(_accepts(p, bscc, fin, inf) for fin, inf in p.dra.pairs)

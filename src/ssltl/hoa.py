@@ -174,6 +174,17 @@ _STATE_RE = re.compile(r"State:\s*(\d+)\s*(?:\"[^\"]*\"\s*)?(?:\{([\d\s]*)\})?\s
 _EDGE_RE = re.compile(r"\[(.*)\]\s*(\d+)\s*(\{[\d\s]*\})?\s*$")
 
 
+def _counted_header(header: dict, key: str) -> tuple:
+    """A ``count rest`` header value split into its count and the rest."""
+    value = header.get(key)
+    if value is None:
+        raise HoaError(f"missing {key} header")
+    parts = value.split(None, 1)
+    if not parts or not parts[0].isdecimal():
+        raise HoaError(f"{key} header does not start with a count: {value!r}")
+    return int(parts[0]), parts[1] if len(parts) > 1 else ""
+
+
 def parse_hoa(text: str) -> Dra:
     header: dict = {}
     lines = [ln.strip() for ln in text.splitlines()]
@@ -198,27 +209,16 @@ def parse_hoa(text: str) -> Dra:
     except (KeyError, ValueError) as exc:
         raise HoaError(f"missing or bad States/Start header: {exc}") from exc
 
-    ap_line = header.get("AP")
-    if ap_line is None:
-        raise HoaError("missing AP header")
-    ap_parts = ap_line.split(None, 1)
-    n_ap = int(ap_parts[0])
-    ap = tuple(re.findall(r'"([^"]*)"', ap_parts[1] if len(ap_parts) > 1 else ""))
+    n_ap, ap_names = _counted_header(header, "AP")
+    ap = tuple(re.findall(r'"([^"]*)"', ap_names))
     if len(ap) != n_ap:
         raise HoaError(f"AP header declares {n_ap} names, found {len(ap)}")
 
-    acc_line = header.get("Acceptance")
-    if acc_line is None:
-        raise HoaError("missing Acceptance header")
-    acc_parts = acc_line.split(None, 1)
-    n_sets = int(acc_parts[0])
-    n_pairs = _parse_rabin_acceptance(
-        acc_parts[1] if len(acc_parts) > 1 else "", n_sets)
+    n_sets, formula = _counted_header(header, "Acceptance")
+    n_pairs = _parse_rabin_acceptance(formula, n_sets)
     acc_name = header.get("acc-name")
-    if acc_name is not None:
-        fields = acc_name.split()
-        if fields[0] != "Rabin" or int(fields[1]) != n_pairs:
-            raise HoaError(f"acc-name {acc_name!r} does not match Rabin {n_pairs}")
+    if acc_name is not None and acc_name.split() != ["Rabin", str(n_pairs)]:
+        raise HoaError(f"acc-name {acc_name!r} does not match Rabin {n_pairs}")
     if n_pairs == 0:
         raise HoaError("automaton has no acceptance pairs")
 
@@ -290,8 +290,12 @@ def parse_hoa(text: str) -> Dra:
 
 
 def load_hoa(path) -> Dra:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_hoa(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise HoaError(f"cannot read automaton file {path}: {exc}") from exc
+    return parse_hoa(text)
 
 
 # ---------------------------------------------------------------------------

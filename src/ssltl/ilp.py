@@ -103,173 +103,135 @@ _ANCHOR = ((0.0, 0),)
 
 
 class Columns:
-    """Column positions of the program's variables, block by block in this
-    order: x per (product state, enabled action) pair, f per product edge, pi
-    per pair, isq per product state, is per model state, ik per accepting
-    component, iks per (component, model state).  Pairs are listed by product
-    state, then in the order of the model's enabled actions; x of pair k is
-    column k.  Every column from ``pi0`` on is binary."""
+    """Column offsets of the program's variable blocks, in this order: x per
+    pair of the product (x of pair k is column k), f per product edge, pi per
+    pair, isq per product state, is per model state, ik per accepting
+    component, iks per (component, model state).  Every column from ``pi0``
+    on is binary."""
 
     def __init__(self, p: ProductLmdp, n_amecs: int = 0):
-        self._enabled = p.model.enabled
-        self._state_pos = p.state_pos
-        self._s_pos = {s: i for i, s in enumerate(p.model.states)}
-        self._first = {}
-        n = 0
-        for sq in p.states:
-            self._first[sq] = n
-            n += len(self._enabled[sq[0]])
-        self.n_pairs = n
-        self.f0 = n
+        n_states = len(p.model.states)
+        self.f0 = len(p.succ)
         self.pi0 = self.f0 + len(p.edges)
-        self.isq0 = self.pi0 + n
+        self.isq0 = self.pi0 + len(p.succ)
         self.is0 = self.isq0 + len(p.states)
-        self.ik0 = self.is0 + len(p.model.states)
+        self.ik0 = self.is0 + n_states
         self.iks0 = self.ik0 + n_amecs
-        self.end = self.iks0 + n_amecs * len(p.model.states)
-
-    def x(self, sq) -> range:
-        """x columns of ``sq``, one per enabled action in model order."""
-        first = self._first[sq]
-        return range(first, first + len(self._enabled[sq[0]]))
-
-    def pi(self, sq) -> range:
-        """pi columns of ``sq``, one per enabled action in model order."""
-        first = self.pi0 + self._first[sq]
-        return range(first, first + len(self._enabled[sq[0]]))
-
-    def pi_of(self, sq, a) -> int:
-        return self.pi0 + self._first[sq] + self._enabled[sq[0]].index(a)
-
-    def isq(self, sq) -> int:
-        return self.isq0 + self._state_pos[sq]
-
-    def i_s(self, s) -> int:
-        return self.is0 + self._s_pos[s]
-
-    def ik(self, k: int) -> int:
-        return self.ik0 + k
-
-    def iks(self, k: int, s) -> int:
-        return self.iks0 + k * len(self._s_pos) + self._s_pos[s]
+        self.end = self.iks0 + n_amecs * n_states
 
 
 def build_program(p: ProductLmdp, amecs, spec: SsLtlSpec,
-                  cfg: Optional[IlpConfig] = None,
-                  allow_no_amecs: bool = False) -> IlpModel:
+                  cfg: Optional[IlpConfig] = None) -> IlpModel:
     """Assemble the full variable/constraint system.
 
     Raises NoAcceptingStructureError when the accepting-MEC list is empty
-    (no accepting behavior exists) unless ``allow_no_amecs`` is set, in which
-    case the component-indicator rows that would divide by the number of
-    accepting components are omitted.
+    (no accepting behavior exists).
     """
     cfg = cfg or IlpConfig()
     amecs = tuple(amecs)
-    if not amecs and not allow_no_amecs:
+    if not amecs:
         raise NoAcceptingStructureError(
             "product has no accepting maximal end component")
 
     m = p.model
     d = p.dra
     cols = Columns(p, len(amecs))
-    eps = cfg.resolve_epsilon(len(p.states))
+    n = len(p.states)
+    n_pairs = cols.f0
+    eps = cfg.resolve_epsilon(n)
 
-    sa_pairs = [(sq, a) for sq in p.states for a in m.enabled[sq[0]]]
-    in_edges: dict = {sq: [] for sq in p.states}
-    out_edges: dict = {sq: [] for sq in p.states}
-    for e, (src, tgt) in enumerate(p.edges):
-        out_edges[src].append(cols.f0 + e)
-        in_edges[tgt].append(cols.f0 + e)
+    in_edges = [[] for _ in range(n)]
+    out_edges = [[] for _ in range(n)]
+    for e, (i, j) in enumerate(p.edges):
+        out_edges[i].append(cols.f0 + e)
+        in_edges[j].append(cols.f0 + e)
 
     variables = ((_CONTINUOUS,) * cols.pi0
                  + (_BINARY,) * (cols.end - cols.pi0))
 
     objective = []
     if cfg.objective == "expected_reward":
-        for k, (sq, a) in enumerate(sa_pairs):
-            s = sq[0]
-            coef = sum(prob * m.reward_value(s, a, s2)
-                       for s2, prob in m.trans[(s, a)].items())
-            if coef != 0.0:
-                objective.append((coef, k))
+        for i, (s, _) in enumerate(p.states):
+            for k, a in zip(p.pairs(i), p.actions(i)):
+                coef = sum(prob * m.reward_value(s, a, s2)
+                           for s2, prob in m.trans[(s, a)].items())
+                if coef != 0.0:
+                    objective.append((coef, k))
 
     rows = []
 
     # (i) occupation balance: inflow of measure equals outflow, per state.
-    inflow: dict = {tgt: {} for tgt in p.states}
-    for k, (sq, a) in enumerate(sa_pairs):
-        for tgt, prob in p.trans[(sq, a)].items():
-            if prob:
-                acc = inflow[tgt]
-                acc[k] = acc.get(k, 0.0) + prob
-    for j, tgt in enumerate(p.states):
-        acc = inflow[tgt]
-        for k in cols.x(tgt):
+    inflow = [{} for _ in range(n)]
+    for k, row in enumerate(p.succ):
+        for j, prob in row.items():
+            acc = inflow[j]
+            acc[k] = acc.get(k, 0.0) + prob
+    for j, acc in enumerate(inflow):
+        for k in p.pairs(j):
             acc[k] = acc.get(k, 0.0) - 1.0
         terms = tuple((c, k) for k, c in acc.items() if c != 0.0)
         rows.append(IlpRow(f"c_i_{j}", terms, "=", 0.0))
 
     # (ii) normalization
-    rows.append(IlpRow("c_ii_0",
-                       tuple((1.0, k) for k in range(cols.n_pairs)),
+    rows.append(IlpRow("c_ii_0", tuple((1.0, k) for k in range(n_pairs)),
                        "=", 1.0))
 
     # (iii) positive measure forces the action: x <= pi
-    for k in range(cols.n_pairs):
+    for k in range(n_pairs):
         rows.append(IlpRow(f"c_iii_{k}", ((1.0, k), (-1.0, cols.pi0 + k)),
                            "<=", 0.0))
 
     # (iv) the policy is a point distribution per product state
-    for j, sq in enumerate(p.states):
-        rows.append(IlpRow(f"c_iv_{j}",
-                           tuple((1.0, k) for k in cols.pi(sq)), "=", 1.0))
+    for i in range(n):
+        rows.append(IlpRow(f"c_iv_{i}",
+                           tuple((1.0, cols.pi0 + k) for k in p.pairs(i)),
+                           "=", 1.0))
 
     # (v) flow capacity: f_e <= sum_a T(e|a) pi_a
-    for e, (sq, tgt) in enumerate(p.edges):
+    for e, (i, j) in enumerate(p.edges):
         terms = [(1.0, cols.f0 + e)]
-        for a, k in zip(m.enabled[sq[0]], cols.pi(sq)):
-            prob = p.trans[(sq, a)].get(tgt, 0.0)
+        for k in p.pairs(i):
+            prob = p.succ[k].get(j, 0.0)
             if prob:
-                terms.append((-prob, k))
+                terms.append((-prob, cols.pi0 + k))
         rows.append(IlpRow(f"c_v_{e}", tuple(terms), "<=", 0.0))
 
     # (vi) strict decrease: inflow >= outflow + eps * isq, all but the root
     j = 0
-    for sq in p.states:
-        if sq == p.initial:
+    for i in range(n):
+        if i == p.initial:
             continue
-        terms = [(1.0, f) for f in in_edges[sq]]
-        terms += [(-1.0, f) for f in out_edges[sq]]
-        terms.append((-eps, cols.isq(sq)))
+        terms = [(1.0, f) for f in in_edges[i]]
+        terms += [(-1.0, f) for f in out_edges[i]]
+        terms.append((-eps, cols.isq0 + i))
         rows.append(IlpRow(f"c_vi_{j}", _merge(terms), ">=", 0.0))
         j += 1
 
     # (vii) incoming flow forces the visit flag
-    for j, sq in enumerate(p.states):
-        terms = [(1.0, f) for f in in_edges[sq]]
-        terms.append((-1.0, cols.isq(sq)))
-        rows.append(IlpRow(f"c_vii_{j}", _merge(terms), "<=", 0.0))
+    for i in range(n):
+        terms = [(1.0, f) for f in in_edges[i]]
+        terms.append((-1.0, cols.isq0 + i))
+        rows.append(IlpRow(f"c_vii_{i}", _merge(terms), "<=", 0.0))
 
     # (viii) outgoing >= incoming / flow_ratio
     inv = 1.0 / cfg.flow_ratio
-    for j, sq in enumerate(p.states):
-        terms = [(1.0, f) for f in out_edges[sq]]
-        terms += [(-inv, f) for f in in_edges[sq]]
-        rows.append(IlpRow(f"c_viii_{j}", _merge(terms), ">=", 0.0))
+    for i in range(n):
+        terms = [(1.0, f) for f in out_edges[i]]
+        terms += [(-inv, f) for f in in_edges[i]]
+        rows.append(IlpRow(f"c_viii_{i}", _merge(terms), ">=", 0.0))
 
     # (ix) no measure on unflagged states
-    for j, sq in enumerate(p.states):
-        terms = [(1.0, k) for k in cols.x(sq)]
-        terms.append((-1.0, cols.isq(sq)))
-        rows.append(IlpRow(f"c_ix_{j}", tuple(terms), "<=", 0.0))
+    for i in range(n):
+        terms = [(1.0, k) for k in p.pairs(i)]
+        terms.append((-1.0, cols.isq0 + i))
+        rows.append(IlpRow(f"c_ix_{i}", tuple(terms), "<=", 0.0))
 
     # (x) steady-state intervals, one lower and one upper row per operator
     j = 0
     for interval in spec.ss:
         member = labeled_subset(m, interval.formula)
-        terms = tuple((1.0, k) for k, (sq, _) in enumerate(sa_pairs)
-                      if sq[0] in member)
+        terms = tuple((1.0, k) for i, (s, _) in enumerate(p.states)
+                      if s in member for k in p.pairs(i))
         if not terms:
             # no product copy of any member state: pin an explicit zero
             terms = _ANCHOR
@@ -279,55 +241,54 @@ def build_program(p: ProductLmdp, amecs, spec: SsLtlSpec,
 
     # (xi) accepting mass: strict positivity relaxed to >= acc_eps
     inf_union = d.inf_union()
-    terms = tuple((1.0, k) for k, (sq, _) in enumerate(sa_pairs)
-                  if sq[1] in inf_union)
+    terms = tuple((1.0, k) for i, (_, q) in enumerate(p.states)
+                  if q in inf_union for k in p.pairs(i))
     rows.append(IlpRow("c_xi_0", terms or _ANCHOR, ">=", cfg.acc_eps))
 
     # (xii) component carries measure -> component flag
-    for k, amec in enumerate(amecs):
-        terms = [(1.0, j) for sq in sorted(
-            amec.mec.states, key=lambda t: p.state_pos[t])
-            for j in cols.x(sq)]
-        terms.append((-1.0, cols.ik(k)))
-        rows.append(IlpRow(f"c_xii_{k}", tuple(terms), "<=", 0.0))
+    for c, amec in enumerate(amecs):
+        terms = [(1.0, k) for i in sorted(amec.mec.states)
+                 for k in p.pairs(i)]
+        terms.append((-1.0, cols.ik0 + c))
+        rows.append(IlpRow(f"c_xii_{c}", tuple(terms), "<=", 0.0))
 
-    # (xiii)/(xiv) per-state component membership flags
+    # (xiii)/(xiv) per-state component membership flags; iks of component c
+    # and model state t is column iks0 + c * |S| + t
+    n_s = len(m.states)
     copies = []
     for amec in amecs:
         by_state: dict = {}
-        for sq in sorted(amec.mec.states, key=lambda t: p.state_pos[t]):
-            by_state.setdefault(sq[0], []).append(sq)
+        for i in sorted(amec.mec.states):
+            by_state.setdefault(p.states[i][0], []).append(cols.isq0 + i)
         copies.append(by_state)
     j = 0
-    for k in range(len(amecs)):
-        for s in m.states:
-            terms = [(1.0, cols.iks(k, s))]
-            terms += [(-1.0, cols.isq(sq)) for sq in copies[k].get(s, ())]
+    for c in range(len(amecs)):
+        for t, s in enumerate(m.states):
+            terms = [(1.0, cols.iks0 + c * n_s + t)]
+            terms += [(-1.0, col) for col in copies[c].get(s, ())]
             rows.append(IlpRow(f"c_xiii_{j}", tuple(terms), "<=", 0.0))
             j += 1
     j = 0
     n_nodes = len(d.nodes)
-    for k in range(len(amecs)):
-        for s in m.states:
-            terms = [(1.0 / n_nodes, cols.isq(sq))
-                     for sq in copies[k].get(s, ())]
-            terms.append((-1.0, cols.iks(k, s)))
+    for c in range(len(amecs)):
+        for t, s in enumerate(m.states):
+            terms = [(1.0 / n_nodes, col) for col in copies[c].get(s, ())]
+            terms.append((-1.0, cols.iks0 + c * n_s + t))
             rows.append(IlpRow(f"c_xiv_{j}", tuple(terms), "<=", 0.0))
             j += 1
 
     # (xv) shared-state coupling: is - 1 <= sum_k (iks - ik) / |AMEC|
-    if amecs:
-        inv_k = 1.0 / len(amecs)
-        for j, s in enumerate(m.states):
-            terms = [(1.0, cols.i_s(s))]
-            for k in range(len(amecs)):
-                terms.append((-inv_k, cols.iks(k, s)))
-                terms.append((inv_k, cols.ik(k)))
-            rows.append(IlpRow(f"c_xv_{j}", tuple(terms), "<=", 1.0))
+    inv_k = 1.0 / len(amecs)
+    for t in range(n_s):
+        terms = [(1.0, cols.is0 + t)]
+        for c in range(len(amecs)):
+            terms.append((-inv_k, cols.iks0 + c * n_s + t))
+            terms.append((inv_k, cols.ik0 + c))
+        rows.append(IlpRow(f"c_xv_{t}", tuple(terms), "<=", 1.0))
 
     # (xvi) some shared state exists
     rows.append(IlpRow("c_xvi_0",
-                       tuple((1.0, cols.i_s(s)) for s in m.states),
+                       tuple((1.0, cols.is0 + t) for t in range(n_s)),
                        ">=", 1.0))
 
     return IlpModel(variables=variables, objective=tuple(objective),
@@ -358,14 +319,14 @@ def column_names(model: IlpModel) -> list:
     s_pos = {s: i for i, s in enumerate(m.states)}
     q_pos = {q: i for i, q in enumerate(p.dra.nodes)}
     a_pos = {a: i for i, a in enumerate(m.actions)}
-    sq_id = {(s, q): f"{s_pos[s]}_{q_pos[q]}" for s, q in p.states}
-    pairs = [f"{sq_id[sq]}_{a_pos[a]}"
-             for sq in p.states for a in m.enabled[sq[0]]]
+    sq_id = [f"{s_pos[s]}_{q_pos[q]}" for s, q in p.states]
+    pairs = [f"{sq_id[i]}_{a_pos[a]}"
+             for i in range(len(p.states)) for a in p.actions(i)]
     n_amecs = len(model.amecs)
     return ([f"x_{t}" for t in pairs]
-            + [f"f_{sq_id[src]}_{sq_id[tgt]}" for src, tgt in p.edges]
+            + [f"f_{sq_id[i]}_{sq_id[j]}" for i, j in p.edges]
             + [f"pi_{t}" for t in pairs]
-            + [f"isq_{sq_id[sq]}" for sq in p.states]
+            + [f"isq_{t}" for t in sq_id]
             + [f"is_{i}" for i in range(len(m.states))]
             + [f"ik_{k}" for k in range(n_amecs)]
             + [f"iks_{k}_{i}" for k in range(n_amecs)
@@ -591,13 +552,13 @@ def extract_policy(sol: Solution, p: ProductLmdp) -> Policy:
     stationary-policy identity |x - pi * sum_a x| <= 1e-6 is asserted."""
     if sol.status not in ("optimal", "feasible"):
         raise PolicyError(f"cannot extract a policy from status {sol.status!r}")
-    cols = Columns(p)
+    pi0 = Columns(p).pi0
     values = sol.values
     choice = {}
-    for sq in p.states:
-        acts = p.model.enabled[sq[0]]
-        pis = [values[j] for j in cols.pi(sq)]
-        winners = [i for i, v in enumerate(pis) if v > 0.5]
+    for i, sq in enumerate(p.states):
+        acts = p.actions(i)
+        pis = [values[pi0 + k] for k in p.pairs(i)]
+        winners = [r for r, v in enumerate(pis) if v > 0.5]
         if len(winners) != 1:
             raise PolicyError(
                 f"no unique policy binary above 0.5 at {sq!r} "
@@ -610,14 +571,14 @@ def extract_policy(sol: Solution, p: ProductLmdp) -> Policy:
                 f"{acts[best]!r} at {sq!r}", stacklevel=2)
         choice[sq] = acts[best]
 
-        xs = [values[j] for j in cols.x(sq)]
+        xs = [values[k] for k in p.pairs(i)]
         total = sum(xs)
         if total >= MASS_FLOOR:
-            for i, x in enumerate(xs):
-                indicator = 1.0 if i == best else 0.0
+            for r, x in enumerate(xs):
+                indicator = 1.0 if r == best else 0.0
                 resid = abs(x - indicator * total)
                 if resid > POLICY_IDENTITY_TOL:
                     raise PolicyError(
                         f"occupation/policy identity violated at {sq!r}, "
-                        f"action {acts[i]!r}: residual {resid:g}")
+                        f"action {acts[r]!r}: residual {resid:g}")
     return Policy(choice=choice)

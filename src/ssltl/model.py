@@ -8,7 +8,8 @@ fixture probabilities are dyadics or short decimals far above this.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
 
 import numpy as np
@@ -189,17 +190,6 @@ class Lmdp:
         return frozenset(self.labels[s]) & frozenset(alphabet)
 
 
-@dataclass(frozen=True)
-class Lmc:
-    """Labeled Markov chain.  ``rows[s]`` maps successor to probability."""
-
-    states: tuple
-    rows: Mapping
-    initial: object
-    labels: Mapping = field(default_factory=dict)
-    ap: tuple = ()
-
-
 def validate_lmdp(m: Lmdp) -> Lmdp:
     if m.initial not in m.states:
         raise ModelError(f"initial state {m.initial!r} is not a declared state")
@@ -222,11 +212,11 @@ def validate_lmdp(m: Lmdp) -> Lmdp:
                 if s2 not in seen and s2 not in m.states:
                     raise ModelError(
                         f"transition ({s!r}, {a!r}) targets unknown state {s2!r}")
-                if p < -PROB_TOL or p > 1 + PROB_TOL:
+                if not -PROB_TOL <= p <= 1 + PROB_TOL:     # NaN too
                     raise ModelError(
                         f"probability {p} out of range in row ({s!r}, {a!r})")
                 total += p
-            if abs(total - 1.0) > PROB_TOL:
+            if not abs(total - 1.0) <= PROB_TOL:
                 raise ModelError(
                     f"row ({s!r}, {a!r}) sums to {total!r}, expected 1")
         for p in m.labels.get(s, frozenset()):
@@ -236,33 +226,25 @@ def validate_lmdp(m: Lmdp) -> Lmdp:
     return m
 
 
-def validate_lmc(c: Lmc) -> Lmc:
-    for s in c.states:
-        total = sum(c.rows[s].values())
-        if abs(total - 1.0) > PROB_TOL:
-            raise ModelError(f"chain row {s!r} sums to {total!r}, expected 1")
-    return c
-
-
 # ---------------------------------------------------------------------------
 # JSON model format
 # ---------------------------------------------------------------------------
 
 def model_from_json(doc: dict) -> Lmdp:
     try:
-        state_docs = doc["states"]
+        state_docs = list(doc["states"])
         actions = tuple(doc["actions"])
         initial = doc["initial"]
-        tr_docs = doc["transitions"]
-    except (KeyError, TypeError) as exc:
-        raise ModelError(f"model file missing required field: {exc}") from exc
-
-    states = tuple(sd["id"] for sd in state_docs)
-    labels = {sd["id"]: frozenset(sd.get("labels", [])) for sd in state_docs}
-    if "ap" in doc:
-        ap = tuple(doc["ap"])
-    else:
-        ap = tuple(sorted(set().union(*labels.values()) if labels else set()))
+        tr_docs = list(doc["transitions"])
+        reward_docs = list(doc.get("rewards", []))
+        states = tuple(sd["id"] for sd in state_docs)
+        labels = {sd["id"]: frozenset(sd.get("labels", []))
+                  for sd in state_docs}
+        ap = tuple(doc["ap"]) if "ap" in doc else tuple(sorted(
+            set().union(*labels.values()) if labels else set()))
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ModelError(
+            f"model file has a missing or mistyped field: {exc!r}") from exc
 
     trans: dict = {}
     enabled: dict = {}
@@ -284,12 +266,14 @@ def model_from_json(doc: dict) -> Lmdp:
                for s, acts in enabled.items()}
 
     reward: dict = {}
-    for r in doc.get("rewards", []):
+    for r in reward_docs:
         try:
             key = (r["from"], r["action"], r["to"])
             reward[key] = float(r["r"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelError(f"malformed reward entry {r!r}") from exc
+        if not math.isfinite(reward[key]):
+            raise ModelError(f"reward is not a finite number: {r!r}")
 
     m = Lmdp(states=states, actions=actions, enabled=enabled, trans=trans,
              reward=reward, ap=ap, labels=labels, initial=initial)
@@ -322,7 +306,7 @@ def load_model(path) -> Lmdp:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:       # not UTF-8, or not JSON
         raise ModelError(f"cannot parse model file {path}: {exc}") from exc
     return model_from_json(doc)
 
@@ -356,23 +340,29 @@ class SsLtlSpec:
 def spec_from_json(doc: dict, base_dir: Optional[str] = None) -> SsLtlSpec:
     import os
 
+    if not isinstance(doc, dict):
+        raise ModelError("spec file must hold a JSON object")
     dra = doc.get("dra")
-    if dra is None:
-        raise ModelError("spec file missing 'dra' field")
+    if not isinstance(dra, str):
+        raise ModelError("spec file needs a 'dra' path")
     if base_dir is not None and not os.path.isabs(dra):
         dra = os.path.normpath(os.path.join(base_dir, dra))
+    entries = doc.get("ss", [])
+    if not isinstance(entries, list):
+        raise ModelError("spec field 'ss' must be a list")
     intervals = []
-    for entry in doc.get("ss", []):
+    for entry in entries:
         try:
             text = entry["formula"]
+            formula = parse_label_formula(text)
             lower = float(entry["lower"])
             upper = float(entry["upper"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelError(f"malformed ss entry {entry!r}") from exc
-        if lower > upper:
+        if not lower <= upper:      # NaN too
             raise ModelError(
                 f"ss interval for {text!r} has lower {lower} > upper {upper}")
-        intervals.append(SsInterval(parse_label_formula(text), text, lower, upper))
+        intervals.append(SsInterval(formula, text, lower, upper))
     return SsLtlSpec(dra_source=dra, ss=tuple(intervals))
 
 
@@ -382,7 +372,7 @@ def load_spec(path) -> SsLtlSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:       # not UTF-8, or not JSON
         raise ModelError(f"cannot parse spec file {path}: {exc}") from exc
     return spec_from_json(doc, base_dir=os.path.dirname(os.path.abspath(path)))
 

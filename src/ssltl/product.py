@@ -4,8 +4,8 @@ policy IO."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from dataclasses import dataclass
+from typing import Mapping
 
 from ssltl.errors import ModelError, PolicyError
 from ssltl.hoa import Dra, dra_step
@@ -14,19 +14,41 @@ from ssltl.model import Lmdp
 
 @dataclass(frozen=True)
 class ProductLmdp:
-    """Reachable fragment of the synchronized product.  States are (s, q)
-    pairs; the automaton tracks q' = delta(q, L(s')) on every transition."""
+    """Reachable fragment of the synchronized product, numbered once.
+
+    State i is ``states[i] = (s, q)``; states are ordered by model state,
+    then automaton node, and the automaton tracks q' = delta(q, L(s')) on
+    every transition.  The (state, action) pairs of state i are ``first[i]``
+    .. ``first[i + 1] - 1``, one per enabled action of s in the model's order,
+    so pair k is x column k of the program.  ``succ[k]`` maps the successor
+    states of pair k to their positive probabilities, ``edges`` lists the
+    (i, j) pairs with positive mass in sorted order, and ``initial`` is the
+    index of the initial state."""
 
     model: Lmdp
     dra: Dra
     states: tuple
-    initial: tuple
-    trans: Mapping     # ((s, q), a) -> {(s', q'): p}
-    edges: tuple       # ((s, q), (s', q')) pairs with positive mass, sorted
-    state_pos: Mapping = field(repr=False, default_factory=dict)
+    initial: int
+    first: tuple
+    succ: tuple
+    edges: tuple
 
-    def enabled_actions(self, sq) -> tuple:
-        return self.model.enabled[sq[0]]
+    def pairs(self, i: int) -> range:
+        return range(self.first[i], self.first[i + 1])
+
+    def actions(self, i: int) -> tuple:
+        """The actions of the pairs of state i, in pair order."""
+        return self.model.enabled[self.states[i][0]]
+
+    def chosen_pair(self, i: int, pi: "Policy") -> int:
+        """The pair of state i that ``pi`` picks."""
+        sq = self.states[i]
+        a = pi.action(sq)
+        acts = self.actions(i)
+        if a not in acts:
+            raise PolicyError(
+                f"policy picks {a!r} at {sq!r}, not enabled for {sq[0]!r}")
+        return self.first[i] + acts.index(a)
 
 
 def build_product(m: Lmdp, d: Dra) -> ProductLmdp:
@@ -34,10 +56,9 @@ def build_product(m: Lmdp, d: Dra) -> ProductLmdp:
     q_init = dra_step(d, d.initial, m.letter(m.initial, d.alphabet))
     initial = (m.initial, q_init)
 
-    trans: dict = {}
+    rows: dict = {}
     seen = {initial}
     frontier = [initial]
-    edge_set = set()
     while frontier:
         s, q = frontier.pop()
         for a in m.enabled[s]:
@@ -47,30 +68,38 @@ def build_product(m: Lmdp, d: Dra) -> ProductLmdp:
                     continue
                 q2 = dra_step(d, q, m.letter(s2, d.alphabet))
                 row[(s2, q2)] = row.get((s2, q2), 0.0) + p
-                edge_set.add(((s, q), (s2, q2)))
                 if (s2, q2) not in seen:
                     seen.add((s2, q2))
                     frontier.append((s2, q2))
-            trans[((s, q), a)] = row
+            rows[((s, q), a)] = row
 
     s_pos = {s: i for i, s in enumerate(m.states)}
     q_pos = {q: i for i, q in enumerate(d.nodes)}
     states = tuple(sorted(seen, key=lambda sq: (s_pos[sq[0]], q_pos[sq[1]])))
-    state_pos = {sq: i for i, sq in enumerate(states)}
-    edges = tuple(sorted(edge_set,
-                         key=lambda e: (state_pos[e[0]], state_pos[e[1]])))
-    return ProductLmdp(model=m, dra=d, states=states, initial=initial,
-                       trans=trans, edges=edges, state_pos=state_pos)
+    index = {sq: i for i, sq in enumerate(states)}
+    first = [0]
+    succ = []
+    edge_set = set()
+    for i, sq in enumerate(states):
+        for a in m.enabled[sq[0]]:
+            row = {index[t]: p for t, p in rows[(sq, a)].items()}
+            succ.append(row)
+            edge_set.update((i, j) for j in row)
+        first.append(len(succ))
+    return ProductLmdp(model=m, dra=d, states=states, initial=index[initial],
+                       first=tuple(first), succ=tuple(succ),
+                       edges=tuple(sorted(edge_set)))
 
 
 @dataclass(frozen=True)
 class ProductLmc:
-    """A chain over product states; rows are row-stochastic."""
+    """The chain a policy induces on a product: ``states`` are product state
+    indices in ascending order and ``rows[i]`` maps successor index to
+    probability."""
 
     states: tuple
     rows: Mapping
-    initial: tuple
-    model: Optional[Lmdp] = None
+    initial: int
 
 
 # ---------------------------------------------------------------------------
@@ -111,28 +140,27 @@ def save_policy(pi: Policy, path) -> None:
 
 
 def load_policy(path) -> Policy:
-    with open(path, "r", encoding="utf-8") as fh:
-        return policy_from_json(json.load(fh))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:       # not UTF-8, or not JSON
+        raise ModelError(f"cannot parse policy file {path}: {exc}") from exc
+    return policy_from_json(doc)
 
 
 def induce_chain(p: ProductLmdp, pi: Policy) -> ProductLmc:
-    """Fix the policy: row(s, q) = trans((s, q), pi(s, q)), restricted to the
-    states reachable under the policy."""
+    """Fix the policy: row i = succ of the pair pi picks at state i,
+    restricted to the states reachable under the policy."""
     rows: dict = {}
     seen = {p.initial}
     frontier = [p.initial]
     while frontier:
-        sq = frontier.pop()
-        a = pi.action(sq)
-        if a not in p.model.enabled[sq[0]]:
-            raise PolicyError(
-                f"policy picks {a!r} at {sq!r}, not enabled for {sq[0]!r}")
-        row = p.trans[(sq, a)]
-        rows[sq] = dict(row)
-        for t in row:
-            if t not in seen:
-                seen.add(t)
-                frontier.append(t)
-    states = tuple(sq for sq in p.states if sq in seen)
-    return ProductLmc(states=states, rows=rows, initial=p.initial,
-                      model=p.model)
+        i = frontier.pop()
+        row = p.succ[p.chosen_pair(i, pi)]
+        rows[i] = dict(row)
+        for j in row:
+            if j not in seen:
+                seen.add(j)
+                frontier.append(j)
+    return ProductLmc(states=tuple(sorted(seen)), rows=rows,
+                      initial=p.initial)

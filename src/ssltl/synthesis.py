@@ -67,19 +67,20 @@ def _rejection_cuts(p: ProductLmdp, pi: Policy, round_index: int) -> list:
     <= |B| is valid for every truly feasible solution and removes the whole
     family at once.
     """
-    cols = Columns(p)
+    pi0 = Columns(p).pi0
     chain = induce_chain(p, pi)
+    chosen = {i: pi0 + p.chosen_pair(i, pi) for i in chain.states}
     cuts = []
-    terms = tuple((1.0, cols.pi_of(sq, pi.choice[sq])) for sq in chain.states)
+    terms = tuple((1.0, chosen[i]) for i in chain.states)
     cuts.append(IlpRow(f"c_cut_{round_index}_nogood", terms, "<=",
                        float(len(terms) - 1)))
     dec = bsccs(chain)
     for b_idx, b in enumerate(dec.bsccs):
-        if bscc_accepting(b, p.dra):
+        if bscc_accepting(b, p):
             continue
-        ordered = sorted(b, key=lambda sq: p.state_pos[sq])
-        mass_terms = [(1.0, j) for sq in ordered for j in cols.x(sq)]
-        kept = [(1.0, cols.pi_of(sq, pi.choice[sq])) for sq in ordered]
+        ordered = sorted(b)
+        mass_terms = [(1.0, k) for i in ordered for k in p.pairs(i)]
+        kept = [(1.0, chosen[i]) for i in ordered]
         cuts.append(IlpRow(f"c_cut_{round_index}_loop{b_idx}",
                            tuple(mass_terms + kept), "<=", float(len(b))))
     return cuts
@@ -93,7 +94,7 @@ def synthesize(m: Lmdp, d: Dra, spec: SsLtlSpec,
     t0 = time.monotonic()
     cfg = cfg or IlpConfig()
     product = build_product(m, d)
-    amecs = accepting_mecs(mec_decomposition(product), d)
+    amecs = accepting_mecs(mec_decomposition(product), product)
 
     try:
         model = build_program(product, amecs, spec, cfg)

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ssltl.chain import limiting_distribution, lump_distribution, \
-    product_state_partition
+from ssltl.chain import limiting_distribution
 from ssltl.errors import EnumerationLimitError
 from ssltl.graph import bscc_accepting, bsccs
 from ssltl.hoa import Dra
@@ -67,25 +66,24 @@ def verify_policy(m: Lmdp, d: Dra, spec: SsLtlSpec, pi: Policy,
     """Induce the product chain, decompose its BSCCs, check Rabin acceptance
     of every reachable BSCC, the shared-original-state condition (which makes
     the aggregated chain a unichain), and each steady-state interval on the
-    lumped limiting distribution."""
+    limiting distribution summed by model state."""
     p = product if product is not None else build_product(m, d)
     chain = induce_chain(p, pi)
     dec = bsccs(chain)
 
     # induce_chain restricts to policy-reachable states, so every BSCC here
     # is reachable; absorption into their union has probability one.
-    rabin_ok = tuple(bscc_accepting(b, d) for b in dec.bsccs)
+    rabin_ok = tuple(bscc_accepting(b, p) for b in dec.bsccs)
 
-    shared_state = None
-    for s in m.states:
-        if all(any(sq[0] == s for sq in b) for b in dec.bsccs):
-            shared_state = s
-            break
+    in_bscc = [{p.states[i][0] for i in b} for b in dec.bsccs]
+    shared_state = next((s for s in m.states
+                         if all(s in seen for seen in in_bscc)), None)
     unichain = shared_state is not None
 
     dist = limiting_distribution(chain)
-    lumped_full = lump_distribution(dist, product_state_partition(chain.states))
-    aggregate = {s: lumped_full.get(s, 0.0) for s in m.states}
+    aggregate = {s: 0.0 for s in m.states}
+    for i, mass in dist.items():
+        aggregate[p.states[i][0]] += mass
 
     ss_results = []
     for interval in spec.ss:
@@ -105,7 +103,8 @@ def verify_policy(m: Lmdp, d: Dra, spec: SsLtlSpec, pi: Policy,
         shared_state=shared_state,
         unichain=unichain,
         ss_results=tuple(ss_results),
-        product_distribution=dist,
+        product_distribution={p.states[i]: mass
+                              for i, mass in dist.items()},
         aggregate_distribution=aggregate,
         verdict=verdict)
 
@@ -130,45 +129,41 @@ def brute_force_synth(m: Lmdp, d: Dra, spec: SsLtlSpec,
         raise EnumerationLimitError(
             f"an action set exceeds the enumeration bound {max_actions}")
 
-    order = {sq: i for i, sq in enumerate(p.states)}
-
-    def closure(choice):
-        """Reachable set under the partial assignment; returns (frontier
-        state needing a decision, reachable set)."""
+    def pending(choice):
+        """The lowest state reachable under the partial assignment (state ->
+        pair) that still needs a decision, or None."""
         seen = {p.initial}
         stack = [p.initial]
-        pending = None
+        lowest = None
         while stack:
-            sq = stack.pop()
-            a = choice.get(sq)
-            if a is None:
-                if pending is None or order[sq] < order[pending]:
-                    pending = sq
+            i = stack.pop()
+            k = choice.get(i)
+            if k is None:
+                if lowest is None or i < lowest:
+                    lowest = i
                 continue
-            for t, prob in p.trans[(sq, a)].items():
-                if prob > 0.0 and t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return pending, seen
+            for j in p.succ[k]:
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        return lowest
 
     choice: dict = {}
 
     def search() -> Optional[Policy]:
-        pending, _ = closure(choice)
-        if pending is None:
-            full = dict(choice)
-            for sq in p.states:
-                if sq not in full:
-                    full[sq] = m.enabled[sq[0]][0]
-            pi = Policy(choice=full)
+        i = pending(choice)
+        if i is None:
+            pi = Policy(choice={
+                sq: p.actions(j)[choice[j] - p.first[j] if j in choice else 0]
+                for j, sq in enumerate(p.states)})
             report = verify_policy(m, d, spec, pi, product=p)
             return pi if report.verdict else None
-        for a in m.enabled[pending[0]]:
-            choice[pending] = a
+        for k in p.pairs(i):
+            choice[i] = k
             found = search()
             if found is not None:
                 return found
-            del choice[pending]
+            del choice[i]
         return None
 
     return search()

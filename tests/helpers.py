@@ -1,8 +1,9 @@
 """Shared test utilities: an LTL-on-lasso-word evaluator used as the oracle
-for automaton fixtures, random model/chain/automaton generators, small
-simulation helpers, and oracles over chains, products and programs that only
-the tests use (chain products, aggregation, lumpability residuals, program
-rows re-evaluated on a solution).
+for automaton fixtures, labeled chains with their partitions and class sums,
+random model/chain/automaton generators, small simulation helpers, and
+oracles over chains, products and programs that only the tests use (chain
+products, aggregation, lumpability residuals, program rows re-evaluated on a
+solution).
 
 The LTL evaluator is independent of the package: it works directly on
 ultimately-periodic words by least-fixpoint iteration, so it can vouch for
@@ -11,19 +12,89 @@ the shipped HOA files.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
+from typing import Mapping
 
 import numpy as np
 
-from ssltl.chain import Partition, _kernel
-from ssltl.errors import LumpabilityError
+from ssltl.chain import _kernel
+from ssltl.errors import ModelError, SsltlError
 from ssltl.hoa import Dra, dra_step, letters_of
 from ssltl.ilp import Columns, IlpModel, IlpRow, Solution, column_names
-from ssltl.model import Lmc, Lmdp, validate_lmc, validate_lmdp
+from ssltl.model import PROB_TOL, Lmdp, validate_lmdp
 from ssltl.product import Policy, ProductLmc, ProductLmdp
 
 LUMP_ROW_TOL = 1e-12
 FEASIBILITY_TOL = 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Labeled chains and partitions
+# ---------------------------------------------------------------------------
+
+class LumpabilityError(SsltlError):
+    """Aggregation found representative-dependent rows; the partition is not
+    ordinarily lumpable on the given chain."""
+
+
+@dataclass(frozen=True)
+class Lmc:
+    """Labeled Markov chain.  ``rows[s]`` maps successor to probability."""
+
+    states: tuple
+    rows: Mapping
+    initial: object
+    labels: Mapping = field(default_factory=dict)
+    ap: tuple = ()
+
+
+def validate_lmc(c: Lmc) -> Lmc:
+    for s in c.states:
+        total = sum(c.rows[s].values())
+        if abs(total - 1.0) > PROB_TOL:
+            raise ModelError(f"chain row {s!r} sums to {total!r}, expected 1")
+    return c
+
+
+def named_chain(p: ProductLmdp, c: ProductLmc) -> Lmc:
+    """A chain induced on product ``p``, with its state indices replaced by
+    their (s, q) names."""
+    return Lmc(states=tuple(p.states[i] for i in c.states),
+               rows={p.states[i]: {p.states[j]: prob
+                                   for j, prob in row.items()}
+                     for i, row in c.rows.items()},
+               initial=p.states[c.initial])
+
+
+@dataclass(frozen=True)
+class Partition:
+    """Partition of a state set; ``of`` maps state -> class id, ``classes``
+    maps class id -> member set."""
+
+    classes: Mapping
+    of: Mapping
+
+    @staticmethod
+    def from_assignment(of: Mapping) -> "Partition":
+        classes: dict = {}
+        for s, c in of.items():
+            classes.setdefault(c, set()).add(s)
+        return Partition(classes={c: frozenset(v) for c, v in classes.items()},
+                         of=dict(of))
+
+
+def product_state_partition(states) -> Partition:
+    """The canonical partition of (s, q) product states into classes [s]
+    that share the model component."""
+    return Partition.from_assignment({sq: sq[0] for sq in states})
+
+
+def lump_distribution(dist: Mapping, p: Partition) -> dict:
+    """Class mass = sum of member masses."""
+    out = {c: 0.0 for c in p.classes}
+    for s, mass in dist.items():
+        out[p.of[s]] += mass
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +336,9 @@ def simulate_steps(chain, n_steps, rng, key_order=None):
     return path
 
 
-def product_chain(c: Lmc, d: Dra) -> ProductLmc:
-    """Product of a labeled chain with an automaton (no actions involved)."""
+def product_chain(c: Lmc, d: Dra) -> Lmc:
+    """Product of a labeled chain with an automaton (no actions involved),
+    over (s, q) states."""
     def letter(s):
         return frozenset(c.labels.get(s, frozenset())) & frozenset(d.alphabet)
 
@@ -290,11 +362,12 @@ def product_chain(c: Lmc, d: Dra) -> ProductLmc:
     s_pos = {s: i for i, s in enumerate(c.states)}
     q_pos = {q: i for i, q in enumerate(d.nodes)}
     states = tuple(sorted(seen, key=lambda sq: (s_pos[sq[0]], q_pos[sq[1]])))
-    return ProductLmc(states=states, rows=rows, initial=initial)
+    return Lmc(states=states, rows=rows, initial=initial)
 
 
-def aggregate(c: ProductLmc) -> Lmc:
-    """Collapse classes [s] = {(s, q)} to an original-state chain.
+def aggregate(c: Lmc) -> Lmc:
+    """Collapse classes [s] = {(s, q)} of a chain over (s, q) states to an
+    original-state chain, its states in sorted order.
 
     Each class row is computed from a representative by summing over target
     classes; representative-independence is asserted (all members must give
@@ -305,11 +378,7 @@ def aggregate(c: ProductLmc) -> Lmc:
     for sq in c.states:
         classes.setdefault(sq[0], []).append(sq)
 
-    if c.model is not None:
-        order = [s for s in c.model.states if s in classes]
-    else:
-        order = sorted(classes)
-
+    order = sorted(classes)
     rows: dict = {}
     for s in order:
         members = classes[s]
@@ -330,13 +399,7 @@ def aggregate(c: ProductLmc) -> Lmc:
                         f"{base.get(k, 0.0)!r} vs {other.get(k, 0.0)!r}")
         rows[s] = base
 
-    labels = {}
-    ap = ()
-    if c.model is not None:
-        labels = {s: c.model.labels.get(s, frozenset()) for s in order}
-        ap = c.model.ap
-    return Lmc(states=tuple(order), rows=rows, initial=c.initial[0],
-               labels=labels, ap=ap)
+    return Lmc(states=tuple(order), rows=rows, initial=c.initial[0])
 
 
 def check_lumpable(chain, p: Partition) -> float:
@@ -391,28 +454,25 @@ def fix_policy(model: IlpModel, pi: Policy) -> IlpModel:
     """Pin the policy binaries to a given deterministic policy (used to ask
     the solver for a feasibility certificate of a known policy)."""
     p = model.product
-    cols = Columns(p)
+    pi0 = Columns(p).pi0
     extra = []
-    for sq in p.states:
-        for a, j in zip(p.model.enabled[sq[0]], cols.pi(sq)):
+    for i, sq in enumerate(p.states):
+        for a, k in zip(p.actions(i), p.pairs(i)):
             want = 1.0 if pi.choice.get(sq) == a else 0.0
-            extra.append(IlpRow(f"c_fix_{j - cols.pi0}", ((1.0, j),), "=",
-                                want))
+            extra.append(IlpRow(f"c_fix_{k}", ((1.0, pi0 + k),), "=", want))
     return replace(model, rows=model.rows + tuple(extra))
 
 
 def policy_identity_residual(sol: Solution, p: ProductLmdp, pi: Policy,
                              states) -> float:
-    """Max over the given product states and their actions of
+    """Max over the given product state indices and their actions of
     |x_sqa - [a == pi(sq)] * sum_a x_sqa| from the solver assignment."""
-    cols = Columns(p)
     worst = 0.0
-    for sq in states:
-        acts = p.model.enabled[sq[0]]
-        xs = [sol.values[j] for j in cols.x(sq)]
+    for i in states:
+        xs = [sol.values[k] for k in p.pairs(i)]
         total = sum(xs)
-        for a, x in zip(acts, xs):
-            indicator = 1.0 if pi.choice.get(sq) == a else 0.0
+        for a, x in zip(p.actions(i), xs):
+            indicator = 1.0 if pi.choice.get(p.states[i]) == a else 0.0
             worst = max(worst, abs(x - indicator * total))
     return worst
 
@@ -449,7 +509,7 @@ def mirrored_bscc_fixture():
     states = (t0,
               ("s1", "q0"), ("s1", "q1"), ("s1", "q2"), ("s1", "q3"),
               ("s2", "q0"), ("s2", "q1"), ("s2", "q2"), ("s2", "q3"))
-    product = ProductLmc(states=states, rows=rows, initial=t0)
+    product = Lmc(states=states, rows=rows, initial=t0)
 
     original = Lmc(
         states=("s0", "s1", "s2"),

@@ -13,25 +13,24 @@ import numpy as np
 import pytest
 
 from helpers import (
+    Lmc,
     aggregate,
     check_lumpable,
+    lump_distribution,
     mirrored_bscc_fixture,
     policy_identity_residual,
     power_iteration_limit,
     product_chain,
+    product_state_partition,
     random_dra,
     random_irreducible_lmc,
     random_multichain,
 )
-from ssltl.chain import (
-    limiting_distribution,
-    lump_distribution,
-    product_state_partition,
-)
+from ssltl.chain import limiting_distribution
 from ssltl.graph import bsccs
 from ssltl.hoa import load_hoa
 from ssltl.ilp import IlpConfig, SolverConfig
-from ssltl.model import GridSpec, Lmc, generate_grid, load_model, load_spec
+from ssltl.model import GridSpec, generate_grid, load_model, load_spec
 from ssltl.product import build_product, induce_chain
 from ssltl.synthesis import synthesize
 from ssltl.verify import brute_force_synth, verify_policy

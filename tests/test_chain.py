@@ -2,22 +2,19 @@ import numpy as np
 import pytest
 
 from helpers import (
+    Lmc,
+    Partition,
     check_lumpable,
+    lump_distribution,
     mirrored_bscc_fixture,
     power_iteration_limit,
     product_chain,
+    product_state_partition,
     random_dra,
     random_irreducible_lmc,
     random_multichain,
 )
-from ssltl.chain import (
-    Partition,
-    limiting_distribution,
-    lump_distribution,
-    product_state_partition,
-    stationary,
-)
-from ssltl.model import Lmc
+from ssltl.chain import limiting_distribution, stationary
 
 
 def chain(states, rows, initial=None):

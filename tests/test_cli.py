@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from ssltl.cli import main
 from ssltl.ilp import parse_solution_text
 from ssltl.milp_shim import parse_lp
@@ -82,6 +84,67 @@ def test_synth_trivial_instance_and_external_verify(tmp_path):
     report = json.loads(proc.stdout)
     assert report["verdict"] is True
     assert report["unichain"] is True
+
+
+TRIVIAL_HOA = """HOA: v1
+States: 1
+Start: 0
+AP: 0
+acc-name: Rabin 1
+Acceptance: 2 Fin(0) & Inf(1)
+--BODY--
+State: 0 {1}
+[t] 0
+--END--
+"""
+
+
+@pytest.mark.parametrize("name, text", [
+    ("model.json", json.dumps({"states": [{"labels": []}], "actions": ["go"],
+                               "initial": "s0", "transitions": []})),
+    ("model.json", json.dumps({"states": 5, "actions": ["go"],
+                               "initial": "s0", "transitions": []})),
+    ("model.json", b'{"states": "\xff"}'),
+    ("model.json", json.dumps({"states": [{"id": "s0", "labels": ["g"]}],
+                               "actions": ["go"], "initial": "s0",
+                               "transitions": [{"from": "s0", "action": "go",
+                                                "to": "s0", "p": "nan"}]})),
+    ("model.json", json.dumps({"states": [{"id": "s0", "labels": ["g"]}],
+                               "actions": ["go"], "initial": "s0",
+                               "transitions": [{"from": "s0", "action": "go",
+                                                "to": "s0", "p": 1.0}],
+                               "rewards": [{"from": "s0", "action": "go",
+                                            "to": "s0", "r": "nan"}]})),
+    ("spec.json", json.dumps(["true.hoa"])),
+    ("spec.json", json.dumps({"dra": "true.hoa", "ss": [
+        {"formula": 5, "lower": 0.0, "upper": 1.0}]})),
+    ("spec.json", json.dumps({"dra": "true.hoa", "ss": [
+        {"formula": "g", "lower": "nan", "upper": 1.0}]})),
+    ("policy.json", "not json"),
+    ("true.hoa", TRIVIAL_HOA.replace("Rabin 1", "Rabin")),
+    ("true.hoa", TRIVIAL_HOA.replace("Acceptance: 2", "Acceptance: x")),
+    ("true.hoa", TRIVIAL_HOA.replace("AP: 0", "AP: x")),
+    ("true.hoa", TRIVIAL_HOA.replace("AP: 0", "AP: \u00b2")),
+    ("true.hoa", TRIVIAL_HOA.encode() + b"/* \xff */\n"),
+], ids=["state-without-id", "states-not-a-list", "model-not-utf8",
+        "probability-nan", "reward-nan",
+        "spec-is-a-list", "formula-not-a-string", "bound-nan",
+        "policy-not-json",
+        "acc-name-without-count", "acceptance-without-count",
+        "ap-without-count", "ap-count-not-decimal",
+        "hoa-not-utf8"])
+def test_malformed_input_is_a_usage_error(tmp_path, capsys, name, text):
+    write_trivial_instance(tmp_path)
+    (tmp_path / "policy.json").write_text(json.dumps(
+        {"policy": [{"s": "s0", "q": "q0", "action": "go"}]}))
+    (tmp_path / name).write_bytes(
+        text if isinstance(text, bytes) else text.encode())
+    code = run_cli("verify", "--model", str(tmp_path / "model.json"),
+                   "--spec", str(tmp_path / "spec.json"),
+                   "--policy", str(tmp_path / "policy.json"))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_synth_infeasible_exit_2_and_no_policy_file(tmp_path):

@@ -38,7 +38,7 @@ def test_reference_policy_unichain_two_transient(instance):
     chain = induce_chain(product, policy)
     dec = bsccs(chain)
     assert len(dec.reachable_bsccs) == 1
-    recurrent_cells = {sq[0] for b in dec.bsccs for sq in b}
+    recurrent_cells = {product.states[i][0] for b in dec.bsccs for i in b}
     assert len(model.states) - len(recurrent_cells) == 2
 
 
@@ -48,7 +48,7 @@ def test_reference_policy_bscc_is_accepting(instance):
     chain = induce_chain(product, policy)
     dec = bsccs(chain)
     for i in dec.reachable_bsccs:
-        assert bscc_accepting(dec.bsccs[i], dra)
+        assert bscc_accepting(dec.bsccs[i], product)
 
 
 def test_reference_policy_verdict_and_masses(instance):

@@ -1,6 +1,7 @@
 import numpy as np
 
 from helpers import (
+    Lmc,
     six_state_until_lmdp,
     mirrored_bscc_fixture,
     product_chain,
@@ -17,8 +18,8 @@ from ssltl.graph import (
     strongly_connected_components,
 )
 from ssltl.hoa import Dra, letters_of, load_hoa
-from ssltl.model import GridSpec, Lmc, generate_grid
-from ssltl.product import build_product
+from ssltl.model import GridSpec, generate_grid
+from ssltl.product import ProductLmdp, build_product
 
 
 def chain(states, rows, initial=None):
@@ -100,8 +101,9 @@ def test_mec_single_state_self_loop():
     p = one_state_self_loop_product()
     mecs = mec_decomposition(p)
     assert len(mecs) == 1
-    assert mecs[0].states == {("s0", "q0")}
-    assert mecs[0].actions[("s0", "q0")] == ("go",)
+    assert p.states == (("s0", "q0"),)
+    assert mecs[0].states == {0}
+    assert [p.actions(0)[k - p.first[0]] for k in mecs[0].pairs] == ["go"]
 
 
 def test_mec_drain_to_absorbing():
@@ -124,36 +126,35 @@ State: 0 {1}
 [t] 0
 --END--
 """)
-    mecs = mec_decomposition(build_product(m, d))
+    p = build_product(m, d)
+    mecs = mec_decomposition(p)
     assert len(mecs) == 1
-    assert mecs[0].states == {("s2", "q0")}
+    assert {p.states[i] for i in mecs[0].states} == {("s2", "q0")}
 
 
 def brute_force_mecs(product):
-    """Exhaustive: every subset closed under some non-empty retained action
+    """Exhaustive: every subset closed under some non-empty retained pair
     choice and strongly connected is an end component; keep the maximal ones."""
-    states = list(product.states)
-    n = len(states)
+    n = len(product.states)
     ecs = []
     for mask in range(1, 1 << n):
-        subset = {states[i] for i in range(n) if mask >> i & 1}
+        subset = {i for i in range(n) if mask >> i & 1}
         retained = {}
         ok = True
-        for sq in subset:
-            acts = [a for a in product.enabled_actions(sq)
-                    if all(t in subset
-                           for t, p in product.trans[(sq, a)].items() if p > 0)]
-            if not acts:
+        for i in subset:
+            pairs = [k for k in product.pairs(i)
+                     if all(j in subset
+                            for j, p in product.succ[k].items() if p > 0)]
+            if not pairs:
                 ok = False
                 break
-            retained[sq] = acts
+            retained[i] = pairs
         if not ok:
             continue
-        succ = {sq: sorted({t for a in retained[sq]
-                            for t, p in product.trans[(sq, a)].items() if p > 0},
-                           key=str)
-                for sq in subset}
-        comps = strongly_connected_components(sorted(subset, key=str), succ)
+        succ = {i: sorted({j for k in retained[i]
+                           for j, p in product.succ[k].items() if p > 0})
+                for i in subset}
+        comps = strongly_connected_components(sorted(subset), succ)
         if len(comps) == 1:
             ecs.append(frozenset(subset))
     maximal = [e for e in ecs if not any(e < f for f in ecs)]
@@ -183,16 +184,18 @@ def test_mec_output_closed_and_strongly_connected_on_grid_product():
     mecs = mec_decomposition(p)
     assert mecs
     for mec in mecs:
-        for sq in mec.states:
-            assert mec.actions[sq], f"state {sq} kept no action"
-            for a in mec.actions[sq]:
-                targets = {t for t, prob in p.trans[(sq, a)].items() if prob > 0}
+        kept = {i: [k for k in mec.pairs if k in p.pairs(i)]
+                for i in mec.states}
+        assert sorted(k for ks in kept.values() for k in ks) == list(mec.pairs)
+        for i in mec.states:
+            assert kept[i], f"state {p.states[i]} kept no action"
+            for k in kept[i]:
+                targets = {j for j, prob in p.succ[k].items() if prob > 0}
                 assert targets <= mec.states
-        succ = {sq: sorted({t for a in mec.actions[sq]
-                            for t, prob in p.trans[(sq, a)].items() if prob > 0},
-                           key=str)
-                for sq in mec.states}
-        comps = strongly_connected_components(sorted(mec.states, key=str), succ)
+        succ = {i: sorted({j for k in kept[i]
+                           for j, prob in p.succ[k].items() if prob > 0})
+                for i in mec.states}
+        comps = strongly_connected_components(sorted(mec.states), succ)
         assert len(comps) == 1
     # pairwise disjoint
     all_states = [sq for mec in mecs for sq in mec.states]
@@ -211,10 +214,19 @@ def two_pair_dra():
                       (frozenset({"q0"}), frozenset({"q2"}))))
 
 
+def node_product(d):
+    """A stand-in product whose state i is ("s", d.nodes[i]); acceptance only
+    reads the states and the automaton."""
+    n = len(d.nodes)
+    return ProductLmdp(model=None, dra=d,
+                       states=tuple(("s", q) for q in d.nodes), initial=0,
+                       first=(0,) * (n + 1), succ=(), edges=())
+
+
 def test_accepting_mec_pair_witnesses():
     d = two_pair_dra()
-    good = Mec(states=frozenset({("s", "q1")}), actions={("s", "q1"): ("a",)})
-    out = accepting_mecs([good], d)
+    good = Mec(states=frozenset({1}), pairs=(0,))      # ("s", "q1")
+    out = accepting_mecs([good], node_product(d))
     assert len(out) == 1 and out[0].witnessed_pairs == (0,)
 
 
@@ -223,18 +235,18 @@ def test_mec_touching_every_fin_rejected():
             delta={(q, letter): "q0" for q in ("q0", "q1")
                    for letter in letters_of(("p",))},
             pairs=((frozenset({"q0"}), frozenset({"q1"})),))
-    bad = Mec(states=frozenset({("s", "q0"), ("s", "q1")}),
-              actions={("s", "q0"): ("a",), ("s", "q1"): ("a",)})
-    assert accepting_mecs([bad], d) == []
+    # ("s", "q0") and ("s", "q1")
+    bad = Mec(states=frozenset({0, 1}), pairs=(0, 1))
+    assert accepting_mecs([bad], node_product(d)) == []
 
 
 def test_until_product_has_unique_amec():
     m = six_state_until_lmdp()
     d = load_hoa("fixtures/automata/fa_U_b.hoa")
     p = build_product(m, d)
-    amecs = accepting_mecs(mec_decomposition(p), d)
+    amecs = accepting_mecs(mec_decomposition(p), p)
     assert len(amecs) == 1
-    qs = {q for (_, q) in amecs[0].mec.states}
+    qs = {p.states[i][1] for i in amecs[0].mec.states}
     assert qs == {"q2"}
 
 
@@ -242,8 +254,8 @@ def test_bscc_accepting_examples():
     d = Dra(nodes=("q0",), initial="q0", alphabet=(),
             delta={("q0", frozenset()): "q0"},
             pairs=((frozenset(), frozenset({"q0"})),))
-    assert bscc_accepting({("s", "q0")}, d)
+    assert bscc_accepting({0}, node_product(d))           # ("s", "q0")
     d2 = Dra(nodes=("q0", "q1"), initial="q0", alphabet=(),
              delta={("q0", frozenset()): "q0", ("q1", frozenset()): "q1"},
              pairs=((frozenset(), frozenset({"q1"})),))
-    assert not bscc_accepting({("s", "q0")}, d2)
+    assert not bscc_accepting({0}, node_product(d2))

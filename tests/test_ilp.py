@@ -60,7 +60,7 @@ def one_interval_spec(formula="d", lower=0.01, upper=0.5):
 
 def build_for(m, d, spec, cfg=None):
     p = build_product(m, d)
-    amecs = accepting_mecs(mec_decomposition(p), d)
+    amecs = accepting_mecs(mec_decomposition(p), p)
     return build_program(p, amecs, spec, cfg or IlpConfig())
 
 
@@ -125,7 +125,7 @@ def test_empty_amec_list_structurally_infeasible():
             pairs=((frozenset(nodes), frozenset(nodes)),))
     m = two_absorbing_model()
     p = build_product(m, d)
-    amecs = accepting_mecs(mec_decomposition(p), d)
+    amecs = accepting_mecs(mec_decomposition(p), p)
     assert amecs == []
     with pytest.raises(NoAcceptingStructureError):
         build_program(p, amecs, no_ss_spec())
@@ -167,7 +167,7 @@ def test_golden_grid_with_cut_rows_lp():
     d = load_hoa(spec.dra_source)
     m = generate_grid(GridSpec(3, 3, seed=0, dynamics="slip"))
     p = build_product(m, d)
-    model = build_program(p, accepting_mecs(mec_decomposition(p), d), spec,
+    model = build_program(p, accepting_mecs(mec_decomposition(p), p), spec,
                           IlpConfig(objective="feasibility"))
     pi = Policy({sq: m.enabled[sq[0]][0] for sq in p.states})
     cuts = _rejection_cuts(p, pi, 0)
@@ -293,10 +293,11 @@ def test_unflagged_states_carry_no_measure(solver_cmd):
     sol = solve(model, SolverConfig(command=solver_cmd, timeout=300))
     assert sol.status in ("optimal", "feasible")
     assert check_solution(model, sol) <= 1e-6
-    cols = Columns(model.product)
-    for sq in model.product.states:
-        if sol.values[cols.isq(sq)] < 0.5:
-            assert sum(sol.values[j] for j in cols.x(sq)) <= 1e-6
+    p = model.product
+    cols = Columns(p)
+    for i in range(len(p.states)):
+        if sol.values[cols.isq0 + i] < 0.5:
+            assert sum(sol.values[k] for k in p.pairs(i)) <= 1e-6
 
 
 def test_fixed_verified_policy_stays_feasible(solver_cmd):
@@ -373,9 +374,8 @@ def solution_at_s0(p, x, pi, status="optimal"):
     given per-action values; every other column is 0."""
     cols = Columns(p)
     values = np.zeros(cols.end)
-    sq = p.states[0]
-    values[list(cols.x(sq))] = x
-    values[list(cols.pi(sq))] = pi
+    values[list(p.pairs(0))] = x
+    values[[cols.pi0 + k for k in p.pairs(0)]] = pi
     return Solution(status=status, values=values, objective=0.0)
 
 

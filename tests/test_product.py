@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from helpers import (
+    Lmc,
+    LumpabilityError,
     aggregate,
+    named_chain,
     six_state_until_lmdp,
     mirrored_bscc_fixture,
     product_chain,
@@ -11,7 +14,7 @@ from helpers import (
     random_lmdp,
     simulate_steps,
 )
-from ssltl.errors import LumpabilityError, PolicyError
+from ssltl.errors import PolicyError
 from ssltl.graph import accepting_mecs, bsccs, mec_decomposition
 from ssltl.hoa import dra_step, load_hoa, parse_hoa
 from ssltl.model import Lmdp, validate_lmdp
@@ -45,9 +48,10 @@ def one_state_model():
 def test_one_state_product():
     p = build_product(one_state_model(), TRUE_DRA)
     assert p.states == (("s0", "q0"),)
-    assert p.initial == ("s0", "q0")
-    assert p.trans[(("s0", "q0"), "go")] == {("s0", "q0"): 1.0}
-    assert p.edges == (((("s0", "q0")), ("s0", "q0")),)
+    assert p.initial == 0
+    assert p.pairs(0) == range(0, 1) and p.actions(0) == ("go",)
+    assert p.succ == ({0: 1.0},)
+    assert p.edges == ((0, 0),)
 
 
 def test_product_transition_rule_exact():
@@ -56,24 +60,26 @@ def test_product_transition_rule_exact():
     d = random_dra(rng, 3, ap=("p", "r"))
     p = build_product(m, d)
     assert len(p.states) <= len(m.states) * len(d.nodes)
-    for (sq, a), row in p.trans.items():
-        s, q = sq
-        for s2 in m.states:
-            q2 = dra_step(d, q, m.letter(s2, d.alphabet))
-            want = m.trans[(s, a)].get(s2, 0.0)
-            got = row.get((s2, q2), 0.0)
-            assert got == pytest.approx(want, abs=0)
-            # every other automaton component carries zero mass
-            for q_other in d.nodes:
-                if q_other != q2:
-                    assert (s2, q_other) not in row or row[(s2, q_other)] == 0.0
+    assert p.first[-1] == len(p.succ)
+    for i, (s, q) in enumerate(p.states):
+        for k, a in zip(p.pairs(i), p.actions(i)):
+            row = {p.states[j]: prob for j, prob in p.succ[k].items()}
+            for s2 in m.states:
+                q2 = dra_step(d, q, m.letter(s2, d.alphabet))
+                want = m.trans[(s, a)].get(s2, 0.0)
+                got = row.get((s2, q2), 0.0)
+                assert got == pytest.approx(want, abs=0)
+                # every other automaton component carries zero mass
+                for q_other in d.nodes:
+                    if q_other != q2:
+                        assert row.get((s2, q_other), 0.0) == 0.0
 
 
 def test_until_instance_policy_trapped_in_amec():
     m = six_state_until_lmdp()
     d = load_hoa("fixtures/automata/fa_U_b.hoa")
     p = build_product(m, d)
-    amecs = accepting_mecs(mec_decomposition(p), d)
+    amecs = accepting_mecs(mec_decomposition(p), p)
     assert len(amecs) == 1
     pi = Policy(choice={sq: {"s0": "a2", "s3": "a1", "s4": "a2",
                              "s2": "a3"}.get(sq[0], "a3")
@@ -84,8 +90,8 @@ def test_until_instance_policy_trapped_in_amec():
     bscc = dec.bsccs[dec.reachable_bsccs[0]]
     assert bscc <= amecs[0].mec.states
     from ssltl.chain import limiting_distribution
-    mass_in_amec = sum(v for sq, v in limiting_distribution(chain).items()
-                       if sq in amecs[0].mec.states)
+    mass_in_amec = sum(v for i, v in limiting_distribution(chain).items()
+                       if i in amecs[0].mec.states)
     assert mass_in_amec == pytest.approx(1.0, abs=1e-12)
 
 
@@ -103,7 +109,7 @@ def test_induce_chain_missing_entry():
     m = six_state_until_lmdp()
     d = load_hoa("fixtures/automata/fa_U_b.hoa")
     p = build_product(m, d)
-    pi = Policy(choice={p.initial: "a1"})  # successor state not covered
+    pi = Policy(choice={p.states[p.initial]: "a1"})  # successor not covered
     with pytest.raises(PolicyError, match="no entry"):
         induce_chain(p, pi)
 
@@ -124,8 +130,8 @@ def test_reachable_bound():
 def test_aggregate_projection_when_each_state_once():
     m = one_state_model()
     p = build_product(m, TRUE_DRA)
-    chain = induce_chain(p, Policy(choice={p.initial: "go"}))
-    agg = aggregate(chain)
+    chain = induce_chain(p, Policy(choice={p.states[p.initial]: "go"}))
+    agg = aggregate(named_chain(p, chain))
     assert agg.states == ("s0",)
     assert agg.rows["s0"] == {"s0": 1.0}
 
@@ -158,15 +164,13 @@ def test_aggregate_mirrored_fixture_matches_hand_built_kernel():
 
 
 def test_aggregate_detects_non_lumpable_chain():
-    from ssltl.product import ProductLmc
-
     rows = {
         ("s0", "q0"): {("s1", "q0"): 1.0},
         ("s1", "q0"): {("s0", "q0"): 1.0},
         ("s0", "q1"): {("s0", "q1"): 0.5, ("s1", "q1"): 0.5},
         ("s1", "q1"): {("s0", "q1"): 1.0},
     }
-    chain = ProductLmc(states=tuple(rows), rows=rows, initial=("s0", "q0"))
+    chain = Lmc(states=tuple(rows), rows=rows, initial=("s0", "q0"))
     with pytest.raises(LumpabilityError, match="s0"):
         aggregate(chain)
 

@@ -124,8 +124,9 @@ def test_monte_carlo_matches_aggregate_distribution():
     rng = np.random.default_rng(99)
     walk = simulate_steps(chain, 200_000, rng)
     counts = {}
-    for sq in walk[1:]:
-        counts[sq[0]] = counts.get(sq[0], 0) + 1
+    for i in walk[1:]:
+        s = p.states[i][0]
+        counts[s] = counts.get(s, 0) + 1
     tv = 0.5 * sum(abs(counts.get(s, 0) / (len(walk) - 1)
                        - report.aggregate_distribution[s])
                    for s in m.states)
