@@ -91,6 +91,15 @@ def _load_instance(args):
     return model, spec, dra
 
 
+def _solver_record(sol) -> Optional[dict]:
+    """What the solver returned in the last round; bound, gap and nodes are
+    null when the backend does not report them."""
+    if sol is None:
+        return None
+    return {"status": sol.status, "objective": sol.objective,
+            "bound": sol.bound, "gap": sol.gap, "nodes": sol.nodes}
+
+
 def cmd_synth(args) -> int:
     model, spec, dra = _load_instance(args)
     result = synthesize(model, dra, spec, cfg=_ilp_config(args),
@@ -108,6 +117,7 @@ def cmd_synth(args) -> int:
         "verified": result.status == "verified",
         "detail": result.detail,
         "report": result.report.to_json() if result.report else None,
+        "solver": _solver_record(result.solution),
     }
     if args.record:
         with open(args.record, "w", encoding="utf-8") as fh:

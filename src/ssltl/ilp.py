@@ -4,29 +4,38 @@ LP-file export, solver driving, and policy extraction.
 
 The program is indexed by integers: terms and solution values refer to a
 column by its position in ``IlpModel.variables`` (see ``Columns``), and
-variable names exist only in LP text.  Solver interaction is file-based: the
-program is written in CPLEX LP format and handed to the configured command
-template (``{lp}`` and ``{sol}`` placeholders), by default the bundled
-scipy/HiGHS backend run as ``python -m ssltl.milp_shim``.  Solution files in
-either a generic ``name value`` layout or the index-prefixed column layout
-written by CBC are mapped back to columns.
+variable names exist only in LP text.  With no external solver configured,
+the program goes as arrays (``highs_arrays``) to the bundled backend: one
+long-lived HiGHS worker process per caller (``milp_shim.serve``), started on
+the first solve and fed every later one, so that no round pays for an
+interpreter start, LP text or a solution file.  An external solver gets the
+program in CPLEX LP format through its command template (``{lp}`` and
+``{sol}`` placeholders), and solution files in either a generic ``name
+value`` layout or the index-prefixed column layout written by CBC are mapped
+back to columns.
 """
 
 from __future__ import annotations
 
+import atexit
+import contextlib
+import math
 import os
+import pickle
 import shlex
 import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from ssltl.errors import NoAcceptingStructureError, PolicyError, SolverError
+from ssltl.errors import ModelError, NoAcceptingStructureError, PolicyError, \
+    SolverError
 from ssltl.model import SsLtlSpec, labeled_subset
 from ssltl.product import Policy, ProductLmdp
 
@@ -53,14 +62,18 @@ class IlpConfig:
     objective: str = "expected_reward"
 
     def __post_init__(self):
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.acc_eps <= 0:
-            raise ValueError("acc_eps must be positive")
-        if self.flow_ratio < 1:
-            raise ValueError("flow_ratio must be >= 1")
+        if self.epsilon is not None and not (math.isfinite(self.epsilon)
+                                             and self.epsilon > 0):
+            raise ModelError(f"epsilon must be a positive finite number, "
+                             f"not {self.epsilon!r}")
+        if not (math.isfinite(self.acc_eps) and self.acc_eps > 0):
+            raise ModelError(f"acc_eps must be a positive finite number, "
+                             f"not {self.acc_eps!r}")
+        if not (math.isfinite(self.flow_ratio) and self.flow_ratio >= 1):
+            raise ModelError(f"flow_ratio must be a finite number >= 1, "
+                             f"not {self.flow_ratio!r}")
         if self.objective not in ("expected_reward", "feasibility"):
-            raise ValueError(f"unknown objective {self.objective!r}")
+            raise ModelError(f"unknown objective {self.objective!r}")
 
     def resolve_epsilon(self, n_product_states: int) -> float:
         if self.epsilon is not None:
@@ -378,6 +391,50 @@ def write_lp(model: IlpModel, path) -> None:
         fh.write(export_lp(model))
 
 
+def highs_arrays(model: IlpModel) -> tuple:
+    """The program as the bundled backend hands it to HiGHS: ``(c, a_rows,
+    a_cols, a_vals, row_lb, row_ub, lb, ub, integrality)``, the arguments of
+    ``milp_shim.run_milp`` (``c`` negated, since HiGHS minimizes), and
+    ``order``, the model column of each HiGHS column.
+
+    Columns go in the order in which ``export_lp`` text first mentions them
+    (objective, rows, Bounds, Binary) and rows in model order, so that HiGHS
+    gets exactly the arrays ``milp_shim`` builds from that text: HiGHS time
+    moves severalfold with column order."""
+    n = len(model.variables)
+    a_rows, a_cols, a_vals = [], [], []
+    row_lb = np.full(len(model.rows), -np.inf)
+    row_ub = np.full(len(model.rows), np.inf)
+    for r, row in enumerate(model.rows):
+        for coef, j in row.terms or _ANCHOR:
+            a_rows.append(r)
+            a_cols.append(j)
+            a_vals.append(coef)
+        if row.sense in ("<=", "="):
+            row_ub[r] = row.rhs
+        if row.sense in (">=", "="):
+            row_lb[r] = row.rhs
+    binary = np.array([v.binary for v in model.variables], dtype=bool)
+    mentions = np.concatenate([
+        np.array([j for _, j in model.objective], dtype=np.int64),
+        np.array(a_cols, dtype=np.int64),
+        np.flatnonzero(~binary), np.flatnonzero(binary)])
+    _, first = np.unique(mentions, return_index=True)
+    order = np.argsort(first)       # every column is mentioned at least once
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+
+    c = np.zeros(n)
+    for coef, j in model.objective:
+        c[pos[j]] = coef
+    lb = np.array([model.variables[j].lb for j in order], dtype=np.float64)
+    ub = np.array([model.variables[j].ub for j in order], dtype=np.float64)
+    program = (-c, np.array(a_rows, dtype=np.int64), pos[a_cols],
+               np.array(a_vals, dtype=np.float64), row_lb, row_ub, lb, ub,
+               binary[order].astype(np.float64))
+    return program, order
+
+
 # ---------------------------------------------------------------------------
 # Solving
 # ---------------------------------------------------------------------------
@@ -410,26 +467,31 @@ def _external_command() -> Optional[str]:
     return None
 
 
-def _bundled_command(time_limit: float) -> str:
-    return (f"{sys.executable} -m ssltl.milp_shim {{lp}} {{sol}} "
-            f"--time-limit {time_limit:g}")
-
-
 def default_solver_command(
         solve_time_limit: float = BUNDLED_TIME_LIMIT) -> str:
     """Resolve the solver template: the SSLTL_SOLVER_CMD environment variable
     wins, then a ``highs`` or ``cbc`` binary on PATH, then the bundled
-    LP-file backend (which gets an in-solver time budget so plateau instances
-    return their incumbent instead of hanging)."""
-    return _external_command() or _bundled_command(solve_time_limit)
+    backend's LP-file command, with the in-solver time budget ``solve`` gives
+    the bundled worker (so that plateau instances return their incumbent
+    instead of hanging)."""
+    return _external_command() or (
+        f"{sys.executable} -m ssltl.milp_shim {{lp}} {{sol}} "
+        f"--time-limit {solve_time_limit:g}")
 
 
 @dataclass(frozen=True)
 class Solution:
+    """A solver's answer.  ``bound`` (the proven upper bound on the
+    objective), ``gap`` and ``nodes`` come from the bundled backend; they are
+    None when read from a solution file."""
+
     status: str          # optimal | feasible | infeasible | timeout | error
     values: Optional[np.ndarray]     # one value per column; None: no point
     objective: Optional[float]
     solver_output: str = ""
+    bound: Optional[float] = None
+    gap: Optional[float] = None
+    nodes: Optional[int] = None
 
 
 def parse_solution_text(text: str, varnames) -> tuple:
@@ -471,28 +533,26 @@ def parse_solution_text(text: str, varnames) -> tuple:
 
 def solve(model: IlpModel, solver: Optional[SolverConfig] = None,
           keep_files: Optional[str] = None, round_no: int = 1) -> Solution:
-    """Write the LP, run the solver command, and map its solution file back
-    to columns.
+    """Solve the program with the configured external command, else with the
+    bundled backend's worker process.
 
     ``keep_files`` names a directory that keeps ``round_<round_no>.lp`` and
-    ``round_<round_no>.sol``; otherwise a fresh temporary directory is used
-    and removed.
+    ``round_<round_no>.sol``; otherwise the external route uses a fresh
+    temporary directory and removes it, and the bundled one writes no file.
     """
     solver = solver or SolverConfig()
     command = solver.command or _external_command()
-    kill_after = solver.timeout
-    if command is None:             # the bundled backend stops by itself
-        command = _bundled_command(BUNDLED_TIME_LIMIT if solver.timeout is None
-                                   else solver.timeout)
-        kill_after = None
+    if command is None:
+        limit = (BUNDLED_TIME_LIMIT if solver.timeout is None
+                 else solver.timeout)
+        return _solve_bundled(model, limit, keep_files, round_no)
 
     tmpdir = None
     if keep_files is None:
         tmpdir = tempfile.mkdtemp(prefix="ssltl_")
         stem = os.path.join(tmpdir, "model")
     else:
-        os.makedirs(keep_files, exist_ok=True)
-        stem = os.path.join(keep_files, f"round_{round_no}")
+        stem = _keep_stem(keep_files, round_no)
     lp_path, sol_path = stem + ".lp", stem + ".sol"
     write_lp(model, lp_path)
 
@@ -500,13 +560,13 @@ def solve(model: IlpModel, solver: Optional[SolverConfig] = None,
     try:
         try:
             proc = subprocess.run(shlex.split(cmd), capture_output=True,
-                                  text=True, timeout=kill_after)
+                                  text=True, timeout=solver.timeout)
         except FileNotFoundError as exc:
             raise SolverError(f"cannot launch solver: {cmd!r}: {exc}") from exc
         except subprocess.TimeoutExpired:
             return Solution(status="timeout", values=None, objective=None,
-                            solver_output=f"killed after {kill_after:g} s: "
-                                          f"{cmd!r}")
+                            solver_output=f"killed after {solver.timeout:g} "
+                                          f"s: {cmd!r}")
 
         output = (proc.stdout or "") + "\n" + (proc.stderr or "")
         sol_text = ""
@@ -540,6 +600,144 @@ def solve(model: IlpModel, solver: Optional[SolverConfig] = None,
     objective = sum(coef * values[j] for coef, j in model.objective)
     return Solution(status=hint or "feasible", values=values,
                     objective=float(objective), solver_output=output)
+
+
+def _keep_stem(keep_files: str, round_no: int) -> str:
+    os.makedirs(keep_files, exist_ok=True)
+    return os.path.join(keep_files, f"round_{round_no}")
+
+
+def _solve_bundled(model: IlpModel, time_limit: float,
+                   keep_files: Optional[str], round_no: int) -> Solution:
+    """One exchange with the worker; under ``keep_files`` the program is also
+    written as LP text and the reply as a ``name value`` solution file."""
+    program, order = highs_arrays(model)
+    if keep_files is not None:
+        stem = _keep_stem(keep_files, round_no)
+        write_lp(model, stem + ".lp")
+    status, x, dual_bound, gap, nodes = _ask_worker(program + (time_limit,))
+    output = f"Model status: {status}"
+    sol = None
+    if status == "Infeasible":
+        sol = Solution(status="infeasible", values=None, objective=None,
+                       solver_output=output)
+    elif x is None and status.startswith("Time limit reached"):
+        sol = Solution(status="timeout", values=None, objective=None,
+                       solver_output=output)
+    elif x is not None:
+        values = np.empty(len(order))
+        values[order] = x
+        objective = sum(coef * values[j] for coef, j in model.objective)
+        sol = Solution(
+            status={"Optimal": "optimal", "Unbounded": "error"}.get(
+                status, "feasible"),
+            values=values, objective=float(objective), solver_output=output,
+            # 0.0 - b, not -b: a zero bound must not read -0.0
+            bound=None if dual_bound is None else 0.0 - dual_bound,
+            gap=gap, nodes=nodes)
+    if keep_files is not None:
+        _write_kept_solution(stem + ".sol", model, order, output, sol)
+    if sol is None:
+        raise SolverError(f"the bundled HiGHS backend returned no solution: "
+                          f"{output}")
+    return sol
+
+
+def _write_kept_solution(path, model: IlpModel, order, output: str,
+                         sol: Optional[Solution]) -> None:
+    """``sol`` in the layout ``milp_shim.write_solution`` uses, columns in
+    HiGHS order."""
+    lines = [output]
+    if sol is not None and sol.values is not None:
+        names = column_names(model)
+        lines.append(f"Objective {sol.objective!r}")
+        lines.append(f"# Columns {len(order)}")
+        lines += [f"{names[j]} {float(sol.values[j])!r}" for j in order]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# The bundled backend's worker process
+# ---------------------------------------------------------------------------
+
+_WORKER_ARGS = (sys.executable, "-c",
+                "from ssltl.milp_shim import serve; serve()")
+_worker_lock = threading.Lock()
+_worker: Optional[tuple] = None         # (owner pid, Popen)
+
+
+def _ask_worker(request: tuple) -> tuple:
+    """Send one request to this process's worker and return its reply (see
+    ``milp_shim.serve``).  If anything interrupts the exchange the worker is
+    killed and dropped, so that a later exchange never reads a stale reply."""
+    global _worker
+    with _worker_lock:
+        proc = _live_worker()
+        try:
+            pickle.dump(request, proc.stdin, protocol=pickle.HIGHEST_PROTOCOL)
+            proc.stdin.flush()
+            return _receive(proc)
+        except BaseException as exc:
+            _worker = None
+            died = isinstance(exc, (EOFError, BrokenPipeError))
+            _stop(proc, grace=5.0 if died else 0.0)
+            if died:
+                raise SolverError(
+                    f"the bundled solver worker exited (code "
+                    f"{proc.returncode}) without a reply") from exc
+            raise
+
+
+def _receive(proc: subprocess.Popen) -> tuple:
+    return pickle.load(proc.stdout)
+
+
+def _live_worker() -> subprocess.Popen:
+    """This process's worker, started if there is none or it has died.  A
+    worker inherited through fork serves the parent: the child drops its
+    copies of the pipes and starts its own."""
+    global _worker
+    if _worker is not None:
+        owner, proc = _worker
+        if owner != os.getpid():
+            _close_pipes(proc)
+            _worker = None
+        elif proc.poll() is not None:
+            _stop(proc)
+            _worker = None
+    if _worker is None:
+        # the worker imports this very package, wherever it was found
+        path = [os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        proc = subprocess.Popen(_WORKER_ARGS, stdin=subprocess.PIPE,
+                                stdout=subprocess.PIPE, env=env)
+        _worker = (os.getpid(), proc)
+    return _worker[1]
+
+
+def _close_pipes(proc: subprocess.Popen) -> None:
+    for pipe in (proc.stdin, proc.stdout):
+        with contextlib.suppress(OSError):
+            pipe.close()
+
+
+def _stop(proc: subprocess.Popen, grace: float = 0.0) -> None:
+    """Close the worker's pipes (an idle worker then exits by itself) and
+    reap it, killing it after ``grace`` seconds."""
+    _close_pipes(proc)
+    try:
+        proc.wait(timeout=grace)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.wait()
+
+
+@atexit.register
+def _stop_worker_at_exit() -> None:
+    if _worker is not None and _worker[0] == os.getpid():
+        _stop(_worker[1], grace=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
-"""Stand-alone MILP solver command: reads a CPLEX-LP-format file, solves it
-with the HiGHS engine behind scipy.optimize.milp, and writes a plain
-``name value`` solution file.
+"""The bundled MILP backend: the HiGHS engine behind scipy.optimize.milp,
+reached in one of two ways that share one call of ``milp`` (``run_milp``).
 
-Usage: ``python -m ssltl.milp_shim MODEL.lp OUT.sol [--time-limit S]``
-(also installed as the ``ssltl-milp`` script).
+* ``serve``: a long-lived worker process.  ``ssltl.ilp`` starts it once per
+  process and sends it each program as pickled arrays over its stdin; see
+  ``serve`` for the protocol.
+* The stand-alone command, which reads a CPLEX-LP-format file and writes a
+  plain ``name value`` solution file:
+  ``python -m ssltl.milp_shim MODEL.lp OUT.sol [--time-limit S]`` (also
+  installed as the ``ssltl-milp`` script).
 
 Supported LP dialect: Maximize/Minimize, named constraints one per line
 under Subject To, a Bounds section (``lo <= x <= hi``, ``x <= hi``,
@@ -14,8 +18,13 @@ This covers the files this package writes plus ordinary hand-written ones.
 from __future__ import annotations
 
 import argparse
+import math
+import os
+import pickle
 import re
+import signal
 import sys
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,6 +193,25 @@ def parse_lp(text: str) -> LpProblem:
     return prob
 
 
+def run_milp(c, a_rows, a_cols, a_vals, row_lb, row_ub, lb, ub, integrality,
+             time_limit=None, mip_rel_gap=None):
+    """Minimize ``c @ x`` subject to ``row_lb <= A x <= row_ub`` and
+    ``lb <= x <= ub``, with ``A`` given as COO triplets and the columns whose
+    ``integrality`` is 1 integer.  Returns scipy's OptimizeResult."""
+    constraints = []
+    if len(row_lb):
+        a = sparse.csc_array((a_vals, (a_rows, a_cols)),
+                             shape=(len(row_lb), len(c)))
+        constraints = [LinearConstraint(a, row_lb, row_ub)]
+    options = {}
+    if time_limit is not None:
+        options["time_limit"] = time_limit
+    if mip_rel_gap is not None:
+        options["mip_rel_gap"] = mip_rel_gap
+    return milp(c=c, constraints=constraints, integrality=integrality,
+                bounds=Bounds(lb, ub), options=options)
+
+
 def solve_lp_problem(prob: LpProblem, time_limit=None, mip_rel_gap=None):
     n = len(prob.order)
     idx = {name: i for i, name in enumerate(prob.order)}
@@ -202,49 +230,43 @@ def solve_lp_problem(prob: LpProblem, time_limit=None, mip_rel_gap=None):
     for name in prob.integers:
         integrality[idx[name]] = 1
 
-    constraints = []
-    if prob.constraints:
-        rows, cols, vals = [], [], []
-        c_lb = np.full(len(prob.constraints), -np.inf)
-        c_ub = np.full(len(prob.constraints), np.inf)
-        for r, (_, coefs, sense, rhs) in enumerate(prob.constraints):
-            for name, coef in coefs.items():
-                rows.append(r)
-                cols.append(idx[name])
-                vals.append(coef)
-            if sense in ("<=", "="):
-                c_ub[r] = rhs
-            if sense in (">=", "="):
-                c_lb[r] = rhs
-        a = sparse.csc_array((vals, (rows, cols)),
-                             shape=(len(prob.constraints), n))
-        constraints = [LinearConstraint(a, c_lb, c_ub)]
-
-    options = {}
-    if time_limit is not None:
-        options["time_limit"] = time_limit
-    if mip_rel_gap is not None:
-        options["mip_rel_gap"] = mip_rel_gap
-    res = milp(c=c, constraints=constraints, integrality=integrality,
-               bounds=Bounds(lb, ub), options=options)
+    rows, cols, vals = [], [], []
+    c_lb = np.full(len(prob.constraints), -np.inf)
+    c_ub = np.full(len(prob.constraints), np.inf)
+    for r, (_, coefs, sense, rhs) in enumerate(prob.constraints):
+        for name, coef in coefs.items():
+            rows.append(r)
+            cols.append(idx[name])
+            vals.append(coef)
+        if sense in ("<=", "="):
+            c_ub[r] = rhs
+        if sense in (">=", "="):
+            c_lb[r] = rhs
+    res = run_milp(c, np.array(rows, dtype=np.int64),
+                   np.array(cols, dtype=np.int64),
+                   np.array(vals, dtype=np.float64), c_lb, c_ub, lb, ub,
+                   integrality, time_limit=time_limit,
+                   mip_rel_gap=mip_rel_gap)
     return res, idx
 
 
-def write_solution(path, prob, res, idx, time_limit=None):
-    lines = []
+def model_status(res, time_limit=None) -> str:
+    """The ``Model status:`` text of a ``run_milp`` result."""
     if res.status == 0:
-        status = "Optimal"
-    elif res.status == 2:
-        status = "Infeasible"
-    elif res.status == 3:
-        status = "Unbounded"
-    elif res.x is not None:
-        status = "Feasible (limit reached)"
-    elif res.status == 1 and time_limit is not None:
-        status = f"Time limit reached ({time_limit:g} s)"
-    else:
-        status = "Error"
-    lines.append(f"Model status: {status}")
+        return "Optimal"
+    if res.status == 2:
+        return "Infeasible"
+    if res.status == 3:
+        return "Unbounded"
+    if res.x is not None:
+        return "Feasible (limit reached)"
+    if res.status == 1 and time_limit is not None:
+        return f"Time limit reached ({time_limit:g} s)"
+    return "Error"
+
+
+def write_solution(path, prob, res, idx, time_limit=None):
+    lines = [f"Model status: {model_status(res, time_limit)}"]
     if res.x is not None:
         obj = float(np.dot([prob.objective.get(n, 0.0) for n in prob.order],
                            res.x)) + prob.offset
@@ -254,6 +276,48 @@ def write_solution(path, prob, res, idx, time_limit=None):
             lines.append(f"{name} {float(res.x[idx[name]])!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _finite(value):
+    return float(value) if value is not None and math.isfinite(value) else None
+
+
+def serve() -> None:
+    """Solve programs read from stdin until it reaches EOF.
+
+    A request is the pickled tuple ``(c, a_rows, a_cols, a_vals, row_lb,
+    row_ub, lb, ub, integrality, time_limit)``, the arguments of
+    ``run_milp``.  The reply is the pickled tuple ``(status, x, dual_bound,
+    gap, nodes)``: ``status`` is the ``model_status`` text, ``x`` the point
+    or None, and the last three HiGHS's MIP statistics or None.  Replies go
+    to a private copy of fd 1, and fd 1 itself is pointed at stderr, so that
+    nothing HiGHS prints can corrupt the reply stream.  SIGINT is ignored:
+    the owner kills the worker when an interrupt reaches it mid-exchange.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    replies = os.fdopen(os.dup(1), "wb")
+    os.dup2(2, 1)
+    requests = sys.stdin.buffer
+    while True:
+        try:
+            *program, time_limit = pickle.load(requests)
+        except EOFError:
+            return
+        try:
+            res = run_milp(*program, time_limit=time_limit)
+            reply = (model_status(res, time_limit), res.x,
+                     _finite(getattr(res, "mip_dual_bound", None)),
+                     _finite(getattr(res, "mip_gap", None)),
+                     getattr(res, "mip_node_count", None))
+        except Exception as exc:  # reported to the owner, not fatal here
+            traceback.print_exc()
+            reply = (f"Error ({type(exc).__name__}: {exc})", None, None,
+                     None, None)
+        try:
+            pickle.dump(reply, replies, protocol=pickle.HIGHEST_PROTOCOL)
+            replies.flush()
+        except BrokenPipeError:     # the owner is gone
+            return
 
 
 def main(argv=None) -> int:

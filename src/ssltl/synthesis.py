@@ -1,5 +1,10 @@
 """End-to-end synthesis pipeline: product, accepting components, program,
-external solve, policy extraction, and mandatory independent verification.
+solve, policy extraction, and mandatory independent verification.
+
+Each round's solve goes to the configured external command, else to the
+bundled backend's long-lived worker process, which the first round starts
+and every later round (and every later call) reuses, so a cut round costs
+the solve itself, not a solver start.
 
 The optimization layer alone can accept assignments whose induced chain is
 not a unichain or whose long-run behavior is not accepting (its indicator

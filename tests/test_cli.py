@@ -147,6 +147,41 @@ def test_malformed_input_is_a_usage_error(tmp_path, capsys, name, text):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["synth", "export-lp"])
+@pytest.mark.parametrize("knob", [
+    ("--eps", "0"), ("--eps", "nan"), ("--acc-eps", "nan"),
+    ("--flow-ratio", "0.5"), ("--flow-ratio", "nan")],
+    ids=lambda knob: " ".join(knob))
+def test_bad_program_knob_is_a_usage_error(tmp_path, capsys, command, knob):
+    write_trivial_instance(tmp_path)
+    code = run_cli(command, "--model", str(tmp_path / "model.json"),
+                   "--spec", str(tmp_path / "spec.json"),
+                   "-o", str(tmp_path / "out"), *knob)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_record_reports_the_solver_answer(tmp_path, bundled_backend):
+    """One state with reward 2 per step: HiGHS proves the optimum 2."""
+    write_trivial_instance(tmp_path)
+    doc = json.loads((tmp_path / "model.json").read_text())
+    doc["rewards"] = [{"from": "s0", "action": "go", "to": "s0", "r": 2.0}]
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    code = run_cli("synth", "--model", str(tmp_path / "model.json"),
+                   "--spec", str(tmp_path / "spec.json"),
+                   "-o", str(tmp_path / "policy.json"),
+                   "--record", str(tmp_path / "record.json"))
+    assert code == 0
+    solver = json.loads((tmp_path / "record.json").read_text())["solver"]
+    assert solver["status"] == "optimal"
+    assert solver["objective"] == pytest.approx(2.0)
+    assert solver["bound"] == pytest.approx(2.0)
+    assert solver["gap"] == pytest.approx(0.0)
+    assert isinstance(solver["nodes"], int)
+
+
 def test_synth_infeasible_exit_2_and_no_policy_file(tmp_path):
     model = {
         "states": [{"id": "s0", "labels": ["p"]},

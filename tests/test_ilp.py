@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from helpers import binaries, check_solution, fix_policy, six_state_until_lmdp
-from ssltl.errors import NoAcceptingStructureError, PolicyError, SolverError
+from ssltl.errors import ModelError, NoAcceptingStructureError, PolicyError, \
+    SolverError
 from ssltl.graph import accepting_mecs, mec_decomposition
 from ssltl.hoa import Dra, letters_of, load_hoa, parse_hoa
+from ssltl import milp_shim
 from ssltl.ilp import (
     Columns,
     IlpConfig,
@@ -18,6 +20,7 @@ from ssltl.ilp import (
     default_solver_command,
     export_lp,
     extract_policy,
+    highs_arrays,
     parse_solution_text,
     solve,
 )
@@ -137,11 +140,22 @@ def test_epsilon_default_shrinks_with_product():
     assert cfg.resolve_epsilon(10_000) == pytest.approx(1.0 / 40_000)
 
 
+@pytest.mark.parametrize("knobs", [
+    {"epsilon": 0.0}, {"epsilon": float("nan")}, {"epsilon": float("inf")},
+    {"acc_eps": 0.0}, {"acc_eps": float("nan")},
+    {"flow_ratio": 0.5}, {"flow_ratio": float("nan")},
+    {"flow_ratio": float("inf")}, {"objective": "max_reward"}],
+    ids=repr)
+def test_config_rejects_knobs_outside_their_range(knobs):
+    with pytest.raises(ModelError):
+        IlpConfig(**knobs)
+
+
 # ---------------------------------------------------------------------------
 # LP export
 # ---------------------------------------------------------------------------
 
-def test_golden_two_state_lp(tmp_path):
+def golden_two_state_model():
     m = validate_lmdp(Lmdp(
         states=("s0", "s1"), actions=("up", "down"),
         enabled={"s0": ("up", "down"), "s1": ("up", "down")},
@@ -154,25 +168,35 @@ def test_golden_two_state_lp(tmp_path):
     spec = spec_from_json({"dra": "true.hoa",
                            "ss": [{"formula": "p", "lower": 0.1,
                                    "upper": 0.9}]})
-    model = build_for(m, TRUE_DRA, spec, IlpConfig(epsilon=1e-4))
+    return build_for(m, TRUE_DRA, spec, IlpConfig(epsilon=1e-4))
+
+
+def grid_with_cuts_model(width=3, height=3, seed=0, dynamics="slip",
+                         theta="theta2", objective="feasibility"):
+    """A grid's program plus the cut rows of the first-enabled-action
+    policy."""
+    spec = load_spec(f"fixtures/specs/{theta}.json")
+    d = load_hoa(spec.dra_source)
+    m = generate_grid(GridSpec(width, height, seed=seed, dynamics=dynamics))
+    p = build_product(m, d)
+    model = build_program(p, accepting_mecs(mec_decomposition(p), p), spec,
+                          IlpConfig(objective=objective))
+    pi = Policy({sq: m.enabled[sq[0]][0] for sq in p.states})
+    cuts = _rejection_cuts(p, pi, 0)
+    return replace(model, rows=model.rows + tuple(cuts)), cuts
+
+
+def test_golden_two_state_lp(tmp_path):
     with open("tests/golden/two_state.lp", "r", encoding="utf-8") as fh:
-        assert export_lp(model) == fh.read()
+        assert export_lp(golden_two_state_model()) == fh.read()
 
 
 def test_golden_grid_with_cut_rows_lp():
     """3x3 theta2 slip grid, seed 0, feasibility, plus the cut rows of the
     first-enabled-action policy (one no-good, one loop): several automaton
     nodes, multi-successor rows and cut rows pin the row and column order."""
-    spec = load_spec("fixtures/specs/theta2.json")
-    d = load_hoa(spec.dra_source)
-    m = generate_grid(GridSpec(3, 3, seed=0, dynamics="slip"))
-    p = build_product(m, d)
-    model = build_program(p, accepting_mecs(mec_decomposition(p), p), spec,
-                          IlpConfig(objective="feasibility"))
-    pi = Policy({sq: m.enabled[sq[0]][0] for sq in p.states})
-    cuts = _rejection_cuts(p, pi, 0)
+    model, cuts = grid_with_cuts_model()
     assert [c.name for c in cuts] == ["c_cut_0_nogood", "c_cut_0_loop0"]
-    model = replace(model, rows=model.rows + tuple(cuts))
     with open("tests/golden/grid3_theta2_slip_cuts.lp", "r",
               encoding="utf-8") as fh:
         assert export_lp(model) == fh.read()
@@ -270,6 +294,69 @@ def test_solve_one_state_instance():
     assert check_solution(model, sol) <= 1e-6
     pi = extract_policy(sol, model.product)
     assert pi.choice == {("s0", "q0"): "go"}
+
+
+def test_bundled_solve_reports_bound_gap_and_nodes(bundled_backend):
+    m = one_state_model()
+    spec = spec_from_json({"dra": "x",
+                           "ss": [{"formula": "g", "lower": 1.0,
+                                   "upper": 1.0}]})
+    sol = solve(build_for(m, TRUE_DRA, spec), SolverConfig(timeout=120))
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(2.0, abs=1e-6)
+    assert sol.bound == pytest.approx(2.0, abs=1e-6)
+    assert sol.gap == pytest.approx(0.0, abs=1e-9)
+    assert isinstance(sol.nodes, int)
+
+
+def test_solution_file_gives_no_bound():
+    sol = solve(build_for(one_state_model(), TRUE_DRA, no_ss_spec()),
+                SolverConfig(command=default_solver_command(), timeout=120))
+    assert sol.status == "optimal"
+    assert (sol.bound, sol.gap, sol.nodes) == (None, None, None)
+
+
+@pytest.mark.parametrize("name, build", [
+    ("two_state.lp", golden_two_state_model),
+    ("grid3_theta2_slip_cuts.lp", lambda: grid_with_cuts_model()[0]),
+    ("3x3-theta4-det-reward", lambda: grid_with_cuts_model(
+        3, 3, 1, "deterministic", "theta4", "expected_reward")[0]),
+    ("4x4-theta2-det-g0", lambda: grid_with_cuts_model(
+        4, 4, 0, "deterministic")[0]),
+    ("4x3-theta4-slip-reward", lambda: grid_with_cuts_model(
+        4, 3, 2, "slip", "theta4", "expected_reward")[0]),
+])
+def test_array_route_hands_highs_the_lp_file_program(monkeypatch,
+                                                     bundled_backend, name,
+                                                     build):
+    """The bundled worker's arrays and the arrays ``milp_shim`` builds from
+    the LP text are the same bytes, and both routes reach the same answer."""
+    model = build()
+    if name.endswith(".lp"):
+        with open(f"tests/golden/{name}", "r", encoding="utf-8") as fh:
+            assert export_lp(model) == fh.read()
+    calls = []
+    original = milp_shim.run_milp
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(milp_shim, "run_milp", recording)
+    res, _ = milp_shim.solve_lp_problem(milp_shim.parse_lp(export_lp(model)),
+                                        time_limit=60.0)
+    program, _ = highs_arrays(model)
+    (file_args,) = calls
+    assert len(program) == len(file_args) == 9
+    for ours, theirs in zip(program, file_args):
+        assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+        assert ours.tobytes() == theirs.tobytes()
+
+    sol = solve(model, SolverConfig(timeout=60.0))
+    assert f"Model status: {milp_shim.model_status(res, 60.0)}" \
+        == sol.solver_output
+    if res.x is not None:
+        assert sol.objective == pytest.approx(-res.fun, abs=1e-9)
 
 
 def test_solve_conflicting_ss_infeasible(solver_cmd):
