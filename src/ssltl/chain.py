@@ -1,5 +1,7 @@
 """Numerical Markov-chain analysis: stationary distributions and multichain
-limiting distributions.
+limiting distributions.  The limiting distribution takes the chain's BSCC
+decomposition from its caller, so a verified candidate's chain is
+decomposed once.
 
 Everything uses dense direct solves; the models here stay well below a few
 thousand states, where determinism beats sparse machinery.
@@ -7,12 +9,9 @@ thousand states, where determinism beats sparse machinery.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
-
 import numpy as np
 
 from ssltl.errors import ModelError
-from ssltl.graph import bsccs as bscc_decomposition
 
 STATIONARY_RESIDUAL_TOL = 1e-10
 MASS_TOL = 1e-9
@@ -29,11 +28,12 @@ def _kernel(chain, states=None):
     return states, idx, t
 
 
-def stationary(chain) -> dict:
-    """Unique stationary distribution of an irreducible chain: solve x T = x,
-    sum(x) = 1 by dense LU with the normalization row replacing one equation.
+def stationary(chain, states=None) -> dict:
+    """Unique stationary distribution of an irreducible chain, or of its
+    closed irreducible subset ``states``: solve x T = x, sum(x) = 1 by dense
+    LU with the normalization row replacing one equation.
     """
-    states, _, t = _kernel(chain)
+    states, _, t = _kernel(chain, states)
     n = len(states)
     a = t.T - np.eye(n)
     a[-1, :] = 1.0
@@ -51,15 +51,13 @@ def stationary(chain) -> dict:
     return {s: float(x[i]) for i, s in enumerate(states)}
 
 
-def limiting_distribution(chain, beta: Optional[Mapping] = None) -> dict:
-    """Cesaro limit of beta T^n: absorption probability into each BSCC times
-    that BSCC's stationary distribution; transient states carry 0.
-
-    ``beta`` defaults to a point mass at the chain's initial state.
+def limiting_distribution(chain, dec) -> dict:
+    """Cesaro limit of T^n from the chain's initial state, given the chain's
+    BSCC decomposition ``dec`` (``ssltl.graph.bsccs``): absorption
+    probability into each BSCC times that BSCC's stationary distribution;
+    transient states carry 0.
     """
-    if beta is None:
-        beta = {chain.initial: 1.0}
-    dec = bscc_decomposition(chain)
+    bscc_of = {s: j for j, b in enumerate(dec.bsccs) for s in b}
     transient = [s for s in chain.states if s in dec.transient]
     t_idx = {s: i for i, s in enumerate(transient)}
     k = len(dec.bsccs)
@@ -74,8 +72,7 @@ def limiting_distribution(chain, beta: Optional[Mapping] = None) -> dict:
                 if s2 in t_idx:
                     z[t_idx[s], t_idx[s2]] += p
                 else:
-                    j = dec.bscc_of(s2)
-                    w[t_idx[s], j] += p
+                    w[t_idx[s], bscc_of[s2]] += p
         try:
             h = np.linalg.solve(np.eye(len(transient)) - z, w)
         except np.linalg.LinAlgError as exc:
@@ -83,36 +80,19 @@ def limiting_distribution(chain, beta: Optional[Mapping] = None) -> dict:
                 f"singular transient absorption system: {exc}") from exc
 
     weight = np.zeros(k)
-    for s, mass in beta.items():
-        if mass == 0.0:
-            continue
-        if s in t_idx:
-            weight += mass * h[t_idx[s]]
-        else:
-            j = dec.bscc_of(s)
-            if j is None:
-                raise ModelError(f"beta places mass on unknown state {s!r}")
-            weight[j] += mass
+    if chain.initial in t_idx:
+        weight += h[t_idx[chain.initial]]
+    else:
+        weight[bscc_of[chain.initial]] = 1.0
 
     out = {s: 0.0 for s in chain.states}
     for j, b in enumerate(dec.bsccs):
         if weight[j] <= 0.0:
             continue
-        sub = _Restriction(chain, b)
-        pi = stationary(sub)
+        pi = stationary(chain, [s for s in chain.states if s in b])
         for s, p in pi.items():
             out[s] = float(weight[j] * p)
     total = sum(out.values())
     if abs(total - 1.0) > MASS_TOL:
         raise ModelError(f"limiting distribution mass {total!r} != 1")
     return out
-
-
-class _Restriction:
-    """A chain restricted to a closed state subset."""
-
-    def __init__(self, chain, subset):
-        self.states = tuple(s for s in chain.states if s in subset)
-        self.rows = {s: {t: p for t, p in chain.rows[s].items() if t in subset}
-                     for s in self.states}
-        self.initial = self.states[0]

@@ -1,7 +1,9 @@
 """Strongly-connected-component and end-component analysis.
 
-Chains are any objects exposing ``states`` (ordered), ``rows`` (state ->
-{successor: probability}) and ``initial``.  End components and acceptance
+Chains are any objects exposing ``states`` (ordered) and ``rows`` (state ->
+{successor: probability}).  The package decomposes only policy-induced
+chains, which keep just the states the policy reaches, so every BSCC is
+reachable and no reachability is computed here.  End components and acceptance
 work on the integer-indexed product MDP of ``ssltl.product``: states are
 product state indices and actions are pair ids.
 """
@@ -66,13 +68,6 @@ def strongly_connected_components(states: Sequence, succ: Mapping) -> list:
 class BsccDecomposition:
     bsccs: tuple            # tuple of frozensets
     transient: frozenset
-    reachable_bsccs: tuple  # indices into bsccs reachable from the initial state
-
-    def bscc_of(self, state):
-        for i, b in enumerate(self.bsccs):
-            if state in b:
-                return i
-        return None
 
 
 def _chain_succ(chain) -> dict:
@@ -81,8 +76,7 @@ def _chain_succ(chain) -> dict:
 
 
 def bsccs(chain) -> BsccDecomposition:
-    """Bottom SCCs (closed SCCs), transient states, and reachability of each
-    BSCC from the chain's initial state."""
+    """Bottom SCCs (closed SCCs) and transient states of a chain."""
     succ = _chain_succ(chain)
     comps = strongly_connected_components(chain.states, succ)
     bottoms = []
@@ -97,20 +91,8 @@ def bsccs(chain) -> BsccDecomposition:
     # Stable order: by smallest position of a member in chain.states.
     pos = {s: i for i, s in enumerate(chain.states)}
     bottoms.sort(key=lambda b: min(pos[s] for s in b))
-
-    reached = set()
-    frontier = [chain.initial]
-    seen = {chain.initial}
-    while frontier:
-        s = frontier.pop()
-        reached.add(s)
-        for t in succ.get(s, ()):
-            if t not in seen:
-                seen.add(t)
-                frontier.append(t)
-    reachable = tuple(i for i, b in enumerate(bottoms) if b & reached)
-    return BsccDecomposition(bsccs=tuple(bottoms), transient=frozenset(transient),
-                             reachable_bsccs=reachable)
+    return BsccDecomposition(bsccs=tuple(bottoms),
+                             transient=frozenset(transient))
 
 
 # ---------------------------------------------------------------------------

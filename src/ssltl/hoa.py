@@ -66,9 +66,9 @@ def dra_step(d: Dra, q: str, letter: Iterable[str]) -> str:
 _TOKEN_RE = re.compile(r"\s*(\d+|[tf]|[!&|()])")
 
 
-def _parse_label_expr(text: str):
-    """Parse a HOA label expression into a closure letter -> bool, where the
-    letter is a set of AP indices."""
+def _parse_label_expr(text: str, n_ap: int):
+    """Parse a HOA label expression over AP indices 0 .. n_ap - 1 into a
+    closure letter -> bool, where the letter is a set of AP indices."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -122,6 +122,9 @@ def _parse_label_expr(text: str):
         if tok == "f":
             return lambda l: False
         if tok is not None and tok.isdigit():
+            if int(tok) >= n_ap:
+                raise HoaError(f"label {text!r} names AP {tok}, but only "
+                               f"{n_ap} are declared")
             return lambda l, i=int(tok): i in l
         raise HoaError(f"unexpected token {tok!r} in label {text!r}")
 
@@ -208,6 +211,8 @@ def parse_hoa(text: str) -> Dra:
         start = int(header["Start"])
     except (KeyError, ValueError) as exc:
         raise HoaError(f"missing or bad States/Start header: {exc}") from exc
+    if not 0 <= start < n_states:
+        raise HoaError(f"Start state {start} out of declared range")
 
     n_ap, ap_names = _counted_header(header, "AP")
     ap = tuple(re.findall(r'"([^"]*)"', ap_names))
@@ -239,6 +244,9 @@ def parse_hoa(text: str) -> Dra:
             if current >= n_states:
                 raise HoaError(f"state {current} out of declared range")
             sets = frozenset(int(x) for x in (m.group(2) or "").split())
+            if any(x >= n_sets for x in sets):
+                raise HoaError(f"state {current} names an acceptance set "
+                               f"beyond the declared {n_sets}")
             membership[current] = sets
             continue
         m = _EDGE_RE.match(ln)
@@ -264,7 +272,8 @@ def parse_hoa(text: str) -> Dra:
                      for letter in all_letters]
     delta: dict = {}
     for i in range(n_states):
-        compiled = [(_parse_label_expr(expr), tgt) for expr, tgt in edges[i]]
+        compiled = [(_parse_label_expr(expr, n_ap), tgt)
+                    for expr, tgt in edges[i]]
         for letter, idx_letter in zip(all_letters, index_letters):
             targets = [tgt for fn, tgt in compiled if fn(idx_letter)]
             if len(targets) > 1:

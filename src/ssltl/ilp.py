@@ -452,6 +452,12 @@ class SolverConfig:
     command: Optional[str] = None
     timeout: Optional[float] = None
 
+    def __post_init__(self):
+        if self.timeout is not None and not (math.isfinite(self.timeout)
+                                             and self.timeout >= 0):
+            raise ModelError(f"timeout must be a finite number >= 0, "
+                             f"not {self.timeout!r}")
+
 
 def _external_command() -> Optional[str]:
     """The external solver in use when no command is given: the

@@ -41,29 +41,6 @@ class LabelFormula:
     name: Optional[str] = None
     args: tuple["LabelFormula", ...] = ()
 
-    def atoms(self) -> frozenset:
-        if self.op == "ap":
-            return frozenset([self.name])
-        out = frozenset()
-        for a in self.args:
-            out |= a.atoms()
-        return out
-
-    def __str__(self) -> str:
-        if self.op == "true":
-            return "true"
-        if self.op == "ap":
-            return self.name
-        if self.op == "not":
-            return f"!{_paren(self.args[0])}"
-        return f"{_paren(self.args[0])} & {_paren(self.args[1])}"
-
-
-def _paren(f: LabelFormula) -> str:
-    if f.op in ("true", "ap", "not"):
-        return str(f)
-    return f"({f})"
-
 
 class _FormulaParser:
     """Recursive-descent parser for ``true | IDENT | ! f | f & f | f | f``
@@ -398,7 +375,6 @@ class GridSpec:
     width: int
     height: int
     seed: int = 0
-    label_mode: Union[str, Mapping] = "quarters_random"
     reward_mode: str = "bernoulli01"
     dynamics: str = "deterministic"
     slip_main: float = 0.8
@@ -430,19 +406,13 @@ def generate_grid(g: GridSpec) -> Lmdp:
 
     ap = ("a", "b", "c", "d")
     labels: dict = {s: frozenset() for s in states}
-    if g.label_mode == "quarters_random":
-        perm = rng.permutation(n)
-        sizes = [n // 4 + (1 if i < n % 4 else 0) for i in range(4)]
-        start = 0
-        for prop, size in zip(ap, sizes):
-            for idx in perm[start:start + size]:
-                labels[states[int(idx)]] = frozenset([prop])
-            start += size
-    elif isinstance(g.label_mode, Mapping):
-        labels.update({s: frozenset(v) for s, v in g.label_mode.items()})
-        ap = tuple(sorted(set().union(*labels.values()) if labels else set()))
-    else:
-        raise ModelError(f"unknown label mode {g.label_mode!r}")
+    perm = rng.permutation(n)
+    sizes = [n // 4 + (1 if i < n % 4 else 0) for i in range(4)]
+    start = 0
+    for prop, size in zip(ap, sizes):
+        for idx in perm[start:start + size]:
+            labels[states[int(idx)]] = frozenset([prop])
+        start += size
 
     def cell(row, col):
         return grid_state_id(row, col, w)

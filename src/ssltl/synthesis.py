@@ -21,9 +21,9 @@ import time
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from ssltl.errors import NoAcceptingStructureError, PolicyError
-from ssltl.graph import accepting_mecs, bscc_accepting, bsccs, \
-    mec_decomposition
+from ssltl.errors import ModelError, NoAcceptingStructureError, \
+    PolicyError
+from ssltl.graph import accepting_mecs, mec_decomposition
 from ssltl.hoa import Dra
 from ssltl.ilp import (
     Columns,
@@ -36,7 +36,7 @@ from ssltl.ilp import (
     solve,
 )
 from ssltl.model import Lmdp, SsLtlSpec
-from ssltl.product import Policy, ProductLmdp, build_product, induce_chain
+from ssltl.product import Policy, ProductLmdp, build_product
 from ssltl.verify import VerificationReport, verify_policy
 
 DEFAULT_MAX_CUT_ROUNDS = 64
@@ -54,34 +54,30 @@ class SynthesisResult:
     total_seconds: float
     detail: str = ""
 
-    @property
-    def feasible(self) -> bool:
-        return self.status == "verified"
 
-
-def _rejection_cuts(p: ProductLmdp, pi: Policy, round_index: int) -> list:
-    """Cuts excluding the failed candidate.
+def _rejection_cuts(p: ProductLmdp, pi: Policy, report: VerificationReport,
+                    round_index: int) -> list:
+    """Cuts excluding the failed candidate, read off its verification report.
 
     Always: a no-good cut over the states reachable under ``pi`` (policies
     agreeing there induce the identical chain and share the verdict).
 
-    Additionally, for every reachable Rabin-rejecting BSCC B of the failed
-    chain: a policy that keeps all of B's actions leaves B a closed rejecting
-    loop, and occupation mass inside B would make B flow-reachable, which no
+    Additionally, for every Rabin-rejecting BSCC B of the failed chain: a
+    policy that keeps all of B's actions leaves B a closed rejecting loop,
+    and occupation mass inside B would make B flow-reachable, which no
     accepting policy allows; so mass(B) + sum of B's kept-action binaries
     <= |B| is valid for every truly feasible solution and removes the whole
     family at once.
     """
     pi0 = Columns(p).pi0
-    chain = induce_chain(p, pi)
-    chosen = {i: pi0 + p.chosen_pair(i, pi) for i in chain.states}
+    chosen = {i: pi0 + p.chosen_pair(i, pi) for i in report.chain.states}
     cuts = []
-    terms = tuple((1.0, chosen[i]) for i in chain.states)
+    terms = tuple((1.0, chosen[i]) for i in report.chain.states)
     cuts.append(IlpRow(f"c_cut_{round_index}_nogood", terms, "<=",
                        float(len(terms) - 1)))
-    dec = bsccs(chain)
-    for b_idx, b in enumerate(dec.bsccs):
-        if bscc_accepting(b, p):
+    for b_idx, (b, accepting) in enumerate(zip(report.bsccs,
+                                               report.rabin_ok)):
+        if accepting:
             continue
         ordered = sorted(b)
         mass_terms = [(1.0, k) for i in ordered for k in p.pairs(i)]
@@ -96,6 +92,9 @@ def synthesize(m: Lmdp, d: Dra, spec: SsLtlSpec,
                solver: Optional[SolverConfig] = None,
                max_cut_rounds: int = DEFAULT_MAX_CUT_ROUNDS,
                keep_files: Optional[str] = None) -> SynthesisResult:
+    if max_cut_rounds < 1:
+        raise ModelError(f"max_cut_rounds must be at least 1, "
+                         f"not {max_cut_rounds!r}")
     t0 = time.monotonic()
     cfg = cfg or IlpConfig()
     product = build_product(m, d)
@@ -150,7 +149,7 @@ def synthesize(m: Lmdp, d: Dra, spec: SsLtlSpec,
                 objective=sol.objective, rounds=rounds,
                 solve_seconds=solve_seconds,
                 total_seconds=time.monotonic() - t0)
-        cuts = _rejection_cuts(product, pi, rounds - 1)
+        cuts = _rejection_cuts(product, pi, report, rounds - 1)
         model = replace(model, rows=model.rows + tuple(cuts))
 
     return SynthesisResult(

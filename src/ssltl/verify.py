@@ -5,6 +5,8 @@ exhaustive synthesizer for tiny instances.
 
 This module never touches the optimization layer; it re-derives everything
 from the chain itself, so it can act as ground truth for solver results.
+Each candidate's chain is induced and BSCC-decomposed once; the report
+carries the chain and its BSCCs, which the rejection cuts read.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from ssltl.errors import EnumerationLimitError
 from ssltl.graph import bscc_accepting, bsccs
 from ssltl.hoa import Dra
 from ssltl.model import Lmdp, SsLtlSpec, labeled_subset
-from ssltl.product import Policy, ProductLmdp, build_product, induce_chain
+from ssltl.product import Policy, ProductLmc, ProductLmdp, build_product, \
+    induce_chain
 
 SS_BOUND_TOL = 1e-6
 
@@ -33,7 +36,8 @@ class SsResult:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    product_bscc_sizes: tuple
+    chain: ProductLmc
+    bsccs: tuple            # product-index frozensets, in rabin_ok order
     rabin_ok: tuple
     shared_state: Optional[str]
     unichain: bool
@@ -44,8 +48,8 @@ class VerificationReport:
 
     def to_json(self) -> dict:
         return {
-            "product_bsccs": {"count": len(self.product_bscc_sizes),
-                              "sizes": list(self.product_bscc_sizes)},
+            "product_bsccs": {"count": len(self.bsccs),
+                              "sizes": [len(b) for b in self.bsccs]},
             "rabin_ok": list(self.rabin_ok),
             "shared_state": self.shared_state,
             "unichain": self.unichain,
@@ -80,7 +84,7 @@ def verify_policy(m: Lmdp, d: Dra, spec: SsLtlSpec, pi: Policy,
                          if all(s in seen for seen in in_bscc)), None)
     unichain = shared_state is not None
 
-    dist = limiting_distribution(chain)
+    dist = limiting_distribution(chain, dec)
     aggregate = {s: 0.0 for s in m.states}
     for i, mass in dist.items():
         aggregate[p.states[i][0]] += mass
@@ -98,7 +102,8 @@ def verify_policy(m: Lmdp, d: Dra, spec: SsLtlSpec, pi: Policy,
     verdict = (all(rabin_ok) and unichain
                and all(r.ok for r in ss_results))
     return VerificationReport(
-        product_bscc_sizes=tuple(len(b) for b in dec.bsccs),
+        chain=chain,
+        bsccs=dec.bsccs,
         rabin_ok=rabin_ok,
         shared_state=shared_state,
         unichain=unichain,

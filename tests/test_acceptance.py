@@ -106,7 +106,7 @@ def test_criterion_3_reference_masses():
     """The reconstructed two-BSCC fixture reproduces all four reference
     steady-state values."""
     product, _ = mirrored_bscc_fixture()
-    dist = limiting_distribution(product)
+    dist = limiting_distribution(product, bsccs(product))
     lumped = lump_distribution(dist, product_state_partition(product.states))
     errs = []
     for q in ("q0", "q1", "q2", "q3"):
@@ -203,7 +203,7 @@ def test_criterion_7_limiting_distribution_oracle():
     worst_fix = 0.0
     for _ in range(100):
         c = random_multichain(rng)
-        got = limiting_distribution(c)
+        got = limiting_distribution(c, bsccs(c))
         oracle = power_iteration_limit(c, burn_in=5000, window=500)
         for s in c.states:
             worst_oracle = max(worst_oracle, abs(got[s] - oracle[s]))

@@ -15,6 +15,7 @@ from helpers import (
     random_multichain,
 )
 from ssltl.chain import limiting_distribution, stationary
+from ssltl.graph import bsccs
 
 
 def chain(states, rows, initial=None):
@@ -53,7 +54,7 @@ def test_stationary_periodic_two_cycle():
 def test_limiting_unichain_equals_stationary_with_zeros():
     c = chain(["t", "a", "b"],
               {"t": {"a": 1.0}, "a": {"b": 0.5, "a": 0.5}, "b": {"a": 1.0}})
-    got = limiting_distribution(c)
+    got = limiting_distribution(c, bsccs(c))
     assert got["t"] == 0.0
     assert got["a"] == pytest.approx(2 / 3, abs=1e-12)
     assert got["b"] == pytest.approx(1 / 3, abs=1e-12)
@@ -61,7 +62,7 @@ def test_limiting_unichain_equals_stationary_with_zeros():
 
 def test_limiting_mirrored_fixture_masses():
     product, _ = mirrored_bscc_fixture()
-    got = limiting_distribution(product)
+    got = limiting_distribution(product, bsccs(product))
     assert got[("s0", "q0")] == 0.0
     for q in ("q0", "q1", "q2", "q3"):
         assert got[("s1", q)] == pytest.approx(1 / 6, abs=1e-12)
@@ -72,7 +73,7 @@ def test_limiting_matches_power_iteration_on_random_multichains():
     rng = np.random.default_rng(31)
     for _ in range(20):
         c = random_multichain(rng)
-        got = limiting_distribution(c)
+        got = limiting_distribution(c, bsccs(c))
         oracle = power_iteration_limit(c, burn_in=5000, window=500)
         for s in c.states:
             assert got[s] == pytest.approx(oracle[s], abs=1e-6)
@@ -82,16 +83,10 @@ def test_limiting_is_stationary_vector_of_full_chain():
     rng = np.random.default_rng(32)
     for _ in range(10):
         c = random_multichain(rng)
-        d = limiting_distribution(c)
+        d = limiting_distribution(c, bsccs(c))
         for s2 in c.states:
             back = sum(d[s] * c.rows[s].get(s2, 0.0) for s in c.states)
             assert back == pytest.approx(d[s2], abs=1e-10)
-
-
-def test_limiting_respects_beta():
-    c = chain(["x", "y"], {"x": {"x": 1.0}, "y": {"y": 1.0}})
-    got = limiting_distribution(c, beta={"x": 0.25, "y": 0.75})
-    assert got == {"x": pytest.approx(0.25), "y": pytest.approx(0.75)}
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +121,6 @@ def test_non_lumpable_partition_residual_is_0_4():
 
 def test_product_bscc_classes_are_lumpable():
     rng = np.random.default_rng(9)
-    from ssltl.graph import bsccs
-
     for _ in range(30):
         c = random_irreducible_lmc(rng, int(rng.integers(3, 9)))
         d = random_dra(rng, int(rng.integers(2, 6)))
@@ -154,13 +147,13 @@ def test_lump_singleton_classes_identity():
 
 def test_lump_mirrored_fixture_classes():
     product, original = mirrored_bscc_fixture()
-    dist = limiting_distribution(product)
+    dist = limiting_distribution(product, bsccs(product))
     lumped = lump_distribution(dist, product_state_partition(product.states))
     assert lumped["s0"] == pytest.approx(0.0, abs=1e-12)
     assert lumped["s1"] == pytest.approx(2 / 3, abs=1e-12)
     assert lumped["s2"] == pytest.approx(1 / 3, abs=1e-12)
     # class-level families agree with the aggregate chain's own limiting law
-    agg = limiting_distribution(original)
+    agg = limiting_distribution(original, bsccs(original))
     for s in original.states:
         assert lumped[s] == pytest.approx(agg[s], abs=1e-9)
 

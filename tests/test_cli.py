@@ -126,13 +126,19 @@ State: 0 {1}
     ("true.hoa", TRIVIAL_HOA.replace("AP: 0", "AP: x")),
     ("true.hoa", TRIVIAL_HOA.replace("AP: 0", "AP: \u00b2")),
     ("true.hoa", TRIVIAL_HOA.encode() + b"/* \xff */\n"),
+    ("true.hoa", TRIVIAL_HOA.replace("Start: 0", "Start: 5")),
+    ("true.hoa", TRIVIAL_HOA.replace("Start: 0", "Start: -1")),
+    ("true.hoa", TRIVIAL_HOA.replace("State: 0 {1}", "State: 0 {1 7}")),
+    ("true.hoa", TRIVIAL_HOA.replace("AP: 0", 'AP: 1 "g"')
+                            .replace("[t] 0", "[!5] 0")),
 ], ids=["state-without-id", "states-not-a-list", "model-not-utf8",
         "probability-nan", "reward-nan",
         "spec-is-a-list", "formula-not-a-string", "bound-nan",
         "policy-not-json",
         "acc-name-without-count", "acceptance-without-count",
         "ap-without-count", "ap-count-not-decimal",
-        "hoa-not-utf8"])
+        "hoa-not-utf8", "start-out-of-range", "start-negative",
+        "acceptance-set-out-of-range", "ap-index-out-of-range"])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, name, text):
     write_trivial_instance(tmp_path)
     (tmp_path / "policy.json").write_text(json.dumps(
@@ -147,11 +153,19 @@ def test_malformed_input_is_a_usage_error(tmp_path, capsys, name, text):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", ["synth", "export-lp"])
-@pytest.mark.parametrize("knob", [
-    ("--eps", "0"), ("--eps", "nan"), ("--acc-eps", "nan"),
-    ("--flow-ratio", "0.5"), ("--flow-ratio", "nan")],
-    ids=lambda knob: " ".join(knob))
+PROGRAM_KNOBS = [("--eps", "0"), ("--eps", "nan"), ("--acc-eps", "nan"),
+                 ("--flow-ratio", "0.5"), ("--flow-ratio", "nan")]
+# Knobs of the solver rounds, which only synth reads.
+RUN_KNOBS = [("--max-cut-rounds", "0"), ("--max-cut-rounds", "-3"),
+             ("--timeout", "-1"), ("--timeout", "inf"), ("--timeout", "nan"),
+             ("--solver-cmd", "no-such-solver {lp} {sol}", "--timeout", "inf"),
+             ("--solver-cmd", "no-such-solver {lp} {sol}", "--timeout", "nan")]
+
+
+@pytest.mark.parametrize("knob, command", [
+    pytest.param(knob, command, id=f"{' '.join(knob)}-{command}")
+    for knob in PROGRAM_KNOBS + RUN_KNOBS for command in ("synth", "export-lp")
+    if command == "synth" or knob in PROGRAM_KNOBS])
 def test_bad_program_knob_is_a_usage_error(tmp_path, capsys, command, knob):
     write_trivial_instance(tmp_path)
     code = run_cli(command, "--model", str(tmp_path / "model.json"),
@@ -287,14 +301,17 @@ def test_synth_solver_error_exit_4(tmp_path):
     assert code == 4
 
 
-def test_synth_unverified_exit_3(tmp_path):
-    # a zero-round budget leaves the candidate unverified by construction
-    write_trivial_instance(tmp_path)
-    code = run_cli("synth", "--model", str(tmp_path / "model.json"),
-                   "--spec", str(tmp_path / "spec.json"),
+def test_synth_unverified_exit_3(tmp_path, bundled_backend):
+    """4x4 theta2 grid seed 0 in feasibility mode needs a second round, so a
+    one-round budget leaves its rejected candidate unverified."""
+    save_model(generate_grid(GridSpec(4, 4, seed=0)), tmp_path / "m.json")
+    code = run_cli("synth", "--model", str(tmp_path / "m.json"),
+                   "--spec", "fixtures/specs/theta2.json",
+                   "--objective", "feasibility",
                    "-o", str(tmp_path / "policy.json"),
-                   "--max-cut-rounds", "0")
+                   "--max-cut-rounds", "1")
     assert code == 3
+    assert not (tmp_path / "policy.json").exists()
 
 
 def test_synth_time_limit_exit_4(tmp_path, bundled_backend, capsys):

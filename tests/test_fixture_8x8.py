@@ -37,7 +37,7 @@ def test_reference_policy_unichain_two_transient(instance):
     product = build_product(model, dra)
     chain = induce_chain(product, policy)
     dec = bsccs(chain)
-    assert len(dec.reachable_bsccs) == 1
+    assert len(dec.bsccs) == 1
     recurrent_cells = {product.states[i][0] for b in dec.bsccs for i in b}
     assert len(model.states) - len(recurrent_cells) == 2
 
@@ -47,8 +47,8 @@ def test_reference_policy_bscc_is_accepting(instance):
     product = build_product(model, dra)
     chain = induce_chain(product, policy)
     dec = bsccs(chain)
-    for i in dec.reachable_bsccs:
-        assert bscc_accepting(dec.bsccs[i], product)
+    for b in dec.bsccs:
+        assert bscc_accepting(b, product)
 
 
 def test_reference_policy_verdict_and_masses(instance):

@@ -32,7 +32,6 @@ def test_two_absorbing_states():
     dec = bsccs(c)
     assert dec.bsccs == (frozenset({"x"}), frozenset({"y"}))
     assert dec.transient == frozenset()
-    assert dec.reachable_bsccs == (0,)
 
 
 def test_line_with_terminal_loop():
@@ -41,7 +40,6 @@ def test_line_with_terminal_loop():
     dec = bsccs(c)
     assert dec.bsccs == (frozenset({"s2"}),)
     assert dec.transient == {"s0", "s1"}
-    assert dec.reachable_bsccs == (0,)
 
 
 def test_mirrored_fixture_decomposition():
@@ -50,7 +48,6 @@ def test_mirrored_fixture_decomposition():
     assert len(dec.bsccs) == 2
     assert sorted(len(b) for b in dec.bsccs) == [4, 4]
     assert dec.transient == {("s0", "q0")}
-    assert dec.reachable_bsccs == (0, 1)
 
 
 def test_bscc_union_plus_transient_covers_and_walks_end_inside():

@@ -28,6 +28,7 @@ from ssltl.model import GridSpec, Lmdp, generate_grid, load_spec, \
     spec_from_json, validate_lmdp
 from ssltl.product import Policy, build_product
 from ssltl.synthesis import _rejection_cuts, synthesize
+from ssltl.verify import verify_policy
 
 TRUE_DRA = parse_hoa("""HOA: v1
 States: 1
@@ -182,7 +183,7 @@ def grid_with_cuts_model(width=3, height=3, seed=0, dynamics="slip",
     model = build_program(p, accepting_mecs(mec_decomposition(p), p), spec,
                           IlpConfig(objective=objective))
     pi = Policy({sq: m.enabled[sq[0]][0] for sq in p.states})
-    cuts = _rejection_cuts(p, pi, 0)
+    cuts = _rejection_cuts(p, pi, verify_policy(m, d, spec, pi, product=p), 0)
     return replace(model, rows=model.rows + tuple(cuts)), cuts
 
 

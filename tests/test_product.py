@@ -86,11 +86,11 @@ def test_until_instance_policy_trapped_in_amec():
                         for sq in p.states})
     chain = induce_chain(p, pi)
     dec = bsccs(chain)
-    assert len(dec.reachable_bsccs) == 1
-    bscc = dec.bsccs[dec.reachable_bsccs[0]]
+    assert len(dec.bsccs) == 1
+    bscc = dec.bsccs[0]
     assert bscc <= amecs[0].mec.states
     from ssltl.chain import limiting_distribution
-    mass_in_amec = sum(v for i, v in limiting_distribution(chain).items()
+    mass_in_amec = sum(v for i, v in limiting_distribution(chain, dec).items()
                        if i in amecs[0].mec.states)
     assert mass_in_amec == pytest.approx(1.0, abs=1e-12)
 

@@ -1,10 +1,11 @@
 import pytest
 
 from ssltl.hoa import parse_hoa
-from ssltl.ilp import SolverConfig
+from ssltl.ilp import Columns, SolverConfig
 from ssltl.model import Lmdp, spec_from_json, validate_lmdp
-from ssltl.synthesis import synthesize
-from ssltl.verify import brute_force_synth
+from ssltl.product import Policy, build_product
+from ssltl.synthesis import _rejection_cuts, synthesize
+from ssltl.verify import brute_force_synth, verify_policy
 
 TRUE_DRA = parse_hoa("""HOA: v1
 States: 1
@@ -102,3 +103,45 @@ def test_reward_objective_prefers_rewarding_loop(solver_cmd):
     assert result.objective == pytest.approx(1.0, abs=1e-6)
     assert result.policy.choice[("s1", "q0")] == "stay"
     assert result.policy.choice[("s2", "q0")] == "swap"
+
+
+GF_B_DRA = parse_hoa("""HOA: v1
+States: 2
+Start: 0
+AP: 1 "b"
+acc-name: Rabin 1
+Acceptance: 2 Fin(0) & Inf(1)
+--BODY--
+State: 0
+[!0] 0
+[0] 1
+State: 1 {1}
+[!0] 0
+[0] 1
+--END--
+""")
+
+
+def test_rejection_cuts_skip_an_accepting_bscc():
+    """A coin flip into an absorbing b state and an absorbing non-b state:
+    the chain's first BSCC accepts GF b and its second does not, so the cuts
+    are the no-good cut and one loop cut, for BSCC 1 only."""
+    states = ("s0", "s1", "s2")
+    m = validate_lmdp(Lmdp(
+        states=states, actions=("go",), enabled={s: ("go",) for s in states},
+        trans={("s0", "go"): {"s1": 0.5, "s2": 0.5},
+               ("s1", "go"): {"s1": 1.0}, ("s2", "go"): {"s2": 1.0}},
+        reward={}, ap=("b",), labels={"s0": frozenset(),
+                                      "s1": frozenset(["b"]),
+                                      "s2": frozenset()},
+        initial="s0"))
+    p = build_product(m, GF_B_DRA)
+    pi = Policy({sq: "go" for sq in p.states})
+    report = verify_policy(m, GF_B_DRA, spec_from_json({"dra": "x", "ss": []}),
+                           pi, product=p)
+    assert report.rabin_ok == (True, False)
+    cuts = _rejection_cuts(p, pi, report, 0)
+    assert [c.name for c in cuts] == ["c_cut_0_nogood", "c_cut_0_loop1"]
+    k = p.first[p.states.index(("s2", "q0"))]
+    assert cuts[1].terms == ((1.0, k), (1.0, Columns(p).pi0 + k))
+    assert cuts[1].rhs == 1.0

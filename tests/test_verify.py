@@ -39,7 +39,7 @@ def test_trivial_instance_verdict_true():
     report = verify_policy(m, TRUE_DRA, spec, Policy({("s0", "q0"): "go"}))
     assert report.verdict
     assert report.unichain and report.shared_state == "s0"
-    assert report.product_bscc_sizes == (1,)
+    assert [len(b) for b in report.bsccs] == [1]
     assert report.ss_results[0].mass == pytest.approx(1.0)
 
 
@@ -104,7 +104,7 @@ def test_multichain_policy_rejected_without_shared_state():
     p = build_product(m, TRUE_DRA)
     pi = Policy({sq: "go" for sq in p.states})
     report = verify_policy(m, TRUE_DRA, spec_of([]), pi, product=p)
-    assert len(report.product_bscc_sizes) == 2
+    assert len(report.bsccs) == 2
     assert report.shared_state is None
     assert not report.unichain and not report.verdict
 
