@@ -17,7 +17,6 @@ from ssltl.errors import (
     PolicyError,
     SolverError,
     NoAcceptingStructureError,
-    EnumerationLimitError,
 )
 
 __version__ = "0.1.0"
@@ -29,6 +28,5 @@ __all__ = [
     "PolicyError",
     "SolverError",
     "NoAcceptingStructureError",
-    "EnumerationLimitError",
     "__version__",
 ]

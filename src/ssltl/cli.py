@@ -13,6 +13,7 @@ import csv
 import json
 import statistics
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -52,14 +53,7 @@ def _ilp_config(args) -> IlpConfig:
                      flow_ratio=args.flow_ratio, objective=objective)
 
 
-def _add_solver_flags(p):
-    p.add_argument("--solver-cmd", default=None,
-                   help="command template with {lp} and {sol} placeholders "
-                        "(default: $SSLTL_SOLVER_CMD, else auto-detect)")
-    p.add_argument("--timeout", type=float, default=None,
-                   help="seconds per solve: the time limit of the bundled "
-                        "backend (default 60), or the wall-clock limit "
-                        "after which an external command is killed")
+def _add_program_flags(p):
     p.add_argument("--eps", type=float, default=None,
                    help="flow strict-decrease increment (default: "
                         "min(1e-4, 1/(4 n)))")
@@ -69,6 +63,16 @@ def _add_solver_flags(p):
                    help="denominator of the outgoing/incoming flow bound")
     p.add_argument("--objective", choices=("reward", "feasibility"),
                    default="reward")
+
+
+def _add_run_flags(p):
+    p.add_argument("--solver-cmd", default=None,
+                   help="command template with {lp} and {sol} placeholders "
+                        "(default: $SSLTL_SOLVER_CMD, else auto-detect)")
+    p.add_argument("--timeout", type=float, default=None,
+                   help="seconds per solve: the time limit of the bundled "
+                        "backend (default 60), or the wall-clock limit "
+                        "after which an external command is killed")
     p.add_argument("--max-cut-rounds", type=int, default=64)
     p.add_argument("--keep-files", default=None, metavar="DIR",
                    help="keep round_<k>.lp and round_<k>.sol of every "
@@ -192,10 +196,11 @@ class RunRecord:
     size: int
     spec: str
     status: str
-    seconds: float          # solver wall time
+    seconds: float          # solver wall time; the whole attempt if it raised
     total_seconds: float
     objective: Optional[float]
     verified: bool
+    detail: str = ""        # why an attempt raised; not a CSV column
 
     def csv_row(self):
         return [self.instance, self.size, self.spec, self.status,
@@ -215,12 +220,15 @@ def _bench_one(task) -> RunRecord:
     cfg = IlpConfig(objective=objective)
     solver = SolverConfig(command=solver_cmd, timeout=timeout)
     name = spec_path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
+    t0 = time.monotonic()
     try:
         result = synthesize(model, dra, spec, cfg=cfg, solver=solver)
     except SsltlError as exc:
+        elapsed = time.monotonic() - t0
         return RunRecord(instance=f"{name}_{size}x{size}_seed{seed}",
-                         size=size, spec=name, status="error", seconds=0.0,
-                         total_seconds=0.0, objective=None, verified=False)
+                         size=size, spec=name, status="error", seconds=elapsed,
+                         total_seconds=elapsed, objective=None,
+                         verified=False, detail=" ".join(str(exc).split()))
     return RunRecord(
         instance=f"{name}_{size}x{size}_seed{seed}", size=size, spec=name,
         status=result.status, seconds=result.solve_seconds,
@@ -264,6 +272,9 @@ def cmd_bench(args) -> int:
                                  f"{mean:.6f}", "", ""])
                 writer.writerow(["summary", size, name, "stddev",
                                  f"{sdev:.6f}", "", ""])
+    for rec in records:
+        if rec.detail:
+            sys.stderr.write(f"{rec.instance}: error: {rec.detail}\n")
     failures = [r for r in records
                 if r.status in ("error", "timeout", "unverified")]
     print(f"{len(records)} runs, {len(failures)} failures -> {args.output}")
@@ -295,7 +306,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("-o", "--output", default="policy.json")
     p.add_argument("--record", default=None, help="write a JSON run record")
-    _add_solver_flags(p)
+    _add_program_flags(p)
+    _add_run_flags(p)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("verify", help="verify a policy file independently")
@@ -317,7 +329,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--spec", required=True)
     p.add_argument("-o", "--output", required=True)
-    _add_solver_flags(p)
+    _add_program_flags(p)
     p.set_defaults(func=cmd_export_lp)
 
     p = sub.add_parser("bench", help="run the gridworld benchmark suite")

@@ -25,7 +25,3 @@ class SolverError(SsltlError):
 class NoAcceptingStructureError(SsltlError):
     """The product has no accepting maximal end component; the instance is
     structurally infeasible."""
-
-
-class EnumerationLimitError(SsltlError):
-    """Instance exceeds the exhaustive-enumeration bound."""

@@ -151,12 +151,6 @@ def mec_decomposition(p) -> list:
     return mecs
 
 
-@dataclass(frozen=True)
-class Amec:
-    mec: Mec
-    witnessed_pairs: tuple
-
-
 def _accepts(p, states, fin, inf) -> bool:
     qs = {p.states[i][1] for i in states}
     return not (qs & fin) and bool(qs & inf)
@@ -166,13 +160,9 @@ def accepting_mecs(mecs: Iterable[Mec], p) -> list:
     """Filter MECs of product ``p`` by the Rabin pair condition: no
     intersection with S x Fin_i and a non-empty intersection with S x Inf_i
     for some pair i."""
-    out = []
-    for mec in mecs:
-        witnesses = tuple(i for i, (fin, inf) in enumerate(p.dra.pairs)
-                          if _accepts(p, mec.states, fin, inf))
-        if witnesses:
-            out.append(Amec(mec=mec, witnessed_pairs=witnesses))
-    return out
+    return [mec for mec in mecs
+            if any(_accepts(p, mec.states, fin, inf)
+                   for fin, inf in p.dra.pairs)]
 
 
 def bscc_accepting(bscc: Iterable, p) -> bool:

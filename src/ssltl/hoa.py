@@ -1,11 +1,12 @@
 """HOA v1 ingestion for deterministic, complete, state-based Rabin automata.
 
-Supported subset: explicit edge labels (Boolean formulas over AP indices),
-``acc-name: Rabin k`` or an acceptance formula of the shape
-``(Fin(0) & Inf(1)) | (Fin(2) & Inf(3)) | ...``.  Transition-based acceptance
-and implicit edges are rejected.  Alphabets are small here (at most 2^4
-letters in every shipped automaton), so transition functions are expanded to
-explicit letters rather than kept symbolic.
+Supported subset: explicit edge labels (Boolean formulas over AP indices and
+the constants ``t`` and ``f``, compiled by ``model.parse_formula`` into
+predicates over letters of AP names), ``acc-name: Rabin k`` or an acceptance
+formula of the shape ``(Fin(0) & Inf(1)) | (Fin(2) & Inf(3)) | ...``.
+Transition-based acceptance and implicit edges are rejected.  Alphabets are
+small here (at most 2^4 letters in every shipped automaton), so transition
+functions are expanded to explicit letters rather than kept symbolic.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from ssltl.errors import HoaError
+from ssltl.model import parse_formula
 
 
 @dataclass(frozen=True)
@@ -32,10 +34,6 @@ class Dra:
     delta: Mapping[tuple, str]
     pairs: tuple
 
-    def letters(self):
-        """All 2^|AP| letters in a fixed order (subset bitmask over ap order)."""
-        return letters_of(self.alphabet)
-
     def inf_union(self) -> frozenset:
         out = frozenset()
         for _, inf in self.pairs:
@@ -44,6 +42,7 @@ class Dra:
 
 
 def letters_of(alphabet: Iterable[str]):
+    """All 2^|AP| letters in a fixed order (subset bitmask over ap order)."""
     alphabet = tuple(alphabet)
     out = []
     for mask in range(1 << len(alphabet)):
@@ -63,75 +62,24 @@ def dra_step(d: Dra, q: str, letter: Iterable[str]) -> str:
 # Edge-label formulas over AP indices
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(\d+|[tf]|[!&|()])")
+def _parse_label_expr(text: str, ap: tuple):
+    """Compile an edge label, a Boolean formula over the constants ``t`` and
+    ``f`` and AP indices into ``ap``, to a predicate over a letter of AP
+    names."""
+    def atom(word: str):
+        if word == "t":
+            return lambda letter: True
+        if word == "f":
+            return lambda letter: False
+        if not word.isdecimal():
+            raise HoaError(f"unexpected token {word!r} in label {text!r}")
+        if int(word) >= len(ap):
+            raise HoaError(f"label {text!r} names AP {word}, but only "
+                           f"{len(ap)} are declared")
+        name = ap[int(word)]
+        return lambda letter: name in letter
 
-
-def _parse_label_expr(text: str, n_ap: int):
-    """Parse a HOA label expression over AP indices 0 .. n_ap - 1 into a
-    closure letter -> bool, where the letter is a set of AP indices."""
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise HoaError(f"bad label expression {text!r}")
-        tokens.append(m.group(1))
-        pos = m.end()
-    tokens.append(None)
-
-    idx = [0]
-
-    def peek():
-        return tokens[idx[0]]
-
-    def take():
-        tok = tokens[idx[0]]
-        idx[0] += 1
-        return tok
-
-    def parse_or():
-        node = parse_and()
-        while peek() == "|":
-            take()
-            rhs = parse_and()
-            lhs = node
-            node = (lambda l, a=lhs, b=rhs: a(l) or b(l))
-        return node
-
-    def parse_and():
-        node = parse_unary()
-        while peek() == "&":
-            take()
-            rhs = parse_unary()
-            lhs = node
-            node = (lambda l, a=lhs, b=rhs: a(l) and b(l))
-        return node
-
-    def parse_unary():
-        tok = take()
-        if tok == "!":
-            inner = parse_unary()
-            return lambda l, f=inner: not f(l)
-        if tok == "(":
-            inner = parse_or()
-            if take() != ")":
-                raise HoaError(f"unbalanced parenthesis in label {text!r}")
-            return inner
-        if tok == "t":
-            return lambda l: True
-        if tok == "f":
-            return lambda l: False
-        if tok is not None and tok.isdigit():
-            if int(tok) >= n_ap:
-                raise HoaError(f"label {text!r} names AP {tok}, but only "
-                               f"{n_ap} are declared")
-            return lambda l, i=int(tok): i in l
-        raise HoaError(f"unexpected token {tok!r} in label {text!r}")
-
-    fn = parse_or()
-    if peek() is not None:
-        raise HoaError(f"trailing tokens in label {text!r}")
-    return fn
+    return parse_formula(text, atom, HoaError)
 
 
 # ---------------------------------------------------------------------------
@@ -268,14 +216,12 @@ def parse_hoa(text: str) -> Dra:
     # Expand edge labels to concrete letters; enforce determinism/completeness.
     nodes = tuple(f"q{i}" for i in range(n_states))
     all_letters = letters_of(ap)
-    index_letters = [frozenset(i for i, name in enumerate(ap) if name in letter)
-                     for letter in all_letters]
     delta: dict = {}
     for i in range(n_states):
-        compiled = [(_parse_label_expr(expr, n_ap), tgt)
+        compiled = [(_parse_label_expr(expr, ap), tgt)
                     for expr, tgt in edges[i]]
-        for letter, idx_letter in zip(all_letters, index_letters):
-            targets = [tgt for fn, tgt in compiled if fn(idx_letter)]
+        for letter in all_letters:
+            targets = [tgt for fn, tgt in compiled if fn(letter)]
             if len(targets) > 1:
                 raise HoaError(
                     f"state {i} has {len(targets)} edges for letter "
@@ -305,44 +251,3 @@ def load_hoa(path) -> Dra:
     except UnicodeDecodeError as exc:
         raise HoaError(f"cannot read automaton file {path}: {exc}") from exc
     return parse_hoa(text)
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-def to_hoa(d: Dra) -> str:
-    """Serialize with one explicit edge per letter; parse(to_hoa(d)) is
-    isomorphic to d under the identity node mapping."""
-    n = len(d.nodes)
-    node_index = {q: i for i, q in enumerate(d.nodes)}
-    out = ["HOA: v1", f"States: {n}", f"Start: {node_index[d.initial]}"]
-    ap_names = " ".join(f'"{p}"' for p in d.alphabet)
-    out.append(f"AP: {len(d.alphabet)}" + (f" {ap_names}" if ap_names else ""))
-    out.append(f"acc-name: Rabin {len(d.pairs)}")
-    formula = " | ".join(f"(Fin({2 * k}) & Inf({2 * k + 1}))"
-                         for k in range(len(d.pairs)))
-    if len(d.pairs) == 1:
-        formula = f"Fin(0) & Inf(1)"
-    out.append(f"Acceptance: {2 * len(d.pairs)} {formula}")
-    out.append("--BODY--")
-    letters = d.letters()
-    for q in d.nodes:
-        sets = []
-        for k, (fin, inf) in enumerate(d.pairs):
-            if q in fin:
-                sets.append(2 * k)
-            if q in inf:
-                sets.append(2 * k + 1)
-        suffix = (" {" + " ".join(str(x) for x in sorted(sets)) + "}") if sets else ""
-        out.append(f"State: {node_index[q]}{suffix}")
-        for letter in letters:
-            if not d.alphabet:
-                expr = "t"
-            else:
-                expr = " & ".join(
-                    ("" if d.alphabet[i] in letter else "!") + str(i)
-                    for i in range(len(d.alphabet)))
-            out.append(f"[{expr}] {node_index[d.delta[(q, letter)]]}")
-    out.append("--END--")
-    return "\n".join(out) + "\n"

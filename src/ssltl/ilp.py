@@ -102,10 +102,7 @@ class IlpModel:
     objective: tuple      # ((coef, column), ...)
     rows: tuple
     product: ProductLmdp
-    amecs: tuple
-    spec: SsLtlSpec
-    cfg: IlpConfig
-    epsilon: float
+    amecs: tuple          # the accepting MECs, one indicator ik each
 
 
 _CONTINUOUS = IlpVar(0.0, 1.0, False)
@@ -260,7 +257,7 @@ def build_program(p: ProductLmdp, amecs, spec: SsLtlSpec,
 
     # (xii) component carries measure -> component flag
     for c, amec in enumerate(amecs):
-        terms = [(1.0, k) for i in sorted(amec.mec.states)
+        terms = [(1.0, k) for i in sorted(amec.states)
                  for k in p.pairs(i)]
         terms.append((-1.0, cols.ik0 + c))
         rows.append(IlpRow(f"c_xii_{c}", tuple(terms), "<=", 0.0))
@@ -271,7 +268,7 @@ def build_program(p: ProductLmdp, amecs, spec: SsLtlSpec,
     copies = []
     for amec in amecs:
         by_state: dict = {}
-        for i in sorted(amec.mec.states):
+        for i in sorted(amec.states):
             by_state.setdefault(p.states[i][0], []).append(cols.isq0 + i)
         copies.append(by_state)
     j = 0
@@ -305,8 +302,7 @@ def build_program(p: ProductLmdp, amecs, spec: SsLtlSpec,
                        ">=", 1.0))
 
     return IlpModel(variables=variables, objective=tuple(objective),
-                    rows=tuple(rows), product=p, amecs=amecs, spec=spec,
-                    cfg=cfg, epsilon=eps)
+                    rows=tuple(rows), product=p, amecs=amecs)
 
 
 def _merge(terms):

@@ -1,5 +1,10 @@
-"""Labeled MDP / Markov chain data model, Boolean label formulas, the JSON
-model format, and the random-gridworld benchmark generator.
+"""Labeled MDP data model, the Boolean-formula parser, the JSON model and
+spec formats, and the random-gridworld benchmark generator.
+
+``parse_formula`` is the one grammar for Boolean label formulas: the spec's
+steady-state formulas over proposition names and the HOA edge labels over AP
+indices both compile through it into predicates over a letter (the set of
+proposition names that hold).
 
 Probability rows are validated to sum to 1 within ``PROB_TOL`` (1e-12); all
 fixture probabilities are dyadics or short decimals far above this.
@@ -9,8 +14,9 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 import numpy as np
 
@@ -26,115 +32,99 @@ _LATERAL = {"left": ("up", "down"), "right": ("up", "down"),
 
 
 # ---------------------------------------------------------------------------
-# Label formulas
+# Boolean formulas
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LabelFormula:
-    """Expression tree over {true, proposition, and, not}.
+_TOKEN_RE = re.compile(r"\s*([\w?]+|[!&|()])")
 
-    ``op`` is one of "true", "ap", "not", "and".  Disjunction is desugared at
-    parse time via De Morgan, so it never appears in the tree.
+
+def parse_formula(text: str, atom: Callable[[str], Callable],
+                  error: type) -> Callable:
+    """Compile ``WORD | ! f | f & f | f | f`` (parentheses allowed) into a
+    predicate over a letter, the set of proposition names that hold.
+
+    ``|`` binds loosest, then ``&``, then ``!``; binary operators associate
+    to the left.  A word is a run of alphanumerics, ``_`` and ``?``;
+    ``atom(word)`` compiles it.  Malformed text raises ``error``.  Both the
+    spec's label formulas and the HOA edge labels go through here.
     """
+    if not isinstance(text, str):
+        raise error(f"formula must be a string, not {text!r}")
+    tokens = []
+    pos, end = 0, len(text.rstrip())
+    while pos < end:
+        match = _TOKEN_RE.match(text, pos)
+        if match is None:
+            raise error(f"unexpected character {text[pos:].lstrip()[0]!r} "
+                        f"in formula {text!r}")
+        tokens.append(match.group(1))
+        pos = match.end()
+    tokens.append("")       # end of input
+    at = 0
 
-    op: str
-    name: Optional[str] = None
-    args: tuple["LabelFormula", ...] = ()
+    def take() -> str:
+        nonlocal at
+        at += 1
+        return tokens[at - 1]
 
-
-class _FormulaParser:
-    """Recursive-descent parser for ``true | IDENT | ! f | f & f | f | f``
-    with parentheses.  ``|`` binds loosest, then ``&``, then ``!``."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def parse(self) -> LabelFormula:
-        f = self._or()
-        self._skip_ws()
-        if self.pos != len(self.text):
-            raise ModelError(
-                f"trailing input in formula {self.text!r} at offset {self.pos}")
+    def disjunction():
+        f = conjunction()
+        while tokens[at] == "|":
+            take()
+            f = _or(f, conjunction())
         return f
 
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def conjunction():
+        f = unary()
+        while tokens[at] == "&":
+            take()
+            f = _and(f, unary())
+        return f
 
-    def _peek(self) -> str:
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def _or(self) -> LabelFormula:
-        left = self._and()
-        while self._peek() == "|":
-            self.pos += 1
-            right = self._and()
-            # a | b  ==  !(!a & !b)
-            left = LabelFormula("not", args=(
-                LabelFormula("and", args=(LabelFormula("not", args=(left,)),
-                                          LabelFormula("not", args=(right,)))),))
-        return left
-
-    def _and(self) -> LabelFormula:
-        left = self._unary()
-        while self._peek() == "&":
-            self.pos += 1
-            left = LabelFormula("and", args=(left, self._unary()))
-        return left
-
-    def _unary(self) -> LabelFormula:
-        ch = self._peek()
-        if ch == "!":
-            self.pos += 1
-            return LabelFormula("not", args=(self._unary(),))
-        if ch == "(":
-            self.pos += 1
-            f = self._or()
-            if self._peek() != ")":
-                raise ModelError(f"unbalanced parenthesis in {self.text!r}")
-            self.pos += 1
+    def unary():
+        tok = take()
+        if tok == "!":
+            return _not(unary())
+        if tok == "(":
+            f = disjunction()
+            if take() != ")":
+                raise error(f"unbalanced parenthesis in formula {text!r}")
             return f
-        return self._ident()
+        if tok in ("", "&", "|", ")"):
+            raise error(f"expected a word in formula {text!r}, "
+                        f"found {tok or 'the end'!r}")
+        return atom(tok)
 
-    def _ident(self) -> LabelFormula:
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum()
-                                             or self.text[self.pos] in "_?"):
-            self.pos += 1
-        word = self.text[start:self.pos]
-        if not word:
-            raise ModelError(
-                f"expected proposition in formula {self.text!r} at offset {start}")
+    f = disjunction()
+    if tokens[at]:
+        raise error(f"trailing input {tokens[at]!r} in formula {text!r}")
+    return f
+
+
+def _not(f):
+    return lambda letter: not f(letter)
+
+
+def _and(f, g):
+    return lambda letter: f(letter) and g(letter)
+
+
+def _or(f, g):
+    return lambda letter: f(letter) or g(letter)
+
+
+def parse_label_formula(text: str) -> tuple:
+    """Compile a spec formula over proposition names, with ``true`` as its
+    one constant; returns the predicate and the names it mentions."""
+    names = set()
+
+    def atom(word: str):
         if word == "true":
-            return LabelFormula("true")
-        return LabelFormula("ap", name=word)
+            return lambda letter: True
+        names.add(word)
+        return lambda letter: word in letter
 
-
-def parse_label_formula(text: str) -> LabelFormula:
-    """Parse ``true | IDENT | ! f | f & f | f | f`` (parentheses allowed)."""
-    return _FormulaParser(text).parse()
-
-
-def eval_formula(f: LabelFormula, labels: frozenset, ap: Iterable[str]) -> bool:
-    """Standard Boolean semantics; a proposition holds iff it is in ``labels``.
-
-    Raises ModelError for propositions outside ``ap``.
-    """
-    ap = set(ap)
-    def rec(g: LabelFormula) -> bool:
-        if g.op == "true":
-            return True
-        if g.op == "ap":
-            if g.name not in ap:
-                raise ModelError(f"unknown proposition {g.name!r}")
-            return g.name in labels
-        if g.op == "not":
-            return not rec(g.args[0])
-        return rec(g.args[0]) and rec(g.args[1])
-    return rec(f)
+    return parse_formula(text, atom, ModelError), frozenset(names)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +290,7 @@ def save_model(m: Lmdp, path) -> None:
 
 @dataclass(frozen=True)
 class SsInterval:
-    formula: LabelFormula
+    formula: tuple          # (predicate, names) from parse_label_formula
     source: str
     lower: float
     upper: float
@@ -358,12 +348,19 @@ def load_spec(path) -> SsLtlSpec:
 # Labeled subsets
 # ---------------------------------------------------------------------------
 
-def labeled_subset(m: Lmdp, psi: Union[LabelFormula, str]) -> frozenset:
-    """States where ``psi`` holds under each state's label set."""
-    if isinstance(psi, str):
-        psi = parse_label_formula(psi)
+def labeled_subset(m: Lmdp, psi: Union[tuple, str]) -> frozenset:
+    """States where ``psi`` (text, or ``parse_label_formula``'s result)
+    holds under each state's label set.
+
+    Raises ModelError for propositions outside ``m.ap``, wherever they occur
+    in the formula.
+    """
+    pred, names = psi if isinstance(psi, tuple) else parse_label_formula(psi)
+    unknown = sorted(names - set(m.ap))
+    if unknown:
+        raise ModelError(f"unknown proposition {unknown[0]!r}")
     return frozenset(s for s in m.states
-                     if eval_formula(psi, m.labels.get(s, frozenset()), m.ap))
+                     if pred(m.labels.get(s, frozenset())))
 
 
 # ---------------------------------------------------------------------------

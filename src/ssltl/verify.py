@@ -1,7 +1,6 @@
 """Independent verification oracle: given (model, automaton, spec, policy),
 decide whether the induced original chain is a unichain meeting every
-steady-state interval with all long-run behavior accepting; plus an
-exhaustive synthesizer for tiny instances.
+steady-state interval with all long-run behavior accepting.
 
 This module never touches the optimization layer; it re-derives everything
 from the chain itself, so it can act as ground truth for solver results.
@@ -15,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ssltl.chain import limiting_distribution
-from ssltl.errors import EnumerationLimitError
 from ssltl.graph import bscc_accepting, bsccs
 from ssltl.hoa import Dra
 from ssltl.model import Lmdp, SsLtlSpec, labeled_subset
@@ -92,7 +90,8 @@ def verify_policy(m: Lmdp, d: Dra, spec: SsLtlSpec, pi: Policy,
     ss_results = []
     for interval in spec.ss:
         member = labeled_subset(m, interval.formula)
-        mass = sum(aggregate[s] for s in member)
+        # in model-state order, so that the last bits do not follow hashing
+        mass = sum(v for s, v in aggregate.items() if s in member)
         ok = (interval.lower - SS_BOUND_TOL <= mass
               <= interval.upper + SS_BOUND_TOL)
         ss_results.append(SsResult(formula=interval.source,
@@ -112,63 +111,3 @@ def verify_policy(m: Lmdp, d: Dra, spec: SsLtlSpec, pi: Policy,
                               for i, mass in dist.items()},
         aggregate_distribution=aggregate,
         verdict=verdict)
-
-
-def brute_force_synth(m: Lmdp, d: Dra, spec: SsLtlSpec,
-                      max_states: int = 12,
-                      max_actions: int = 3) -> Optional[Policy]:
-    """Exhaustive search over deterministic product policies.
-
-    Enumerates assignments over policy-reachable states only (states never
-    reached under the partial choice cannot influence the verdict), in action
-    order at each decision point, visiting decision states in product order;
-    unreached states are completed with their first enabled action.  The
-    first verifying policy under this deterministic schedule is returned.
-    """
-    p = build_product(m, d)
-    if len(p.states) > max_states:
-        raise EnumerationLimitError(
-            f"{len(p.states)} reachable product states exceed the "
-            f"enumeration bound {max_states}")
-    if any(len(m.enabled[s]) > max_actions for s in m.states):
-        raise EnumerationLimitError(
-            f"an action set exceeds the enumeration bound {max_actions}")
-
-    def pending(choice):
-        """The lowest state reachable under the partial assignment (state ->
-        pair) that still needs a decision, or None."""
-        seen = {p.initial}
-        stack = [p.initial]
-        lowest = None
-        while stack:
-            i = stack.pop()
-            k = choice.get(i)
-            if k is None:
-                if lowest is None or i < lowest:
-                    lowest = i
-                continue
-            for j in p.succ[k]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return lowest
-
-    choice: dict = {}
-
-    def search() -> Optional[Policy]:
-        i = pending(choice)
-        if i is None:
-            pi = Policy(choice={
-                sq: p.actions(j)[choice[j] - p.first[j] if j in choice else 0]
-                for j, sq in enumerate(p.states)})
-            report = verify_policy(m, d, spec, pi, product=p)
-            return pi if report.verdict else None
-        for k in p.pairs(i):
-            choice[i] = k
-            found = search()
-            if found is not None:
-                return found
-            del choice[i]
-        return None
-
-    return search()

@@ -3,7 +3,8 @@ for automaton fixtures, labeled chains with their partitions and class sums,
 random model/chain/automaton generators, small simulation helpers, and
 oracles over chains, products and programs that only the tests use (chain
 products, aggregation, lumpability residuals, program rows re-evaluated on a
-solution).
+solution, HOA serialization, and the exhaustive synthesizer for tiny
+instances).
 
 The LTL evaluator is independent of the package: it works directly on
 ultimately-periodic words by least-fixpoint iteration, so it can vouch for
@@ -13,7 +14,7 @@ the shipped HOA files.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Mapping
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -21,8 +22,9 @@ from ssltl.chain import _kernel
 from ssltl.errors import ModelError, SsltlError
 from ssltl.hoa import Dra, dra_step, letters_of
 from ssltl.ilp import Columns, IlpModel, IlpRow, Solution, column_names
-from ssltl.model import PROB_TOL, Lmdp, validate_lmdp
-from ssltl.product import Policy, ProductLmc, ProductLmdp
+from ssltl.model import PROB_TOL, Lmdp, SsLtlSpec, validate_lmdp
+from ssltl.product import Policy, ProductLmc, ProductLmdp, build_product
+from ssltl.verify import verify_policy
 
 LUMP_ROW_TOL = 1e-12
 FEASIBILITY_TOL = 1e-6
@@ -542,3 +544,112 @@ def six_state_until_lmdp() -> Lmdp:
         states=states, actions=actions,
         enabled={s: actions for s in states}, trans=trans, reward={},
         ap=("a", "b"), labels=labels, initial="s0"))
+
+
+# ---------------------------------------------------------------------------
+# Automaton serialization
+# ---------------------------------------------------------------------------
+
+def to_hoa(d: Dra) -> str:
+    """Serialize with one explicit edge per letter; parse(to_hoa(d)) is
+    isomorphic to d under the identity node mapping."""
+    n = len(d.nodes)
+    node_index = {q: i for i, q in enumerate(d.nodes)}
+    out = ["HOA: v1", f"States: {n}", f"Start: {node_index[d.initial]}"]
+    ap_names = " ".join(f'"{p}"' for p in d.alphabet)
+    out.append(f"AP: {len(d.alphabet)}" + (f" {ap_names}" if ap_names else ""))
+    out.append(f"acc-name: Rabin {len(d.pairs)}")
+    formula = " | ".join(f"(Fin({2 * k}) & Inf({2 * k + 1}))"
+                         for k in range(len(d.pairs)))
+    if len(d.pairs) == 1:
+        formula = f"Fin(0) & Inf(1)"
+    out.append(f"Acceptance: {2 * len(d.pairs)} {formula}")
+    out.append("--BODY--")
+    letters = letters_of(d.alphabet)
+    for q in d.nodes:
+        sets = []
+        for k, (fin, inf) in enumerate(d.pairs):
+            if q in fin:
+                sets.append(2 * k)
+            if q in inf:
+                sets.append(2 * k + 1)
+        suffix = (" {" + " ".join(str(x) for x in sorted(sets)) + "}") if sets else ""
+        out.append(f"State: {node_index[q]}{suffix}")
+        for letter in letters:
+            if not d.alphabet:
+                expr = "t"
+            else:
+                expr = " & ".join(
+                    ("" if d.alphabet[i] in letter else "!") + str(i)
+                    for i in range(len(d.alphabet)))
+            out.append(f"[{expr}] {node_index[d.delta[(q, letter)]]}")
+    out.append("--END--")
+    return "\n".join(out) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Exhaustive synthesis
+# ---------------------------------------------------------------------------
+
+class EnumerationLimitError(SsltlError):
+    """Instance exceeds the exhaustive-enumeration bound."""
+
+
+def brute_force_synth(m: Lmdp, d: Dra, spec: SsLtlSpec,
+                      max_states: int = 12,
+                      max_actions: int = 3) -> Optional[Policy]:
+    """Exhaustive search over deterministic product policies.
+
+    Enumerates assignments over policy-reachable states only (states never
+    reached under the partial choice cannot influence the verdict), in action
+    order at each decision point, visiting decision states in product order;
+    unreached states are completed with their first enabled action.  The
+    first verifying policy under this deterministic schedule is returned.
+    """
+    p = build_product(m, d)
+    if len(p.states) > max_states:
+        raise EnumerationLimitError(
+            f"{len(p.states)} reachable product states exceed the "
+            f"enumeration bound {max_states}")
+    if any(len(m.enabled[s]) > max_actions for s in m.states):
+        raise EnumerationLimitError(
+            f"an action set exceeds the enumeration bound {max_actions}")
+
+    def pending(choice):
+        """The lowest state reachable under the partial assignment (state ->
+        pair) that still needs a decision, or None."""
+        seen = {p.initial}
+        stack = [p.initial]
+        lowest = None
+        while stack:
+            i = stack.pop()
+            k = choice.get(i)
+            if k is None:
+                if lowest is None or i < lowest:
+                    lowest = i
+                continue
+            for j in p.succ[k]:
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        return lowest
+
+    choice: dict = {}
+
+    def search() -> Optional[Policy]:
+        i = pending(choice)
+        if i is None:
+            pi = Policy(choice={
+                sq: p.actions(j)[choice[j] - p.first[j] if j in choice else 0]
+                for j, sq in enumerate(p.states)})
+            report = verify_policy(m, d, spec, pi, product=p)
+            return pi if report.verdict else None
+        for k in p.pairs(i):
+            choice[i] = k
+            found = search()
+            if found is not None:
+                return found
+            del choice[i]
+        return None
+
+    return search()

@@ -15,6 +15,7 @@ import pytest
 from helpers import (
     Lmc,
     aggregate,
+    brute_force_synth,
     check_lumpable,
     lump_distribution,
     mirrored_bscc_fixture,
@@ -33,7 +34,7 @@ from ssltl.ilp import IlpConfig, SolverConfig
 from ssltl.model import GridSpec, generate_grid, load_model, load_spec
 from ssltl.product import build_product, induce_chain
 from ssltl.synthesis import synthesize
-from ssltl.verify import brute_force_synth, verify_policy
+from ssltl.verify import verify_policy
 
 _lemma4_samples = []
 

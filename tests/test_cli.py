@@ -155,17 +155,22 @@ def test_malformed_input_is_a_usage_error(tmp_path, capsys, name, text):
 
 PROGRAM_KNOBS = [("--eps", "0"), ("--eps", "nan"), ("--acc-eps", "nan"),
                  ("--flow-ratio", "0.5"), ("--flow-ratio", "nan")]
-# Knobs of the solver rounds, which only synth reads.
+# Knobs of the solver rounds: synth rejects bad values, and export-lp, which
+# solves nothing, takes none of them.
 RUN_KNOBS = [("--max-cut-rounds", "0"), ("--max-cut-rounds", "-3"),
              ("--timeout", "-1"), ("--timeout", "inf"), ("--timeout", "nan"),
              ("--solver-cmd", "no-such-solver {lp} {sol}", "--timeout", "inf"),
              ("--solver-cmd", "no-such-solver {lp} {sol}", "--timeout", "nan")]
+EXPORT_ONLY_RUN_KNOBS = [("--solver-cmd", "x"), ("--keep-files", "kept"),
+                         ("--max-cut-rounds", "0", "--timeout", "-1",
+                          "--solver-cmd", "x", "--keep-files", "kept")]
 
 
 @pytest.mark.parametrize("knob, command", [
     pytest.param(knob, command, id=f"{' '.join(knob)}-{command}")
-    for knob in PROGRAM_KNOBS + RUN_KNOBS for command in ("synth", "export-lp")
-    if command == "synth" or knob in PROGRAM_KNOBS])
+    for knob in PROGRAM_KNOBS + RUN_KNOBS + EXPORT_ONLY_RUN_KNOBS
+    for command in ("synth", "export-lp")
+    if command == "export-lp" or knob not in EXPORT_ONLY_RUN_KNOBS])
 def test_bad_program_knob_is_a_usage_error(tmp_path, capsys, command, knob):
     write_trivial_instance(tmp_path)
     code = run_cli(command, "--model", str(tmp_path / "model.json"),
@@ -173,8 +178,13 @@ def test_bad_program_knob_is_a_usage_error(tmp_path, capsys, command, knob):
                    "-o", str(tmp_path / "out"), *knob)
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("error:") and "Traceback" not in err
+    if command == "synth" or knob in PROGRAM_KNOBS:
+        assert err.startswith("error:")
+    else:
+        assert "unrecognized arguments" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "kept").exists()
 
 
 def test_record_reports_the_solver_answer(tmp_path, bundled_backend):
@@ -290,6 +300,28 @@ def test_bench_csv_contract(tmp_path):
         assert r[3] in ("verified", "infeasible")
         if r[3] == "verified":
             assert r[6] == "true"
+
+
+def test_bench_reports_the_time_and_cause_of_an_attempt_that_raised(
+        tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    code = run_cli("bench", "--sizes", "2", "--seeds", "1", "--specs",
+                   "fixtures/specs/theta4.json",
+                   "--solver-cmd", "no-such-solver {lp} {sol}", "-o", str(out))
+    assert code == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["instance", "size", "spec", "status", "seconds",
+                       "objective", "verified"]
+    assert [r[0] for r in rows[1:]] == ["theta4_2x2_seed0", "summary",
+                                        "summary"]
+    run = rows[1]
+    assert run[3] == "error" and run[6] == "false"
+    assert float(run[4]) > 0.0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("theta4_2x2_seed0: error: ")
+    assert "no-such-solver" in lines[0]
 
 
 def test_synth_solver_error_exit_4(tmp_path):

@@ -224,7 +224,7 @@ def test_accepting_mec_pair_witnesses():
     d = two_pair_dra()
     good = Mec(states=frozenset({1}), pairs=(0,))      # ("s", "q1")
     out = accepting_mecs([good], node_product(d))
-    assert len(out) == 1 and out[0].witnessed_pairs == (0,)
+    assert out == [good]
 
 
 def test_mec_touching_every_fin_rejected():
@@ -243,7 +243,7 @@ def test_until_product_has_unique_amec():
     p = build_product(m, d)
     amecs = accepting_mecs(mec_decomposition(p), p)
     assert len(amecs) == 1
-    qs = {p.states[i][1] for i in amecs[0].mec.states}
+    qs = {p.states[i][1] for i in amecs[0].states}
     assert qs == {"q2"}
 
 

@@ -1,7 +1,8 @@
 import pytest
 
+from helpers import to_hoa
 from ssltl.errors import HoaError
-from ssltl.hoa import dra_step, letters_of, load_hoa, parse_hoa, to_hoa
+from ssltl.hoa import dra_step, letters_of, load_hoa, parse_hoa
 
 TRIVIAL = """HOA: v1
 States: 1

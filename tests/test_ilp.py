@@ -391,7 +391,7 @@ def test_unflagged_states_carry_no_measure(solver_cmd):
 def test_fixed_verified_policy_stays_feasible(solver_cmd):
     """The reverse direction on a desk-size instance: pin the policy binaries
     to an exhaustively-found verified policy and ask for a certificate."""
-    from ssltl.verify import brute_force_synth
+    from helpers import brute_force_synth
 
     m = six_state_until_lmdp()
     d = load_hoa("fixtures/automata/fa_U_b.hoa")

@@ -8,7 +8,6 @@ from ssltl.model import (
     GridSpec,
     Lmdp,
     PROB_TOL,
-    eval_formula,
     generate_grid,
     labeled_subset,
     load_model,
@@ -104,16 +103,25 @@ def test_labeled_subset_unknown_proposition():
         labeled_subset(m, "zz")
 
 
+def test_unknown_proposition_rejected_where_evaluation_never_reaches_it():
+    """A typo in a spec formula is an error even behind a short circuit."""
+    m = generate_grid(GridSpec(4, 4, seed=0))
+    for psi in ("true | zz", "!true & zz", "a | zz"):
+        with pytest.raises(ModelError, match="unknown proposition 'zz'"):
+            labeled_subset(m, psi)
+        with pytest.raises(ModelError, match="unknown proposition 'zz'"):
+            labeled_subset(m, parse_label_formula(psi))
+
+
 def test_formula_parser_precedence_and_parens():
-    f = parse_label_formula("!a & b | c")
+    f, _ = parse_label_formula("!a & b | c")
     # '|' binds loosest: (!a & b) | c
-    assert eval_formula(f, frozenset(["c"]), ("a", "b", "c"))
-    assert eval_formula(f, frozenset(["b"]), ("a", "b", "c"))
-    assert not eval_formula(f, frozenset(["a", "b", "c"])
-                            - frozenset(["b", "c"]), ("a", "b", "c"))
-    g = parse_label_formula("!(a & b)")
-    assert eval_formula(g, frozenset(["a"]), ("a", "b"))
-    assert not eval_formula(g, frozenset(["a", "b"]), ("a", "b"))
+    assert f(frozenset(["c"]))
+    assert f(frozenset(["b"]))
+    assert not f(frozenset(["a", "b", "c"]) - frozenset(["b", "c"]))
+    g, _ = parse_label_formula("!(a & b)")
+    assert g(frozenset(["a"]))
+    assert not g(frozenset(["a", "b"]))
 
 
 def test_formula_parse_errors():
@@ -133,9 +141,8 @@ def test_labeled_subset_boolean_algebra_random():
         psi2 = parse_label_formula("c | b")
         s1 = labeled_subset(m, psi1)
         s2 = labeled_subset(m, psi2)
-        from ssltl.model import LabelFormula
-        neg = LabelFormula("not", args=(psi1,))
-        conj = LabelFormula("and", args=(psi1, psi2))
+        neg = "!(a & !b)"
+        conj = "(a & !b) & (c | b)"
         assert labeled_subset(m, neg) == frozenset(m.states) - s1
         assert labeled_subset(m, conj) == s1 & s2
 

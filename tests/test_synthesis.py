@@ -1,11 +1,12 @@
 import pytest
 
+from helpers import brute_force_synth
 from ssltl.hoa import parse_hoa
 from ssltl.ilp import Columns, SolverConfig
 from ssltl.model import Lmdp, spec_from_json, validate_lmdp
 from ssltl.product import Policy, build_product
 from ssltl.synthesis import _rejection_cuts, synthesize
-from ssltl.verify import brute_force_synth, verify_policy
+from ssltl.verify import verify_policy
 
 TRUE_DRA = parse_hoa("""HOA: v1
 States: 1

@@ -1,14 +1,19 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from helpers import random_dra, random_lmdp
-from ssltl.errors import EnumerationLimitError
+from helpers import EnumerationLimitError, brute_force_synth, random_dra, \
+    random_lmdp
 from ssltl.hoa import Dra, letters_of, parse_hoa
 from ssltl.ilp import IlpConfig, SolverConfig
 from ssltl.model import Lmdp, spec_from_json, validate_lmdp
 from ssltl.product import Policy, build_product, induce_chain
 from ssltl.synthesis import synthesize
-from ssltl.verify import brute_force_synth, verify_policy
+from ssltl.verify import verify_policy
 
 TRUE_DRA = parse_hoa("""HOA: v1
 States: 1
@@ -229,3 +234,32 @@ def test_ss_masses_over_quarter_partition_sum_to_one(solver_cmd):
     total = sum(r.mass for r in result.report.ss_results)
     assert total <= 1 + 1e-9
     assert total == pytest.approx(1.0, abs=1e-9)  # quarters cover all states
+
+
+def test_report_does_not_depend_on_string_hashing():
+    """4x4 slip grid, seed 1, theta2 spec, every product state taking its
+    third action (right): summed in hash order, the ss mass of ``d`` read
+    0x1.8p-1 or one ulp above it, depending on PYTHONHASHSEED."""
+    code = ("import json\n"
+            "from ssltl.hoa import load_hoa\n"
+            "from ssltl.model import GridSpec, generate_grid, load_spec\n"
+            "from ssltl.product import Policy, build_product\n"
+            "from ssltl.verify import verify_policy\n"
+            "m = generate_grid(GridSpec(4, 4, seed=1, dynamics='slip'))\n"
+            "spec = load_spec('fixtures/specs/theta2.json')\n"
+            "d = load_hoa(spec.dra_source)\n"
+            "p = build_product(m, d)\n"
+            "pi = Policy(choice={sq: p.actions(i)[2]\n"
+            "                    for i, sq in enumerate(p.states)})\n"
+            "print(json.dumps(verify_policy(m, d, spec, pi).to_json()))\n")
+    root = Path(__file__).resolve().parent.parent
+    reports = set()
+    for seed in range(4):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                   PYTHONPATH=str(root / "src"))
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=120,
+                              env=env, cwd=root)
+        assert proc.returncode == 0, proc.stderr
+        reports.add(proc.stdout)
+    assert len(reports) == 1

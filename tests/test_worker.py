@@ -162,3 +162,27 @@ def test_owner_exit_leaves_no_worker(bundled_backend, exit_call):
     while not gone(pid) and time.monotonic() < deadline:
         time.sleep(0.05)
     assert gone(pid)
+
+
+def test_default_route_never_imports_scipy_into_the_caller():
+    """The bundled backend's scipy lives in the worker only; the caller's
+    memory and start-up stay free of it."""
+    code = ("import sys\n"
+            "from ssltl.hoa import load_hoa\n"
+            "from ssltl.ilp import IlpConfig\n"
+            "from ssltl.model import GridSpec, generate_grid, load_spec\n"
+            "from ssltl.synthesis import synthesize\n"
+            "spec = load_spec('fixtures/specs/theta4.json')\n"
+            "result = synthesize(generate_grid(GridSpec(4, 4, seed=0)),\n"
+            "                    load_hoa(spec.dra_source), spec,\n"
+            "                    cfg=IlpConfig(objective='feasibility'))\n"
+            "print(result.status, sorted(m for m in sys.modules\n"
+            "                            if m.split('.')[0] == 'scipy'))\n")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, SSLTL_SOLVER_CMD="",
+               PATH=os.path.dirname(sys.executable),
+               PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=env, cwd=root)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["verified", "[]"]
