@@ -18,14 +18,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
-from ssltl.errors import SsltlError, SolverError
+from ssltl.errors import SsltlError
 from ssltl.hoa import load_hoa
 from ssltl.ilp import IlpConfig, SolverConfig, build_program, export_lp
 from ssltl.graph import accepting_mecs, mec_decomposition
 from ssltl.model import GridSpec, SsLtlSpec, generate_grid, load_model, \
     load_spec, save_model
 from ssltl.product import build_product, load_policy, save_policy
-from ssltl.synthesis import synthesize
+from ssltl.synthesis import DEFAULT_MAX_CUT_ROUNDS, synthesize
 from ssltl.verify import verify_policy
 
 EXIT_OK = 0
@@ -33,6 +33,9 @@ EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_UNVERIFIED = 3
 EXIT_SOLVER = 4
+
+OBJECTIVES = {"reward": "expected_reward", "feasibility": "feasibility"}
+DYNAMICS = {"det": "deterministic", "slip": "slip"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,10 +50,25 @@ def _solver_config(args) -> SolverConfig:
 
 
 def _ilp_config(args) -> IlpConfig:
-    objective = {"reward": "expected_reward",
-                 "feasibility": "feasibility"}[args.objective]
     return IlpConfig(epsilon=args.eps, acc_eps=args.acc_eps,
-                     flow_ratio=args.flow_ratio, objective=objective)
+                     flow_ratio=args.flow_ratio,
+                     objective=OBJECTIVES[args.objective])
+
+
+def _add_objective_flag(p):
+    p.add_argument("--objective", choices=tuple(OBJECTIVES),
+                   default="reward")
+
+
+def _add_solver_flags(p):
+    p.add_argument("--solver-cmd", default=None,
+                   help="command template with {lp} and {sol} placeholders "
+                        "(default: $SSLTL_SOLVER_CMD, else the bundled "
+                        "backend)")
+    p.add_argument("--timeout", type=float, default=None,
+                   help="seconds per solve: the time limit of the bundled "
+                        "backend (default 60), or the wall-clock limit "
+                        "after which an external command is killed")
 
 
 def _add_program_flags(p):
@@ -61,19 +79,13 @@ def _add_program_flags(p):
                    help="acceptance-mass threshold replacing strict > 0")
     p.add_argument("--flow-ratio", type=float, default=2.0,
                    help="denominator of the outgoing/incoming flow bound")
-    p.add_argument("--objective", choices=("reward", "feasibility"),
-                   default="reward")
+    _add_objective_flag(p)
 
 
 def _add_run_flags(p):
-    p.add_argument("--solver-cmd", default=None,
-                   help="command template with {lp} and {sol} placeholders "
-                        "(default: $SSLTL_SOLVER_CMD, else auto-detect)")
-    p.add_argument("--timeout", type=float, default=None,
-                   help="seconds per solve: the time limit of the bundled "
-                        "backend (default 60), or the wall-clock limit "
-                        "after which an external command is killed")
-    p.add_argument("--max-cut-rounds", type=int, default=64)
+    _add_solver_flags(p)
+    p.add_argument("--max-cut-rounds", type=int,
+                   default=DEFAULT_MAX_CUT_ROUNDS)
     p.add_argument("--keep-files", default=None, metavar="DIR",
                    help="keep round_<k>.lp and round_<k>.sol of every "
                         "solver round in this directory")
@@ -81,8 +93,7 @@ def _add_run_flags(p):
 
 def cmd_gen_grid(args) -> int:
     spec = GridSpec(width=args.size, height=args.size, seed=args.seed,
-                    dynamics={"det": "deterministic",
-                              "slip": "slip"}[args.dynamics],
+                    dynamics=DYNAMICS[args.dynamics],
                     slip_main=args.slip_p, reward_mode=args.rewards)
     save_model(generate_grid(spec), args.output)
     return EXIT_OK
@@ -197,10 +208,9 @@ class RunRecord:
     spec: str
     status: str
     seconds: float          # solver wall time; the whole attempt if it raised
-    total_seconds: float
     objective: Optional[float]
     verified: bool
-    detail: str = ""        # why an attempt raised; not a CSV column
+    detail: str = ""        # the cause of an error row; not a CSV column
 
     def csv_row(self):
         return [self.instance, self.size, self.spec, self.status,
@@ -210,41 +220,37 @@ class RunRecord:
 
 
 def _bench_one(task) -> RunRecord:
-    size, seed, spec_path, solver_cmd, timeout, objective, dynamics = task
-    from ssltl.model import load_spec as _load_spec
-
-    spec = _load_spec(spec_path)
+    grid, spec_path, cfg, solver = task
+    spec = load_spec(spec_path)
     dra = load_hoa(spec.dra_source)
-    model = generate_grid(GridSpec(width=size, height=size, seed=seed,
-                                   dynamics=dynamics))
-    cfg = IlpConfig(objective=objective)
-    solver = SolverConfig(command=solver_cmd, timeout=timeout)
+    model = generate_grid(grid)
     name = spec_path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
+    instance = f"{name}_{grid.width}x{grid.height}_seed{grid.seed}"
     t0 = time.monotonic()
     try:
         result = synthesize(model, dra, spec, cfg=cfg, solver=solver)
     except SsltlError as exc:
-        elapsed = time.monotonic() - t0
-        return RunRecord(instance=f"{name}_{size}x{size}_seed{seed}",
-                         size=size, spec=name, status="error", seconds=elapsed,
-                         total_seconds=elapsed, objective=None,
-                         verified=False, detail=" ".join(str(exc).split()))
+        return RunRecord(instance=instance, size=grid.width, spec=name,
+                         status="error", seconds=time.monotonic() - t0,
+                         objective=None, verified=False, detail=str(exc))
     return RunRecord(
-        instance=f"{name}_{size}x{size}_seed{seed}", size=size, spec=name,
-        status=result.status, seconds=result.solve_seconds,
-        total_seconds=result.total_seconds, objective=result.objective,
-        verified=result.status == "verified")
+        instance=instance, size=grid.width, spec=name, status=result.status,
+        seconds=result.solve_seconds, objective=result.objective,
+        verified=result.status == "verified", detail=result.detail)
+
+
+def _int_list(text: str) -> list:
+    return [int(x) for x in text.split(",") if x]
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(x) for x in args.sizes.split(",") if x]
     specs = [x for x in args.specs.split(",") if x]
-    objective = {"reward": "expected_reward",
-                 "feasibility": "feasibility"}[args.objective]
-    tasks = [(size, args.seed_base + i, spec_path, args.solver_cmd,
-              args.timeout, objective,
-              {"det": "deterministic", "slip": "slip"}[args.dynamics])
-             for spec_path in specs for size in sizes
+    cfg = IlpConfig(objective=OBJECTIVES[args.objective])
+    solver = _solver_config(args)
+    tasks = [(GridSpec(width=size, height=size, seed=args.seed_base + i,
+                       dynamics=DYNAMICS[args.dynamics]),
+              spec_path, cfg, solver)
+             for spec_path in specs for size in args.sizes
              for i in range(args.seeds)]
 
     if args.workers > 1:
@@ -261,7 +267,7 @@ def cmd_bench(args) -> int:
             writer.writerow(rec.csv_row())
         for spec_path in specs:
             name = spec_path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
-            for size in sizes:
+            for size in args.sizes:
                 times = [r.seconds for r in records
                          if r.spec == name and r.size == size]
                 if not times:
@@ -273,8 +279,9 @@ def cmd_bench(args) -> int:
                 writer.writerow(["summary", size, name, "stddev",
                                  f"{sdev:.6f}", "", ""])
     for rec in records:
-        if rec.detail:
-            sys.stderr.write(f"{rec.instance}: error: {rec.detail}\n")
+        if rec.status == "error":
+            sys.stderr.write(f"{rec.instance}: error: "
+                             f"{' '.join(rec.detail.split())}\n")
     failures = [r for r in records
                 if r.status in ("error", "timeout", "unverified")]
     print(f"{len(records)} runs, {len(failures)} failures -> {args.output}")
@@ -294,7 +301,7 @@ def make_parser() -> argparse.ArgumentParser:
                        "gridworld model file")
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dynamics", choices=("det", "slip"), default="det")
+    p.add_argument("--dynamics", choices=tuple(DYNAMICS), default="det")
     p.add_argument("--slip-p", type=float, default=0.8)
     p.add_argument("--rewards", choices=("bernoulli01", "zero"),
                    default="bernoulli01")
@@ -333,18 +340,17 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_export_lp)
 
     p = sub.add_parser("bench", help="run the gridworld benchmark suite")
-    p.add_argument("--sizes", default="4", help="comma-separated grid sizes")
+    p.add_argument("--sizes", type=_int_list, default="4",
+                   help="comma-separated grid sizes")
     p.add_argument("--specs", required=True,
                    help="comma-separated spec file paths")
     p.add_argument("--seeds", type=int, default=3,
                    help="instances per (spec, size)")
     p.add_argument("--seed-base", type=int, default=0)
-    p.add_argument("--dynamics", choices=("det", "slip"), default="det")
+    p.add_argument("--dynamics", choices=tuple(DYNAMICS), default="det")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--objective", choices=("reward", "feasibility"),
-                   default="reward")
-    p.add_argument("--solver-cmd", default=None)
-    p.add_argument("--timeout", type=float, default=None)
+    _add_objective_flag(p)
+    _add_solver_flags(p)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_bench)
 
@@ -359,9 +365,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except SolverError as exc:
-        sys.stderr.write(f"solver error: {exc}\n")
-        return EXIT_SOLVER
     except (SsltlError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

@@ -18,8 +18,8 @@ class PolicyError(SsltlError):
 
 
 class SolverError(SsltlError):
-    """External solver could not be launched, or failed and left no
-    parseable solution."""
+    """A solver failure raised by a caller of the pipeline; ``ilp.solve``
+    itself reports every failure as status ``error``."""
 
 
 class NoAcceptingStructureError(SsltlError):

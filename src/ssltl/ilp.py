@@ -12,7 +12,8 @@ interpreter start, LP text or a solution file.  An external solver gets the
 program in CPLEX LP format through its command template (``{lp}`` and
 ``{sol}`` placeholders), and solution files in either a generic ``name
 value`` layout or the index-prefixed column layout written by CBC are mapped
-back to columns.
+back to columns.  Every solve ends in a ``Solution`` whose status says how;
+a solver failure is status ``error``, never an exception.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from ssltl.errors import ModelError, NoAcceptingStructureError, PolicyError, \
-    SolverError
+from ssltl.errors import ModelError, NoAcceptingStructureError, PolicyError
 from ssltl.model import SsLtlSpec, labeled_subset
 from ssltl.product import Policy, ProductLmdp
 
@@ -441,9 +441,10 @@ BUNDLED_TIME_LIMIT = 60.0           # seconds inside the bundled backend
 @dataclass(frozen=True)
 class SolverConfig:
     """``command``: an external solver's template with {lp} and {sol}
-    placeholders; None selects the configured one, else the bundled backend.
-    ``timeout``: seconds; the bundled backend's in-solver time limit (default
-    BUNDLED_TIME_LIMIT), or when an external command is killed."""
+    placeholders; None selects the SSLTL_SOLVER_CMD environment variable if
+    it is set, else the bundled backend.  ``timeout``: seconds; the bundled
+    backend's in-solver time limit (default BUNDLED_TIME_LIMIT), or when an
+    external command is killed."""
 
     command: Optional[str] = None
     timeout: Optional[float] = None
@@ -455,28 +456,14 @@ class SolverConfig:
                              f"not {self.timeout!r}")
 
 
-def _external_command() -> Optional[str]:
-    """The external solver in use when no command is given: the
-    SSLTL_SOLVER_CMD environment variable, then a ``highs`` or ``cbc`` binary
-    on PATH.  None selects the bundled backend."""
-    env = os.environ.get("SSLTL_SOLVER_CMD")
-    if env:
-        return env
-    if shutil.which("highs"):
-        return "highs --solution_file {sol} {lp}"
-    if shutil.which("cbc"):
-        return "cbc {lp} solve printingOptions all solution {sol}"
-    return None
-
-
 def default_solver_command(
         solve_time_limit: float = BUNDLED_TIME_LIMIT) -> str:
-    """Resolve the solver template: the SSLTL_SOLVER_CMD environment variable
-    wins, then a ``highs`` or ``cbc`` binary on PATH, then the bundled
-    backend's LP-file command, with the in-solver time budget ``solve`` gives
-    the bundled worker (so that plateau instances return their incumbent
-    instead of hanging)."""
-    return _external_command() or (
+    """The solver template for a caller that needs an LP-file command: the
+    SSLTL_SOLVER_CMD environment variable, else the bundled backend's
+    LP-file command with the in-solver time budget ``solve`` gives the
+    bundled worker (so that plateau instances return their incumbent instead
+    of hanging)."""
+    return os.environ.get("SSLTL_SOLVER_CMD") or (
         f"{sys.executable} -m ssltl.milp_shim {{lp}} {{sol}} "
         f"--time-limit {solve_time_limit:g}")
 
@@ -488,8 +475,8 @@ class Solution:
     None when read from a solution file."""
 
     status: str          # optimal | feasible | infeasible | timeout | error
-    values: Optional[np.ndarray]     # one value per column; None: no point
-    objective: Optional[float]
+    values: Optional[np.ndarray] = None     # one value per column, if any
+    objective: Optional[float] = None
     solver_output: str = ""
     bound: Optional[float] = None
     gap: Optional[float] = None
@@ -535,16 +522,19 @@ def parse_solution_text(text: str, varnames) -> tuple:
 
 def solve(model: IlpModel, solver: Optional[SolverConfig] = None,
           keep_files: Optional[str] = None, round_no: int = 1) -> Solution:
-    """Solve the program with the configured external command, else with the
-    bundled backend's worker process.
+    """Solve the program with the configured external command (see
+    ``SolverConfig``), else with the bundled backend's worker process.
+
+    Every outcome is a ``Solution``; a solver or worker that fails to answer
+    is status ``error`` with the cause in ``solver_output``.
 
     ``keep_files`` names a directory that keeps ``round_<round_no>.lp`` and
     ``round_<round_no>.sol``; otherwise the external route uses a fresh
     temporary directory and removes it, and the bundled one writes no file.
     """
     solver = solver or SolverConfig()
-    command = solver.command or _external_command()
-    if command is None:
+    command = solver.command or os.environ.get("SSLTL_SOLVER_CMD")
+    if not command:
         limit = (BUNDLED_TIME_LIMIT if solver.timeout is None
                  else solver.timeout)
         return _solve_bundled(model, limit, keep_files, round_no)
@@ -563,12 +553,12 @@ def solve(model: IlpModel, solver: Optional[SolverConfig] = None,
         try:
             proc = subprocess.run(shlex.split(cmd), capture_output=True,
                                   text=True, timeout=solver.timeout)
-        except FileNotFoundError as exc:
-            raise SolverError(f"cannot launch solver: {cmd!r}: {exc}") from exc
+        except OSError as exc:
+            return Solution("error", solver_output=f"cannot launch solver: "
+                                                   f"{cmd!r}: {exc}")
         except subprocess.TimeoutExpired:
-            return Solution(status="timeout", values=None, objective=None,
-                            solver_output=f"killed after {solver.timeout:g} "
-                                          f"s: {cmd!r}")
+            return Solution("timeout", solver_output=f"killed after "
+                            f"{solver.timeout:g} s: {cmd!r}")
 
         output = (proc.stdout or "") + "\n" + (proc.stderr or "")
         sol_text = ""
@@ -586,17 +576,17 @@ def solve(model: IlpModel, solver: Optional[SolverConfig] = None,
         _, hint = parse_solution_text(output, names)
 
     if hint == "infeasible":
-        return Solution(status="infeasible", values=None, objective=None,
-                        solver_output=output)
+        return Solution("infeasible", solver_output=output)
     if not by_name:
         if hint == "feasible":      # stopped at a limit before any solution
-            return Solution(status="timeout", values=None, objective=None,
+            return Solution("timeout",
                             solver_output=(sol_text + output).strip())
         if proc.returncode != 0:
-            raise SolverError(
+            return Solution("error", solver_output=(
                 f"solver failed (exit {proc.returncode}) and wrote no "
-                f"solution: {output[-2000:]}")
-        raise SolverError(f"unparseable solver output: {sol_text[-2000:]!r}")
+                f"solution: {output[-2000:]}"))
+        return Solution("error", solver_output=f"unparseable solver output: "
+                                               f"{sol_text[-2000:]!r}")
 
     values = np.array([by_name.get(name, 0.0) for name in names])
     objective = sum(coef * values[j] for coef, j in model.objective)
@@ -619,14 +609,15 @@ def _solve_bundled(model: IlpModel, time_limit: float,
         write_lp(model, stem + ".lp")
     status, x, dual_bound, gap, nodes = _ask_worker(program + (time_limit,))
     output = f"Model status: {status}"
-    sol = None
     if status == "Infeasible":
-        sol = Solution(status="infeasible", values=None, objective=None,
-                       solver_output=output)
+        sol = Solution("infeasible", solver_output=output)
     elif x is None and status.startswith("Time limit reached"):
-        sol = Solution(status="timeout", values=None, objective=None,
-                       solver_output=output)
-    elif x is not None:
+        sol = Solution("timeout", solver_output=output)
+    elif x is None:
+        sol = Solution("error", solver_output=f"the bundled HiGHS backend "
+                                              f"returned no solution: "
+                                              f"{output}")
+    else:
         values = np.empty(len(order))
         values[order] = x
         objective = sum(coef * values[j] for coef, j in model.objective)
@@ -639,18 +630,15 @@ def _solve_bundled(model: IlpModel, time_limit: float,
             gap=gap, nodes=nodes)
     if keep_files is not None:
         _write_kept_solution(stem + ".sol", model, order, output, sol)
-    if sol is None:
-        raise SolverError(f"the bundled HiGHS backend returned no solution: "
-                          f"{output}")
     return sol
 
 
 def _write_kept_solution(path, model: IlpModel, order, output: str,
-                         sol: Optional[Solution]) -> None:
+                         sol: Solution) -> None:
     """``sol`` in the layout ``milp_shim.write_solution`` uses, columns in
     HiGHS order."""
     lines = [output]
-    if sol is not None and sol.values is not None:
+    if sol.values is not None:
         names = column_names(model)
         lines.append(f"Objective {sol.objective!r}")
         lines.append(f"# Columns {len(order)}")
@@ -672,7 +660,9 @@ _worker: Optional[tuple] = None         # (owner pid, Popen)
 def _ask_worker(request: tuple) -> tuple:
     """Send one request to this process's worker and return its reply (see
     ``milp_shim.serve``).  If anything interrupts the exchange the worker is
-    killed and dropped, so that a later exchange never reads a stale reply."""
+    killed and dropped, so that a later exchange never reads a stale reply;
+    a worker that exits mid-exchange is answered with an ``Error`` reply, and
+    every other interruption propagates."""
     global _worker
     with _worker_lock:
         proc = _live_worker()
@@ -680,14 +670,15 @@ def _ask_worker(request: tuple) -> tuple:
             pickle.dump(request, proc.stdin, protocol=pickle.HIGHEST_PROTOCOL)
             proc.stdin.flush()
             return _receive(proc)
-        except BaseException as exc:
+        except (EOFError, BrokenPipeError):
             _worker = None
-            died = isinstance(exc, (EOFError, BrokenPipeError))
-            _stop(proc, grace=5.0 if died else 0.0)
-            if died:
-                raise SolverError(
-                    f"the bundled solver worker exited (code "
-                    f"{proc.returncode}) without a reply") from exc
+            _stop(proc, grace=5.0)
+            return (f"Error (the bundled solver worker exited, code "
+                    f"{proc.returncode}, without a reply)", None, None, None,
+                    None)
+        except BaseException:
+            _worker = None
+            _stop(proc)
             raise
 
 

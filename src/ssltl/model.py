@@ -379,6 +379,9 @@ class GridSpec:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ModelError("grid dimensions must be positive")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ModelError(f"grid seed must be in 0 .. 2**64-1, "
+                             f"not {self.seed!r}")
         if self.dynamics not in ("deterministic", "slip"):
             raise ModelError(f"unknown dynamics {self.dynamics!r}")
         if self.reward_mode not in ("bernoulli01", "zero"):

@@ -92,6 +92,10 @@ def synthesize(m: Lmdp, d: Dra, spec: SsLtlSpec,
                solver: Optional[SolverConfig] = None,
                max_cut_rounds: int = DEFAULT_MAX_CUT_ROUNDS,
                keep_files: Optional[str] = None) -> SynthesisResult:
+    """Run the cut loop until a candidate verifies, the solver ends it, or
+    ``max_cut_rounds`` solves are spent.  A solver failure ends in status
+    ``error`` with its cause in ``detail``; only a malformed argument or
+    instance raises."""
     if max_cut_rounds < 1:
         raise ModelError(f"max_cut_rounds must be at least 1, "
                          f"not {max_cut_rounds!r}")
@@ -100,60 +104,54 @@ def synthesize(m: Lmdp, d: Dra, spec: SsLtlSpec,
     product = build_product(m, d)
     amecs = accepting_mecs(mec_decomposition(product), product)
 
+    sol = pi = report = None
+    rounds, solve_seconds = 0, 0.0
+    status = "unverified"
+    detail = f"no verified policy within {max_cut_rounds} solver rounds"
     try:
         model = build_program(product, amecs, spec, cfg)
     except NoAcceptingStructureError as exc:
-        return SynthesisResult(status="infeasible", policy=None, report=None,
-                               solution=None, objective=None, rounds=0,
-                               solve_seconds=0.0,
-                               total_seconds=time.monotonic() - t0,
-                               detail=str(exc))
-
-    solve_seconds = 0.0
-    rounds = 0
-    last_report = None
-    last_solution = None
-    last_policy = None
-    while rounds < max_cut_rounds:
+        status, detail = "infeasible", str(exc)
+    while status == "unverified" and rounds < max_cut_rounds:
         rounds += 1
         t_solve = time.monotonic()
         sol = solve(model, solver, keep_files=keep_files, round_no=rounds)
         solve_seconds += time.monotonic() - t_solve
         if sol.status == "infeasible":
-            return SynthesisResult(
-                status="infeasible", policy=None, report=last_report,
-                solution=sol, objective=None, rounds=rounds,
-                solve_seconds=solve_seconds,
-                total_seconds=time.monotonic() - t0)
+            status, detail = "infeasible", ""
+            break
         if sol.status in ("timeout", "error"):
-            what = ("stopped at its time limit without a feasible solution"
-                    if sol.status == "timeout"
-                    else "returned an unusable status")
-            return SynthesisResult(
-                status=sol.status, policy=None, report=None, solution=sol,
-                objective=None, rounds=rounds, solve_seconds=solve_seconds,
-                total_seconds=time.monotonic() - t0,
-                detail=f"solver {what}: {sol.solver_output.strip()[-500:]}")
+            status, detail = sol.status, _solver_detail(sol)
+            break
         try:
             pi = extract_policy(sol, product)
         except PolicyError as exc:
-            return SynthesisResult(
-                status="error", policy=None, report=None, solution=sol,
-                objective=None, rounds=rounds, solve_seconds=solve_seconds,
-                total_seconds=time.monotonic() - t0, detail=str(exc))
+            status, detail = "error", str(exc)
+            break
         report = verify_policy(m, d, spec, pi, product=product)
-        last_report, last_solution, last_policy = report, sol, pi
         if report.verdict:
-            return SynthesisResult(
-                status="verified", policy=pi, report=report, solution=sol,
-                objective=sol.objective, rounds=rounds,
-                solve_seconds=solve_seconds,
-                total_seconds=time.monotonic() - t0)
+            status, detail = "verified", ""
+            break
         cuts = _rejection_cuts(product, pi, report, rounds - 1)
         model = replace(model, rows=model.rows + tuple(cuts))
 
     return SynthesisResult(
-        status="unverified", policy=last_policy, report=last_report,
-        solution=last_solution, objective=None, rounds=rounds,
-        solve_seconds=solve_seconds, total_seconds=time.monotonic() - t0,
-        detail=f"no verified policy within {max_cut_rounds} solver rounds")
+        status=status,
+        policy=pi if status in ("verified", "unverified") else None,
+        report=None if status in ("timeout", "error") else report,
+        solution=sol,
+        objective=sol.objective if status == "verified" else None,
+        rounds=rounds, solve_seconds=solve_seconds,
+        total_seconds=time.monotonic() - t0, detail=detail)
+
+
+def _solver_detail(sol: Solution) -> str:
+    """Why a ``timeout`` or ``error`` solve ends the run; a failure's cause
+    leads, a solver log is cut to its end."""
+    text = sol.solver_output.strip()
+    if sol.status == "timeout":
+        return ("solver stopped at its time limit without a feasible "
+                f"solution: {text[-500:]}")
+    if sol.values is None:
+        return f"solver error: {text}"
+    return f"solver returned an unusable status: {text[-500:]}"

@@ -25,15 +25,11 @@ def automata_dir():
 @pytest.fixture(scope="session")
 def solver_cmd():
     """Solver command template for tests: the environment override if set,
-    else None, the default route (the bundled backend unless a ``highs`` or
-    ``cbc`` binary is on PATH)."""
+    else None, the bundled backend."""
     return os.environ.get("SSLTL_SOLVER_CMD")
 
 
 @pytest.fixture
 def bundled_backend(monkeypatch):
     """No external solver configured, whatever the environment holds."""
-    import shutil
-
     monkeypatch.delenv("SSLTL_SOLVER_CMD", raising=False)
-    monkeypatch.setattr(shutil, "which", lambda *args, **kwargs: None)

@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +34,31 @@ def test_gen_grid_16_has_256_states(tmp_path):
 def test_usage_error_exit_code():
     assert run_cli("gen-grid", "--size", "4") == 1  # missing -o
     assert run_cli("no-such-command") == 1
+
+
+BENCH_ONE = ("bench", "--seeds", "1", "--specs", "fixtures/specs/theta4.json")
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen-grid", "--size", "3", "--seed", "-1"),
+    ("gen-grid", "--size", "3", "--seed", str(2 ** 64)),
+    BENCH_ONE + ("--sizes", "2", "--seed-base", "-1"),
+    BENCH_ONE + ("--sizes", "2", "--seed-base", str(2 ** 64 - 1),
+                 "--seeds", "2"),
+    BENCH_ONE + ("--sizes", "2,x"),
+], ids=["seed-negative", "seed-2**64", "bench-seed-negative",
+        "bench-seed-past-2**64-1", "bench-size-not-a-number"])
+def test_bad_number_is_a_usage_error(tmp_path, capsys, argv):
+    code = run_cli(*argv, "-o", str(tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error:" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_gen_grid_takes_the_largest_seed(tmp_path):
+    assert run_cli("gen-grid", "--size", "3", "--seed", str(2 ** 64 - 1),
+                   "-o", str(tmp_path / "g.json")) == 0
 
 
 def write_trivial_instance(tmp_path):
@@ -331,6 +357,41 @@ def test_synth_solver_error_exit_4(tmp_path):
                    "-o", str(tmp_path / "policy.json"),
                    "--solver-cmd", "no-such-solver-binary {lp} {sol}")
     assert code == 4
+
+
+def test_synth_records_a_solver_that_cannot_launch(tmp_path, capsys):
+    write_trivial_instance(tmp_path)
+    code = run_cli("synth", "--model", str(tmp_path / "model.json"),
+                   "--spec", str(tmp_path / "spec.json"),
+                   "-o", str(tmp_path / "policy.json"),
+                   "--record", str(tmp_path / "record.json"),
+                   "--solver-cmd", "no-such-solver {lp} {sol}")
+    assert code == 4
+    assert capsys.readouterr().err.startswith(
+        "error: solver error: cannot launch solver: 'no-such-solver ")
+    rec = json.loads((tmp_path / "record.json").read_text())
+    assert rec["status"] == "error" and rec["rounds"] == 1
+    assert rec["detail"].startswith("solver error: cannot launch solver: ")
+    assert rec["solver"]["status"] == "error"
+    assert not (tmp_path / "policy.json").exists()
+
+
+def test_bench_reports_the_cause_of_an_attempt_that_raised(tmp_path, capsys):
+    """An ss formula over a proposition the grid lacks raises out of
+    ``synthesize``; the row still carries the attempt's time and cause."""
+    spec = tmp_path / "zz.json"
+    spec.write_text(json.dumps({
+        "dra": str(Path("fixtures/automata/fa_U_b.hoa").resolve()),
+        "ss": [{"formula": "zz", "lower": 0.0, "upper": 1.0}]}))
+    out = tmp_path / "bench.csv"
+    assert run_cli("bench", "--sizes", "2", "--seeds", "1", "--specs",
+                   str(spec), "-o", str(out)) == 0
+    with open(out, newline="") as fh:
+        run = list(csv.reader(fh))[1]
+    assert run[:4] == ["zz_2x2_seed0", "2", "zz", "error"]
+    assert float(run[4]) > 0.0
+    assert capsys.readouterr().err.splitlines() == [
+        "zz_2x2_seed0: error: unknown proposition 'zz'"]
 
 
 def test_synth_unverified_exit_3(tmp_path, bundled_backend):

@@ -146,3 +146,66 @@ def test_rejection_cuts_skip_an_accepting_bscc():
     k = p.first[p.states.index(("s2", "q0"))]
     assert cuts[1].terms == ((1.0, k), (1.0, Columns(p).pi0 + k))
     assert cuts[1].rhs == 1.0
+
+
+@pytest.mark.parametrize("command, cause", [
+    ("no-such-solver {lp} {sol}", "cannot launch solver: 'no-such-solver "),
+    ("false {lp} {sol}", "solver failed (exit 1) and wrote no solution"),
+    ("true {lp} {sol}", "unparseable solver output: ''"),
+], ids=["cannot-launch", "exit-1-no-solution", "no-output"])
+def test_solver_failure_ends_in_status_error(command, cause):
+    """A failed solve is a result with the cause in ``detail``, not an
+    exception out of ``synthesize``."""
+    spec = spec_from_json({"dra": "x", "ss": []})
+    result = synthesize(mixture_trap_model(), TRUE_DRA, spec,
+                        solver=SolverConfig(command=command))
+    assert result.status == "error" and result.rounds == 1
+    assert result.detail.startswith(f"solver error: {cause}")
+    assert result.solution.status == "error"
+    assert result.policy is None and result.report is None
+
+
+FG_NOT_F_DRA = parse_hoa("""HOA: v1
+States: 2
+Start: 0
+AP: 1 "f"
+acc-name: Rabin 1
+Acceptance: 2 Fin(0) & Inf(1)
+--BODY--
+State: 0 {1}
+[!0] 0
+[0] 1
+State: 1 {0}
+[!0] 0
+[0] 1
+--END--
+""")
+
+
+def fin_touching_mec_model():
+    """s0 -stay-> s0, s0 -go-> s1 (labelled f), s1 -go-> s0: the whole
+    product is one MEC, and it touches Fin through (s1, q1), but the
+    self-loop at (s0, q0) alone is an accepting end component."""
+    return validate_lmdp(Lmdp(
+        states=("s0", "s1"), actions=("stay", "go"),
+        enabled={"s0": ("stay", "go"), "s1": ("go",)},
+        trans={("s0", "stay"): {"s0": 1.0}, ("s0", "go"): {"s1": 1.0},
+               ("s1", "go"): {"s0": 1.0}},
+        reward={}, ap=("f",),
+        labels={"s0": frozenset(), "s1": frozenset(["f"])}, initial="s0"))
+
+
+def test_oracle_finds_the_policy_inside_a_fin_touching_mec():
+    spec = spec_from_json({"dra": "x", "ss": []})
+    pi = brute_force_synth(fin_touching_mec_model(), FG_NOT_F_DRA, spec)
+    assert pi is not None and pi.choice[("s0", "q0")] == "stay"
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: accepting_mecs "
+                   "drops a MEC that touches a Fin set, so no accepting "
+                   "end component inside it is found")
+def test_accepting_end_component_inside_a_fin_touching_mec(solver_cmd):
+    spec = spec_from_json({"dra": "x", "ss": []})
+    result = synthesize(fin_touching_mec_model(), FG_NOT_F_DRA, spec,
+                        solver=SolverConfig(command=solver_cmd, timeout=120))
+    assert result.status == "verified"

@@ -11,12 +11,12 @@ from pathlib import Path
 import pytest
 
 from ssltl import ilp
-from ssltl.errors import SolverError
 from ssltl.hoa import parse_hoa
 from ssltl.ilp import IlpConfig, SolverConfig, build_program, solve
 from ssltl.graph import accepting_mecs, mec_decomposition
 from ssltl.model import Lmdp, SsLtlSpec, validate_lmdp
 from ssltl.product import build_product
+from ssltl.synthesis import synthesize
 
 TRUE_DRA = parse_hoa("""HOA: v1
 States: 1
@@ -30,15 +30,21 @@ State: 0 {1}
 """)
 
 
-def one_state_program():
-    m = validate_lmdp(Lmdp(
+NO_SS = SsLtlSpec(dra_source="x", ss=())
+
+
+def one_state_model() -> Lmdp:
+    return validate_lmdp(Lmdp(
         states=("s0",), actions=("go",), enabled={"s0": ("go",)},
         trans={("s0", "go"): {"s0": 1.0}},
         reward={("s0", "go", "s0"): 2.0},
         ap=(), labels={"s0": frozenset()}, initial="s0"))
-    p = build_product(m, TRUE_DRA)
-    return build_program(p, accepting_mecs(mec_decomposition(p), p),
-                         SsLtlSpec(dra_source="x", ss=()), IlpConfig())
+
+
+def one_state_program():
+    p = build_product(one_state_model(), TRUE_DRA)
+    return build_program(p, accepting_mecs(mec_decomposition(p), p), NO_SS,
+                         IlpConfig())
 
 
 def solve_once() -> float:
@@ -92,8 +98,8 @@ def test_worker_killed_mid_exchange_is_a_solver_error(bundled_backend,
         return receive(p)
 
     monkeypatch.setattr(ilp, "_receive", killed_first)
-    with pytest.raises(SolverError, match="worker exited"):
-        solve_once()
+    sol = solve(one_state_program(), SolverConfig(timeout=60))
+    assert sol.status == "error" and "worker exited" in sol.solver_output
     assert ilp._worker is None
     monkeypatch.setattr(ilp, "_receive", receive)
     assert solve_once() == pytest.approx(2.0)
@@ -107,11 +113,62 @@ def test_failed_request_is_a_solver_error_and_keeps_the_worker(
     program, order = ilp.highs_arrays(one_state_program())
     short = program[:-1] + (program[-1][:0],)   # integrality of no column
     monkeypatch.setattr(ilp, "highs_arrays", lambda model: (short, order))
-    with pytest.raises(SolverError, match="no solution"):
-        solve_once()
+    sol = solve(one_state_program(), SolverConfig(timeout=60))
+    assert sol.status == "error" and "no solution" in sol.solver_output
     monkeypatch.undo()
     assert solve_once() == pytest.approx(2.0)
     assert worker_pid() == pid
+
+
+def kill_mid_exchange(monkeypatch):
+    receive = ilp._receive
+
+    def killed_first(p):
+        p.kill()
+        p.wait()
+        p.stdout.read()
+        return receive(p)
+
+    monkeypatch.setattr(ilp, "_receive", killed_first)
+
+
+def fail_the_request(monkeypatch):
+    program, order = ilp.highs_arrays(one_state_program())
+    short = program[:-1] + (program[-1][:0],)   # integrality of no column
+    monkeypatch.setattr(ilp, "highs_arrays", lambda model: (short, order))
+
+
+@pytest.mark.parametrize("failure, cause", [
+    (kill_mid_exchange, "the bundled solver worker exited, code -9, "
+                        "without a reply)"),
+    (fail_the_request, "")], ids=["worker-killed", "worker-side-exception"])
+def test_worker_failure_ends_synthesis_in_status_error(
+        bundled_backend, monkeypatch, failure, cause):
+    solve_once()
+    failure(monkeypatch)
+    result = synthesize(one_state_model(), TRUE_DRA, NO_SS,
+                        solver=SolverConfig(timeout=60))
+    assert result.status == "error" and result.rounds == 1
+    assert result.detail.startswith(
+        "solver error: the bundled HiGHS backend returned no solution: "
+        f"Model status: Error ({cause}")
+    monkeypatch.undo()
+    assert synthesize(one_state_model(), TRUE_DRA, NO_SS).status == "verified"
+
+
+def test_solver_binaries_on_path_leave_the_bundled_route(tmp_path,
+                                                         monkeypatch):
+    """A ``highs`` or ``cbc`` binary on PATH is not a solver configuration:
+    the default route stays the bundled worker."""
+    for name in ("highs", "cbc"):
+        stub = tmp_path / name
+        stub.write_text(f"#!/bin/sh\ntouch '{tmp_path}/{name}-ran'\nexit 1\n")
+        stub.chmod(0o755)
+    monkeypatch.delenv("SSLTL_SOLVER_CMD", raising=False)
+    monkeypatch.setenv("PATH", f"{tmp_path}{os.pathsep}{os.environ['PATH']}")
+    assert solve_once() == pytest.approx(2.0)
+    assert "ssltl.milp_shim" in ilp.default_solver_command()
+    assert not list(tmp_path.glob("*-ran"))
 
 
 def test_forked_child_starts_its_own_worker(bundled_backend):
