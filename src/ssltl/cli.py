@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
-from ssltl.errors import SsltlError
+from ssltl.errors import ModelError, SsltlError
 from ssltl.hoa import load_hoa
 from ssltl.ilp import IlpConfig, SolverConfig, build_program, export_lp
 from ssltl.graph import accepting_mecs, mec_decomposition
@@ -50,8 +50,7 @@ def _solver_config(args) -> SolverConfig:
 
 
 def _ilp_config(args) -> IlpConfig:
-    return IlpConfig(epsilon=args.eps, acc_eps=args.acc_eps,
-                     flow_ratio=args.flow_ratio,
+    return IlpConfig(acc_eps=args.acc_eps,
                      objective=OBJECTIVES[args.objective])
 
 
@@ -72,13 +71,8 @@ def _add_solver_flags(p):
 
 
 def _add_program_flags(p):
-    p.add_argument("--eps", type=float, default=None,
-                   help="flow strict-decrease increment (default: "
-                        "min(1e-4, 1/(4 n)))")
     p.add_argument("--acc-eps", type=float, default=1e-4,
                    help="acceptance-mass threshold replacing strict > 0")
-    p.add_argument("--flow-ratio", type=float, default=2.0,
-                   help="denominator of the outgoing/incoming flow bound")
     _add_objective_flag(p)
 
 
@@ -245,6 +239,9 @@ def _int_list(text: str) -> list:
 
 def cmd_bench(args) -> int:
     specs = [x for x in args.specs.split(",") if x]
+    if min(args.seeds, args.workers) < 1 or not (args.sizes and specs):
+        raise ModelError("bench needs --seeds and --workers of at least 1, "
+                         "and at least one size and one spec")
     cfg = IlpConfig(objective=OBJECTIVES[args.objective])
     solver = _solver_config(args)
     tasks = [(GridSpec(width=size, height=size, seed=args.seed_base + i,

@@ -12,8 +12,10 @@ interpreter start, LP text or a solution file.  An external solver gets the
 program in CPLEX LP format through its command template (``{lp}`` and
 ``{sol}`` placeholders), and solution files in either a generic ``name
 value`` layout or the index-prefixed column layout written by CBC are mapped
-back to columns.  Every solve ends in a ``Solution`` whose status says how;
-a solver failure is status ``error``, never an exception.
+back to columns; ``write_solution`` writes the ``name value`` layout for
+``--keep-files`` and ``ssltl-milp``.  Every solve ends in a ``Solution``
+whose status says how; a solver failure is status ``error``, never an
+exception.
 """
 
 from __future__ import annotations
@@ -46,39 +48,44 @@ INTEGRALITY_WARN_BAND = 1e-6
 
 @dataclass(frozen=True)
 class IlpConfig:
-    """Program knobs.
-
-    ``epsilon`` is the strict-decrease increment of the flow constraints; the
-    default shrinks with the product size because the unit of flow injected at
-    the initial state must cover one epsilon per flagged state, so a fixed
-    epsilon would artificially forbid long reachable chains.  ``acc_eps``
-    relaxes the strict positivity of the acceptance-mass constraint, which is
-    not expressible in a MILP.
+    """Program knobs.  ``acc_eps`` relaxes the strict positivity of the
+    acceptance-mass constraint, which is not expressible in a MILP; the flow
+    rows' increment is worked out from the product (``flow_increment``).
     """
 
-    epsilon: Optional[float] = None
     acc_eps: float = 1e-4
-    flow_ratio: float = 2.0
     objective: str = "expected_reward"
 
     def __post_init__(self):
-        if self.epsilon is not None and not (math.isfinite(self.epsilon)
-                                             and self.epsilon > 0):
-            raise ModelError(f"epsilon must be a positive finite number, "
-                             f"not {self.epsilon!r}")
         if not (math.isfinite(self.acc_eps) and self.acc_eps > 0):
             raise ModelError(f"acc_eps must be a positive finite number, "
                              f"not {self.acc_eps!r}")
-        if not (math.isfinite(self.flow_ratio) and self.flow_ratio >= 1):
-            raise ModelError(f"flow_ratio must be a finite number >= 1, "
-                             f"not {self.flow_ratio!r}")
         if self.objective not in ("expected_reward", "feasibility"):
             raise ModelError(f"unknown objective {self.objective!r}")
 
-    def resolve_epsilon(self, n_product_states: int) -> float:
-        if self.epsilon is not None:
-            return self.epsilon
-        return min(1e-4, 1.0 / (4.0 * max(1, n_product_states)))
+
+def flow_increment(p: ProductLmdp) -> float:
+    """The increment eps of rows (vi): min(1e-4, p_min / (4 n)), for the
+    smallest transition probability p_min of ``p`` and its n states.
+
+    Rows (v)-(viii) then flag every state R a deterministic policy reaches.
+    Each flagged state but the root must keep k >= eps of its inflow (vi)
+    and pass on at least k (viii).  Send 2 eps from the root along a simple
+    path to each other v in R; v keeps eps and passes eps along a simple
+    path to a state on a cycle, which keeps it (v keeps both if on a cycle
+    itself).  The two paths meet only at v, else v is on a cycle, so all
+    packets load an edge or a state with at most 2 (n - 1) eps and keep no
+    more in all; a circulation of k through each cycle state lets it pass
+    on k and adds as much again.  So an edge carries at most 4 (n - 1) eps <
+    p_min, within its capacity (v), an inflow stays below 1 (vii), and the
+    root sends out no less than it receives (viii).  For any eps and
+    ratio only states of R can be flagged, as the others pass flow only
+    among themselves, and more flags keep every solution of rows (ix) and
+    (xiii)-(xv) once ``iks`` rises with them: a smaller eps or a larger
+    ratio admits no more policies.
+    """
+    p_min = min(prob for row in p.succ for prob in row.values())
+    return min(1e-4, p_min / (4.0 * len(p.states)))
 
 
 @dataclass(frozen=True)
@@ -148,7 +155,7 @@ def build_program(p: ProductLmdp, amecs, spec: SsLtlSpec,
     cols = Columns(p, len(amecs))
     n = len(p.states)
     n_pairs = cols.f0
-    eps = cfg.resolve_epsilon(n)
+    eps = flow_increment(p)
 
     in_edges = [[] for _ in range(n)]
     out_edges = [[] for _ in range(n)]
@@ -223,11 +230,10 @@ def build_program(p: ProductLmdp, amecs, spec: SsLtlSpec,
         terms.append((-1.0, cols.isq0 + i))
         rows.append(IlpRow(f"c_vii_{i}", _merge(terms), "<=", 0.0))
 
-    # (viii) outgoing >= incoming / flow_ratio
-    inv = 1.0 / cfg.flow_ratio
+    # (viii) outgoing >= incoming / 2
     for i in range(n):
         terms = [(1.0, f) for f in out_edges[i]]
-        terms += [(-inv, f) for f in in_edges[i]]
+        terms += [(-0.5, f) for f in in_edges[i]]
         rows.append(IlpRow(f"c_viii_{i}", _merge(terms), ">=", 0.0))
 
     # (ix) no measure on unflagged states
@@ -520,6 +526,19 @@ def parse_solution_text(text: str, varnames) -> tuple:
     return values, hint
 
 
+def write_solution(path, status: str, objective: Optional[float], names,
+                   x: Optional[np.ndarray]) -> None:
+    """A solution file in the ``name value`` layout: the ``Model status:``
+    line, then, if there is a point ``x``, its objective and the value of
+    each column, named by ``names``."""
+    lines = [f"Model status: {status}"]
+    if x is not None:
+        lines += [f"Objective {float(objective)!r}", f"# Columns {len(names)}"]
+        lines += [f"{name} {float(v)!r}" for name, v in zip(names, x)]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def solve(model: IlpModel, solver: Optional[SolverConfig] = None,
           keep_files: Optional[str] = None, round_no: int = 1) -> Solution:
     """Solve the program with the configured external command (see
@@ -629,22 +648,10 @@ def _solve_bundled(model: IlpModel, time_limit: float,
             bound=None if dual_bound is None else 0.0 - dual_bound,
             gap=gap, nodes=nodes)
     if keep_files is not None:
-        _write_kept_solution(stem + ".sol", model, order, output, sol)
-    return sol
-
-
-def _write_kept_solution(path, model: IlpModel, order, output: str,
-                         sol: Solution) -> None:
-    """``sol`` in the layout ``milp_shim.write_solution`` uses, columns in
-    HiGHS order."""
-    lines = [output]
-    if sol.values is not None:
         names = column_names(model)
-        lines.append(f"Objective {sol.objective!r}")
-        lines.append(f"# Columns {len(order)}")
-        lines += [f"{names[j]} {float(sol.values[j])!r}" for j in order]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        write_solution(stem + ".sol", status, sol.objective,
+                       [names[j] for j in order], x)
+    return sol
 
 
 # ---------------------------------------------------------------------------

@@ -265,19 +265,6 @@ def model_status(res, time_limit=None) -> str:
     return "Error"
 
 
-def write_solution(path, prob, res, idx, time_limit=None):
-    lines = [f"Model status: {model_status(res, time_limit)}"]
-    if res.x is not None:
-        obj = float(np.dot([prob.objective.get(n, 0.0) for n in prob.order],
-                           res.x)) + prob.offset
-        lines.append(f"Objective {obj!r}")
-        lines.append(f"# Columns {len(prob.order)}")
-        for name in prob.order:
-            lines.append(f"{name} {float(res.x[idx[name]])!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def _finite(value):
     return float(value) if value is not None and math.isfinite(value) else None
 
@@ -321,6 +308,9 @@ def serve() -> None:
 
 
 def main(argv=None) -> int:
+    # here, not at the top: the worker (``serve``) needs no program layer
+    from ssltl.ilp import write_solution
+
     parser = argparse.ArgumentParser(
         prog="ssltl-milp",
         description="Solve an LP-format mixed-integer program (HiGHS via "
@@ -333,9 +323,12 @@ def main(argv=None) -> int:
 
     with open(args.lp, "r", encoding="utf-8") as fh:
         prob = parse_lp(fh.read())
-    res, idx = solve_lp_problem(prob, time_limit=args.time_limit,
-                                mip_rel_gap=args.mip_rel_gap)
-    write_solution(args.sol, prob, res, idx, args.time_limit)
+    res, _ = solve_lp_problem(prob, time_limit=args.time_limit,
+                              mip_rel_gap=args.mip_rel_gap)
+    objective = None if res.x is None else float(np.dot(
+        [prob.objective.get(n, 0.0) for n in prob.order], res.x)) + prob.offset
+    write_solution(args.sol, model_status(res, args.time_limit), objective,
+                   prob.order, res.x)
     return 0
 
 

@@ -326,9 +326,10 @@ def spec_from_json(doc: dict, base_dir: Optional[str] = None) -> SsLtlSpec:
             upper = float(entry["upper"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelError(f"malformed ss entry {entry!r}") from exc
-        if not lower <= upper:      # NaN too
-            raise ModelError(
-                f"ss interval for {text!r} has lower {lower} > upper {upper}")
+        if not (math.isfinite(lower) and lower <= upper
+                and math.isfinite(upper)):
+            raise ModelError(f"ss interval for {text!r} needs finite bounds "
+                             f"with lower <= upper, not [{lower}, {upper}]")
         intervals.append(SsInterval(formula, text, lower, upper))
     return SsLtlSpec(dra_source=dra, ss=tuple(intervals))
 

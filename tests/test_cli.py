@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from ssltl.cli import main
-from ssltl.ilp import parse_solution_text
+from ssltl.ilp import default_solver_command, parse_solution_text
 from ssltl.milp_shim import parse_lp
 from ssltl.model import GridSpec, generate_grid, save_model
 
@@ -46,8 +46,12 @@ BENCH_ONE = ("bench", "--seeds", "1", "--specs", "fixtures/specs/theta4.json")
     BENCH_ONE + ("--sizes", "2", "--seed-base", str(2 ** 64 - 1),
                  "--seeds", "2"),
     BENCH_ONE + ("--sizes", "2,x"),
+    BENCH_ONE + ("--sizes", "2", "--seeds", "-3"),
+    BENCH_ONE + ("--sizes", "2", "--workers", "-2"),
+    BENCH_ONE + ("--sizes", ""),
 ], ids=["seed-negative", "seed-2**64", "bench-seed-negative",
-        "bench-seed-past-2**64-1", "bench-size-not-a-number"])
+        "bench-seed-past-2**64-1", "bench-size-not-a-number",
+        "bench-seeds-negative", "bench-workers-negative", "bench-no-size"])
 def test_bad_number_is_a_usage_error(tmp_path, capsys, argv):
     code = run_cli(*argv, "-o", str(tmp_path / "out"))
     err = capsys.readouterr().err
@@ -146,6 +150,10 @@ State: 0 {1}
         {"formula": 5, "lower": 0.0, "upper": 1.0}]})),
     ("spec.json", json.dumps({"dra": "true.hoa", "ss": [
         {"formula": "g", "lower": "nan", "upper": 1.0}]})),
+    ("spec.json", json.dumps({"dra": "true.hoa", "ss": [
+        {"formula": "g", "lower": float("-inf"), "upper": 1.0}]})),
+    ("spec.json", json.dumps({"dra": "true.hoa", "ss": [
+        {"formula": "g", "lower": 0.0, "upper": float("inf")}]})),
     ("policy.json", "not json"),
     ("true.hoa", TRIVIAL_HOA.replace("Rabin 1", "Rabin")),
     ("true.hoa", TRIVIAL_HOA.replace("Acceptance: 2", "Acceptance: x")),
@@ -160,6 +168,7 @@ State: 0 {1}
 ], ids=["state-without-id", "states-not-a-list", "model-not-utf8",
         "probability-nan", "reward-nan",
         "spec-is-a-list", "formula-not-a-string", "bound-nan",
+        "lower-minus-infinity", "upper-infinity",
         "policy-not-json",
         "acc-name-without-count", "acceptance-without-count",
         "ap-without-count", "ap-count-not-decimal",
@@ -179,8 +188,10 @@ def test_malformed_input_is_a_usage_error(tmp_path, capsys, name, text):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-PROGRAM_KNOBS = [("--eps", "0"), ("--eps", "nan"), ("--acc-eps", "nan"),
-                 ("--flow-ratio", "0.5"), ("--flow-ratio", "nan")]
+PROGRAM_KNOBS = [("--acc-eps", "nan")]
+# The flow rows' increment and ratio are worked out, not flags.
+GONE_KNOBS = [("--eps", "0"), ("--eps", "nan"), ("--eps", "1e-5"),
+              ("--flow-ratio", "0.5"), ("--flow-ratio", "nan")]
 # Knobs of the solver rounds: synth rejects bad values, and export-lp, which
 # solves nothing, takes none of them.
 RUN_KNOBS = [("--max-cut-rounds", "0"), ("--max-cut-rounds", "-3"),
@@ -194,7 +205,7 @@ EXPORT_ONLY_RUN_KNOBS = [("--solver-cmd", "x"), ("--keep-files", "kept"),
 
 @pytest.mark.parametrize("knob, command", [
     pytest.param(knob, command, id=f"{' '.join(knob)}-{command}")
-    for knob in PROGRAM_KNOBS + RUN_KNOBS + EXPORT_ONLY_RUN_KNOBS
+    for knob in PROGRAM_KNOBS + GONE_KNOBS + RUN_KNOBS + EXPORT_ONLY_RUN_KNOBS
     for command in ("synth", "export-lp")
     if command == "export-lp" or knob not in EXPORT_ONLY_RUN_KNOBS])
 def test_bad_program_knob_is_a_usage_error(tmp_path, capsys, command, knob):
@@ -204,7 +215,8 @@ def test_bad_program_knob_is_a_usage_error(tmp_path, capsys, command, knob):
                    "-o", str(tmp_path / "out"), *knob)
     err = capsys.readouterr().err
     assert code == 1
-    if command == "synth" or knob in PROGRAM_KNOBS:
+    if knob not in GONE_KNOBS and (command == "synth"
+                                   or knob in PROGRAM_KNOBS):
         assert err.startswith("error:")
     else:
         assert "unrecognized arguments" in err
@@ -422,7 +434,7 @@ def test_synth_time_limit_exit_4(tmp_path, bundled_backend, capsys):
     assert not (tmp_path / "policy.json").exists()
 
 
-def test_keep_files_keeps_every_round(tmp_path, bundled_backend):
+def check_keep_files_keeps_every_round(tmp_path, *flags):
     """4x4 theta2 grid seed 0 in feasibility mode takes two rounds."""
     save_model(generate_grid(GridSpec(4, 4, seed=0)), tmp_path / "m.json")
     kept = tmp_path / "kept"
@@ -431,7 +443,7 @@ def test_keep_files_keeps_every_round(tmp_path, bundled_backend):
                    "--objective", "feasibility",
                    "-o", str(tmp_path / "policy.json"),
                    "--record", str(tmp_path / "record.json"),
-                   "--keep-files", str(kept))
+                   "--keep-files", str(kept), *flags)
     assert code == 0
     assert json.loads((tmp_path / "record.json").read_text())["rounds"] == 2
     assert sorted(p.name for p in kept.iterdir()) == [
@@ -443,3 +455,14 @@ def test_keep_files_keeps_every_round(tmp_path, bundled_backend):
     for sol in ("round_1.sol", "round_2.sol"):
         values, hint = parse_solution_text((kept / sol).read_text(), names)
         assert hint == "optimal" and len(values) == len(names)
+
+
+def test_keep_files_keeps_every_round(tmp_path, bundled_backend):
+    check_keep_files_keeps_every_round(tmp_path)
+
+
+def test_keep_files_keeps_every_round_of_an_external_solver(
+        tmp_path, bundled_backend):
+    """The bundled engine as an LP-file command (``ssltl-milp``)."""
+    check_keep_files_keeps_every_round(
+        tmp_path, "--solver-cmd", default_solver_command())

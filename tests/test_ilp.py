@@ -3,8 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
-from helpers import binaries, check_solution, fix_policy, six_state_until_lmdp
+from helpers import binaries, check_solution, fix_policy, random_dra, \
+    random_lmdp, six_state_until_lmdp
 from ssltl.errors import ModelError, NoAcceptingStructureError, PolicyError
 from ssltl.graph import accepting_mecs, mec_decomposition
 from ssltl.hoa import Dra, letters_of, load_hoa, parse_hoa
@@ -19,13 +22,14 @@ from ssltl.ilp import (
     default_solver_command,
     export_lp,
     extract_policy,
+    flow_increment,
     highs_arrays,
     parse_solution_text,
     solve,
 )
 from ssltl.model import GridSpec, Lmdp, generate_grid, load_spec, \
     spec_from_json, validate_lmdp
-from ssltl.product import Policy, build_product
+from ssltl.product import Policy, build_product, induce_chain
 from ssltl.synthesis import _rejection_cuts, synthesize
 from ssltl.verify import verify_policy
 
@@ -134,17 +138,93 @@ def test_empty_amec_list_structurally_infeasible():
         build_program(p, amecs, no_ss_spec())
 
 
+def chain_product(n, p_go=1.0):
+    """The product of s0 .. s{n-1} with TRUE_DRA: 'go' moves on with
+    probability ``p_go`` and stays otherwise; the last state absorbs."""
+    states = tuple(f"s{i}" for i in range(n))
+    trans = {(s, "go"): {s: 1.0 - p_go, nxt: p_go}
+             for s, nxt in zip(states, states[1:])}
+    trans[(states[-1], "go")] = {states[-1]: 1.0}
+    m = validate_lmdp(Lmdp(
+        states=states, actions=("go",), enabled={s: ("go",) for s in states},
+        trans=trans, reward={}, ap=(), labels={s: frozenset() for s in states},
+        initial="s0"))
+    return build_product(m, TRUE_DRA)
+
+
 def test_epsilon_default_shrinks_with_product():
-    cfg = IlpConfig()
-    assert cfg.resolve_epsilon(10) == pytest.approx(1e-4)
-    assert cfg.resolve_epsilon(10_000) == pytest.approx(1.0 / 40_000)
+    assert flow_increment(chain_product(10)) == pytest.approx(1e-4)
+    assert flow_increment(chain_product(10_000)) == pytest.approx(
+        1.0 / 40_000)
+    assert flow_increment(chain_product(10, p_go=1e-6)) == pytest.approx(
+        1e-6 / 40)
+
+
+def rare_step_lmdp(rng, n_states):
+    """``random_lmdp`` with a step of probability 1e-1 .. 1e-7 to a random
+    state added to about half of its rows."""
+    m = random_lmdp(rng, n_states, 2)
+    trans = {}
+    for key, row in m.trans.items():
+        if rng.random() < 0.5:
+            rare = 10.0 ** -int(rng.integers(1, 8))
+            row = {s: prob * (1.0 - rare) for s, prob in row.items()}
+            target = m.states[int(rng.integers(n_states))]
+            row[target] = row.get(target, 0.0) + rare
+        trans[key] = row
+    return validate_lmdp(replace(m, trans=trans))
+
+
+FLOW_ROWS = ("c_v_", "c_vi_", "c_vii_", "c_viii_")
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_states=st.integers(2, 4),
+       n_nodes=st.integers(1, 3))
+def test_flow_rows_flag_every_state_a_policy_reaches(seed, n_states,
+                                                     n_nodes):
+    """With the policy binaries pinned to a random deterministic policy and
+    isq = 1 exactly on the states it reaches, rows (v)-(viii) are feasible,
+    however small the probability of an edge.  The flows are solved for in
+    units of the program's increment, so that HiGHS's tolerances stay far
+    below every margin."""
+    rng = np.random.default_rng(seed)
+    p = build_product(rare_step_lmdp(rng, n_states),
+                      random_dra(rng, n_nodes, ap=("p",)))
+    model = build_program(p, mec_decomposition(p), no_ss_spec())
+    cols = Columns(p)
+    pi = Policy({sq: p.actions(i)[int(rng.integers(len(p.actions(i))))]
+                 for i, sq in enumerate(p.states)})
+    reached = set(induce_chain(p, pi).states)
+    fixed = np.zeros(cols.isq0 + len(p.states))
+    for i in range(len(p.states)):
+        fixed[cols.pi0 + p.chosen_pair(i, pi)] = 1.0
+        fixed[cols.isq0 + i] = float(i in reached)
+    eps = next((-coef for row in model.rows if row.name.startswith("c_vi_")
+                for coef, j in row.terms if j >= cols.isq0), 1.0)
+
+    a_ub, b_ub = [], []
+    for row in model.rows:
+        if not row.name.startswith(FLOW_ROWS):
+            continue
+        a, rhs = np.zeros(cols.pi0 - cols.f0), row.rhs
+        for coef, j in row.terms:
+            if cols.f0 <= j < cols.pi0:
+                a[j - cols.f0] += coef
+            else:
+                rhs -= coef * fixed[j]
+        sign = -1.0 if row.sense == ">=" else 1.0
+        a_ub.append(sign * a)
+        b_ub.append(sign * rhs / eps)
+    res = linprog(np.zeros(cols.pi0 - cols.f0), A_ub=np.array(a_ub),
+                  b_ub=np.array(b_ub), bounds=(0.0, 1.0 / eps),
+                  method="highs")
+    assert res.status == 0, res.message
 
 
 @pytest.mark.parametrize("knobs", [
-    {"epsilon": 0.0}, {"epsilon": float("nan")}, {"epsilon": float("inf")},
     {"acc_eps": 0.0}, {"acc_eps": float("nan")},
-    {"flow_ratio": 0.5}, {"flow_ratio": float("nan")},
-    {"flow_ratio": float("inf")}, {"objective": "max_reward"}],
+    {"objective": "max_reward"}],
     ids=repr)
 def test_config_rejects_knobs_outside_their_range(knobs):
     with pytest.raises(ModelError):
@@ -168,7 +248,7 @@ def golden_two_state_model():
     spec = spec_from_json({"dra": "true.hoa",
                            "ss": [{"formula": "p", "lower": 0.1,
                                    "upper": 0.9}]})
-    return build_for(m, TRUE_DRA, spec, IlpConfig(epsilon=1e-4))
+    return build_for(m, TRUE_DRA, spec, IlpConfig())
 
 
 def grid_with_cuts_model(width=3, height=3, seed=0, dynamics="slip",

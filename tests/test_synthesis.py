@@ -209,3 +209,27 @@ def test_accepting_end_component_inside_a_fin_touching_mec(solver_cmd):
     result = synthesize(fin_touching_mec_model(), FG_NOT_F_DRA, spec,
                         solver=SolverConfig(command=solver_cmd, timeout=120))
     assert result.status == "verified"
+
+
+def rare_step_model():
+    """s0 -go-> s1 with probability 1e-6, else back to s0; s1 absorbs and
+    is labelled a."""
+    return validate_lmdp(Lmdp(
+        states=("s0", "s1"), actions=("go",),
+        enabled={"s0": ("go",), "s1": ("go",)},
+        trans={("s0", "go"): {"s1": 1e-6, "s0": 1.0 - 1e-6},
+               ("s1", "go"): {"s1": 1.0}},
+        reward={}, ap=("a",),
+        labels={"s0": frozenset(), "s1": frozenset(["a"])}, initial="s0"))
+
+
+def test_policy_behind_a_rare_edge_verifies(solver_cmd):
+    """The edge into s1 carries less than 1e-4, the increment a product of
+    two states used to get, so s1 could not be flagged and the only policy,
+    which spends all its long-run mass on s1, was declared infeasible."""
+    spec = spec_from_json({"dra": "x", "ss": [
+        {"formula": "a", "lower": 0.9, "upper": 1.0}]})
+    result = synthesize(rare_step_model(), TRUE_DRA, spec,
+                        solver=SolverConfig(command=solver_cmd, timeout=120))
+    assert result.status == "verified" and result.rounds == 1
+    assert result.report.ss_results[0].mass == pytest.approx(1.0)
