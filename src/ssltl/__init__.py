@@ -3,8 +3,8 @@ labeled MDPs under combined omega-regular (Rabin automaton) and steady-state
 interval objectives.
 
 The pipeline: build the product of a labeled MDP with a deterministic Rabin
-automaton, decompose its accepting maximal end components, assemble a mixed
-integer linear program over occupation measures and reachability flows, drive
+automaton, find its accepting end components, assemble a mixed integer
+linear program over occupation measures and reachability flows, drive
 a MILP solver (the bundled scipy/HiGHS worker process, fed arrays, or an
 external command, fed LP files), and independently verify the induced chain's
 asymptotic behavior.

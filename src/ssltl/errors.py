@@ -23,5 +23,5 @@ class SolverError(SsltlError):
 
 
 class NoAcceptingStructureError(SsltlError):
-    """The product has no accepting maximal end component; the instance is
+    """The product has no accepting end component; the instance is
     structurally infeasible."""

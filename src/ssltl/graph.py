@@ -4,14 +4,14 @@ Chains are any objects exposing ``states`` (ordered) and ``rows`` (state ->
 {successor: probability}).  The package decomposes only policy-induced
 chains, which keep just the states the policy reaches, so every BSCC is
 reachable and no reachability is computed here.  End components and acceptance
-work on the integer-indexed product MDP of ``ssltl.product``: states are
-product state indices and actions are pair ids.
+work on the integer-indexed product MDP of ``ssltl.product``; an end
+component, like a BSCC, is a frozenset of product state indices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 
 def strongly_connected_components(states: Sequence, succ: Mapping) -> list:
@@ -99,32 +99,24 @@ def bsccs(chain) -> BsccDecomposition:
 # End components of a product MDP
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Mec:
-    """Maximal end component: product state indices plus the retained pair
-    ids, in ascending order.  The sub-MDP is strongly connected, every state
-    keeps at least one pair, and every retained pair keeps all successor mass
-    inside the state set."""
+def mec_decomposition(p, allowed: Optional[Iterable] = None) -> list:
+    """Maximal end components of the sub-MDP of product ``p`` on the state
+    set ``allowed`` (default: every state), as frozensets of product state
+    indices ordered by their least member.
 
-    states: frozenset
-    pairs: tuple
-
-
-def mec_decomposition(p) -> list:
-    """Iterative SCC refinement: repeatedly drop pairs leaving their SCC and
-    states with no pairs left, until a fixpoint."""
-    kept = [list(p.pairs(i)) for i in range(len(p.states))]
-    states = set(range(len(p.states)))
-
+    Iterative SCC refinement: repeatedly drop pairs with a successor outside
+    their SCC and states with no pairs left, until a fixpoint.  There every
+    kept pair stays inside its SCC, so the SCCs are the MECs; a singleton
+    keeps a pair only if that pair is a self-loop."""
+    states = set(range(len(p.states)) if allowed is None else allowed)
+    kept = {i: list(p.pairs(i)) for i in states}
     while True:
         ordered = sorted(states)
         succ = {i: sorted({j for k in kept[i] for j in p.succ[k]
                            if j in states})
                 for i in ordered}
-        comp_of = {}
-        for c, comp in enumerate(strongly_connected_components(ordered, succ)):
-            for i in comp:
-                comp_of[i] = c
+        comps = strongly_connected_components(ordered, succ)
+        comp_of = {i: c for c, comp in enumerate(comps) for i in comp}
 
         changed = False
         for i in ordered:
@@ -136,19 +128,7 @@ def mec_decomposition(p) -> list:
             if not stay:
                 states.discard(i)
         if not changed:
-            break
-
-    # Surviving SCCs with at least one pair per state are the MECs.  A
-    # singleton only counts with a self-loop pair (guaranteed: its pair set
-    # is non-empty and every retained pair stays inside the component).
-    ordered = sorted(states)
-    succ = {i: sorted({j for k in kept[i] for j in p.succ[k]})
-            for i in ordered}
-    mecs = [Mec(states=frozenset(comp),
-                pairs=tuple(sorted(k for i in comp for k in kept[i])))
-            for comp in strongly_connected_components(ordered, succ)]
-    mecs.sort(key=lambda mec: min(mec.states))
-    return mecs
+            return sorted((frozenset(comp) for comp in comps), key=min)
 
 
 def _accepts(p, states, fin, inf) -> bool:
@@ -156,13 +136,34 @@ def _accepts(p, states, fin, inf) -> bool:
     return not (qs & fin) and bool(qs & inf)
 
 
-def accepting_mecs(mecs: Iterable[Mec], p) -> list:
-    """Filter MECs of product ``p`` by the Rabin pair condition: no
-    intersection with S x Fin_i and a non-empty intersection with S x Inf_i
-    for some pair i."""
-    return [mec for mec in mecs
-            if any(_accepts(p, mec.states, fin, inf)
-                   for fin, inf in p.dra.pairs)]
+def accepting_mecs(mecs: Iterable, p) -> list:
+    """The MECs of the accepting region of product ``p``, given its MECs.
+
+    The region is the union, over every MEC and Rabin pair i, of the MECs of
+    that MEC without its S x Fin_i states that meet S x Inf_i: the accepting
+    end components of pair i (Baier & Katoen 2008, de Alfaro 1997).  The
+    program's indicator rows (xii)-(xvi) range over the listed components:
+
+    * every accepting end component E lies inside exactly one of them.  E
+      is an end component of the region's sub-MDP, so some region MEC
+      contains it, and the region MECs are disjoint;
+    * take a verified policy, with x set to its limiting distribution.  Its
+      mass lies on its BSCCs, each an accepting end component and so inside
+      exactly one component.  A component carrying mass then holds a whole
+      BSCC and with it a flagged copy of the shared state, so rows
+      (xii)-(xvi) admit the policy.  Overlapping components would not do: a
+      BSCC inside one could put mass into another that holds no copy of the
+      shared state;
+    * a MEC that misses S x Fin_i and meets S x Inf_i comes back unchanged.
+    """
+    region = set()
+    for mec in mecs:
+        for fin, inf in p.dra.pairs:
+            outside = [i for i in mec if p.states[i][1] not in fin]
+            for ec in mec_decomposition(p, outside):
+                if _accepts(p, ec, fin, inf):
+                    region |= ec
+    return mec_decomposition(p, region)
 
 
 def bscc_accepting(bscc: Iterable, p) -> bool:

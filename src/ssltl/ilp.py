@@ -109,7 +109,8 @@ class IlpModel:
     objective: tuple      # ((coef, column), ...)
     rows: tuple
     product: ProductLmdp
-    amecs: tuple          # the accepting MECs, one indicator ik each
+    amecs: tuple          # the accepting components (frozensets of product
+                          # state indices), one indicator ik each
 
 
 _CONTINUOUS = IlpVar(0.0, 1.0, False)
@@ -141,14 +142,15 @@ def build_program(p: ProductLmdp, amecs, spec: SsLtlSpec,
                   cfg: Optional[IlpConfig] = None) -> IlpModel:
     """Assemble the full variable/constraint system.
 
-    Raises NoAcceptingStructureError when the accepting-MEC list is empty
-    (no accepting behavior exists).
+    ``amecs`` are the accepting components of ``graph.accepting_mecs``.
+    Raises NoAcceptingStructureError when that list is empty: no accepting
+    end component exists, so no policy does.
     """
     cfg = cfg or IlpConfig()
     amecs = tuple(amecs)
     if not amecs:
         raise NoAcceptingStructureError(
-            "product has no accepting maximal end component")
+            "product has no accepting end component")
 
     m = p.model
     d = p.dra
@@ -263,7 +265,7 @@ def build_program(p: ProductLmdp, amecs, spec: SsLtlSpec,
 
     # (xii) component carries measure -> component flag
     for c, amec in enumerate(amecs):
-        terms = [(1.0, k) for i in sorted(amec.states)
+        terms = [(1.0, k) for i in sorted(amec)
                  for k in p.pairs(i)]
         terms.append((-1.0, cols.ik0 + c))
         rows.append(IlpRow(f"c_xii_{c}", tuple(terms), "<=", 0.0))
@@ -274,7 +276,7 @@ def build_program(p: ProductLmdp, amecs, spec: SsLtlSpec,
     copies = []
     for amec in amecs:
         by_state: dict = {}
-        for i in sorted(amec.states):
+        for i in sorted(amec):
             by_state.setdefault(p.states[i][0], []).append(cols.isq0 + i)
         copies.append(by_state)
     j = 0
@@ -565,12 +567,17 @@ def solve(model: IlpModel, solver: Optional[SolverConfig] = None,
     else:
         stem = _keep_stem(keep_files, round_no)
     lp_path, sol_path = stem + ".lp", stem + ".sol"
-    write_lp(model, lp_path)
-
-    cmd = command.format(lp=lp_path, sol=sol_path)
     try:
+        write_lp(model, lp_path)
         try:
-            proc = subprocess.run(shlex.split(cmd), capture_output=True,
+            cmd = command.format(lp=lp_path, sol=sol_path)
+            argv = shlex.split(cmd)
+        except (LookupError, ValueError, AttributeError) as exc:
+            return Solution("error", solver_output=(
+                f"malformed solver command template {command!r}: "
+                f"{type(exc).__name__}: {exc}"))
+        try:
+            proc = subprocess.run(argv, capture_output=True,
                                   text=True, timeout=solver.timeout)
         except OSError as exc:
             return Solution("error", solver_output=f"cannot launch solver: "

@@ -218,10 +218,15 @@ def model_from_json(doc: dict) -> Lmdp:
     for t in tr_docs:
         try:
             s, a, s2, p = t["from"], t["action"], t["to"], float(t["p"])
+            row = trans.setdefault((s, a), {})
+            duplicate = s2 in row
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelError(f"malformed transition entry {t!r}") from exc
-        row = trans.setdefault((s, a), {})
-        if s2 in row:
+        if s not in labels:
+            raise ModelError(f"transition from undeclared state {s!r}")
+        if a not in actions:
+            raise ModelError(f"transition uses undeclared action {a!r}")
+        if duplicate:
             raise ModelError(f"duplicate transition {s!r} -{a!r}-> {s2!r}")
         row[s2] = p
     for (s, a) in trans:
@@ -241,6 +246,8 @@ def model_from_json(doc: dict) -> Lmdp:
             raise ModelError(f"malformed reward entry {r!r}") from exc
         if not math.isfinite(reward[key]):
             raise ModelError(f"reward is not a finite number: {r!r}")
+        if key[2] not in trans.get(key[:2], ()):
+            raise ModelError(f"reward on a move with no transition: {r!r}")
 
     m = Lmdp(states=states, actions=actions, enabled=enabled, trans=trans,
              reward=reward, ap=ap, labels=labels, initial=initial)

@@ -1,6 +1,11 @@
 """End-to-end synthesis pipeline: product, accepting components, program,
 solve, policy extraction, and mandatory independent verification.
 
+The accepting components are the MECs of the product's accepting region
+(``graph.accepting_mecs``), so an accepting end component inside a MEC that
+touches a Fin set is found too.  ``infeasible`` after 0 rounds means the
+product has no accepting end component at all.
+
 Each round's solve goes to the configured external command, else to the
 bundled backend's long-lived worker process, which the first round starts
 and every later round (and every later call) reuses, so a cut round costs

@@ -1,0 +1,40 @@
+"""The benchmark's programs, pinned.
+
+A change to the program moves the HiGHS time of the benchmark's instances by
+more than its bounds (see perfbench/README.md), so the LP text of every
+instance of ``perfbench/workloads.py``, in both objectives, is hashed here.
+A deliberate change to the program regenerates the hash and says so.
+"""
+
+import hashlib
+import sys
+from pathlib import Path
+
+from ssltl.graph import accepting_mecs, mec_decomposition
+from ssltl.ilp import IlpConfig, build_program, export_lp
+from ssltl.product import build_product
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))
+
+from perfbench.workloads import WORKLOADS, load  # noqa: E402
+
+# small-feas, large-feas, bnb-hard, then the smoke (warm-up) instance; per
+# instance the reward program, then the feasibility one.
+PROGRAMS_SHA256 = ("d6295eb1f99042074136d60989ad10ce"
+                   "459099070cbe0faf2905905577e1836f")
+
+
+def test_benchmark_programs_are_unchanged():
+    digest = hashlib.sha256()
+    for table in WORKLOADS.values():
+        for inst in table:
+            r = load(inst, REPO_ROOT)
+            p = build_product(r.model, r.dra)
+            amecs = accepting_mecs(mec_decomposition(p), p)
+            for objective in ("expected_reward", "feasibility"):
+                model = build_program(p, amecs, r.spec,
+                                      IlpConfig(objective=objective))
+                digest.update(export_lp(model).encode())
+    assert digest.hexdigest() == PROGRAMS_SHA256

@@ -145,6 +145,28 @@ State: 0 {1}
                                                 "to": "s0", "p": 1.0}],
                                "rewards": [{"from": "s0", "action": "go",
                                             "to": "s0", "r": "nan"}]})),
+    ("model.json", json.dumps({"states": [{"id": "s0", "labels": ["g"]}],
+                               "actions": ["go"], "initial": "s0",
+                               "transitions": [{"from": "s0", "action": "go",
+                                                "to": "s0", "p": 1.0},
+                                               {"from": "zz", "action": "go",
+                                                "to": "s0", "p": 0.3}]})),
+    ("model.json", json.dumps({"states": [{"id": "s0", "labels": ["g"]}],
+                               "actions": ["go"], "initial": "s0",
+                               "transitions": [{"from": "s0", "action": "go",
+                                                "to": "s0", "p": 1.0},
+                                               {"from": "s0", "action": "lef",
+                                                "to": "s0", "p": 1.0}]})),
+    ("model.json", json.dumps({"states": [{"id": "s0", "labels": ["g"]}],
+                               "actions": ["go"], "initial": "s0",
+                               "transitions": [{"from": "s0", "action": "go",
+                                                "to": "s0", "p": 1.0}],
+                               "rewards": [{"from": "s0", "action": "go",
+                                            "to": "s1", "r": 1.0}]})),
+    ("model.json", json.dumps({"states": [{"id": "s0", "labels": ["g"]}],
+                               "actions": ["go"], "initial": "s0",
+                               "transitions": [{"from": "s0", "action": "go",
+                                                "to": ["s0"], "p": 1.0}]})),
     ("spec.json", json.dumps(["true.hoa"])),
     ("spec.json", json.dumps({"dra": "true.hoa", "ss": [
         {"formula": 5, "lower": 0.0, "upper": 1.0}]})),
@@ -166,7 +188,9 @@ State: 0 {1}
     ("true.hoa", TRIVIAL_HOA.replace("AP: 0", 'AP: 1 "g"')
                             .replace("[t] 0", "[!5] 0")),
 ], ids=["state-without-id", "states-not-a-list", "model-not-utf8",
-        "probability-nan", "reward-nan",
+        "probability-nan", "reward-nan", "transition-from-undeclared-state",
+        "transition-with-undeclared-action", "reward-without-transition",
+        "transition-target-unhashable",
         "spec-is-a-list", "formula-not-a-string", "bound-nan",
         "lower-minus-infinity", "upper-infinity",
         "policy-not-json",

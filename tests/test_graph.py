@@ -10,7 +10,6 @@ from helpers import (
     simulate_steps,
 )
 from ssltl.graph import (
-    Mec,
     accepting_mecs,
     bscc_accepting,
     bsccs,
@@ -18,7 +17,7 @@ from ssltl.graph import (
     strongly_connected_components,
 )
 from ssltl.hoa import Dra, letters_of, load_hoa
-from ssltl.model import GridSpec, generate_grid
+from ssltl.model import GridSpec, Lmdp, generate_grid, validate_lmdp
 from ssltl.product import ProductLmdp, build_product
 
 
@@ -99,8 +98,7 @@ def test_mec_single_state_self_loop():
     mecs = mec_decomposition(p)
     assert len(mecs) == 1
     assert p.states == (("s0", "q0"),)
-    assert mecs[0].states == {0}
-    assert [p.actions(0)[k - p.first[0]] for k in mecs[0].pairs] == ["go"]
+    assert mecs[0] == {0}
 
 
 def test_mec_drain_to_absorbing():
@@ -126,16 +124,18 @@ State: 0 {1}
     p = build_product(m, d)
     mecs = mec_decomposition(p)
     assert len(mecs) == 1
-    assert {p.states[i] for i in mecs[0].states} == {("s2", "q0")}
+    assert {p.states[i] for i in mecs[0]} == {("s2", "q0")}
 
 
-def brute_force_mecs(product):
-    """Exhaustive: every subset closed under some non-empty retained pair
-    choice and strongly connected is an end component; keep the maximal ones."""
-    n = len(product.states)
+def brute_force_ecs(product, allowed=None):
+    """Exhaustive: every subset of ``allowed`` (default: all states) closed
+    under some non-empty retained pair choice and strongly connected is an
+    end component."""
+    allowed = sorted(range(len(product.states)) if allowed is None
+                     else allowed)
     ecs = []
-    for mask in range(1, 1 << n):
-        subset = {i for i in range(n) if mask >> i & 1}
+    for mask in range(1, 1 << len(allowed)):
+        subset = {i for b, i in enumerate(allowed) if mask >> b & 1}
         retained = {}
         ok = True
         for i in subset:
@@ -154,8 +154,12 @@ def brute_force_mecs(product):
         comps = strongly_connected_components(sorted(subset), succ)
         if len(comps) == 1:
             ecs.append(frozenset(subset))
-    maximal = [e for e in ecs if not any(e < f for f in ecs)]
-    return set(maximal)
+    return ecs
+
+
+def brute_force_mecs(product, allowed=None):
+    ecs = brute_force_ecs(product, allowed)
+    return {e for e in ecs if not any(e < f for f in ecs)}
 
 
 def test_mec_decomposition_matches_brute_force():
@@ -168,7 +172,7 @@ def test_mec_decomposition_matches_brute_force():
         p = build_product(m, d)
         if len(p.states) > 10:
             continue
-        got = {mec.states for mec in mec_decomposition(p)}
+        got = set(mec_decomposition(p))
         want = brute_force_mecs(p)
         assert got == want, f"trial {trial}: {got} != {want}"
 
@@ -181,35 +185,26 @@ def test_mec_output_closed_and_strongly_connected_on_grid_product():
     mecs = mec_decomposition(p)
     assert mecs
     for mec in mecs:
-        kept = {i: [k for k in mec.pairs if k in p.pairs(i)]
-                for i in mec.states}
-        assert sorted(k for ks in kept.values() for k in ks) == list(mec.pairs)
-        for i in mec.states:
+        kept = {i: [k for k in p.pairs(i) if set(p.succ[k]) <= mec]
+                for i in mec}
+        for i in mec:
             assert kept[i], f"state {p.states[i]} kept no action"
             for k in kept[i]:
                 targets = {j for j, prob in p.succ[k].items() if prob > 0}
-                assert targets <= mec.states
+                assert targets <= mec
         succ = {i: sorted({j for k in kept[i]
                            for j, prob in p.succ[k].items() if prob > 0})
-                for i in mec.states}
-        comps = strongly_connected_components(sorted(mec.states), succ)
+                for i in mec}
+        comps = strongly_connected_components(sorted(mec), succ)
         assert len(comps) == 1
     # pairwise disjoint
-    all_states = [sq for mec in mecs for sq in mec.states]
+    all_states = [sq for mec in mecs for sq in mec]
     assert len(all_states) == len(set(all_states))
 
 
 # ---------------------------------------------------------------------------
 # Accepting MECs / BSCCs
 # ---------------------------------------------------------------------------
-
-def two_pair_dra():
-    nodes = ("q0", "q1", "q2")
-    delta = {(q, letter): "q0" for q in nodes for letter in letters_of(("p",))}
-    return Dra(nodes=nodes, initial="q0", alphabet=("p",), delta=delta,
-               pairs=((frozenset(), frozenset({"q1"})),
-                      (frozenset({"q0"}), frozenset({"q2"}))))
-
 
 def node_product(d):
     """A stand-in product whose state i is ("s", d.nodes[i]); acceptance only
@@ -220,21 +215,95 @@ def node_product(d):
                        first=(0,) * (n + 1), succ=(), edges=())
 
 
+def cycling_product(pairs):
+    """A one-state model looping on itself, times an automaton that moves
+    q0 -> q1 -> q0 on every letter (q2 leads to q0 and is never reached):
+    the product is one MEC of two states, (s, q0) = 0 and (s, q1) = 1, and
+    neither state alone is an end component."""
+    m = validate_lmdp(Lmdp(
+        states=("s",), actions=("go",), enabled={"s": ("go",)},
+        trans={("s", "go"): {"s": 1.0}}, reward={}, ap=("p",),
+        labels={"s": frozenset()}, initial="s"))
+    nodes = ("q0", "q1", "q2")
+    step = {"q0": "q1", "q1": "q0", "q2": "q0"}
+    d = Dra(nodes=nodes, initial="q0", alphabet=("p",),
+            delta={(q, letter): step[q] for q in nodes
+                   for letter in letters_of(("p",))},
+            pairs=pairs)
+    p = build_product(m, d)
+    assert p.states == (("s", "q0"), ("s", "q1"))
+    return p
+
+
 def test_accepting_mec_pair_witnesses():
-    d = two_pair_dra()
-    good = Mec(states=frozenset({1}), pairs=(0,))      # ("s", "q1")
-    out = accepting_mecs([good], node_product(d))
-    assert out == [good]
+    """Pair 0 (no Fin, Inf on q1) accepts the whole MEC, which comes back
+    unchanged; pair 1 (Fin on q0, Inf on q2) accepts nothing."""
+    p = cycling_product(((frozenset(), frozenset({"q1"})),
+                         (frozenset({"q0"}), frozenset({"q2"}))))
+    assert accepting_mecs(mec_decomposition(p), p) == [frozenset({0, 1})]
 
 
 def test_mec_touching_every_fin_rejected():
-    d = Dra(nodes=("q0", "q1"), initial="q0", alphabet=("p",),
-            delta={(q, letter): "q0" for q in ("q0", "q1")
-                   for letter in letters_of(("p",))},
-            pairs=((frozenset({"q0"}), frozenset({"q1"})),))
-    # ("s", "q0") and ("s", "q1")
-    bad = Mec(states=frozenset({0, 1}), pairs=(0, 1))
-    assert accepting_mecs([bad], node_product(d)) == []
+    """Each pair's Fin holds one of the two states, and the other state
+    alone is no end component."""
+    p = cycling_product(((frozenset({"q0"}), frozenset({"q1"})),
+                         (frozenset({"q1"}), frozenset({"q0"}))))
+    assert accepting_mecs(mec_decomposition(p), p) == []
+
+
+def test_overlapping_accepting_ecs_form_one_component():
+    """a <-> b <-> c, with Fin_0 on c's automaton node and Fin_1 on a's:
+    pair 0 accepts the end component {a, b} and pair 1 accepts {b, c}.
+    Neither contains the other; the accepting region's one MEC holds all
+    three states, so the listed components stay disjoint."""
+    m = validate_lmdp(Lmdp(
+        states=("a", "b", "c"), actions=("left", "right"),
+        enabled={"a": ("right",), "b": ("left", "right"), "c": ("left",)},
+        trans={("a", "right"): {"b": 1.0}, ("b", "left"): {"a": 1.0},
+               ("b", "right"): {"c": 1.0}, ("c", "left"): {"b": 1.0}},
+        reward={}, ap=("x", "y"),
+        labels={"a": frozenset(["x"]), "b": frozenset(),
+                "c": frozenset(["y"])},
+        initial="a"))
+    nodes = ("qa", "qb", "qc")
+
+    def node(letter):
+        return "qa" if "x" in letter else "qc" if "y" in letter else "qb"
+
+    d = Dra(nodes=nodes, initial="qb", alphabet=("x", "y"),
+            delta={(q, letter): node(letter) for q in nodes
+                   for letter in letters_of(("x", "y"))},
+            pairs=((frozenset({"qc"}), frozenset({"qb"})),
+                   (frozenset({"qa"}), frozenset({"qb"}))))
+    p = build_product(m, d)
+    assert p.states == (("a", "qa"), ("b", "qb"), ("c", "qc"))
+    accepting = {e for e in brute_force_ecs(p) if bscc_accepting(e, p)}
+    assert accepting == {frozenset({0, 1}), frozenset({1, 2})}
+    assert accepting_mecs(mec_decomposition(p), p) == [frozenset({0, 1, 2})]
+
+
+def test_accepting_mecs_are_the_mecs_of_the_accepting_region():
+    """On small random products with one or two Rabin pairs, the listed
+    components are the MECs of the union of all accepting end components,
+    and each accepting end component lies inside exactly one of them."""
+    from helpers import random_lmdp
+
+    rng = np.random.default_rng(11)
+    checked = 0
+    for _ in range(60):
+        m = random_lmdp(rng, int(rng.integers(2, 5)), 2, det_prob=0.8)
+        d = random_dra(rng, int(rng.integers(2, 4)), ap=("p",),
+                       n_pairs=int(rng.integers(1, 3)))
+        p = build_product(m, d)
+        if len(p.states) > 10:
+            continue
+        accepting = [e for e in brute_force_ecs(p) if bscc_accepting(e, p)]
+        region = set().union(*accepting)
+        got = accepting_mecs(mec_decomposition(p), p)
+        assert set(got) == brute_force_mecs(p, region)
+        assert all(sum(e <= c for c in got) == 1 for e in accepting)
+        checked += bool(accepting)
+    assert checked >= 10
 
 
 def test_until_product_has_unique_amec():
@@ -243,7 +312,7 @@ def test_until_product_has_unique_amec():
     p = build_product(m, d)
     amecs = accepting_mecs(mec_decomposition(p), p)
     assert len(amecs) == 1
-    qs = {p.states[i][1] for i in amecs[0].states}
+    qs = {p.states[i][1] for i in amecs[0]}
     assert qs == {"q2"}
 
 

@@ -88,10 +88,10 @@ def test_until_instance_policy_trapped_in_amec():
     dec = bsccs(chain)
     assert len(dec.bsccs) == 1
     bscc = dec.bsccs[0]
-    assert bscc <= amecs[0].states
+    assert bscc <= amecs[0]
     from ssltl.chain import limiting_distribution
     mass_in_amec = sum(v for i, v in limiting_distribution(chain, dec).items()
-                       if i in amecs[0].states)
+                       if i in amecs[0])
     assert mass_in_amec == pytest.approx(1.0, abs=1e-12)
 
 

@@ -1,9 +1,14 @@
-import pytest
+import tempfile
 
-from helpers import brute_force_synth
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from helpers import brute_force_synth, random_dra, random_lmdp
+from ssltl.graph import accepting_mecs, mec_decomposition
 from ssltl.hoa import parse_hoa
-from ssltl.ilp import Columns, SolverConfig
-from ssltl.model import Lmdp, spec_from_json, validate_lmdp
+from ssltl.ilp import Columns, SolverConfig, build_program
+from ssltl.model import Lmdp, model_from_json, spec_from_json, validate_lmdp
 from ssltl.product import Policy, build_product
 from ssltl.synthesis import _rejection_cuts, synthesize
 from ssltl.verify import verify_policy
@@ -152,10 +157,19 @@ def test_rejection_cuts_skip_an_accepting_bscc():
     ("no-such-solver {lp} {sol}", "cannot launch solver: 'no-such-solver "),
     ("false {lp} {sol}", "solver failed (exit 1) and wrote no solution"),
     ("true {lp} {sol}", "unparseable solver output: ''"),
-], ids=["cannot-launch", "exit-1-no-solution", "no-output"])
-def test_solver_failure_ends_in_status_error(command, cause):
+    ("x {lp} {sol} {x}",
+     "malformed solver command template 'x {lp} {sol} {x}': KeyError"),
+    ("x {lp} {sol", "malformed solver command template 'x {lp} {sol': "
+                    "ValueError"),
+    ("x {lp} {sol} 'q", "malformed solver command template "
+                        "\"x {lp} {sol} 'q\": ValueError"),
+], ids=["cannot-launch", "exit-1-no-solution", "no-output",
+        "unknown-placeholder", "unclosed-brace", "unbalanced-quote"])
+def test_solver_failure_ends_in_status_error(command, cause, tmp_path,
+                                             monkeypatch):
     """A failed solve is a result with the cause in ``detail``, not an
-    exception out of ``synthesize``."""
+    exception out of ``synthesize``, and its temporary directory is gone."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     spec = spec_from_json({"dra": "x", "ss": []})
     result = synthesize(mixture_trap_model(), TRUE_DRA, spec,
                         solver=SolverConfig(command=command))
@@ -163,6 +177,7 @@ def test_solver_failure_ends_in_status_error(command, cause):
     assert result.detail.startswith(f"solver error: {cause}")
     assert result.solution.status == "error"
     assert result.policy is None and result.report is None
+    assert list(tmp_path.glob("ssltl_*")) == []
 
 
 FG_NOT_F_DRA = parse_hoa("""HOA: v1
@@ -201,14 +216,112 @@ def test_oracle_finds_the_policy_inside_a_fin_touching_mec():
     assert pi is not None and pi.choice[("s0", "q0")] == "stay"
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: accepting_mecs "
-                   "drops a MEC that touches a Fin set, so no accepting "
-                   "end component inside it is found")
 def test_accepting_end_component_inside_a_fin_touching_mec(solver_cmd):
     spec = spec_from_json({"dra": "x", "ss": []})
     result = synthesize(fin_touching_mec_model(), FG_NOT_F_DRA, spec,
                         solver=SolverConfig(command=solver_cmd, timeout=120))
     assert result.status == "verified"
+
+
+# Per-pair accepting end components {0}, {0, ..., 4} and {3} that overlap: a
+# list of them without the region step makes the indicator rows exclude every
+# policy.  Found by the oracle fuzz below (seed 12, ss rows on, det_prob
+# 0.6, instance 51 of the stream).
+OVERLAP_MODEL = model_from_json({
+    "states": [{"id": "s0", "labels": ["p"]}, {"id": "s1", "labels": []},
+               {"id": "s2", "labels": ["p"]}, {"id": "s3", "labels": ["p"]}],
+    "actions": ["a0", "a1"], "ap": ["p"], "initial": "s0",
+    "transitions": [
+        {"from": s, "action": a, "to": t, "p": p} for s, a, t, p in [
+            ("s0", "a0", "s0", 1.0), ("s0", "a1", "s3", 1.0),
+            ("s1", "a0", "s0", 0.25912273650239176),
+            ("s1", "a0", "s1", 0.46676457767496315),
+            ("s1", "a0", "s2", 0.11131071601635605),
+            ("s1", "a0", "s3", 0.16280196980628903),
+            ("s1", "a1", "s0", 0.04253878938397271),
+            ("s1", "a1", "s1", 0.11040768631591456),
+            ("s1", "a1", "s2", 0.4536271280101854),
+            ("s1", "a1", "s3", 0.3934263962899273),
+            ("s2", "a0", "s1", 1.0), ("s2", "a1", "s2", 1.0),
+            ("s3", "a0", "s1", 1.0),
+            ("s3", "a1", "s0", 0.16025204270542515),
+            ("s3", "a1", "s1", 0.26471126559422975),
+            ("s3", "a1", "s2", 0.2776659146549435),
+            ("s3", "a1", "s3", 0.29737077704540177)]],
+    "rewards": [
+        {"from": s, "action": a, "to": t, "r": 1.0} for s, a, t in [
+            ("s0", "a1", "s3"), ("s1", "a0", "s0"), ("s1", "a0", "s1"),
+            ("s1", "a0", "s2"), ("s1", "a0", "s3"), ("s2", "a0", "s1"),
+            ("s2", "a1", "s2")]],
+})
+OVERLAP_DRA = parse_hoa("""HOA: v1
+States: 2
+Start: 0
+AP: 1 "p"
+acc-name: Rabin 2
+Acceptance: 4 (Fin(0) & Inf(1)) | (Fin(2) & Inf(3))
+--BODY--
+State: 0 {1 2}
+[!0] 1
+[0] 1
+State: 1 {1 3}
+[!0] 0
+[0] 1
+--END--
+""")
+
+
+def test_overlapping_pair_components_merge_into_one(solver_cmd):
+    """One accepting component of all 5 product states: the only indicator
+    row (xii) covers every pair."""
+    p = build_product(OVERLAP_MODEL, OVERLAP_DRA)
+    assert len(p.states) == 5
+    spec = spec_from_json({"dra": "x", "ss": [
+        {"formula": "p", "lower": 0.1, "upper": 0.8}]})
+    model = build_program(p, accepting_mecs(mec_decomposition(p), p), spec)
+    assert len(model.amecs) == 1
+    row = next(r for r in model.rows if r.name == "c_xii_0")
+    assert sorted(k for _, k in row.terms[:-1]) == list(range(len(p.succ)))
+    result = synthesize(OVERLAP_MODEL, OVERLAP_DRA, spec,
+                        solver=SolverConfig(command=solver_cmd, timeout=120))
+    assert result.status == "verified"
+
+
+def oracle_instance(seed, det_prob, ss):
+    """A desk-size instance small enough for the exhaustive oracle: at most
+    4 model states, 2 actions and a 3-node automaton with one or two Rabin
+    pairs, optionally with one steady-state row on p."""
+    rng = np.random.default_rng(seed)
+    m = random_lmdp(rng, int(rng.integers(2, 5)), 2, ap=("p",),
+                    det_prob=det_prob)
+    d = random_dra(rng, int(rng.integers(2, 4)), ap=("p",),
+                   n_pairs=int(rng.integers(1, 3)))
+    rows = []
+    if ss:
+        rows.append({"formula": "p",
+                     "lower": float(rng.choice([0.0, 0.1, 0.3])),
+                     "upper": float(rng.choice([0.5, 0.8, 1.0]))})
+    return m, d, spec_from_json({"dra": "x", "ss": rows})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       det_prob=st.sampled_from([0.6, 0.75, 0.9]), ss=st.booleans())
+def test_verdicts_agree_with_the_exhaustive_oracle(seed, det_prob, ss,
+                                                   solver_cmd):
+    """``infeasible`` only where no policy exists, ``verified`` only where
+    one does; a run may stop ``unverified`` within its 8 rounds."""
+    m, d, spec = oracle_instance(seed, det_prob, ss)
+    oracle = brute_force_synth(m, d, spec)
+    result = synthesize(m, d, spec,
+                        solver=SolverConfig(command=solver_cmd, timeout=120),
+                        max_cut_rounds=8)
+    assert result.status in ("verified", "infeasible", "unverified"), \
+        result.detail
+    if result.status == "infeasible":
+        assert oracle is None, f"a policy exists: {oracle.choice}"
+    if result.status == "verified":
+        assert oracle is not None
 
 
 def rare_step_model():
