@@ -68,21 +68,29 @@ def flow_increment(p: ProductLmdp) -> float:
     """The increment eps of rows (vi): min(1e-4, p_min / (4 n)), for the
     smallest transition probability p_min of ``p`` and its n states.
 
-    Rows (v)-(viii) then flag every state R a deterministic policy reaches.
-    Each flagged state but the root must keep k >= eps of its inflow (vi)
-    and pass on at least k (viii).  Send 2 eps from the root along a simple
-    path to each other v in R; v keeps eps and passes eps along a simple
-    path to a state on a cycle, which keeps it (v keeps both if on a cycle
-    itself).  The two paths meet only at v, else v is on a cycle, so all
-    packets load an edge or a state with at most 2 (n - 1) eps and keep no
-    more in all; a circulation of k through each cycle state lets it pass
-    on k and adds as much again.  So an edge carries at most 4 (n - 1) eps <
-    p_min, within its capacity (v), an inflow stays below 1 (vii), and the
-    root sends out no less than it receives (viii).  For any eps and
-    ratio only states of R can be flagged, as the others pass flow only
-    among themselves, and more flags keep every solution of rows (ix) and
-    (xiii)-(xv) once ``iks`` rises with them: a smaller eps or a larger
-    ratio admits no more policies.
+    Rows (v)-(vii) then flag exactly the states R(pi) a deterministic policy
+    pi reaches.  No other state can be flagged: let B hold a flagged state u
+    and every state from which u is reached along edges of positive flow.
+    No flow enters B from outside, so if the root were not in B, rows (vi)
+    would make B keep at least eps in all from nothing.  So a path of
+    positive flow leads from the root to u, and by (v) each of its edges
+    leaves by the action pi chooses: u is in R(pi).  This uses neither (vii)
+    nor the value of eps.  All of R(pi) can be flagged: send eps from the
+    root along a simple path to each other v in R(pi) and let v keep it.  An
+    edge then carries at most (n - 1) eps < p_min, within its capacity (v),
+    and an inflow stays below 1 (vii), so isq = 1 on R(pi) satisfies
+    (v)-(vii).  More flags only relax rows (ix), (xiii) and (xv) once ``iks``
+    rises to min(1, the sum of its copies' isq): (xiii) bounds ``iks`` from
+    above, and no row bounds it from below.  So every solution keeps its
+    (pi, x) in one that flags exactly R(pi), for any eps below p_min / (n -
+    1); the factor 4 n leaves slack, and is kept because every change of eps
+    moves the solver's search.
+
+    The row labels skip (viii), outflow >= inflow / 2, and (xiv), isq / |Q|
+    <= iks.  Those rows bounded only f and iks, and a program with them
+    admits the same (pi, x) (the tests keep them as an oracle), but takes
+    the solver's branch and bound through more nodes.  The other rows keep
+    their labels, so that row names in LP text stay stable.
     """
     p_min = min(prob for row in p.succ for prob in row.values())
     return min(1e-4, p_min / (4.0 * len(p.states)))
@@ -232,12 +240,6 @@ def build_program(p: ProductLmdp, amecs, spec: SsLtlSpec,
         terms.append((-1.0, cols.isq0 + i))
         rows.append(IlpRow(f"c_vii_{i}", _merge(terms), "<=", 0.0))
 
-    # (viii) outgoing >= incoming / 2
-    for i in range(n):
-        terms = [(1.0, f) for f in out_edges[i]]
-        terms += [(-0.5, f) for f in in_edges[i]]
-        rows.append(IlpRow(f"c_viii_{i}", _merge(terms), ">=", 0.0))
-
     # (ix) no measure on unflagged states
     for i in range(n):
         terms = [(1.0, k) for k in p.pairs(i)]
@@ -270,8 +272,9 @@ def build_program(p: ProductLmdp, amecs, spec: SsLtlSpec,
         terms.append((-1.0, cols.ik0 + c))
         rows.append(IlpRow(f"c_xii_{c}", tuple(terms), "<=", 0.0))
 
-    # (xiii)/(xiv) per-state component membership flags; iks of component c
-    # and model state t is column iks0 + c * |S| + t
+    # (xiii) per-state component membership flags, bounded by the flags of
+    # the state's copies in the component; iks of component c and model state
+    # t is column iks0 + c * |S| + t
     n_s = len(m.states)
     copies = []
     for amec in amecs:
@@ -285,14 +288,6 @@ def build_program(p: ProductLmdp, amecs, spec: SsLtlSpec,
             terms = [(1.0, cols.iks0 + c * n_s + t)]
             terms += [(-1.0, col) for col in copies[c].get(s, ())]
             rows.append(IlpRow(f"c_xiii_{j}", tuple(terms), "<=", 0.0))
-            j += 1
-    j = 0
-    n_nodes = len(d.nodes)
-    for c in range(len(amecs)):
-        for t, s in enumerate(m.states):
-            terms = [(1.0 / n_nodes, col) for col in copies[c].get(s, ())]
-            terms.append((-1.0, cols.iks0 + c * n_s + t))
-            rows.append(IlpRow(f"c_xiv_{j}", tuple(terms), "<=", 0.0))
             j += 1
 
     # (xv) shared-state coupling: is - 1 <= sum_k (iks - ik) / |AMEC|

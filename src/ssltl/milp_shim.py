@@ -277,13 +277,17 @@ def serve() -> None:
     ``run_milp``.  The reply is the pickled tuple ``(status, x, dual_bound,
     gap, nodes)``: ``status`` is the ``model_status`` text, ``x`` the point
     or None, and the last three HiGHS's MIP statistics or None.  Replies go
-    to a private copy of fd 1, and fd 1 itself is pointed at stderr, so that
-    nothing HiGHS prints can corrupt the reply stream.  SIGINT is ignored:
-    the owner kills the worker when an interrupt reaches it mid-exchange.
+    to a private copy of fd 1, and fd 1 itself is pointed at the null
+    device, so that nothing HiGHS prints can corrupt the reply stream or
+    reach the owner's terminal; tracebacks of failed requests still go to
+    stderr.  SIGINT is ignored: the owner kills the worker when an interrupt
+    reaches it mid-exchange.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     replies = os.fdopen(os.dup(1), "wb")
-    os.dup2(2, 1)
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, 1)
+    os.close(devnull)
     requests = sys.stdin.buffer
     while True:
         try:

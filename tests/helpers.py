@@ -3,8 +3,8 @@ for automaton fixtures, labeled chains with their partitions and class sums,
 random model/chain/automaton generators, small simulation helpers, and
 oracles over chains, products and programs that only the tests use (chain
 products, aggregation, lumpability residuals, program rows re-evaluated on a
-solution, HOA serialization, and the exhaustive synthesizer for tiny
-instances).
+solution, the row families the program dropped, HOA serialization, and the
+exhaustive synthesizer for tiny instances).
 
 The LTL evaluator is independent of the package: it works directly on
 ultimately-periodic words by least-fixpoint iteration, so it can vouch for
@@ -462,6 +462,36 @@ def fix_policy(model: IlpModel, pi: Policy) -> IlpModel:
         for a, k in zip(p.actions(i), p.pairs(i)):
             want = 1.0 if pi.choice.get(sq) == a else 0.0
             extra.append(IlpRow(f"c_fix_{k}", ((1.0, pi0 + k),), "=", want))
+    return replace(model, rows=model.rows + tuple(extra))
+
+
+def with_rows_viii_and_xiv(model: IlpModel) -> IlpModel:
+    """The program with the two row families it no longer has appended:
+    (viii), outflow >= inflow / 2 at every product state, and (xiv),
+    isq / |Q| <= iks for every copy of a model state in an accepting
+    component.  An oracle for the claim that neither admits fewer policies
+    (see ``ilp.flow_increment``)."""
+    p = model.product
+    cols = Columns(p, len(model.amecs))
+    extra = []
+    for i in range(len(p.states)):
+        coef: dict = {}
+        for e, (a, b) in enumerate(p.edges):
+            if a == i:
+                coef[cols.f0 + e] = coef.get(cols.f0 + e, 0.0) + 1.0
+            if b == i:
+                coef[cols.f0 + e] = coef.get(cols.f0 + e, 0.0) - 0.5
+        terms = tuple((c, j) for j, c in coef.items() if c != 0.0)
+        extra.append(IlpRow(f"c_viii_{i}", terms, ">=", 0.0))
+    n_s = len(p.model.states)
+    share = 1.0 / len(p.dra.nodes)
+    for c, amec in enumerate(model.amecs):
+        for t, s in enumerate(p.model.states):
+            terms = [(share, cols.isq0 + i) for i in sorted(amec)
+                     if p.states[i][0] == s]
+            terms.append((-1.0, cols.iks0 + c * n_s + t))
+            extra.append(IlpRow(f"c_xiv_{c * n_s + t}", tuple(terms), "<=",
+                                0.0))
     return replace(model, rows=model.rows + tuple(extra))
 
 

@@ -22,8 +22,8 @@ from perfbench.workloads import WORKLOADS, load  # noqa: E402
 
 # small-feas, large-feas, bnb-hard, then the smoke (warm-up) instance; per
 # instance the reward program, then the feasibility one.
-PROGRAMS_SHA256 = ("d6295eb1f99042074136d60989ad10ce"
-                   "459099070cbe0faf2905905577e1836f")
+PROGRAMS_SHA256 = ("14c30382a33c82b7dff3af2e443da645"
+                   "4076057a09600d4286c783c719c01cf7")
 
 
 def test_benchmark_programs_are_unchanged():

@@ -1,3 +1,4 @@
+import itertools
 import sys
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from helpers import binaries, check_solution, fix_policy, random_dra, \
-    random_lmdp, six_state_until_lmdp
+    random_lmdp, six_state_until_lmdp, with_rows_viii_and_xiv
 from ssltl.errors import ModelError, NoAcceptingStructureError, PolicyError
 from ssltl.graph import accepting_mecs, mec_decomposition
 from ssltl.hoa import Dra, letters_of, load_hoa, parse_hoa
@@ -175,7 +176,7 @@ def rare_step_lmdp(rng, n_states):
     return validate_lmdp(replace(m, trans=trans))
 
 
-FLOW_ROWS = ("c_v_", "c_vi_", "c_vii_", "c_viii_")
+FLOW_ROWS = ("c_v_", "c_vi_", "c_vii_")
 
 
 @settings(max_examples=200, deadline=None)
@@ -184,7 +185,7 @@ FLOW_ROWS = ("c_v_", "c_vi_", "c_vii_", "c_viii_")
 def test_flow_rows_flag_every_state_a_policy_reaches(seed, n_states,
                                                      n_nodes):
     """With the policy binaries pinned to a random deterministic policy and
-    isq = 1 exactly on the states it reaches, rows (v)-(viii) are feasible,
+    isq = 1 exactly on the states it reaches, rows (v)-(vii) are feasible,
     however small the probability of an edge.  The flows are solved for in
     units of the program's increment, so that HiGHS's tolerances stay far
     below every margin."""
@@ -220,6 +221,102 @@ def test_flow_rows_flag_every_state_a_policy_reaches(seed, n_states,
                   b_ub=np.array(b_ub), bounds=(0.0, 1.0 / eps),
                   method="highs")
     assert res.status == 0, res.message
+
+
+def flow_rows_admit_flag(model, pi, u) -> bool:
+    """Whether rows (v)-(vii) hold for some flows and flags, with the policy
+    binaries pinned to ``pi``, isq of product state ``u`` pinned to 1 and
+    every other isq free in [0, 1].  The flows are solved for in units of
+    the program's increment, as above."""
+    p = model.product
+    cols = Columns(p)
+    n_f = cols.pi0 - cols.f0
+    free = [i for i in range(len(p.states)) if i != u]
+    fixed = np.zeros(cols.isq0 + len(p.states))
+    for i in range(len(p.states)):
+        fixed[cols.pi0 + p.chosen_pair(i, pi)] = 1.0
+    fixed[cols.isq0 + u] = 1.0
+    position = {cols.f0 + e: e for e in range(n_f)}
+    position.update({cols.isq0 + i: n_f + r for r, i in enumerate(free)})
+    eps = next((-coef for row in model.rows if row.name.startswith("c_vi_")
+                for coef, j in row.terms if j >= cols.isq0), 1.0)
+
+    a_ub, b_ub = [], []
+    for row in model.rows:
+        if not row.name.startswith(FLOW_ROWS):
+            continue
+        a, rhs = np.zeros(n_f + len(free)), row.rhs
+        for coef, j in row.terms:
+            if j in position:
+                a[position[j]] += coef
+            else:
+                rhs -= coef * fixed[j]
+        a[n_f:] /= eps
+        sign = -1.0 if row.sense == ">=" else 1.0
+        a_ub.append(sign * a)
+        b_ub.append(sign * rhs / eps)
+    bounds = [(0.0, 1.0 / eps)] * n_f + [(0.0, 1.0)] * len(free)
+    res = linprog(np.zeros(n_f + len(free)), A_ub=np.array(a_ub),
+                  b_ub=np.array(b_ub), bounds=bounds, method="highs")
+    assert res.status in (0, 2), res.message
+    return res.status == 0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_states=st.integers(2, 4),
+       n_nodes=st.integers(1, 3))
+def test_flow_rows_flag_no_state_a_policy_misses(seed, n_states, n_nodes):
+    """With the policy binaries pinned to a random deterministic policy,
+    rows (v)-(vii) admit no flag on a state it does not reach, whatever the
+    other flags are."""
+    rng = np.random.default_rng(seed)
+    p = build_product(rare_step_lmdp(rng, n_states),
+                      random_dra(rng, n_nodes, ap=("p",)))
+    model = build_program(p, mec_decomposition(p), no_ss_spec())
+    pi = Policy({sq: p.actions(i)[int(rng.integers(len(p.actions(i))))]
+                 for i, sq in enumerate(p.states)})
+    reached = set(induce_chain(p, pi).states)
+    for u in range(len(p.states)):
+        if u not in reached:
+            assert not flow_rows_admit_flag(model, pi, u)
+
+
+def admitted(model, pi):
+    """The reward optimum of ``model`` with its policy binaries pinned to
+    ``pi``, or None if that program is infeasible."""
+    program, _ = highs_arrays(fix_policy(model, pi))
+    res = milp_shim.run_milp(*program, mip_rel_gap=0.0)
+    assert res.status in (0, 2), res.message
+    return None if res.status == 2 else -res.fun
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_rows_viii_and_xiv_exclude_no_policy(seed):
+    """Every deterministic policy of a random product of at most six states
+    is admitted by the program, and reaches the same reward optimum there,
+    exactly when it is and does with rows (viii) and (xiv) added."""
+    rng = np.random.default_rng(seed)
+    m = random_lmdp(rng, int(rng.integers(2, 5)), 2, ap=("p",),
+                    det_prob=float(rng.choice([0.6, 0.9])))
+    d = random_dra(rng, int(rng.integers(2, 4)), ap=("p",),
+                   n_pairs=int(rng.integers(1, 3)))
+    spec = no_ss_spec()
+    if rng.random() < 0.5:
+        spec = one_interval_spec("p", float(rng.choice([0.0, 0.1, 0.3])),
+                                 float(rng.choice([0.5, 0.8, 1.0])))
+    p = build_product(m, d)
+    amecs = accepting_mecs(mec_decomposition(p), p)
+    if len(p.states) > 6 or not amecs:
+        return
+    model = build_program(p, amecs, spec)
+    reference = with_rows_viii_and_xiv(model)
+    for choice in itertools.product(*map(p.actions, range(len(p.states)))):
+        pi = Policy(dict(zip(p.states, choice)))
+        ours, theirs = admitted(model, pi), admitted(reference, pi)
+        assert (ours is None) == (theirs is None)
+        if ours is not None:
+            assert ours == pytest.approx(theirs, abs=1e-6)
 
 
 @pytest.mark.parametrize("knobs", [

@@ -2,7 +2,9 @@
 reused across solves, replaced when it dies or after a fork, and never left
 behind by its owner."""
 
+import io
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -154,6 +156,32 @@ def test_worker_failure_ends_synthesis_in_status_error(
         f"Model status: Error ({cause}")
     monkeypatch.undo()
     assert synthesize(one_state_model(), TRUE_DRA, NO_SS).status == "verified"
+
+
+def test_solver_prints_reach_neither_the_replies_nor_stderr():
+    """Whatever the solver writes to fd 1 is dropped: the reply arrives
+    intact and alone, and the worker's stderr stays empty."""
+    code = ("import os\n"
+            "from ssltl import milp_shim\n"
+            "run_milp = milp_shim.run_milp\n"
+            "def noisy(*args, **kwargs):\n"
+            "    os.write(1, b'noise\\n')\n"
+            "    return run_milp(*args, **kwargs)\n"
+            "milp_shim.run_milp = noisy\n"
+            "milp_shim.serve()\n")
+    program, _ = ilp.highs_arrays(one_state_program())
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          input=pickle.dumps(program + (60.0,)),
+                          capture_output=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    replies = io.BytesIO(proc.stdout)
+    status, x, _, _, nodes = pickle.load(replies)
+    assert replies.read() == b""
+    assert status == "Optimal" and nodes is not None
+    assert -program[0] @ x == pytest.approx(2.0)
+    assert proc.stderr == b""
 
 
 def test_solver_binaries_on_path_leave_the_bundled_route(tmp_path,
