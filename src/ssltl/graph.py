@@ -166,6 +166,41 @@ def accepting_mecs(mecs: Iterable, p) -> list:
     return mec_decomposition(p, region)
 
 
+def almost_sure_reach(p, target: Iterable) -> set:
+    """The states of product ``p`` from which some policy reaches the product
+    state indices ``target`` with probability 1 (de Alfaro 1997; Baier &
+    Katoen 2008, ch. 10).
+
+    Start from every state and repeat until nothing changes: keep the states
+    that reach ``target`` with positive probability by pairs whose
+    successors all lie among the states kept so far.  At the fixpoint the
+    policy that picks, at each kept state, the pair by which the backward
+    search added it never leaves the kept states and has a path of positive
+    probability to ``target`` from each of them, so it reaches ``target``
+    almost surely.  A dropped state has no such policy: under every policy
+    it reaches an earlier dropped state with positive probability, or
+    ``target`` with probability 0."""
+    n = len(p.states)
+    pred = [[] for _ in range(n)]
+    for i in range(n):
+        for k in p.pairs(i):
+            for j in p.succ[k]:
+                pred[j].append((i, k))
+    kept = set(range(n))
+    while True:
+        reach = set(target)
+        stack = list(reach)
+        while stack:
+            for i, k in pred[stack.pop()]:
+                if (i not in reach and i in kept
+                        and kept.issuperset(p.succ[k])):
+                    reach.add(i)
+                    stack.append(i)
+        if reach == kept:
+            return reach
+        kept = reach
+
+
 def bscc_accepting(bscc: Iterable, p) -> bool:
     """True iff some Rabin pair accepts: the BSCC (product state indices of
     ``p``) misses S x Fin_i and meets S x Inf_i."""

@@ -2,6 +2,10 @@
 binaries, reachability flows, and the accepting-component indicator system;
 LP-file export, solver driving, and policy extraction.
 
+The occupation measure x lives only on the pairs the accepting components
+retain: every other x column has bounds [0, 0] (see ``build_program``), so
+the columns keep their positions and LP text writes the pins as bounds.
+
 The program is indexed by integers: terms and solution values refer to a
 column by its position in ``IlpModel.variables`` (see ``Columns``), and
 variable names exist only in LP text.  With no external solver configured,
@@ -113,7 +117,8 @@ class IlpRow:
 
 @dataclass(frozen=True)
 class IlpModel:
-    variables: tuple      # IlpVar per column
+    variables: tuple      # IlpVar per column; x columns of pairs no
+                          # accepting component retains are pinned to 0
     objective: tuple      # ((coef, column), ...)
     rows: tuple
     product: ProductLmdp
@@ -122,6 +127,7 @@ class IlpModel:
 
 
 _CONTINUOUS = IlpVar(0.0, 1.0, False)
+_PINNED = IlpVar(0.0, 0.0, False)
 _BINARY = IlpVar(0.0, 1.0, True)
 # The terms of a row that has none: an explicit zero on column 0, so that the
 # row still names a column in LP text.
@@ -130,10 +136,10 @@ _ANCHOR = ((0.0, 0),)
 
 class Columns:
     """Column offsets of the program's variable blocks, in this order: x per
-    pair of the product (x of pair k is column k), f per product edge, pi per
-    pair, isq per product state, is per model state, ik per accepting
-    component, iks per (component, model state).  Every column from ``pi0``
-    on is binary."""
+    pair of the product (x of pair k is column k, also where it is pinned to
+    0), f per product edge, pi per pair, isq per product state, is per model
+    state, ik per accepting component, iks per (component, model state).
+    Every column from ``pi0`` on is binary."""
 
     def __init__(self, p: ProductLmdp, n_amecs: int = 0):
         n_states = len(p.model.states)
@@ -153,6 +159,19 @@ def build_program(p: ProductLmdp, amecs, spec: SsLtlSpec,
     ``amecs`` are the accepting components of ``graph.accepting_mecs``.
     Raises NoAcceptingStructureError when that list is empty: no accepting
     end component exists, so no policy does.
+
+    A component C *retains* pair k of its state i when every successor of k
+    lies in C.  The x column of every pair no component retains is pinned
+    to 0 (bounds [0, 0]).  That excludes no verified policy pi: set x to
+    pi's limiting state-action frequencies from the initial state.  Then x
+    is positive only on pi's pairs at the states of its reachable BSCCs.
+    Each such BSCC B is Rabin-accepting for some pair j, so B with pi's
+    actions is an end component that misses S x Fin_j and meets S x Inf_j.
+    B therefore lies in the accepting region, and inside exactly one of its
+    MECs C (see ``graph.accepting_mecs``).  pi's pair at each state of B
+    keeps all its successors in B, a subset of C, so C retains it.  x
+    vanishes on every pinned column, and the solution that
+    ``accepting_mecs`` builds for pi survives with the same objective.
     """
     cfg = cfg or IlpConfig()
     amecs = tuple(amecs)
@@ -173,7 +192,11 @@ def build_program(p: ProductLmdp, amecs, spec: SsLtlSpec,
         out_edges[i].append(cols.f0 + e)
         in_edges[j].append(cols.f0 + e)
 
-    variables = ((_CONTINUOUS,) * cols.pi0
+    retained = {k for amec in amecs for i in amec for k in p.pairs(i)
+                if amec.issuperset(p.succ[k])}
+    variables = (tuple(_CONTINUOUS if k in retained else _PINNED
+                       for k in range(n_pairs))
+                 + (_CONTINUOUS,) * (cols.pi0 - cols.f0)
                  + (_BINARY,) * (cols.end - cols.pi0))
 
     objective = []

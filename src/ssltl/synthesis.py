@@ -4,20 +4,28 @@ solve, policy extraction, and mandatory independent verification.
 The accepting components are the MECs of the product's accepting region
 (``graph.accepting_mecs``), so an accepting end component inside a MEC that
 touches a Fin set is found too.  ``infeasible`` after 0 rounds means the
-product has no accepting end component at all.
+product has no accepting end component at all, or that no policy reaches
+one from the initial state with probability 1.  A verified policy does:
+each of its BSCCs lies in an accepting component (see
+``ilp.build_program``), and the chain reaches its BSCCs almost surely.
 
 Each round's solve goes to the configured external command, else to the
 bundled backend's long-lived worker process, which the first round starts
 and every later round (and every later call) reuses, so a cut round costs
 the solve itself, not a solver start.
 
-The optimization layer alone can accept assignments whose induced chain is
-not a unichain or whose long-run behavior is not accepting (its indicator
-system reasons at component granularity and its acceptance-mass constraint
-ignores the finiteness half of the Rabin pairs).  Verification is therefore
-the ground truth: a rejected candidate policy is excluded with a no-good cut
-over its reachable decisions and the program is re-solved.  Only a verified
-policy is ever reported as feasible.
+The program's occupation measure x lives on the pairs the accepting
+components retain, so a candidate's x is a stationary measure inside them.
+The optimization layer alone can still accept assignments whose induced
+chain is not a unichain or whose long-run behavior is not accepting: x need
+not be the limiting distribution from the initial state, so the policy may
+reach a rejecting BSCC that carries no x; its indicator system reasons at
+component granularity; and its acceptance-mass constraint ignores the
+finiteness half of the Rabin pairs, so a BSCC inside an accepting component
+may still fail every pair.  Verification is therefore the ground truth: a
+rejected candidate policy is excluded with a no-good cut over its reachable
+decisions and the program is re-solved.  Only a verified policy is ever
+reported as feasible.
 """
 
 from __future__ import annotations
@@ -28,7 +36,8 @@ from typing import Optional
 
 from ssltl.errors import ModelError, NoAcceptingStructureError, \
     PolicyError
-from ssltl.graph import accepting_mecs, mec_decomposition
+from ssltl.graph import accepting_mecs, almost_sure_reach, \
+    mec_decomposition
 from ssltl.hoa import Dra
 from ssltl.ilp import (
     Columns,
@@ -69,10 +78,13 @@ def _rejection_cuts(p: ProductLmdp, pi: Policy, report: VerificationReport,
 
     Additionally, for every Rabin-rejecting BSCC B of the failed chain: a
     policy that keeps all of B's actions leaves B a closed rejecting loop,
-    and occupation mass inside B would make B flow-reachable, which no
-    accepting policy allows; so mass(B) + sum of B's kept-action binaries
-    <= |B| is valid for every truly feasible solution and removes the whole
-    family at once.
+    so a verified policy that keeps them never reaches B, and its limiting
+    distribution puts no mass on B's pairs.  So mass(B) + sum of B's
+    kept-action binaries <= |B| holds for the solution that carries any
+    verified policy, and removes the whole family at once.  Where no
+    accepting component retains any pair of B's states, the bounds pin
+    mass(B) to 0 and the loop cut holds trivially; it bites on a BSCC inside
+    an accepting component.
     """
     pi0 = Columns(p).pi0
     chosen = {i: pi0 + p.chosen_pair(i, pi) for i in report.chain.states}
@@ -117,6 +129,12 @@ def synthesize(m: Lmdp, d: Dra, spec: SsLtlSpec,
         model = build_program(product, amecs, spec, cfg)
     except NoAcceptingStructureError as exc:
         status, detail = "infeasible", str(exc)
+    else:
+        if product.initial not in almost_sure_reach(product,
+                                                    frozenset().union(*amecs)):
+            status, detail = "infeasible", (
+                "no policy reaches an accepting end component with "
+                "probability 1")
     while status == "unverified" and rounds < max_cut_rounds:
         rounds += 1
         t_solve = time.monotonic()

@@ -22,8 +22,8 @@ from perfbench.workloads import WORKLOADS, load  # noqa: E402
 
 # small-feas, large-feas, bnb-hard, then the smoke (warm-up) instance; per
 # instance the reward program, then the feasibility one.
-PROGRAMS_SHA256 = ("14c30382a33c82b7dff3af2e443da645"
-                   "4076057a09600d4286c783c719c01cf7")
+PROGRAMS_SHA256 = ("81652cb8e5ff823cd63df8d2d1bf4871"
+                   "396ac688123098ae37cb02589521f6db")
 
 
 def test_benchmark_programs_are_unchanged():

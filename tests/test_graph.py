@@ -1,3 +1,6 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 
 from helpers import (
@@ -11,6 +14,7 @@ from helpers import (
 )
 from ssltl.graph import (
     accepting_mecs,
+    almost_sure_reach,
     bscc_accepting,
     bsccs,
     mec_decomposition,
@@ -325,3 +329,48 @@ def test_bscc_accepting_examples():
              delta={("q0", frozenset()): "q0", ("q1", frozenset()): "q1"},
              pairs=((frozenset(), frozenset({"q1"})),))
     assert not bscc_accepting({0}, node_product(d2))
+
+
+def surely_reaches(p, choice, i, target) -> bool:
+    """Whether the deterministic policy ``choice`` (state -> pair) reaches
+    ``target`` from state i with probability 1: every state it can reach
+    from i before ``target`` can still reach ``target``."""
+    def seen_from(start, stop):
+        seen, stack = {start}, [start]
+        while stack:
+            u = stack.pop()
+            if u in stop:
+                continue
+            for v in p.succ[choice[u]]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        return seen
+    return all(seen_from(u, target) & target
+               for u in seen_from(i, target))
+
+
+def test_almost_sure_reach_matches_brute_force():
+    """Against every deterministic policy of small random products whose
+    last model state is a trap: a state is listed exactly when some policy
+    reaches the target set from it with probability 1."""
+    from helpers import random_lmdp
+
+    rng = np.random.default_rng(5)
+    checked = 0
+    for _ in range(40):
+        m = random_lmdp(rng, int(rng.integers(2, 5)), 2, det_prob=0.7)
+        trap = m.states[-1]
+        m = validate_lmdp(replace(m, reward={}, trans={
+            **m.trans, **{(trap, a): {trap: 1.0} for a in m.actions}}))
+        p = build_product(m, random_dra(rng, 2, ap=("p",)))
+        if len(p.states) > 8:
+            continue
+        target = {i for i in range(len(p.states)) if rng.random() < 0.5}
+        policies = [dict(enumerate(ks)) for ks in
+                    itertools.product(*map(p.pairs, range(len(p.states))))]
+        want = {i for i in range(len(p.states))
+                if any(surely_reaches(p, c, i, target) for c in policies)}
+        assert almost_sure_reach(p, target) == want
+        checked += 0 < len(want) < len(p.states)
+    assert checked >= 10

@@ -319,6 +319,75 @@ def test_rows_viii_and_xiv_exclude_no_policy(seed):
             assert ours == pytest.approx(theirs, abs=1e-6)
 
 
+def long_run_reward(m, report, pi) -> float:
+    """The expected reward per step of ``pi`` under the verifier's limiting
+    distribution."""
+    total = 0.0
+    for (s, q), mass in report.product_distribution.items():
+        a = pi.choice[(s, q)]
+        total += mass * sum(prob * m.reward_value(s, a, s2)
+                            for s2, prob in m.trans[(s, a)].items())
+    return total
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), ss=st.booleans())
+def test_pinned_occupation_excludes_no_verified_policy(seed, ss):
+    """Every deterministic policy the verifier accepts on a random product of
+    at most six states is admitted by the program, whose x columns off the
+    retained pairs are pinned to 0, and the program's reward optimum for it
+    is at least its long-run reward."""
+    rng = np.random.default_rng(seed)
+    m = random_lmdp(rng, int(rng.integers(2, 5)), 2, ap=("p",),
+                    det_prob=float(rng.choice([0.6, 0.9])))
+    d = random_dra(rng, int(rng.integers(2, 4)), ap=("p",),
+                   n_pairs=int(rng.integers(1, 3)))
+    spec = no_ss_spec()
+    if ss:
+        spec = one_interval_spec("p", float(rng.choice([0.0, 0.1, 0.3])),
+                                 float(rng.choice([0.5, 0.8, 1.0])))
+    p = build_product(m, d)
+    amecs = accepting_mecs(mec_decomposition(p), p)
+    if len(p.states) > 6 or not amecs:
+        return
+    model = build_program(p, amecs, spec)
+    for choice in itertools.product(*map(p.actions, range(len(p.states)))):
+        pi = Policy(dict(zip(p.states, choice)))
+        report = verify_policy(m, d, spec, pi, product=p)
+        if report.verdict:
+            optimum = admitted(model, pi)
+            assert optimum is not None, pi.choice
+            assert optimum >= long_run_reward(m, report, pi) - 1e-6
+
+
+def retained_pairs(p, amecs) -> set:
+    """The pairs k of a state of an accepting component whose successors all
+    lie in that component."""
+    return {k for amec in amecs for i in amec for k in p.pairs(i)
+            if all(j in amec for j in p.succ[k])}
+
+
+def test_x_is_pinned_to_0_off_the_retained_pairs():
+    """10x10 theta4 grid, seed 0: the one accepting component is the 100
+    copies of the accepting sink node, which retain 400 of the 992 pairs.
+    Exactly the other 592 x columns get ub = 0; every other column keeps
+    its bounds [0, 1], and LP text carries the pins to ``milp_shim``."""
+    spec = load_spec("fixtures/specs/theta4.json")
+    m = generate_grid(GridSpec(10, 10, seed=0))
+    p = build_product(m, load_hoa(spec.dra_source))
+    amecs = accepting_mecs(mec_decomposition(p), p)
+    assert [len(c) for c in amecs] == [100]
+    model = build_program(p, amecs, spec, IlpConfig(objective="feasibility"))
+    n_pairs = Columns(p).f0
+    pinned = set(range(n_pairs)) - retained_pairs(p, amecs)
+    assert (n_pairs, len(pinned)) == (992, 592)
+    for j, v in enumerate(model.variables):
+        assert (v.lb, v.ub) == ((0.0, 0.0) if j in pinned else (0.0, 1.0))
+    bounds = milp_shim.parse_lp(export_lp(model)).bounds
+    for k, name in enumerate(column_names(model)[:n_pairs]):
+        assert bounds[name] == ([0.0, 0.0] if k in pinned else [0.0, 1.0])
+
+
 @pytest.mark.parametrize("knobs", [
     {"acc_eps": 0.0}, {"acc_eps": float("nan")},
     {"objective": "max_reward"}],

@@ -10,7 +10,8 @@ from ssltl.hoa import parse_hoa
 from ssltl.ilp import Columns, SolverConfig, build_program
 from ssltl.model import Lmdp, model_from_json, spec_from_json, validate_lmdp
 from ssltl.product import Policy, build_product
-from ssltl.synthesis import _rejection_cuts, synthesize
+from ssltl.synthesis import DEFAULT_MAX_CUT_ROUNDS, _rejection_cuts, \
+    synthesize
 from ssltl.verify import verify_policy
 
 TRUE_DRA = parse_hoa("""HOA: v1
@@ -287,6 +288,175 @@ def test_overlapping_pair_components_merge_into_one(solver_cmd):
     assert result.status == "verified"
 
 
+# Three 8-state products of the oracle fuzz below (ss rows on; seed 13 at
+# det_prob 0.6, instances 5 and 48 of the stream, and seed 22 at det_prob
+# 0.75, instance 29).  Each has 16 pairs, of which its one accepting
+# component retains 2.  While the other 14 x columns were free, every
+# candidate put 79-100 % of x on them, the cuts removed one rejecting loop
+# at a time, and the loop stopped unverified after 64 rounds.  With those
+# columns pinned to 0 each run ends in the oracle's verdict after 1 round.
+RUNAWAY_13_5_MODEL = model_from_json({
+    "states": [{"id": "s0", "labels": []}, {"id": "s1", "labels": ["p"]},
+               {"id": "s2", "labels": []}, {"id": "s3", "labels": ["p"]}],
+    "actions": ["a0", "a1"], "ap": ["p"], "initial": "s0",
+    "transitions": [
+        {"from": s, "action": a, "to": t, "p": p} for s, a, t, p in [
+            ("s0", "a0", "s0", 0.19805519791180135),
+            ("s0", "a0", "s1", 0.04899500656197786),
+            ("s0", "a0", "s2", 0.29706982784091446),
+            ("s0", "a0", "s3", 0.45587996768530625), ("s0", "a1", "s3", 1.0),
+            ("s1", "a0", "s0", 0.27267810549907734),
+            ("s1", "a0", "s1", 0.29999313302630765),
+            ("s1", "a0", "s2", 0.2985477384699995),
+            ("s1", "a0", "s3", 0.1287810230046157), ("s1", "a1", "s1", 1.0),
+            ("s2", "a0", "s0", 0.21027229377242912),
+            ("s2", "a0", "s1", 0.19997874205496313),
+            ("s2", "a0", "s2", 0.27376977008570996),
+            ("s2", "a0", "s3", 0.31597919408689784),
+            ("s2", "a1", "s0", 0.19064102677083838),
+            ("s2", "a1", "s1", 0.1011555841653368),
+            ("s2", "a1", "s2", 0.2015085849398816),
+            ("s2", "a1", "s3", 0.5066948041239432), ("s3", "a0", "s0", 1.0),
+            ("s3", "a1", "s2", 1.0)]],
+    "rewards": [
+        {"from": s, "action": a, "to": t, "r": 1.0} for s, a, t in [
+            ("s0", "a0", "s0"), ("s0", "a0", "s1"), ("s0", "a0", "s2"),
+            ("s0", "a0", "s3"), ("s0", "a1", "s3"), ("s1", "a0", "s0"),
+            ("s1", "a0", "s1"), ("s1", "a0", "s2"), ("s1", "a0", "s3"),
+            ("s1", "a1", "s1"), ("s2", "a0", "s0"), ("s2", "a0", "s1"),
+            ("s2", "a0", "s2"), ("s2", "a0", "s3")]],
+})
+RUNAWAY_13_5_DRA = parse_hoa("""HOA: v1
+States: 3
+Start: 0
+AP: 1 "p"
+acc-name: Rabin 1
+Acceptance: 2 Fin(0) & Inf(1)
+--BODY--
+State: 0 {0 1}
+[!0] 2
+[0] 1
+State: 1 {1}
+[!0] 2
+[0] 0
+State: 2
+[!0] 1
+[0] 1
+--END--
+""")
+
+
+RUNAWAY_13_48_MODEL = model_from_json({
+    "states": [{"id": "s0", "labels": ["p"]}, {"id": "s1", "labels": []},
+               {"id": "s2", "labels": ["p"]}, {"id": "s3", "labels": []}],
+    "actions": ["a0", "a1"], "ap": ["p"], "initial": "s0",
+    "transitions": [
+        {"from": s, "action": a, "to": t, "p": p} for s, a, t, p in [
+            ("s0", "a0", "s0", 0.3817978928619476),
+            ("s0", "a0", "s1", 0.15531899824598644),
+            ("s0", "a0", "s2", 0.1994315145903164),
+            ("s0", "a0", "s3", 0.2634515943017496), ("s0", "a1", "s3", 1.0),
+            ("s1", "a0", "s0", 0.22243821161403302),
+            ("s1", "a0", "s1", 0.06273767165537876),
+            ("s1", "a0", "s2", 0.12203060327054796),
+            ("s1", "a0", "s3", 0.5927935134600403), ("s1", "a1", "s1", 1.0),
+            ("s2", "a0", "s0", 0.0400794492196156),
+            ("s2", "a0", "s1", 0.15158558372381117),
+            ("s2", "a0", "s2", 0.31378796159143857),
+            ("s2", "a0", "s3", 0.4945470054651346), ("s2", "a1", "s3", 1.0),
+            ("s3", "a0", "s2", 1.0), ("s3", "a1", "s0", 1.0)]],
+    "rewards": [
+        {"from": s, "action": a, "to": t, "r": 1.0} for s, a, t in [
+            ("s0", "a1", "s3"), ("s2", "a0", "s0"), ("s2", "a0", "s1"),
+            ("s2", "a0", "s2"), ("s2", "a0", "s3"), ("s3", "a0", "s2")]],
+})
+RUNAWAY_13_48_DRA = parse_hoa("""HOA: v1
+States: 3
+Start: 0
+AP: 1 "p"
+acc-name: Rabin 2
+Acceptance: 4 (Fin(0) & Inf(1)) | (Fin(2) & Inf(3))
+--BODY--
+State: 0 {0 1}
+[!0] 1
+[0] 2
+State: 1 {3}
+[!0] 0
+[0] 1
+State: 2 {1 2 3}
+[!0] 1
+[0] 1
+--END--
+""")
+
+
+RUNAWAY_22_29_MODEL = model_from_json({
+    "states": [{"id": "s0", "labels": ["p"]}, {"id": "s1", "labels": ["p"]},
+               {"id": "s2", "labels": []}, {"id": "s3", "labels": []}],
+    "actions": ["a0", "a1"], "ap": ["p"], "initial": "s0",
+    "transitions": [
+        {"from": s, "action": a, "to": t, "p": p} for s, a, t, p in [
+            ("s0", "a0", "s0", 0.5384273042968941),
+            ("s0", "a0", "s1", 0.14273024599951128),
+            ("s0", "a0", "s2", 0.07511692921815212),
+            ("s0", "a0", "s3", 0.24372552048544255),
+            ("s0", "a1", "s0", 0.07932109229233901),
+            ("s0", "a1", "s1", 0.21477884309890988),
+            ("s0", "a1", "s2", 0.3047834730530302),
+            ("s0", "a1", "s3", 0.40111659155572094), ("s1", "a0", "s0", 1.0),
+            ("s1", "a1", "s1", 1.0), ("s2", "a0", "s0", 0.0377112653171282),
+            ("s2", "a0", "s1", 0.5282455799675517),
+            ("s2", "a0", "s2", 0.31341256898962394),
+            ("s2", "a0", "s3", 0.12063058572569603), ("s2", "a1", "s1", 1.0),
+            ("s3", "a0", "s0", 0.16478337691983372),
+            ("s3", "a0", "s1", 0.1564395050133413),
+            ("s3", "a0", "s2", 0.2688473311336243),
+            ("s3", "a0", "s3", 0.4099297869332006), ("s3", "a1", "s1", 1.0)]],
+    "rewards": [
+        {"from": s, "action": a, "to": t, "r": 1.0} for s, a, t in [
+            ("s0", "a1", "s0"), ("s0", "a1", "s1"), ("s0", "a1", "s2"),
+            ("s0", "a1", "s3"), ("s2", "a1", "s1"), ("s3", "a0", "s0"),
+            ("s3", "a0", "s1"), ("s3", "a0", "s2"), ("s3", "a0", "s3")]],
+})
+RUNAWAY_22_29_DRA = parse_hoa("""HOA: v1
+States: 3
+Start: 0
+AP: 1 "p"
+acc-name: Rabin 2
+Acceptance: 4 (Fin(0) & Inf(1)) | (Fin(2) & Inf(3))
+--BODY--
+State: 0 {1 2 3}
+[!0] 2
+[0] 2
+State: 1 {0 1 3}
+[!0] 1
+[0] 0
+State: 2
+[!0] 1
+[0] 0
+--END--
+""")
+
+
+@pytest.mark.parametrize("model, dra, lower, upper, verdict", [
+    (RUNAWAY_13_5_MODEL, RUNAWAY_13_5_DRA, 0.1, 0.8, "verified"),
+    (RUNAWAY_13_48_MODEL, RUNAWAY_13_48_DRA, 0.3, 0.8, "infeasible"),
+    (RUNAWAY_22_29_MODEL, RUNAWAY_22_29_DRA, 0.0, 1.0, "verified"),
+], ids=["seed13-5", "seed13-48", "seed22-29"])
+def test_former_runaway_loops_end_in_the_oracle_verdict(model, dra, lower,
+                                                        upper, verdict,
+                                                        solver_cmd):
+    spec = spec_from_json({"dra": "x", "ss": [
+        {"formula": "p", "lower": lower, "upper": upper}]})
+    assert len(build_product(model, dra).states) == 8
+    oracle = brute_force_synth(model, dra, spec)
+    assert (oracle is not None) == (verdict == "verified")
+    result = synthesize(model, dra, spec,
+                        solver=SolverConfig(command=solver_cmd, timeout=120),
+                        max_cut_rounds=8)
+    assert result.status == verdict, result.detail
+
+
 def oracle_instance(seed, det_prob, ss):
     """A desk-size instance small enough for the exhaustive oracle: at most
     4 model states, 2 actions and a 3-node automaton with one or two Rabin
@@ -309,20 +479,32 @@ def oracle_instance(seed, det_prob, ss):
        det_prob=st.sampled_from([0.6, 0.75, 0.9]), ss=st.booleans())
 def test_verdicts_agree_with_the_exhaustive_oracle(seed, det_prob, ss,
                                                    solver_cmd):
-    """``infeasible`` only where no policy exists, ``verified`` only where
-    one does; a run may stop ``unverified`` within its 8 rounds."""
+    """Within the default round budget the verdict is the oracle's:
+    ``verified`` where a policy exists, ``infeasible`` where none does."""
     m, d, spec = oracle_instance(seed, det_prob, ss)
     oracle = brute_force_synth(m, d, spec)
     result = synthesize(m, d, spec,
                         solver=SolverConfig(command=solver_cmd, timeout=120),
-                        max_cut_rounds=8)
-    assert result.status in ("verified", "infeasible", "unverified"), \
-        result.detail
-    if result.status == "infeasible":
-        assert oracle is None, f"a policy exists: {oracle.choice}"
-    if result.status == "verified":
-        assert oracle is not None
+                        max_cut_rounds=DEFAULT_MAX_CUT_ROUNDS)
+    assert result.status == ("infeasible" if oracle is None
+                             else "verified"), result.detail
 
+
+def test_no_policy_reaching_the_components_surely_is_infeasible(solver_cmd):
+    """Found by the property above (seed=10000000, det_prob=0.6, ss=False).
+    Every action of the initial state (s0, q2) moves to (s0, q0) with
+    positive probability, and every action there enters the closed set of
+    (s0, q1), (s1, q1) and (s2, q1), all in Fin, with positive probability.
+    So no policy reaches the accepting components {(s1, q2)} and
+    {(s2, q2)} with probability 1, which needs no solve; the cut loop alone
+    needs 85 rounds to prove it."""
+    m, d, spec = oracle_instance(10_000_000, 0.6, False)
+    assert brute_force_synth(m, d, spec) is None
+    result = synthesize(m, d, spec,
+                        solver=SolverConfig(command=solver_cmd, timeout=120))
+    assert result.status == "infeasible" and result.rounds == 0
+    assert result.detail == ("no policy reaches an accepting end component "
+                             "with probability 1")
 
 def rare_step_model():
     """s0 -go-> s1 with probability 1e-6, else back to s0; s1 absorbs and
