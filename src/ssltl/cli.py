@@ -72,7 +72,8 @@ def _add_solver_flags(p):
 
 def _add_program_flags(p):
     p.add_argument("--acc-eps", type=float, default=1e-4,
-                   help="acceptance-mass threshold replacing strict > 0")
+                   help="acceptance-mass threshold in (0, 1] replacing "
+                        "strict > 0")
     _add_objective_flag(p)
 
 

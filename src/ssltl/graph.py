@@ -142,7 +142,8 @@ def accepting_mecs(mecs: Iterable, p) -> list:
     The region is the union, over every MEC and Rabin pair i, of the MECs of
     that MEC without its S x Fin_i states that meet S x Inf_i: the accepting
     end components of pair i (Baier & Katoen 2008, de Alfaro 1997).  The
-    program's indicator rows (xii)-(xvi) range over the listed components:
+    program's indicator rows (xii), (xiii) and (xvi) range over the listed
+    components:
 
     * every accepting end component E lies inside exactly one of them.  E
       is an end component of the region's sub-MDP, so some region MEC
@@ -150,10 +151,10 @@ def accepting_mecs(mecs: Iterable, p) -> list:
     * take a verified policy, with x set to its limiting distribution.  Its
       mass lies on its BSCCs, each an accepting end component and so inside
       exactly one component.  A component carrying mass then holds a whole
-      BSCC and with it a flagged copy of the shared state, so rows
-      (xii)-(xvi) admit the policy.  Overlapping components would not do: a
-      BSCC inside one could put mass into another that holds no copy of the
-      shared state;
+      BSCC and with it a flagged copy of the shared state, so rows (xii),
+      (xiii) and (xvi) admit the policy.  Overlapping components would not
+      do: a BSCC inside one could put mass into another that holds no copy
+      of the shared state;
     * a MEC that misses S x Fin_i and meets S x Inf_i comes back unchanged.
     """
     region = set()

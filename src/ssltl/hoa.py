@@ -176,7 +176,7 @@ def parse_hoa(text: str) -> Dra:
         raise HoaError("automaton has no acceptance pairs")
 
     # Body: State: headers with membership sets, then labeled edges.
-    membership: dict = {i: frozenset() for i in range(n_states)}
+    membership: dict = {}
     edges: dict = {i: [] for i in range(n_states)}
     current = None
     for ln in lines[body_at + 1:]:
@@ -191,6 +191,8 @@ def parse_hoa(text: str) -> Dra:
             current = int(m.group(1))
             if current >= n_states:
                 raise HoaError(f"state {current} out of declared range")
+            if current in membership:
+                raise HoaError(f"state {current} has a second State: header")
             sets = frozenset(int(x) for x in (m.group(2) or "").split())
             if any(x >= n_sets for x in sets):
                 raise HoaError(f"state {current} names an acceptance set "
@@ -235,9 +237,9 @@ def parse_hoa(text: str) -> Dra:
     pairs = []
     for k in range(n_pairs):
         fin = frozenset(nodes[i] for i in range(n_states)
-                        if 2 * k in membership[i])
+                        if 2 * k in membership.get(i, ()))
         inf = frozenset(nodes[i] for i in range(n_states)
-                        if 2 * k + 1 in membership[i])
+                        if 2 * k + 1 in membership.get(i, ()))
         pairs.append((fin, inf))
 
     return Dra(nodes=nodes, initial=nodes[start], alphabet=ap, delta=delta,

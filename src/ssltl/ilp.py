@@ -61,9 +61,9 @@ class IlpConfig:
     objective: str = "expected_reward"
 
     def __post_init__(self):
-        if not (math.isfinite(self.acc_eps) and self.acc_eps > 0):
-            raise ModelError(f"acc_eps must be a positive finite number, "
-                             f"not {self.acc_eps!r}")
+        if not 0 < self.acc_eps <= 1:      # NaN too
+            raise ModelError(f"acc_eps must lie in (0, 1], the range of an "
+                             f"accepting mass, not {self.acc_eps!r}")
         if self.objective not in ("expected_reward", "feasibility"):
             raise ModelError(f"unknown objective {self.objective!r}")
 
@@ -83,18 +83,16 @@ def flow_increment(p: ProductLmdp) -> float:
     root along a simple path to each other v in R(pi) and let v keep it.  An
     edge then carries at most (n - 1) eps < p_min, within its capacity (v),
     and an inflow stays below 1 (vii), so isq = 1 on R(pi) satisfies
-    (v)-(vii).  More flags only relax rows (ix), (xiii) and (xv) once ``iks``
-    rises to min(1, the sum of its copies' isq): (xiii) bounds ``iks`` from
-    above, and no row bounds it from below.  So every solution keeps its
-    (pi, x) in one that flags exactly R(pi), for any eps below p_min / (n -
-    1); the factor 4 n leaves slack, and is kept because every change of eps
-    moves the solver's search.
+    (v)-(vii).  More flags only relax rows (ix) and (xiii), so every
+    solution keeps its (pi, x) in one that flags exactly R(pi), for any eps
+    below p_min / (n - 1); the factor 4 n leaves slack, and is kept because
+    every change of eps moves the solver's search.
 
-    The row labels skip (viii), outflow >= inflow / 2, and (xiv), isq / |Q|
-    <= iks.  Those rows bounded only f and iks, and a program with them
-    admits the same (pi, x) (the tests keep them as an oracle), but takes
-    the solver's branch and bound through more nodes.  The other rows keep
-    their labels, so that row names in LP text stay stable.
+    The row labels skip (viii), outflow >= inflow / 2, which bounded only f
+    and took branch and bound through more nodes, and (xiv) and (xv), which
+    encoded rows (xiii) through one auxiliary binary per (component, model
+    state); the tests keep both as oracles.  The other rows keep their
+    labels, so that row names in LP text stay stable.
     """
     p_min = min(prob for row in p.succ for prob in row.values())
     return min(1e-4, p_min / (4.0 * len(p.states)))
@@ -138,18 +136,16 @@ class Columns:
     """Column offsets of the program's variable blocks, in this order: x per
     pair of the product (x of pair k is column k, also where it is pinned to
     0), f per product edge, pi per pair, isq per product state, is per model
-    state, ik per accepting component, iks per (component, model state).
-    Every column from ``pi0`` on is binary."""
+    state, ik per accepting component.  Every column from ``pi0`` on is
+    binary."""
 
     def __init__(self, p: ProductLmdp, n_amecs: int = 0):
-        n_states = len(p.model.states)
         self.f0 = len(p.succ)
         self.pi0 = self.f0 + len(p.edges)
         self.isq0 = self.pi0 + len(p.succ)
         self.is0 = self.isq0 + len(p.states)
-        self.ik0 = self.is0 + n_states
-        self.iks0 = self.ik0 + n_amecs
-        self.end = self.iks0 + n_amecs * n_states
+        self.ik0 = self.is0 + len(p.model.states)
+        self.end = self.ik0 + n_amecs
 
 
 def build_program(p: ProductLmdp, amecs, spec: SsLtlSpec,
@@ -295,32 +291,19 @@ def build_program(p: ProductLmdp, amecs, spec: SsLtlSpec,
         terms.append((-1.0, cols.ik0 + c))
         rows.append(IlpRow(f"c_xii_{c}", tuple(terms), "<=", 0.0))
 
-    # (xiii) per-state component membership flags, bounded by the flags of
-    # the state's copies in the component; iks of component c and model state
-    # t is column iks0 + c * |S| + t
+    # (xiii) shared-state coupling: a flagged component holds a flagged copy
+    # of every flagged model state; the row of component c and model state t
+    # is c_xiii_{c * |S| + t}
     n_s = len(m.states)
-    copies = []
-    for amec in amecs:
-        by_state: dict = {}
+    for c, amec in enumerate(amecs):
+        copies: dict = {}
         for i in sorted(amec):
-            by_state.setdefault(p.states[i][0], []).append(cols.isq0 + i)
-        copies.append(by_state)
-    j = 0
-    for c in range(len(amecs)):
+            copies.setdefault(p.states[i][0], []).append(cols.isq0 + i)
         for t, s in enumerate(m.states):
-            terms = [(1.0, cols.iks0 + c * n_s + t)]
-            terms += [(-1.0, col) for col in copies[c].get(s, ())]
-            rows.append(IlpRow(f"c_xiii_{j}", tuple(terms), "<=", 0.0))
-            j += 1
-
-    # (xv) shared-state coupling: is - 1 <= sum_k (iks - ik) / |AMEC|
-    inv_k = 1.0 / len(amecs)
-    for t in range(n_s):
-        terms = [(1.0, cols.is0 + t)]
-        for c in range(len(amecs)):
-            terms.append((-inv_k, cols.iks0 + c * n_s + t))
-            terms.append((inv_k, cols.ik0 + c))
-        rows.append(IlpRow(f"c_xv_{t}", tuple(terms), "<=", 1.0))
+            terms = [(1.0, cols.is0 + t), (1.0, cols.ik0 + c)]
+            terms += [(-1.0, col) for col in copies.get(s, ())]
+            rows.append(IlpRow(f"c_xiii_{c * n_s + t}", tuple(terms), "<=",
+                               1.0))
 
     # (xvi) some shared state exists
     rows.append(IlpRow("c_xvi_0",
@@ -357,15 +340,12 @@ def column_names(model: IlpModel) -> list:
     sq_id = [f"{s_pos[s]}_{q_pos[q]}" for s, q in p.states]
     pairs = [f"{sq_id[i]}_{a_pos[a]}"
              for i in range(len(p.states)) for a in p.actions(i)]
-    n_amecs = len(model.amecs)
     return ([f"x_{t}" for t in pairs]
             + [f"f_{sq_id[i]}_{sq_id[j]}" for i, j in p.edges]
             + [f"pi_{t}" for t in pairs]
             + [f"isq_{t}" for t in sq_id]
             + [f"is_{i}" for i in range(len(m.states))]
-            + [f"ik_{k}" for k in range(n_amecs)]
-            + [f"iks_{k}_{i}" for k in range(n_amecs)
-               for i in range(len(m.states))])
+            + [f"ik_{k}" for k in range(len(model.amecs))])
 
 
 def _num(v: float) -> str:

@@ -160,6 +160,8 @@ class Lmdp:
 def validate_lmdp(m: Lmdp) -> Lmdp:
     if m.initial not in m.states:
         raise ModelError(f"initial state {m.initial!r} is not a declared state")
+    if len(set(m.actions)) != len(m.actions):
+        raise ModelError(f"duplicate action id in {list(m.actions)!r}")
     seen = set()
     for s in m.states:
         if s in seen:

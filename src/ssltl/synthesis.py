@@ -42,6 +42,7 @@ from ssltl.hoa import Dra
 from ssltl.ilp import (
     Columns,
     IlpConfig,
+    IlpModel,
     IlpRow,
     Solution,
     SolverConfig,
@@ -50,7 +51,7 @@ from ssltl.ilp import (
     solve,
 )
 from ssltl.model import Lmdp, SsLtlSpec
-from ssltl.product import Policy, ProductLmdp, build_product
+from ssltl.product import Policy, build_product
 from ssltl.verify import VerificationReport, verify_policy
 
 DEFAULT_MAX_CUT_ROUNDS = 64
@@ -69,8 +70,8 @@ class SynthesisResult:
     detail: str = ""
 
 
-def _rejection_cuts(p: ProductLmdp, pi: Policy, report: VerificationReport,
-                    round_index: int) -> list:
+def _rejection_cuts(model: IlpModel, pi: Policy,
+                    report: VerificationReport, round_index: int) -> list:
     """Cuts excluding the failed candidate, read off its verification report.
 
     Always: a no-good cut over the states reachable under ``pi`` (policies
@@ -81,11 +82,12 @@ def _rejection_cuts(p: ProductLmdp, pi: Policy, report: VerificationReport,
     so a verified policy that keeps them never reaches B, and its limiting
     distribution puts no mass on B's pairs.  So mass(B) + sum of B's
     kept-action binaries <= |B| holds for the solution that carries any
-    verified policy, and removes the whole family at once.  Where no
-    accepting component retains any pair of B's states, the bounds pin
-    mass(B) to 0 and the loop cut holds trivially; it bites on a BSCC inside
-    an accepting component.
+    verified policy, and removes the whole family at once.  Where the
+    program pins the x column of every pair of B's states to 0 (no
+    accepting component retains any of them), the row reduces to a sum of
+    |B| binaries <= |B|, which always holds, and is left out.
     """
+    p = model.product
     pi0 = Columns(p).pi0
     chosen = {i: pi0 + p.chosen_pair(i, pi) for i in report.chain.states}
     cuts = []
@@ -94,10 +96,11 @@ def _rejection_cuts(p: ProductLmdp, pi: Policy, report: VerificationReport,
                        float(len(terms) - 1)))
     for b_idx, (b, accepting) in enumerate(zip(report.bsccs,
                                                report.rabin_ok)):
-        if accepting:
-            continue
         ordered = sorted(b)
         mass_terms = [(1.0, k) for i in ordered for k in p.pairs(i)]
+        if accepting or all(model.variables[k].ub == 0.0
+                            for _, k in mass_terms):
+            continue
         kept = [(1.0, chosen[i]) for i in ordered]
         cuts.append(IlpRow(f"c_cut_{round_index}_loop{b_idx}",
                            tuple(mass_terms + kept), "<=", float(len(b))))
@@ -155,7 +158,7 @@ def synthesize(m: Lmdp, d: Dra, spec: SsLtlSpec,
         if report.verdict:
             status, detail = "verified", ""
             break
-        cuts = _rejection_cuts(product, pi, report, rounds - 1)
+        cuts = _rejection_cuts(model, pi, report, rounds - 1)
         model = replace(model, rows=model.rows + tuple(cuts))
 
     return SynthesisResult(

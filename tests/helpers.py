@@ -21,7 +21,8 @@ import numpy as np
 from ssltl.chain import _kernel
 from ssltl.errors import ModelError, SsltlError
 from ssltl.hoa import Dra, dra_step, letters_of
-from ssltl.ilp import Columns, IlpModel, IlpRow, Solution, column_names
+from ssltl.ilp import Columns, IlpModel, IlpRow, IlpVar, Solution, \
+    column_names
 from ssltl.model import PROB_TOL, Lmdp, SsLtlSpec, validate_lmdp
 from ssltl.product import Policy, ProductLmc, ProductLmdp, build_product
 from ssltl.verify import verify_policy
@@ -465,12 +466,10 @@ def fix_policy(model: IlpModel, pi: Policy) -> IlpModel:
     return replace(model, rows=model.rows + tuple(extra))
 
 
-def with_rows_viii_and_xiv(model: IlpModel) -> IlpModel:
-    """The program with the two row families it no longer has appended:
-    (viii), outflow >= inflow / 2 at every product state, and (xiv),
-    isq / |Q| <= iks for every copy of a model state in an accepting
-    component.  An oracle for the claim that neither admits fewer policies
-    (see ``ilp.flow_increment``)."""
+def with_rows_viii(model: IlpModel) -> IlpModel:
+    """The program with rows (viii), outflow >= inflow / 2 at every product
+    state, appended.  An oracle for the claim that it admits no fewer
+    policies without them (see ``ilp.flow_increment``)."""
     p = model.product
     cols = Columns(p, len(model.amecs))
     extra = []
@@ -483,16 +482,46 @@ def with_rows_viii_and_xiv(model: IlpModel) -> IlpModel:
                 coef[cols.f0 + e] = coef.get(cols.f0 + e, 0.0) - 0.5
         terms = tuple((c, j) for j, c in coef.items() if c != 0.0)
         extra.append(IlpRow(f"c_viii_{i}", terms, ">=", 0.0))
+    return replace(model, rows=model.rows + tuple(extra))
+
+
+def with_iks_block(model: IlpModel) -> IlpModel:
+    """The program with the shared-state condition encoded through an
+    auxiliary block, as an oracle for rows (xiii): one binary iks_ct per
+    accepting component c and model state t (columns appended after the
+    last one), rows (xiii) iks_ct <= sum of isq over c's copies of t, and
+    rows (xv) is_t - 1 <= sum_c (iks_ct - ik_c) / K for K components, in
+    place of the program's rows (xiii), is_t + ik_c - that sum <= 1.
+
+    With one component, projecting iks out (iks_ct = min(1, the sum)) gives
+    the program's rows exactly, in integers and in the LP relaxation.  With
+    K >= 2 the program's rows are the disaggregation of (xv): never looser,
+    since averaging them over c gives (xv)."""
+    p = model.product
+    k = len(model.amecs)
+    cols = Columns(p, k)
     n_s = len(p.model.states)
-    share = 1.0 / len(p.dra.nodes)
+    iks0 = cols.end
+    block = []
     for c, amec in enumerate(model.amecs):
         for t, s in enumerate(p.model.states):
-            terms = [(share, cols.isq0 + i) for i in sorted(amec)
-                     if p.states[i][0] == s]
-            terms.append((-1.0, cols.iks0 + c * n_s + t))
-            extra.append(IlpRow(f"c_xiv_{c * n_s + t}", tuple(terms), "<=",
+            terms = [(1.0, iks0 + c * n_s + t)]
+            terms += [(-1.0, cols.isq0 + i) for i in sorted(amec)
+                      if p.states[i][0] == s]
+            block.append(IlpRow(f"c_xiii_{c * n_s + t}", tuple(terms), "<=",
                                 0.0))
-    return replace(model, rows=model.rows + tuple(extra))
+    for t in range(n_s):
+        terms = [(1.0, cols.is0 + t)]
+        for c in range(k):
+            terms += [(-1.0 / k, iks0 + c * n_s + t), (1.0 / k, cols.ik0 + c)]
+        block.append(IlpRow(f"c_xv_{t}", tuple(terms), "<=", 1.0))
+    at = next(r for r, row in enumerate(model.rows)
+              if row.name.startswith("c_xiii_"))
+    rest = tuple(row for row in model.rows[at:]
+                 if not row.name.startswith("c_xiii_"))
+    iks = (IlpVar(0.0, 1.0, True),) * (k * n_s)
+    return replace(model, variables=model.variables + iks,
+                   rows=model.rows[:at] + tuple(block) + rest)
 
 
 def policy_identity_residual(sol: Solution, p: ProductLmdp, pi: Policy,

@@ -22,8 +22,8 @@ from perfbench.workloads import WORKLOADS, load  # noqa: E402
 
 # small-feas, large-feas, bnb-hard, then the smoke (warm-up) instance; per
 # instance the reward program, then the feasibility one.
-PROGRAMS_SHA256 = ("81652cb8e5ff823cd63df8d2d1bf4871"
-                   "396ac688123098ae37cb02589521f6db")
+PROGRAMS_SHA256 = ("e9eca41c3a2195991336bbb698e97e9f"
+                   "042ed98585eca483805268b74bc1f0a8")
 
 
 def test_benchmark_programs_are_unchanged():

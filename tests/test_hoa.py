@@ -96,6 +96,12 @@ State: 0
         parse_hoa(text)
 
 
+def test_repeated_state_header_rejected():
+    """A second, bare ``State: 0`` would otherwise drop state 0's {1}."""
+    with pytest.raises(HoaError, match="second State: header"):
+        parse_hoa(TRIVIAL.replace("--END--", "State: 0\n--END--"))
+
+
 def test_non_rabin_acceptance_rejected():
     text = """HOA: v1
 States: 1

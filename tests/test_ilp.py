@@ -4,11 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from helpers import binaries, check_solution, fix_policy, random_dra, \
-    random_lmdp, six_state_until_lmdp, with_rows_viii_and_xiv
+    random_lmdp, six_state_until_lmdp, with_iks_block, with_rows_viii
 from ssltl.errors import ModelError, NoAcceptingStructureError, PolicyError
 from ssltl.graph import accepting_mecs, mec_decomposition
 from ssltl.hoa import Dra, letters_of, load_hoa, parse_hoa
@@ -115,14 +115,27 @@ def test_one_interval_gives_two_rows():
 
 
 def test_indicator_counts_two_amecs():
+    """One ik per accepting component and one row (xiii) per component and
+    model state, is_t + ik_c - the flags of c's copies of t <= 1; no
+    auxiliary column and no row (xv)."""
     m = two_absorbing_model()
     model = build_for(m, TRUE_DRA, no_ss_spec())
-    assert len(model.amecs) == 2
+    p = model.product
+    assert [sorted(p.states[i] for i in c) for c in model.amecs] == [
+        [("s1", "q0")], [("s2", "q0")]]
     names = column_names(model)
-    iks = [n for n in names if n.startswith("iks_")]
-    ik = [n for n in names if n.startswith("ik_")]
-    xv_rows = [r for r in model.rows if r.name.startswith("c_xv_")]
-    assert len(ik) == 2 and len(iks) == 6 and len(xv_rows) == 3
+    assert [n for n in names if n.startswith("ik_")] == ["ik_0", "ik_1"]
+    assert not [n for n in names if n.startswith("iks_")]
+    assert not [r for r in model.rows if r.name.startswith("c_xv_")]
+    xiii = {r.name: r for r in model.rows if r.name.startswith("c_xiii_")}
+    assert len(xiii) == 6
+    cols = Columns(p, 2)
+    s2 = p.states.index(("s2", "q0"))
+    assert xiii["c_xiii_2"].terms == ((1.0, cols.is0 + 2), (1.0, cols.ik0))
+    assert xiii["c_xiii_5"].terms == ((1.0, cols.is0 + 2),
+                                      (1.0, cols.ik0 + 1),
+                                      (-1.0, cols.isq0 + s2))
+    assert all(r.sense == "<=" and r.rhs == 1.0 for r in xiii.values())
 
 
 def test_empty_amec_list_structurally_infeasible():
@@ -292,10 +305,10 @@ def admitted(model, pi):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 32 - 1))
-def test_rows_viii_and_xiv_exclude_no_policy(seed):
+def test_rows_viii_exclude_no_policy(seed):
     """Every deterministic policy of a random product of at most six states
     is admitted by the program, and reaches the same reward optimum there,
-    exactly when it is and does with rows (viii) and (xiv) added."""
+    exactly when it is and does with rows (viii) added."""
     rng = np.random.default_rng(seed)
     m = random_lmdp(rng, int(rng.integers(2, 5)), 2, ap=("p",),
                     det_prob=float(rng.choice([0.6, 0.9])))
@@ -310,13 +323,80 @@ def test_rows_viii_and_xiv_exclude_no_policy(seed):
     if len(p.states) > 6 or not amecs:
         return
     model = build_program(p, amecs, spec)
-    reference = with_rows_viii_and_xiv(model)
+    reference = with_rows_viii(model)
     for choice in itertools.product(*map(p.actions, range(len(p.states)))):
         pi = Policy(dict(zip(p.states, choice)))
         ours, theirs = admitted(model, pi), admitted(reference, pi)
         assert (ours is None) == (theirs is None)
         if ours is not None:
             assert ours == pytest.approx(theirs, abs=1e-6)
+
+
+def relaxation_optimum(model):
+    """The reward optimum of ``model``'s LP relaxation, or None if it is
+    infeasible."""
+    program, _ = highs_arrays(model)
+    res = milp_shim.run_milp(*program[:-1], np.zeros_like(program[-1]))
+    assert res.status in (0, 2), res.message
+    return None if res.status == 2 else -res.fun
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), ss=st.booleans())
+@example(seed=1026, ss=True)        # three accepting components
+@example(seed=1518, ss=False)       # four
+def test_rows_xiii_admit_what_the_iks_block_admits(seed, ss):
+    """On a random product of at most six states, the program admits every
+    deterministic policy that the auxiliary-block encoding of the
+    shared-state condition (``helpers.with_iks_block``) admits, with the
+    same reward optimum, when there is one accepting component; with more
+    it admits a subset, with optima no higher.  The LP relaxations follow
+    the same rule."""
+    rng = np.random.default_rng(seed)
+    m = random_lmdp(rng, int(rng.integers(2, 5)), 2, ap=("p",),
+                    det_prob=float(rng.choice([0.6, 0.9])))
+    d = random_dra(rng, int(rng.integers(2, 4)), ap=("p",),
+                   n_pairs=int(rng.integers(1, 3)))
+    spec = no_ss_spec()
+    if ss:
+        spec = one_interval_spec("p", float(rng.choice([0.0, 0.1, 0.3])),
+                                 float(rng.choice([0.5, 0.8, 1.0])))
+    p = build_product(m, d)
+    amecs = accepting_mecs(mec_decomposition(p), p)
+    if len(p.states) > 6 or not amecs:
+        return
+    model = build_program(p, amecs, spec)
+    reference = with_iks_block(model)
+    pairs = [(relaxation_optimum(model), relaxation_optimum(reference))]
+    for choice in itertools.product(*map(p.actions, range(len(p.states)))):
+        pi = Policy(dict(zip(p.states, choice)))
+        pairs.append((admitted(model, pi), admitted(reference, pi)))
+    for ours, theirs in pairs:
+        if len(amecs) == 1:
+            assert (ours is None) == (theirs is None)
+            if ours is not None:
+                assert ours == pytest.approx(theirs, abs=1e-6)
+        elif ours is not None:
+            assert theirs is not None and ours <= theirs + 1e-6
+
+
+def test_rows_xiii_exclude_mass_on_components_without_a_shared_state():
+    """s0 splits its mass evenly onto absorbing s1 and s2, two accepting
+    components with no model state in common, and the ss row asks for mass
+    on both.  Rows (xiii) exclude the only policy, as the auxiliary block
+    does; without them it is admitted."""
+    m = two_absorbing_model()
+    m = validate_lmdp(replace(m, trans={
+        **m.trans, ("s0", "go1"): {"s1": 0.5, "s2": 0.5},
+        ("s0", "go2"): {"s1": 0.5, "s2": 0.5}}))
+    model = build_for(m, TRUE_DRA, one_interval_spec("p", 0.4, 0.6))
+    assert len(model.amecs) == 2
+    pi = Policy({sq: "go1" for sq in model.product.states})
+    assert admitted(model, pi) is None
+    assert admitted(with_iks_block(model), pi) is None
+    loose = replace(model, rows=tuple(r for r in model.rows
+                                      if not r.name.startswith("c_xiii_")))
+    assert admitted(loose, pi) is not None
 
 
 def long_run_reward(m, report, pi) -> float:
@@ -389,7 +469,7 @@ def test_x_is_pinned_to_0_off_the_retained_pairs():
 
 
 @pytest.mark.parametrize("knobs", [
-    {"acc_eps": 0.0}, {"acc_eps": float("nan")},
+    {"acc_eps": 0.0}, {"acc_eps": float("nan")}, {"acc_eps": 2.0},
     {"objective": "max_reward"}],
     ids=repr)
 def test_config_rejects_knobs_outside_their_range(knobs):
@@ -428,7 +508,8 @@ def grid_with_cuts_model(width=3, height=3, seed=0, dynamics="slip",
     model = build_program(p, accepting_mecs(mec_decomposition(p), p), spec,
                           IlpConfig(objective=objective))
     pi = Policy({sq: m.enabled[sq[0]][0] for sq in p.states})
-    cuts = _rejection_cuts(p, pi, verify_policy(m, d, spec, pi, product=p), 0)
+    cuts = _rejection_cuts(model, pi,
+                           verify_policy(m, d, spec, pi, product=p), 0)
     return replace(model, rows=model.rows + tuple(cuts)), cuts
 
 

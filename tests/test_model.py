@@ -55,6 +55,13 @@ def test_unknown_target_state_rejected():
         model_from_json(doc)
 
 
+def test_duplicate_action_id_rejected():
+    doc = json.loads(json.dumps(TWO_STATE))
+    doc["actions"] = ["stay", "stay"]
+    with pytest.raises(ModelError, match="duplicate action id"):
+        model_from_json(doc)
+
+
 def test_unknown_label_rejected():
     doc = json.loads(json.dumps(TWO_STATE))
     doc["ap"] = ["b"]

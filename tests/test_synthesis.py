@@ -129,29 +129,53 @@ State: 1 {1}
 """)
 
 
-def test_rejection_cuts_skip_an_accepting_bscc():
-    """A coin flip into an absorbing b state and an absorbing non-b state:
-    the chain's first BSCC accepts GF b and its second does not, so the cuts
-    are the no-good cut and one loop cut, for BSCC 1 only."""
+def coin_flip_cuts(trans):
+    """The program of a coin flip from s0 into a b state s1 and a non-b
+    state s2 under GF b, with ``trans`` the rows of s1 and s2, and the cuts
+    of the policy that always takes the first action; both BSCCs of its
+    chain are absorbing, s1's accepts and s2's does not."""
     states = ("s0", "s1", "s2")
+    actions = tuple(dict.fromkeys(a for _, a in trans))
+    trans.update({("s0", a): {"s1": 0.5, "s2": 0.5} for a in actions})
     m = validate_lmdp(Lmdp(
-        states=states, actions=("go",), enabled={s: ("go",) for s in states},
-        trans={("s0", "go"): {"s1": 0.5, "s2": 0.5},
-               ("s1", "go"): {"s1": 1.0}, ("s2", "go"): {"s2": 1.0}},
-        reward={}, ap=("b",), labels={"s0": frozenset(),
-                                      "s1": frozenset(["b"]),
-                                      "s2": frozenset()},
+        states=states, actions=actions, enabled={s: actions for s in states},
+        trans=trans, reward={}, ap=("b",), labels={"s0": frozenset(),
+                                                   "s1": frozenset(["b"]),
+                                                   "s2": frozenset()},
         initial="s0"))
+    spec = spec_from_json({"dra": "x", "ss": []})
     p = build_product(m, GF_B_DRA)
-    pi = Policy({sq: "go" for sq in p.states})
-    report = verify_policy(m, GF_B_DRA, spec_from_json({"dra": "x", "ss": []}),
-                           pi, product=p)
+    model = build_program(p, accepting_mecs(mec_decomposition(p), p), spec)
+    pi = Policy({sq: actions[0] for sq in p.states})
+    report = verify_policy(m, GF_B_DRA, spec, pi, product=p)
     assert report.rabin_ok == (True, False)
-    cuts = _rejection_cuts(p, pi, report, 0)
+    return model, _rejection_cuts(model, pi, report, 0)
+
+
+def test_rejection_cuts_skip_an_accepting_bscc():
+    """s1 and s2 each loop on 'stay' and move to the other on 'swap': the
+    cuts are the no-good cut and one loop cut, for BSCC 1 only, over both x
+    columns of s2, which the accepting component {s1, s2} retains."""
+    model, cuts = coin_flip_cuts({
+        ("s1", "stay"): {"s1": 1.0}, ("s1", "swap"): {"s2": 1.0},
+        ("s2", "stay"): {"s2": 1.0}, ("s2", "swap"): {"s1": 1.0}})
+    p = model.product
     assert [c.name for c in cuts] == ["c_cut_0_nogood", "c_cut_0_loop1"]
     k = p.first[p.states.index(("s2", "q0"))]
-    assert cuts[1].terms == ((1.0, k), (1.0, Columns(p).pi0 + k))
+    assert cuts[1].terms == ((1.0, k), (1.0, k + 1),
+                             (1.0, Columns(p).pi0 + k))
     assert cuts[1].rhs == 1.0
+
+
+def test_rejection_cuts_leave_out_a_loop_cut_on_pinned_pairs():
+    """s1 and s2 only loop: no accepting component holds s2, so its x column
+    is pinned to 0 and the loop cut of BSCC 1 would read pi <= 1, which
+    always holds.  Only the no-good cut is left."""
+    model, cuts = coin_flip_cuts({("s1", "go"): {"s1": 1.0},
+                                  ("s2", "go"): {"s2": 1.0}})
+    p = model.product
+    assert model.variables[p.first[p.states.index(("s2", "q0"))]].ub == 0.0
+    assert [c.name for c in cuts] == ["c_cut_0_nogood"]
 
 
 @pytest.mark.parametrize("command, cause", [
