@@ -1,5 +1,6 @@
 """Mixed-integer program over the product MDP: occupation measures, policy
-binaries, reachability flows, and the accepting-component indicator system;
+binaries, reachability flows over the product graph (no transition
+probability enters them), and the accepting-component indicator system;
 LP-file export, solver driving, and policy extraction.
 
 The occupation measure x lives only on the pairs the accepting components
@@ -69,8 +70,10 @@ class IlpConfig:
 
 
 def flow_increment(p: ProductLmdp) -> float:
-    """The increment eps of rows (vi): min(1e-4, p_min / (4 n)), for the
-    smallest transition probability p_min of ``p`` and its n states.
+    """The increment eps of rows (vi): min(1e-4, 1 / (4 n)) for the n states
+    of ``p``.  Rows (v) give edge (i, j) the capacity of the binaries of i's
+    pairs that have it, whatever its probability: no probability enters rows
+    (v)-(vii), so a rare edge cannot push eps below the solver's tolerances.
 
     Rows (v)-(vii) then flag exactly the states R(pi) a deterministic policy
     pi reaches.  No other state can be flagged: let B hold a flagged state u
@@ -78,15 +81,16 @@ def flow_increment(p: ProductLmdp) -> float:
     No flow enters B from outside, so if the root were not in B, rows (vi)
     would make B keep at least eps in all from nothing.  So a path of
     positive flow leads from the root to u, and by (v) each of its edges
-    leaves by the action pi chooses: u is in R(pi).  This uses neither (vii)
-    nor the value of eps.  All of R(pi) can be flagged: send eps from the
-    root along a simple path to each other v in R(pi) and let v keep it.  An
-    edge then carries at most (n - 1) eps < p_min, within its capacity (v),
-    and an inflow stays below 1 (vii), so isq = 1 on R(pi) satisfies
-    (v)-(vii).  More flags only relax rows (ix) and (xiii), so every
-    solution keeps its (pi, x) in one that flags exactly R(pi), for any eps
-    below p_min / (n - 1); the factor 4 n leaves slack, and is kept because
-    every change of eps moves the solver's search.
+    (i, j) has a chosen pair of i with j among its successors: u is in
+    R(pi).  This uses neither (vii) nor the value of eps.  All of R(pi) can
+    be flagged: send eps from the root along a simple path to each other v
+    in R(pi) and let v keep it.  An edge then carries at most (n - 1) eps
+    < 1, within its capacity (v), and an inflow stays below 1 (vii), so
+    isq = 1 on R(pi) satisfies (v)-(vii).  More flags only relax rows (ix)
+    and (xiii), so every solution keeps its (pi, x) in one that flags
+    exactly R(pi), for any eps below 1 / (n - 1); the factor 4 n leaves
+    slack, and the cap 1e-4 is kept because every change of eps moves the
+    solver's search.
 
     The row labels skip (viii), outflow >= inflow / 2, which bounded only f
     and took branch and bound through more nodes, and (xiv) and (xv), which
@@ -94,8 +98,7 @@ def flow_increment(p: ProductLmdp) -> float:
     state); the tests keep both as oracles.  The other rows keep their
     labels, so that row names in LP text stay stable.
     """
-    p_min = min(prob for row in p.succ for prob in row.values())
-    return min(1e-4, p_min / (4.0 * len(p.states)))
+    return min(1e-4, 1.0 / (4.0 * len(p.states)))
 
 
 @dataclass(frozen=True)
@@ -233,13 +236,10 @@ def build_program(p: ProductLmdp, amecs, spec: SsLtlSpec,
                            tuple((1.0, cols.pi0 + k) for k in p.pairs(i)),
                            "=", 1.0))
 
-    # (v) flow capacity: f_e <= sum_a T(e|a) pi_a
+    # (v) flow capacity: f_e <= sum of pi over the pairs that have edge e
     for e, (i, j) in enumerate(p.edges):
         terms = [(1.0, cols.f0 + e)]
-        for k in p.pairs(i):
-            prob = p.succ[k].get(j, 0.0)
-            if prob:
-                terms.append((-prob, cols.pi0 + k))
+        terms += [(-1.0, cols.pi0 + k) for k in p.pairs(i) if j in p.succ[k]]
         rows.append(IlpRow(f"c_v_{e}", tuple(terms), "<=", 0.0))
 
     # (vi) strict decrease: inflow >= outflow + eps * isq, all but the root

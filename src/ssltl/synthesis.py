@@ -34,8 +34,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from ssltl.errors import ModelError, NoAcceptingStructureError, \
-    PolicyError
+from ssltl.errors import ModelError, PolicyError
 from ssltl.graph import accepting_mecs, almost_sure_reach, \
     mec_decomposition
 from ssltl.hoa import Dra
@@ -74,26 +73,31 @@ def _rejection_cuts(model: IlpModel, pi: Policy,
                     report: VerificationReport, round_index: int) -> list:
     """Cuts excluding the failed candidate, read off its verification report.
 
-    Always: a no-good cut over the states reachable under ``pi`` (policies
-    agreeing there induce the identical chain and share the verdict).
+    A *step* of state i is the set of i's pairs whose successor row
+    ``p.succ`` equals that of pi's pair; a cut sums a step's binaries at each
+    state it names.  Policies that differ only within steps induce the
+    identical chain and share the verdict.  Always: a no-good cut over pi's
+    steps at the states pi reaches.
 
     Additionally, for every Rabin-rejecting BSCC B of the failed chain: a
-    policy that keeps all of B's actions leaves B a closed rejecting loop,
-    so a verified policy that keeps them never reaches B, and its limiting
-    distribution puts no mass on B's pairs.  So mass(B) + sum of B's
-    kept-action binaries <= |B| holds for the solution that carries any
-    verified policy, and removes the whole family at once.  Where the
-    program pins the x column of every pair of B's states to 0 (no
-    accepting component retains any of them), the row reduces to a sum of
-    |B| binaries <= |B|, which always holds, and is left out.
+    policy that keeps all of B's steps leaves B a closed rejecting loop, so
+    a verified policy that keeps them never reaches B, and its limiting
+    distribution puts no mass on B's pairs.  So mass(B) + the binaries of
+    B's steps <= |B| holds for the solution that carries any verified
+    policy, and removes the whole family at once.  Where the program pins
+    the x column of every pair of B's states to 0 (no accepting component
+    retains any of them), the row reduces to binaries <= |B|, which always
+    holds, and is left out.
     """
     p = model.product
     pi0 = Columns(p).pi0
-    chosen = {i: pi0 + p.chosen_pair(i, pi) for i in report.chain.states}
-    cuts = []
-    terms = tuple((1.0, chosen[i]) for i in report.chain.states)
-    cuts.append(IlpRow(f"c_cut_{round_index}_nogood", terms, "<=",
-                       float(len(terms) - 1)))
+    steps = {}
+    for i in report.chain.states:
+        row = p.succ[p.chosen_pair(i, pi)]
+        steps[i] = [(1.0, pi0 + k) for k in p.pairs(i) if p.succ[k] == row]
+    cuts = [IlpRow(f"c_cut_{round_index}_nogood",
+                   tuple(t for i in report.chain.states for t in steps[i]),
+                   "<=", float(len(report.chain.states) - 1))]
     for b_idx, (b, accepting) in enumerate(zip(report.bsccs,
                                                report.rabin_ok)):
         ordered = sorted(b)
@@ -101,7 +105,7 @@ def _rejection_cuts(model: IlpModel, pi: Policy,
         if accepting or all(model.variables[k].ub == 0.0
                             for _, k in mass_terms):
             continue
-        kept = [(1.0, chosen[i]) for i in ordered]
+        kept = [t for i in ordered for t in steps[i]]
         cuts.append(IlpRow(f"c_cut_{round_index}_loop{b_idx}",
                            tuple(mass_terms + kept), "<=", float(len(b))))
     return cuts
@@ -128,16 +132,12 @@ def synthesize(m: Lmdp, d: Dra, spec: SsLtlSpec,
     rounds, solve_seconds = 0, 0.0
     status = "unverified"
     detail = f"no verified policy within {max_cut_rounds} solver rounds"
-    try:
+    if product.initial in almost_sure_reach(product,
+                                            frozenset().union(*amecs)):
         model = build_program(product, amecs, spec, cfg)
-    except NoAcceptingStructureError as exc:
-        status, detail = "infeasible", str(exc)
-    else:
-        if product.initial not in almost_sure_reach(product,
-                                                    frozenset().union(*amecs)):
-            status, detail = "infeasible", (
-                "no policy reaches an accepting end component with "
-                "probability 1")
+    else:       # also when there is no accepting component at all
+        status, detail = "infeasible", (
+            "no policy reaches an accepting end component with probability 1")
     while status == "unverified" and rounds < max_cut_rounds:
         rounds += 1
         t_solve = time.monotonic()

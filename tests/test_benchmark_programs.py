@@ -22,8 +22,8 @@ from perfbench.workloads import WORKLOADS, load  # noqa: E402
 
 # small-feas, large-feas, bnb-hard, then the smoke (warm-up) instance; per
 # instance the reward program, then the feasibility one.
-PROGRAMS_SHA256 = ("e9eca41c3a2195991336bbb698e97e9f"
-                   "042ed98585eca483805268b74bc1f0a8")
+PROGRAMS_SHA256 = ("5af7a714e37df1410f7d97fc4e1e69c8"
+                   "f4e2530fd5f3ee9dcaf6e71d2c5744cd")
 
 
 def test_benchmark_programs_are_unchanged():

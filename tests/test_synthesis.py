@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import brute_force_synth, random_dra, random_lmdp
 from ssltl.graph import accepting_mecs, mec_decomposition
 from ssltl.hoa import parse_hoa
-from ssltl.ilp import Columns, SolverConfig, build_program
+from ssltl.ilp import Columns, IlpConfig, SolverConfig, build_program
 from ssltl.model import Lmdp, model_from_json, spec_from_json, validate_lmdp
 from ssltl.product import Policy, build_product
 from ssltl.synthesis import DEFAULT_MAX_CUT_ROUNDS, _rejection_cuts, \
@@ -552,3 +552,91 @@ def test_policy_behind_a_rare_edge_verifies(solver_cmd):
                         solver=SolverConfig(command=solver_cmd, timeout=120))
     assert result.status == "verified" and result.rounds == 1
     assert result.report.ss_results[0].mass == pytest.approx(1.0)
+
+
+def chain_lmdp(trans, labels, initial):
+    """An instance over the states of ``trans``; each state enables the
+    actions its rows name, and p labels the states in ``labels``."""
+    states = tuple(dict.fromkeys(s for s, _ in trans))
+    actions = tuple(dict.fromkeys(a for _, a in trans))
+    return validate_lmdp(Lmdp(
+        states=states, actions=actions,
+        enabled={s: tuple(a for t, a in trans if t == s) for s in states},
+        trans=trans, reward={}, ap=("p",),
+        labels={s: frozenset(["p"] if s in labels else []) for s in states},
+        initial=initial))
+
+
+def fair_split_model(stall=0.0):
+    """c0 .. c5 each move on to the next state by l and by r (r stays put
+    with probability ``stall``); c5 moves to split, which goes to good
+    (labelled p) or bad with probability 0.5 each; both absorb."""
+    cs = [f"c{i}" for i in range(6)] + ["split"]
+    trans = {}
+    for s, nxt in zip(cs, cs[1:]):
+        trans[(s, "l")] = {nxt: 1.0}
+        trans[(s, "r")] = {s: stall, nxt: 1.0 - stall} if stall else {
+            nxt: 1.0}
+    trans[("split", "l")] = {"good": 0.5, "bad": 0.5}
+    trans[("good", "l")] = {"good": 1.0}
+    trans[("bad", "l")] = {"bad": 1.0}
+    return chain_lmdp(trans, {"good"}, "c0")
+
+
+P_HIGH = spec_from_json({"dra": "x", "ss": [
+    {"formula": "p", "lower": 0.9, "upper": 1.0}]})
+
+
+def test_cuts_exclude_every_policy_with_the_same_steps(solver_cmd):
+    """l and r are the same step at every c_i, so the 64 policies induce one
+    chain: the no-good cut sums both binaries at each c_i and excludes them
+    all, and the next solve is infeasible (cuts that exclude one policy a
+    round spend all 64 rounds and end unverified)."""
+    m = fair_split_model()
+    assert brute_force_synth(m, TRUE_DRA, P_HIGH) is None
+    p = build_product(m, TRUE_DRA)
+    model = build_program(p, accepting_mecs(mec_decomposition(p), p), P_HIGH)
+    pi = Policy({sq: "l" for sq in p.states})
+    (nogood,) = _rejection_cuts(
+        model, pi, verify_policy(m, TRUE_DRA, P_HIGH, pi, product=p), 0)
+    pi0 = Columns(p).pi0
+    assert nogood.terms == tuple((1.0, pi0 + k) for k in range(len(p.succ)))
+    assert nogood.rhs == len(p.states) - 1
+    result = synthesize(m, TRUE_DRA, P_HIGH,
+                        solver=SolverConfig(command=solver_cmd, timeout=120))
+    assert result.status == "infeasible" and result.rounds == 2
+
+
+@pytest.mark.xfail(strict=True, reason="x is some stationary measure, not the "
+                   "limiting distribution from c0 (ROADMAP item 2)")
+def test_distinct_chains_into_a_fair_split_are_infeasible(solver_cmd):
+    """As above, but r stalls at c_i with probability 0.5, so the 64
+    policies induce 64 different chains.  Each puts mass 0.5 on bad, yet
+    the program admits x on good alone, and the no-good cuts exclude one
+    policy a round: the run ends unverified after 64 rounds."""
+    m = fair_split_model(stall=0.5)
+    assert brute_force_synth(m, TRUE_DRA, P_HIGH) is None
+    result = synthesize(m, TRUE_DRA, P_HIGH,
+                        solver=SolverConfig(command=solver_cmd, timeout=120))
+    assert result.status == "infeasible", result.detail
+
+
+def test_a_rare_exit_costs_no_extra_round(solver_cmd):
+    """s0 picks y into good (p, absorbing) or x into c0 .. c7, which lead to
+    bad; both actions of c0 exit to trap with probability 1e-7.  The flow
+    increment does not shrink with that probability (at 2e-9, below the
+    solver's tolerances, rows (vi) could not keep the flag off good under
+    x), so the first candidate verifies."""
+    trans = {("s0", "y"): {"good": 1.0}, ("s0", "x"): {"c0": 1.0}}
+    cs = [f"c{i}" for i in range(8)] + ["bad"]
+    for s, nxt in zip(cs, cs[1:]):
+        row = {nxt: 1.0 - 1e-7, "trap": 1e-7} if s == "c0" else {nxt: 1.0}
+        trans.update({(s, "x"): row, (s, "y"): row})
+    for s in ("good", "bad", "trap"):
+        trans[(s, "x")] = {s: 1.0}
+    m = chain_lmdp(trans, {"good"}, "s0")
+    assert len(build_product(m, TRUE_DRA).states) == 12
+    result = synthesize(m, TRUE_DRA, P_HIGH,
+                        IlpConfig(objective="feasibility"),
+                        solver=SolverConfig(command=solver_cmd, timeout=120))
+    assert result.status == "verified" and result.rounds == 1
