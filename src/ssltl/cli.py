@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import statistics
 import sys
 import time
@@ -60,7 +61,9 @@ def _add_objective_flag(p):
 
 
 def _add_solver_flags(p):
-    p.add_argument("--solver-cmd", default=None,
+    # the one place the package reads the solver command from the environment
+    p.add_argument("--solver-cmd",
+                   default=os.environ.get("SSLTL_SOLVER_CMD") or None,
                    help="command template with {lp} and {sol} placeholders "
                         "(default: $SSLTL_SOLVER_CMD, else the bundled "
                         "backend)")

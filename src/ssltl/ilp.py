@@ -9,8 +9,9 @@ the columns keep their positions and LP text writes the pins as bounds.
 
 The program is indexed by integers: terms and solution values refer to a
 column by its position in ``IlpModel.variables`` (see ``Columns``), and
-variable names exist only in LP text.  With no external solver configured,
-the program goes as arrays (``highs_arrays``) to the bundled backend: one
+variable names exist only in LP text.  With no external solver command in
+``SolverConfig`` (this module reads no environment variable), the program
+goes as arrays (``highs_arrays``) to the bundled backend: one
 long-lived HiGHS worker process per caller (``milp_shim.serve``), started on
 the first solve and fed every later one, so that no round pays for an
 interpreter start, LP text or a solution file.  An external solver gets the
@@ -105,7 +106,7 @@ def flow_increment(p: ProductLmdp) -> float:
 class IlpVar:
     lb: float
     ub: float
-    binary: bool
+    binary: bool          # integral: also an LP file's General columns
 
 
 @dataclass(frozen=True)
@@ -122,7 +123,7 @@ class IlpModel:
                           # accepting component retains are pinned to 0
     objective: tuple      # ((coef, column), ...)
     rows: tuple
-    product: ProductLmdp
+    product: Optional[ProductLmdp]      # None if read from an LP file
     amecs: tuple          # the accepting components (frozensets of product
                           # state indices), one indicator ik each
 
@@ -400,9 +401,11 @@ def highs_arrays(model: IlpModel) -> tuple:
     ``order``, the model column of each HiGHS column.
 
     Columns go in the order in which ``export_lp`` text first mentions them
-    (objective, rows, Bounds, Binary) and rows in model order, so that HiGHS
-    gets exactly the arrays ``milp_shim`` builds from that text: HiGHS time
-    moves severalfold with column order."""
+    (objective, rows, Bounds, Binary) and rows in model order: HiGHS time
+    moves severalfold with column order.  ``milp_shim.parse_lp`` numbers an
+    LP file's columns in that order, so the stand-alone command hands HiGHS
+    the same bytes for ``export_lp`` text as the worker gets for the model.
+    This is the only builder of ``run_milp`` arguments."""
     n = len(model.variables)
     a_rows, a_cols, a_vals = [], [], []
     row_lb = np.full(len(model.rows), -np.inf)
@@ -447,10 +450,11 @@ BUNDLED_TIME_LIMIT = 60.0           # seconds inside the bundled backend
 @dataclass(frozen=True)
 class SolverConfig:
     """``command``: an external solver's template with {lp} and {sol}
-    placeholders; None selects the SSLTL_SOLVER_CMD environment variable if
-    it is set, else the bundled backend.  ``timeout``: seconds; the bundled
-    backend's in-solver time limit (default BUNDLED_TIME_LIMIT), or when an
-    external command is killed."""
+    placeholders, each standing for one argument; None selects the bundled
+    backend.  Only the CLI reads a command from the environment, as the
+    default of its ``--solver-cmd``; a library caller passes it here.
+    ``timeout``: seconds; the bundled backend's in-solver time limit
+    (default BUNDLED_TIME_LIMIT), or when an external command is killed."""
 
     command: Optional[str] = None
     timeout: Optional[float] = None
@@ -464,14 +468,11 @@ class SolverConfig:
 
 def default_solver_command(
         solve_time_limit: float = BUNDLED_TIME_LIMIT) -> str:
-    """The solver template for a caller that needs an LP-file command: the
-    SSLTL_SOLVER_CMD environment variable, else the bundled backend's
-    LP-file command with the in-solver time budget ``solve`` gives the
-    bundled worker (so that plateau instances return their incumbent instead
-    of hanging)."""
-    return os.environ.get("SSLTL_SOLVER_CMD") or (
-        f"{sys.executable} -m ssltl.milp_shim {{lp}} {{sol}} "
-        f"--time-limit {solve_time_limit:g}")
+    """The bundled backend's LP-file command, for a caller that needs one,
+    with the in-solver time budget ``solve`` gives the bundled worker (so
+    that plateau instances return their incumbent instead of hanging)."""
+    return (f"{sys.executable} -m ssltl.milp_shim {{lp}} {{sol}} "
+            f"--time-limit {solve_time_limit:g}")
 
 
 @dataclass(frozen=True)
@@ -541,8 +542,8 @@ def write_solution(path, status: str, objective: Optional[float], names,
 
 def solve(model: IlpModel, solver: Optional[SolverConfig] = None,
           keep_files: Optional[str] = None, round_no: int = 1) -> Solution:
-    """Solve the program with the configured external command (see
-    ``SolverConfig``), else with the bundled backend's worker process.
+    """Solve the program with ``solver.command`` (see ``SolverConfig``) if
+    it is set, else with the bundled backend's worker process.
 
     Every outcome is a ``Solution``; a solver or worker that fails to answer
     is status ``error`` with the cause in ``solver_output``.
@@ -552,8 +553,7 @@ def solve(model: IlpModel, solver: Optional[SolverConfig] = None,
     temporary directory and removes it, and the bundled one writes no file.
     """
     solver = solver or SolverConfig()
-    command = solver.command or os.environ.get("SSLTL_SOLVER_CMD")
-    if not command:
+    if not solver.command:
         limit = (BUNDLED_TIME_LIMIT if solver.timeout is None
                  else solver.timeout)
         return _solve_bundled(model, limit, keep_files, round_no)
@@ -568,12 +568,16 @@ def solve(model: IlpModel, solver: Optional[SolverConfig] = None,
     try:
         write_lp(model, lp_path)
         try:
-            cmd = command.format(lp=lp_path, sol=sol_path)
-            argv = shlex.split(cmd)
+            # split before filling in: a path with a space stays one argument
+            argv = [arg.format(lp=lp_path, sol=sol_path)
+                    for arg in shlex.split(solver.command)]
+            if not argv:
+                raise ValueError("no command")
         except (LookupError, ValueError, AttributeError) as exc:
             return Solution("error", solver_output=(
-                f"malformed solver command template {command!r}: "
+                f"malformed solver command template {solver.command!r}: "
                 f"{type(exc).__name__}: {exc}"))
+        cmd = shlex.join(argv)
         try:
             proc = subprocess.run(argv, capture_output=True,
                                   text=True, timeout=solver.timeout)

@@ -4,15 +4,19 @@ reached in one of two ways that share one call of ``milp`` (``run_milp``).
 * ``serve``: a long-lived worker process.  ``ssltl.ilp`` starts it once per
   process and sends it each program as pickled arrays over its stdin; see
   ``serve`` for the protocol.
-* The stand-alone command, which reads a CPLEX-LP-format file and writes a
-  plain ``name value`` solution file:
+* The stand-alone command, which reads a CPLEX-LP-format file into the
+  package's own program (``parse_lp``), hands HiGHS the arrays
+  ``ilp.highs_arrays`` builds from it, and writes a plain ``name value``
+  solution file:
   ``python -m ssltl.milp_shim MODEL.lp OUT.sol [--time-limit S]`` (also
   installed as the ``ssltl-milp`` script).
 
 Supported LP dialect: Maximize/Minimize, named constraints one per line
 under Subject To, a Bounds section (``lo <= x <= hi``, ``x <= hi``,
-``x >= lo``, ``x = v``, ``x free``), Binary and General sections, End.
-This covers the files this package writes plus ordinary hand-written ones.
+``x >= lo``, ``x = v``, either side first, ``x free``), Binary and General
+sections (a Binary column still at the default bounds [0, inf) gets
+[0, 1]), End.  This covers the files this package writes plus ordinary
+hand-written ones.
 """
 
 from __future__ import annotations
@@ -25,13 +29,18 @@ import re
 import signal
 import sys
 import traceback
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
+if TYPE_CHECKING:
+    from ssltl.ilp import IlpModel
+
 _NUM_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+# a sign, a number (2.5e-05 is one token) or a name
+_TOKEN_RE = re.compile(r"[+-]|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|[^\s+-]+")
 _SECTIONS = {
     "maximize": "objective", "minimize": "objective", "max": "objective",
     "min": "objective", "subject": "constraints", "such": "constraints",
@@ -41,44 +50,24 @@ _SECTIONS = {
     "gen": "general", "integer": "general", "integers": "general",
     "end": "end",
 }
+_FLIP = {"<=": ">=", ">=": "<=", "=": "="}
 
 
-@dataclass
-class LpProblem:
-    sense: str = "min"
-    objective: dict = field(default_factory=dict)
-    offset: float = 0.0
-    constraints: list = field(default_factory=list)  # (name, terms, sense, rhs)
-    bounds: dict = field(default_factory=dict)       # name -> [lo, hi]
-    integers: set = field(default_factory=set)
-    order: list = field(default_factory=list)
-    _seen: set = field(default_factory=set)
+class LpFile(NamedTuple):
+    """An LP file read into the package's program.  ``model`` is an
+    ``ilp.IlpModel`` without a product that maximizes ``sign`` times the
+    file's objective less its constant: the file's objective is ``sign`` times
+    the model's plus ``offset``.  ``names`` holds the column names, the
+    columns numbered in the order in which the file first mentions them."""
 
-    def touch(self, name: str):
-        if name not in self._seen:
-            self._seen.add(name)
-            self.order.append(name)
+    model: IlpModel
+    names: list
+    sign: float
+    offset: float
 
 
 def _is_number(tok: str) -> bool:
     return bool(_NUM_RE.match(tok))
-
-
-def _tokenize(expr: str):
-    out = expr.replace("+", " + ").replace("-", " - ").split()
-    # Re-join scientific-notation splits like ['1e', '-', '05'].
-    merged = []
-    i = 0
-    while i < len(out):
-        tok = out[i]
-        if (i + 2 < len(out) and tok[-1] in "eE" and _is_number(tok[:-1])
-                and out[i + 1] in "+-" and out[i + 2].isdigit()):
-            merged.append(tok + out[i + 1] + out[i + 2])
-            i += 3
-        else:
-            merged.append(tok)
-            i += 1
-    return merged
 
 
 def _parse_terms(expr: str):
@@ -87,7 +76,7 @@ def _parse_terms(expr: str):
     const = 0.0
     sign = 1.0
     pending: float | None = None
-    for tok in _tokenize(expr):
+    for tok in _TOKEN_RE.findall(expr):
         if tok == "+":
             continue
         if tok == "-":
@@ -110,9 +99,23 @@ def _parse_terms(expr: str):
     return coefs, const
 
 
-def parse_lp(text: str) -> LpProblem:
-    prob = LpProblem()
-    section = None
+def parse_lp(text: str) -> LpFile:
+    # here, not at the top: the worker (``serve``) needs no program layer
+    from ssltl.ilp import IlpModel, IlpRow, IlpVar
+
+    col: dict = {}              # name -> column
+    lb, ub, integer = [], [], []
+    objective: dict = {}        # column -> coefficient
+    rows, offset, maximize, section = [], 0.0, False, None
+
+    def column(name: str) -> int:
+        if name not in col:
+            col[name] = len(lb)
+            lb.append(0.0)
+            ub.append(math.inf)
+            integer.append(False)
+        return col[name]
+
     for raw in text.splitlines():
         line = raw.split("\\")[0].strip()
         if not line:
@@ -121,18 +124,18 @@ def parse_lp(text: str) -> LpProblem:
         if head in _SECTIONS:
             section = _SECTIONS[head]
             if section == "objective":
-                prob.sense = "max" if head.startswith("max") else "min"
+                maximize = head.startswith("max")
             if section == "end":
                 break
             # 'Subject To' style lines carry no payload of their own
             continue
         if section == "objective":
-            expr = line.partition(":")[2] if ":" in line else line
-            coefs, const = _parse_terms(expr)
+            coefs, const = _parse_terms(line.partition(":")[2] if ":" in line
+                                        else line)
             for n, c in coefs.items():
-                prob.objective[n] = prob.objective.get(n, 0.0) + c
-                prob.touch(n)
-            prob.offset += const
+                j = column(n)
+                objective[j] = objective.get(j, 0.0) + c
+            offset += const
         elif section == "constraints":
             name, _, rest = line.partition(":")
             if not rest:
@@ -140,57 +143,46 @@ def parse_lp(text: str) -> LpProblem:
             m = re.search(r"(<=|>=|=|<|>)", rest)
             if not m:
                 raise ValueError(f"constraint without relation: {line!r}")
-            sense = m.group(1)
-            if sense == "<":
-                sense = "<="
-            elif sense == ">":
-                sense = ">="
-            lhs, rhs_text = rest[:m.start()], rest[m.end():]
-            coefs, const = _parse_terms(lhs)
-            rhs_coefs, rhs_const = _parse_terms(rhs_text)
+            coefs, const = _parse_terms(rest[:m.start()])
+            rhs_coefs, rhs_const = _parse_terms(rest[m.end():])
             if rhs_coefs:
                 raise ValueError(f"variables on constraint rhs: {line!r}")
-            for n in coefs:
-                prob.touch(n)
-            prob.constraints.append(
-                (name.strip(), coefs, sense, rhs_const - const))
+            rows.append(IlpRow(name.strip(),
+                               tuple((c, column(n)) for n, c in coefs.items()),
+                               {"<": "<=", ">": ">="}.get(m[1], m[1]),
+                               rhs_const - const))
         elif section == "bounds":
+            parts = [t.strip() for t in re.split(r"(<=|>=|=)", line)
+                     if t.strip()]
+            if len(parts) == 3 and not _is_number(parts[2]):
+                # "lo <= x" is "x >= lo"
+                parts = [parts[2], _FLIP[parts[1]], parts[0]]
             if line.lower().endswith(" free"):
-                name = line.split()[0]
-                prob.touch(name)
-                prob.bounds[name] = [-np.inf, np.inf]
-                continue
-            parts = re.split(r"(<=|>=|=)", line)
-            parts = [p.strip() for p in parts if p.strip()]
-            if len(parts) == 5 and parts[1] == "<=" and parts[3] == "<=":
-                lo, name, hi = float(parts[0]), parts[2], float(parts[4])
-                prob.bounds[name] = [lo, hi]
+                j = column(line.split()[0])
+                lb[j], ub[j] = -math.inf, math.inf
+            elif len(parts) == 5 and parts[1] == parts[3] == "<=":
+                j = column(parts[2])
+                lb[j], ub[j] = float(parts[0]), float(parts[4])
             elif len(parts) == 3 and _is_number(parts[2]):
-                name, rel, val = parts[0], parts[1], float(parts[2])
-                b = prob.bounds.setdefault(name, [0.0, np.inf])
-                if rel == "<=":
-                    b[1] = val
-                elif rel == ">=":
-                    b[0] = val
-                else:
-                    b[0] = b[1] = val
-            elif len(parts) == 3 and _is_number(parts[0]):
-                lo, rel, name = float(parts[0]), parts[1], parts[2]
-                b = prob.bounds.setdefault(name, [0.0, np.inf])
-                if rel == "<=":
-                    b[0] = lo
-                else:
-                    b[1] = lo
+                j, val = column(parts[0]), float(parts[2])
+                if parts[1] != "<=":
+                    lb[j] = val
+                if parts[1] != ">=":
+                    ub[j] = val
             else:
                 raise ValueError(f"cannot parse bounds line: {line!r}")
-            prob.touch(parts[2] if _is_number(parts[0]) else parts[0])
-        elif section == "general" or section == "binary":
+        elif section in ("general", "binary"):
             for name in line.split():
-                prob.touch(name)
-                prob.integers.add(name)
-                if section == "binary" and name not in prob.bounds:
-                    prob.bounds[name] = [0.0, 1.0]
-    return prob
+                j = column(name)
+                integer[j] = True
+                if section == "binary" and (lb[j], ub[j]) == (0.0, math.inf):
+                    ub[j] = 1.0
+    sign = 1.0 if maximize else -1.0
+    model = IlpModel(
+        variables=tuple(map(IlpVar, lb, ub, integer)),
+        objective=tuple((sign * c, j) for j, c in objective.items()),
+        rows=tuple(rows), product=None, amecs=())
+    return LpFile(model, list(col), sign, offset)
 
 
 def run_milp(c, a_rows, a_cols, a_vals, row_lb, row_ub, lb, ub, integrality,
@@ -212,42 +204,15 @@ def run_milp(c, a_rows, a_cols, a_vals, row_lb, row_ub, lb, ub, integrality,
                 bounds=Bounds(lb, ub), options=options)
 
 
-def solve_lp_problem(prob: LpProblem, time_limit=None, mip_rel_gap=None):
-    n = len(prob.order)
-    idx = {name: i for i, name in enumerate(prob.order)}
-    c = np.zeros(n)
-    for name, coef in prob.objective.items():
-        c[idx[name]] = coef
-    if prob.sense == "max":
-        c = -c
+def solve_lp_problem(prob: LpFile, time_limit=None, mip_rel_gap=None):
+    """Solve the program of an LP file with the arrays the bundled worker
+    gets (``ilp.highs_arrays``).  Returns scipy's OptimizeResult and
+    ``order``, the model column of each HiGHS column."""
+    from ssltl.ilp import highs_arrays
 
-    lb = np.zeros(n)
-    ub = np.full(n, np.inf)
-    for name, (lo, hi) in prob.bounds.items():
-        lb[idx[name]] = lo
-        ub[idx[name]] = hi
-    integrality = np.zeros(n)
-    for name in prob.integers:
-        integrality[idx[name]] = 1
-
-    rows, cols, vals = [], [], []
-    c_lb = np.full(len(prob.constraints), -np.inf)
-    c_ub = np.full(len(prob.constraints), np.inf)
-    for r, (_, coefs, sense, rhs) in enumerate(prob.constraints):
-        for name, coef in coefs.items():
-            rows.append(r)
-            cols.append(idx[name])
-            vals.append(coef)
-        if sense in ("<=", "="):
-            c_ub[r] = rhs
-        if sense in (">=", "="):
-            c_lb[r] = rhs
-    res = run_milp(c, np.array(rows, dtype=np.int64),
-                   np.array(cols, dtype=np.int64),
-                   np.array(vals, dtype=np.float64), c_lb, c_ub, lb, ub,
-                   integrality, time_limit=time_limit,
-                   mip_rel_gap=mip_rel_gap)
-    return res, idx
+    program, order = highs_arrays(prob.model)
+    return run_milp(*program, time_limit=time_limit,
+                    mip_rel_gap=mip_rel_gap), order
 
 
 def model_status(res, time_limit=None) -> str:
@@ -327,12 +292,13 @@ def main(argv=None) -> int:
 
     with open(args.lp, "r", encoding="utf-8") as fh:
         prob = parse_lp(fh.read())
-    res, _ = solve_lp_problem(prob, time_limit=args.time_limit,
-                              mip_rel_gap=args.mip_rel_gap)
-    objective = None if res.x is None else float(np.dot(
-        [prob.objective.get(n, 0.0) for n in prob.order], res.x)) + prob.offset
+    res, order = solve_lp_problem(prob, time_limit=args.time_limit,
+                                  mip_rel_gap=args.mip_rel_gap)
+    coef = {j: c for c, j in prob.model.objective}
+    objective = None if res.x is None else prob.sign * float(np.dot(
+        [coef.get(j, 0.0) for j in order], res.x)) + prob.offset
     write_solution(args.sol, model_status(res, args.time_limit), objective,
-                   prob.order, res.x)
+                   [prob.names[j] for j in order], res.x)
     return 0
 
 

@@ -199,17 +199,25 @@ def validate_lmdp(m: Lmdp) -> Lmdp:
 # JSON model format
 # ---------------------------------------------------------------------------
 
+def _names(value, field: str) -> tuple:
+    """A list of names; a string would otherwise read as its characters."""
+    if not isinstance(value, (list, tuple)):
+        raise ModelError(f"{field} must be a list, not {value!r}")
+    return tuple(value)
+
+
 def model_from_json(doc: dict) -> Lmdp:
     try:
         state_docs = list(doc["states"])
-        actions = tuple(doc["actions"])
+        actions = _names(doc["actions"], "actions")
         initial = doc["initial"]
         tr_docs = list(doc["transitions"])
         reward_docs = list(doc.get("rewards", []))
         states = tuple(sd["id"] for sd in state_docs)
-        labels = {sd["id"]: frozenset(sd.get("labels", []))
+        labels = {sd["id"]: frozenset(_names(sd.get("labels", []),
+                                             f"labels of {sd['id']!r}"))
                   for sd in state_docs}
-        ap = tuple(doc["ap"]) if "ap" in doc else tuple(sorted(
+        ap = _names(doc["ap"], "ap") if "ap" in doc else tuple(sorted(
             set().union(*labels.values()) if labels else set()))
     except (KeyError, TypeError, AttributeError) as exc:
         raise ModelError(

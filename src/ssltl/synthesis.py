@@ -62,7 +62,7 @@ class SynthesisResult:
     policy: Optional[Policy]
     report: Optional[VerificationReport]
     solution: Optional[Solution]
-    objective: Optional[float]
+    objective: Optional[float]  # verified: the policy's long-run reward
     rounds: int
     solve_seconds: float
     total_seconds: float
@@ -119,7 +119,8 @@ def synthesize(m: Lmdp, d: Dra, spec: SsLtlSpec,
     """Run the cut loop until a candidate verifies, the solver ends it, or
     ``max_cut_rounds`` solves are spent.  A solver failure ends in status
     ``error`` with its cause in ``detail``; only a malformed argument or
-    instance raises."""
+    instance raises.  A verified result's ``objective`` is the policy's
+    long-run reward per step (``_long_run_objective``), not the solver's."""
     if max_cut_rounds < 1:
         raise ModelError(f"max_cut_rounds must be at least 1, "
                          f"not {max_cut_rounds!r}")
@@ -166,9 +167,23 @@ def synthesize(m: Lmdp, d: Dra, spec: SsLtlSpec,
         policy=pi if status in ("verified", "unverified") else None,
         report=None if status in ("timeout", "error") else report,
         solution=sol,
-        objective=sol.objective if status == "verified" else None,
+        objective=(_long_run_objective(model, pi, report)
+                   if status == "verified" else None),
         rounds=rounds, solve_seconds=solve_seconds,
         total_seconds=time.monotonic() - t0, detail=detail)
+
+
+def _long_run_objective(model: IlpModel, pi: Policy,
+                        report: VerificationReport) -> float:
+    """The program's objective at the verifier's limiting distribution of
+    ``pi`` from the initial state: the long-run reward per step (0 in
+    feasibility mode).  The solver's x need not be that distribution, so
+    ``solution.objective`` may differ."""
+    p = model.product
+    coef = {j: c for c, j in model.objective}
+    dist = report.product_distribution
+    return sum(dist.get(p.states[i], 0.0) * coef.get(p.chosen_pair(i, pi), 0.0)
+               for i in report.chain.states)
 
 
 def _solver_detail(sol: Solution) -> str:

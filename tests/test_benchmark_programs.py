@@ -11,7 +11,8 @@ import sys
 from pathlib import Path
 
 from ssltl.graph import accepting_mecs, mec_decomposition
-from ssltl.ilp import IlpConfig, build_program, export_lp
+from ssltl.ilp import IlpConfig, build_program, export_lp, highs_arrays
+from ssltl.milp_shim import parse_lp
 from ssltl.product import build_product
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -26,15 +27,32 @@ PROGRAMS_SHA256 = ("5af7a714e37df1410f7d97fc4e1e69c8"
                    "f4e2530fd5f3ee9dcaf6e71d2c5744cd")
 
 
-def test_benchmark_programs_are_unchanged():
-    digest = hashlib.sha256()
+def benchmark_programs():
+    """Every instance's program, in the order of ``PROGRAMS_SHA256``."""
     for table in WORKLOADS.values():
         for inst in table:
             r = load(inst, REPO_ROOT)
             p = build_product(r.model, r.dra)
             amecs = accepting_mecs(mec_decomposition(p), p)
             for objective in ("expected_reward", "feasibility"):
-                model = build_program(p, amecs, r.spec,
-                                      IlpConfig(objective=objective))
-                digest.update(export_lp(model).encode())
+                yield build_program(p, amecs, r.spec,
+                                    IlpConfig(objective=objective))
+
+
+def test_benchmark_programs_are_unchanged():
+    digest = hashlib.sha256()
+    for model in benchmark_programs():
+        digest.update(export_lp(model).encode())
     assert digest.hexdigest() == PROGRAMS_SHA256
+
+
+def test_lp_text_reads_back_into_the_same_highs_arrays():
+    """``ssltl-milp`` hands HiGHS, for the LP text of each benchmark program,
+    the bytes the bundled worker gets for the program itself."""
+    for model in benchmark_programs():
+        ours, _ = highs_arrays(model)
+        theirs, order = highs_arrays(parse_lp(export_lp(model)).model)
+        assert list(order) == list(range(len(order)))
+        for a, b in zip(ours, theirs, strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()

@@ -167,6 +167,14 @@ State: 0 {1}
                                "actions": ["go"], "initial": "s0",
                                "transitions": [{"from": "s0", "action": "go",
                                                 "to": ["s0"], "p": 1.0}]})),
+    ("model.json", json.dumps({"states": [{"id": "s0", "labels": "gg"}],
+                               "actions": ["go"], "initial": "s0",
+                               "transitions": [{"from": "s0", "action": "go",
+                                                "to": "s0", "p": 1.0}]})),
+    ("model.json", json.dumps({"states": [{"id": "s0", "labels": ["g"]}],
+                               "ap": "g", "actions": ["go"], "initial": "s0",
+                               "transitions": [{"from": "s0", "action": "go",
+                                                "to": "s0", "p": 1.0}]})),
     ("spec.json", json.dumps(["true.hoa"])),
     ("spec.json", json.dumps({"dra": "true.hoa", "ss": [
         {"formula": 5, "lower": 0.0, "upper": 1.0}]})),
@@ -190,7 +198,7 @@ State: 0 {1}
 ], ids=["state-without-id", "states-not-a-list", "model-not-utf8",
         "probability-nan", "reward-nan", "transition-from-undeclared-state",
         "transition-with-undeclared-action", "reward-without-transition",
-        "transition-target-unhashable",
+        "transition-target-unhashable", "labels-a-string", "ap-a-string",
         "spec-is-a-list", "formula-not-a-string", "bound-nan",
         "lower-minus-infinity", "upper-infinity",
         "policy-not-json",
@@ -412,6 +420,22 @@ def test_synth_records_a_solver_that_cannot_launch(tmp_path, capsys):
     assert not (tmp_path / "policy.json").exists()
 
 
+@pytest.mark.parametrize("command", ["synth", "bench"])
+def test_solver_cmd_defaults_to_the_environment(tmp_path, capsys, monkeypatch,
+                                                command):
+    monkeypatch.setenv("SSLTL_SOLVER_CMD", "no-such-solver {lp} {sol}")
+    args = ["bench", "--specs", "fixtures/specs/theta4.json", "--seeds", "1",
+            "-o", str(tmp_path / "bench.csv")]
+    if command == "synth":
+        write_trivial_instance(tmp_path)
+        args = ["synth", "--model", str(tmp_path / "model.json"),
+                "--spec", str(tmp_path / "spec.json"),
+                "-o", str(tmp_path / "policy.json")]
+    code = run_cli(*args)
+    assert code == (4 if command == "synth" else 0)
+    assert "cannot launch solver: 'no-such-solver " in capsys.readouterr().err
+
+
 def test_bench_reports_the_cause_of_an_attempt_that_raised(tmp_path, capsys):
     """An ss formula over a proposition the grid lacks raises out of
     ``synthesize``; the row still carries the attempt's time and cause."""
@@ -475,7 +499,7 @@ def check_keep_files_keeps_every_round(tmp_path, *flags):
     round_1 = (kept / "round_1.lp").read_text()
     round_2 = (kept / "round_2.lp").read_text()
     assert "c_cut_0_nogood" not in round_1 and "c_cut_0_nogood" in round_2
-    names = parse_lp(round_2).order
+    names = parse_lp(round_2).names
     for sol in ("round_1.sol", "round_2.sol"):
         values, hint = parse_solution_text((kept / sol).read_text(), names)
         assert hint == "optimal" and len(values) == len(names)

@@ -1,5 +1,6 @@
 import itertools
 import sys
+import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -464,9 +465,11 @@ def test_x_is_pinned_to_0_off_the_retained_pairs():
     assert (n_pairs, len(pinned)) == (992, 592)
     for j, v in enumerate(model.variables):
         assert (v.lb, v.ub) == ((0.0, 0.0) if j in pinned else (0.0, 1.0))
-    bounds = milp_shim.parse_lp(export_lp(model)).bounds
+    prob = milp_shim.parse_lp(export_lp(model))
+    read = dict(zip(prob.names, prob.model.variables))
     for k, name in enumerate(column_names(model)[:n_pairs]):
-        assert bounds[name] == ([0.0, 0.0] if k in pinned else [0.0, 1.0])
+        assert (read[name].lb, read[name].ub) == (
+            (0.0, 0.0) if k in pinned else (0.0, 1.0))
 
 
 @pytest.mark.parametrize("knobs", [
@@ -624,7 +627,7 @@ def test_solve_one_state_instance():
     assert pi.choice == {("s0", "q0"): "go"}
 
 
-def test_bundled_solve_reports_bound_gap_and_nodes(bundled_backend):
+def test_bundled_solve_reports_bound_gap_and_nodes():
     m = one_state_model()
     spec = spec_from_json({"dra": "x",
                            "ss": [{"formula": "g", "lower": 1.0,
@@ -733,6 +736,31 @@ def test_fixed_verified_policy_stays_feasible(solver_cmd):
     assert sol.status in ("optimal", "feasible")
 
 
+@pytest.mark.parametrize("where", ["keep-files", "tmpdir"])
+def test_external_solver_paths_may_hold_spaces(tmp_path, monkeypatch, where):
+    """{lp} and {sol} are filled in after the template is split, so a path
+    with a space stays one argument."""
+    spaced = tmp_path / "a dir"
+    keep = str(spaced) if where == "keep-files" else None
+    if keep is None:
+        spaced.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(spaced))
+    sol = solve(build_for(one_state_model(), TRUE_DRA, no_ss_spec()),
+                SolverConfig(command=default_solver_command(), timeout=120),
+                keep_files=keep)
+    assert sol.status == "optimal", sol.solver_output
+    assert sol.objective == pytest.approx(2.0, abs=1e-6)
+
+
+def test_solve_reads_no_environment(monkeypatch):
+    """Only the CLI reads SSLTL_SOLVER_CMD; a library solve without a command
+    takes the bundled worker."""
+    monkeypatch.setenv("SSLTL_SOLVER_CMD", "no-such-solver {lp} {sol}")
+    sol = solve(build_for(one_state_model(), TRUE_DRA, no_ss_spec()))
+    assert sol.status == "optimal" and sol.nodes is not None
+    assert "ssltl.milp_shim" in default_solver_command()
+
+
 def test_solver_launch_failure():
     m = one_state_model()
     model = build_for(m, TRUE_DRA, no_ss_spec())
@@ -752,8 +780,8 @@ def test_default_solver_command_has_placeholders():
 
 @pytest.mark.parametrize("width, height, seed, lower, upper", [
     (3, 4, 1, 0.01, 0.5), (3, 4, 1, 0.9, 1.0), (4, 3, 0, 0.9, 1.0)])
-def test_time_limit_without_a_point_is_a_timeout(bundled_backend, width,
-                                                  height, seed, lower, upper):
+def test_time_limit_without_a_point_is_a_timeout(width, height, seed, lower,
+                                                  upper):
     """A 0 s limit stops HiGHS before it has any point."""
     d = load_hoa("fixtures/automata/theta2.hoa")
     spec = spec_from_json({"dra": "theta2.hoa", "ss": [

@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 
@@ -29,14 +30,16 @@ Binary
 End
 """
     prob = parse_lp(text)
-    assert prob.sense == "min"
-    assert prob.objective == {"x": 1.0, "y": 2.0}
-    assert [(c[0], c[2], c[3]) for c in prob.constraints] == [
-        ("c1", ">=", 2.0), ("c2", "=", 0.0)]
-    assert prob.bounds["x"] == [0.0, 5.0]
-    assert prob.bounds["y"][1] == float("inf")
-    assert "b" in prob.integers and prob.bounds["b"] == [0.0, 1.0]
-
+    assert prob.names == ["x", "y", "b"]
+    # the model maximizes, so a Minimize file's objective is negated
+    assert (prob.sign, prob.offset) == (-1.0, 0.0)
+    assert prob.model.objective == ((-1.0, 0), (-2.0, 1))
+    assert [(r.name, r.terms, r.sense, r.rhs) for r in prob.model.rows] == [
+        ("c1", ((1.0, 0), (1.0, 1)), ">=", 2.0),
+        ("c2", ((1.0, 0), (-1.0, 1)), "=", 0.0)]
+    assert [(v.lb, v.ub, v.binary) for v in prob.model.variables] == [
+        (0.0, 5.0, False), (-math.inf, math.inf, False), (0.0, 1.0, True)]
+    assert prob.model.product is None
 
 def run_shim(tmp_path, lp_text, *extra):
     lp = tmp_path / "m.lp"

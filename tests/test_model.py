@@ -62,6 +62,19 @@ def test_duplicate_action_id_rejected():
         model_from_json(doc)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("labels", "ab"), ("ap", "ab"), ("actions", "stay")])
+def test_name_lists_must_be_lists(field, value):
+    """A string is not read as the list of its characters."""
+    doc = json.loads(json.dumps(TWO_STATE))
+    if field == "labels":
+        doc["states"][0]["labels"] = value
+    else:
+        doc[field] = value
+    with pytest.raises(ModelError, match="must be a list"):
+        model_from_json(doc)
+
+
 def test_unknown_label_rejected():
     doc = json.loads(json.dumps(TWO_STATE))
     doc["ap"] = ["b"]

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import brute_force_synth, random_dra, random_lmdp
+from helpers import brute_force_synth, named_chain, power_iteration_limit, \
+    random_dra, random_lmdp
 from ssltl.graph import accepting_mecs, mec_decomposition
 from ssltl.hoa import parse_hoa
 from ssltl.ilp import Columns, IlpConfig, SolverConfig, build_program
 from ssltl.model import Lmdp, model_from_json, spec_from_json, validate_lmdp
-from ssltl.product import Policy, build_product
+from ssltl.product import Policy, build_product, induce_chain
 from ssltl.synthesis import DEFAULT_MAX_CUT_ROUNDS, _rejection_cuts, \
     synthesize
 from ssltl.verify import verify_policy
@@ -188,8 +189,10 @@ def test_rejection_cuts_leave_out_a_loop_cut_on_pinned_pairs():
                     "ValueError"),
     ("x {lp} {sol} 'q", "malformed solver command template "
                         "\"x {lp} {sol} 'q\": ValueError"),
+    ("  ", "malformed solver command template '  ': ValueError: no command"),
 ], ids=["cannot-launch", "exit-1-no-solution", "no-output",
-        "unknown-placeholder", "unclosed-brace", "unbalanced-quote"])
+        "unknown-placeholder", "unclosed-brace", "unbalanced-quote",
+        "blank"])
 def test_solver_failure_ends_in_status_error(command, cause, tmp_path,
                                              monkeypatch):
     """A failed solve is a result with the cause in ``detail``, not an
@@ -512,6 +515,28 @@ def test_verdicts_agree_with_the_exhaustive_oracle(seed, det_prob, ss,
                         max_cut_rounds=DEFAULT_MAX_CUT_ROUNDS)
     assert result.status == ("infeasible" if oracle is None
                              else "verified"), result.detail
+
+
+@pytest.mark.parametrize("seed", [55, 269])
+def test_objective_is_the_verified_policys_long_run_reward(seed, solver_cmd):
+    """Found on the fuzz set (det_prob=0.6, ss=False): the policy reaches two
+    BSCCs and the solver's x sits on one of them, so the value of x (0.5 and
+    1.0) is not the policy's reward per step.  The reported objective is
+    that reward, checked here against power iteration on the induced
+    chain."""
+    m, d, spec = oracle_instance(seed, 0.6, False)
+    result = synthesize(m, d, spec,
+                        solver=SolverConfig(command=solver_cmd, timeout=120))
+    assert result.status == "verified"
+    p = build_product(m, d)
+    limit = power_iteration_limit(named_chain(p, induce_chain(p,
+                                                              result.policy)))
+    reward = 0.0
+    for (s, q), mass in limit.items():
+        a = result.policy.choice[(s, q)]
+        reward += mass * sum(prob * m.reward_value(s, a, t)
+                             for t, prob in m.trans[(s, a)].items())
+    assert result.objective == pytest.approx(reward, abs=1e-4)
 
 
 def test_no_policy_reaching_the_components_surely_is_infeasible(solver_cmd):

@@ -71,14 +71,14 @@ def gone(pid: int) -> bool:
         return True
 
 
-def test_solves_share_one_worker(bundled_backend):
+def test_solves_share_one_worker():
     solve_once()
     pid = worker_pid()
     assert solve_once() == pytest.approx(2.0)
     assert worker_pid() == pid
 
 
-def test_dead_worker_is_replaced(bundled_backend):
+def test_dead_worker_is_replaced():
     solve_once()
     _, proc = ilp._worker
     proc.kill()
@@ -87,8 +87,7 @@ def test_dead_worker_is_replaced(bundled_backend):
     assert worker_pid() != proc.pid
 
 
-def test_worker_killed_mid_exchange_is_a_solver_error(bundled_backend,
-                                                      monkeypatch):
+def test_worker_killed_mid_exchange_is_a_solver_error(monkeypatch):
     solve_once()
     _, proc = ilp._worker
     receive = ilp._receive
@@ -108,8 +107,7 @@ def test_worker_killed_mid_exchange_is_a_solver_error(bundled_backend,
     assert worker_pid() != proc.pid
 
 
-def test_failed_request_is_a_solver_error_and_keeps_the_worker(
-        bundled_backend, monkeypatch):
+def test_failed_request_is_a_solver_error_and_keeps_the_worker(monkeypatch):
     solve_once()
     pid = worker_pid()
     program, order = ilp.highs_arrays(one_state_program())
@@ -144,8 +142,8 @@ def fail_the_request(monkeypatch):
     (kill_mid_exchange, "the bundled solver worker exited, code -9, "
                         "without a reply)"),
     (fail_the_request, "")], ids=["worker-killed", "worker-side-exception"])
-def test_worker_failure_ends_synthesis_in_status_error(
-        bundled_backend, monkeypatch, failure, cause):
+def test_worker_failure_ends_synthesis_in_status_error(monkeypatch, failure,
+                                                      cause):
     solve_once()
     failure(monkeypatch)
     result = synthesize(one_state_model(), TRUE_DRA, NO_SS,
@@ -192,14 +190,13 @@ def test_solver_binaries_on_path_leave_the_bundled_route(tmp_path,
         stub = tmp_path / name
         stub.write_text(f"#!/bin/sh\ntouch '{tmp_path}/{name}-ran'\nexit 1\n")
         stub.chmod(0o755)
-    monkeypatch.delenv("SSLTL_SOLVER_CMD", raising=False)
     monkeypatch.setenv("PATH", f"{tmp_path}{os.pathsep}{os.environ['PATH']}")
     assert solve_once() == pytest.approx(2.0)
     assert "ssltl.milp_shim" in ilp.default_solver_command()
     assert not list(tmp_path.glob("*-ran"))
 
 
-def test_forked_child_starts_its_own_worker(bundled_backend):
+def test_forked_child_starts_its_own_worker():
     solve_once()
     parent_worker = worker_pid()
     read_end, write_end = os.pipe()
@@ -226,7 +223,7 @@ def test_forked_child_starts_its_own_worker(bundled_backend):
 
 
 @pytest.mark.parametrize("exit_call", ["sys.exit(0)", "os._exit(0)"])
-def test_owner_exit_leaves_no_worker(bundled_backend, exit_call):
+def test_owner_exit_leaves_no_worker(exit_call):
     """Also when the owner skips its exit handlers: the worker then reads EOF
     on its stdin and exits by itself."""
     code = ("import os, sys\n"
@@ -235,8 +232,7 @@ def test_owner_exit_leaves_no_worker(bundled_backend, exit_call):
             "print(worker_pid(), flush=True)\n"
             f"{exit_call}\n")
     tests = Path(__file__).resolve().parent
-    env = dict(os.environ, SSLTL_SOLVER_CMD="",
-               PATH=os.path.dirname(sys.executable),
+    env = dict(os.environ, PATH=os.path.dirname(sys.executable),
                PYTHONPATH=os.pathsep.join([str(tests.parent / "src"),
                                            str(tests)]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -264,8 +260,7 @@ def test_default_route_never_imports_scipy_into_the_caller():
             "print(result.status, sorted(m for m in sys.modules\n"
             "                            if m.split('.')[0] == 'scipy'))\n")
     root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, SSLTL_SOLVER_CMD="",
-               PATH=os.path.dirname(sys.executable),
+    env = dict(os.environ, PATH=os.path.dirname(sys.executable),
                PYTHONPATH=str(root / "src"))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120, env=env, cwd=root)
