@@ -136,14 +136,34 @@ def _accepts(p, states, fin, inf) -> bool:
     return not (qs & fin) and bool(qs & inf)
 
 
+def pair_accepting_mecs(mecs: Iterable, p) -> list:
+    """Per Rabin pair i of product ``p``, the MECs of pair i's accepting
+    region, given MECs of ``p``: over every given MEC, the MECs of that MEC
+    without its S x Fin_i states that meet S x Inf_i.  They are the maximal
+    accepting end components of pair i (Baier & Katoen 2008, de Alfaro
+    1997), pairwise disjoint, each inside one given MEC.
+
+    Given the components of ``accepting_mecs`` in place of the MECs, the
+    answer is the same: each maximal accepting end component of pair i lies
+    in one of them, and is maximal there too."""
+    mecs = tuple(mecs)
+    out = []
+    for fin, inf in p.dra.pairs:
+        comps = []
+        for mec in mecs:
+            outside = [i for i in mec if p.states[i][1] not in fin]
+            comps += [ec for ec in mec_decomposition(p, outside)
+                      if _accepts(p, ec, fin, inf)]
+        out.append(comps)
+    return out
+
+
 def accepting_mecs(mecs: Iterable, p) -> list:
     """The MECs of the accepting region of product ``p``, given its MECs.
 
-    The region is the union, over every MEC and Rabin pair i, of the MECs of
-    that MEC without its S x Fin_i states that meet S x Inf_i: the accepting
-    end components of pair i (Baier & Katoen 2008, de Alfaro 1997).  The
-    program's indicator rows (xii), (xiii) and (xvi) range over the listed
-    components:
+    The region is the union over the Rabin pairs i of pair i's accepting
+    region (``pair_accepting_mecs``).  The program's indicator rows (xii),
+    (xiii) and (xvi) range over the listed components:
 
     * every accepting end component E lies inside exactly one of them.  E
       is an end component of the region's sub-MDP, so some region MEC
@@ -158,12 +178,9 @@ def accepting_mecs(mecs: Iterable, p) -> list:
     * a MEC that misses S x Fin_i and meets S x Inf_i comes back unchanged.
     """
     region = set()
-    for mec in mecs:
-        for fin, inf in p.dra.pairs:
-            outside = [i for i in mec if p.states[i][1] not in fin]
-            for ec in mec_decomposition(p, outside):
-                if _accepts(p, ec, fin, inf):
-                    region |= ec
+    for comps in pair_accepting_mecs(mecs, p):
+        for ec in comps:
+            region |= ec
     return mec_decomposition(p, region)
 
 

@@ -34,12 +34,6 @@ class Dra:
     delta: Mapping[tuple, str]
     pairs: tuple
 
-    def inf_union(self) -> frozenset:
-        out = frozenset()
-        for _, inf in self.pairs:
-            out |= inf
-        return out
-
 
 def letters_of(alphabet: Iterable[str]):
     """All 2^|AP| letters in a fixed order (subset bitmask over ap order)."""

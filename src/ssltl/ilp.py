@@ -44,6 +44,7 @@ from typing import Optional
 import numpy as np
 
 from ssltl.errors import ModelError, NoAcceptingStructureError, PolicyError
+from ssltl.graph import pair_accepting_mecs
 from ssltl.model import SsLtlSpec, labeled_subset
 from ssltl.product import Policy, ProductLmdp
 
@@ -172,6 +173,30 @@ def build_program(p: ProductLmdp, amecs, spec: SsLtlSpec,
     keeps all its successors in B, a subset of C, so C retains it.  x
     vanishes on every pinned column, and the solution that
     ``accepting_mecs`` builds for pi survives with the same objective.
+
+    Row (xi) asks for mass >= ``acc_eps`` on the *counted* pairs: pair k of
+    state i counts when, for some Rabin pair j, i lies in S x Inf_j and one
+    MEC of pair j's accepting region (``graph.pair_accepting_mecs``)
+    retains k.  A BSCC inside such a MEC that fails every Rabin pair
+    misses S x Inf_j, so x on a rejecting BSCC counts only at states where
+    it passes through a MEC of some pair's accepting region without lying
+    inside it.  Row (xi) excludes no verified policy pi whose limiting mass
+    on counted pairs is at least ``acc_eps``, x being its limiting
+    frequencies as above:
+
+    * every BSCC B of pi accepts by some pair j: it misses S x Fin_j and
+      meets S x Inf_j, and with pi's actions it is an end component;
+    * so B lies in a MEC C of pair j's accepting region, and C retains pi's
+      pair at each state of B, since its successors lie in B;
+    * B's states in S x Inf_j carry positive limiting mass on those pairs,
+      which are counted.
+
+    The strict positivity of that mass is relaxed to >= ``acc_eps`` on the
+    counted mass, not on the mass of the union of the Inf sets.  x on pi's
+    BSCCs mixes their stationary distributions, so a policy whose BSCCs each
+    put less than ``acc_eps`` of their stationary mass on counted pairs
+    (among them a BSCC's S x Inf_j states for each pair j accepting it) is
+    not found, even when their mass on the union is larger.
     """
     cfg = cfg or IlpConfig()
     amecs = tuple(amecs)
@@ -180,7 +205,6 @@ def build_program(p: ProductLmdp, amecs, spec: SsLtlSpec,
             "product has no accepting end component")
 
     m = p.model
-    d = p.dra
     cols = Columns(p, len(amecs))
     n = len(p.states)
     n_pairs = cols.f0
@@ -279,10 +303,14 @@ def build_program(p: ProductLmdp, amecs, spec: SsLtlSpec,
         rows.append(IlpRow(f"c_x_{j + 1}", terms, "<=", interval.upper))
         j += 2
 
-    # (xi) accepting mass: strict positivity relaxed to >= acc_eps
-    inf_union = d.inf_union()
-    terms = tuple((1.0, k) for i, (_, q) in enumerate(p.states)
-                  if q in inf_union for k in p.pairs(i))
+    # (xi) accepting mass on the counted pairs: strict positivity relaxed
+    # to >= acc_eps
+    counted = set()
+    for (_, inf), comps in zip(p.dra.pairs, pair_accepting_mecs(amecs, p)):
+        for comp in comps:
+            counted.update(k for i in comp if p.states[i][1] in inf
+                           for k in p.pairs(i) if comp.issuperset(p.succ[k]))
+    terms = tuple((1.0, k) for k in sorted(counted))
     rows.append(IlpRow("c_xi_0", terms or _ANCHOR, ">=", cfg.acc_eps))
 
     # (xii) component carries measure -> component flag

@@ -20,12 +20,14 @@ The optimization layer alone can still accept assignments whose induced
 chain is not a unichain or whose long-run behavior is not accepting: x need
 not be the limiting distribution from the initial state, so the policy may
 reach a rejecting BSCC that carries no x; its indicator system reasons at
-component granularity; and its acceptance-mass constraint ignores the
-finiteness half of the Rabin pairs, so a BSCC inside an accepting component
-may still fail every pair.  Verification is therefore the ground truth: a
-rejected candidate policy is excluded with a no-good cut over its reachable
-decisions and the program is re-solved.  Only a verified policy is ever
-reported as feasible.
+component granularity; and its acceptance-mass row, which counts only pairs
+some Rabin pair can accept, still counts x on a BSCC that fails every pair
+where that BSCC passes through a maximal accepting end component of some
+pair without lying inside it (see ``ilp.build_program``), and is met when
+another BSCC carries the counted mass.  Verification is therefore the
+ground truth: a rejected candidate policy is excluded with a no-good cut
+over its reachable decisions and the program is re-solved.  Only a verified
+policy is ever reported as feasible.
 """
 
 from __future__ import annotations

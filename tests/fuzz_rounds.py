@@ -7,7 +7,7 @@ Every instance ``oracle_instance`` (tests/test_synthesis.py) makes for seeds
 verdict is compared with ``brute_force_synth`` wherever that can enumerate.
 One line is printed (wrapped here):
 
-    instances 3000 rounds 2052 over1 81 max 15 wrong 0 unverified 0
+    instances 3000 rounds 2040 over1 69 max 15 wrong 0 unverified 0
     objective_differs 10
 
 ``over1`` counts the runs that need more than one round.  ``wrong`` counts

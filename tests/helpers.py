@@ -3,8 +3,8 @@ for automaton fixtures, labeled chains with their partitions and class sums,
 random model/chain/automaton generators, small simulation helpers, and
 oracles over chains, products and programs that only the tests use (chain
 products, aggregation, lumpability residuals, program rows re-evaluated on a
-solution, the row families the program dropped, HOA serialization, and the
-exhaustive synthesizer for tiny instances).
+solution, the row families the program dropped and its former acceptance
+row, HOA serialization, and the exhaustive synthesizer for tiny instances).
 
 The LTL evaluator is independent of the package: it works directly on
 ultimately-periodic words by least-fixpoint iteration, so it can vouch for
@@ -484,6 +484,20 @@ def with_rows_viii(model: IlpModel) -> IlpModel:
         extra.append(IlpRow(f"c_viii_{i}", terms, ">=", 0.0))
     return replace(model, rows=model.rows + tuple(extra))
 
+
+
+def with_union_acceptance_row(model: IlpModel) -> IlpModel:
+    """The program with row (xi) summing x over every pair of a state in S x
+    (the union of the Inf sets), in place of the pairs some Rabin pair can
+    accept.  An oracle for the claim that the program's row (xi) admits
+    only policies this row admits: its terms are a subset of these."""
+    p = model.product
+    inf = frozenset().union(*(inf for _, inf in p.dra.pairs))
+    terms = tuple((1.0, k) for i, (_, q) in enumerate(p.states) if q in inf
+                  for k in p.pairs(i))
+    return replace(model, rows=tuple(
+        replace(row, terms=terms) if row.name == "c_xi_0" else row
+        for row in model.rows))
 
 def with_iks_block(model: IlpModel) -> IlpModel:
     """The program with the shared-state condition encoded through an

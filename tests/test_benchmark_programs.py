@@ -23,8 +23,8 @@ from perfbench.workloads import WORKLOADS, load  # noqa: E402
 
 # small-feas, large-feas, bnb-hard, then the smoke (warm-up) instance; per
 # instance the reward program, then the feasibility one.
-PROGRAMS_SHA256 = ("5af7a714e37df1410f7d97fc4e1e69c8"
-                   "f4e2530fd5f3ee9dcaf6e71d2c5744cd")
+PROGRAMS_SHA256 = ("dbaff6a3b8bc0cb6b4fb526a6b8ca45d"
+                   "8c8b088ee0588f2a5472757d3b3ae25d")
 
 
 def benchmark_programs():

@@ -455,9 +455,9 @@ def test_bench_reports_the_cause_of_an_attempt_that_raised(tmp_path, capsys):
 
 
 def test_synth_unverified_exit_3(tmp_path, bundled_backend):
-    """4x4 theta2 grid seed 0 in feasibility mode needs a second round, so a
+    """4x4 theta2 grid seed 7 in feasibility mode needs a second round, so a
     one-round budget leaves its rejected candidate unverified."""
-    save_model(generate_grid(GridSpec(4, 4, seed=0)), tmp_path / "m.json")
+    save_model(generate_grid(GridSpec(4, 4, seed=7)), tmp_path / "m.json")
     code = run_cli("synth", "--model", str(tmp_path / "m.json"),
                    "--spec", "fixtures/specs/theta2.json",
                    "--objective", "feasibility",
@@ -483,8 +483,8 @@ def test_synth_time_limit_exit_4(tmp_path, bundled_backend, capsys):
 
 
 def check_keep_files_keeps_every_round(tmp_path, *flags):
-    """4x4 theta2 grid seed 0 in feasibility mode takes two rounds."""
-    save_model(generate_grid(GridSpec(4, 4, seed=0)), tmp_path / "m.json")
+    """4x4 theta2 grid seed 7 in feasibility mode takes two rounds."""
+    save_model(generate_grid(GridSpec(4, 4, seed=7)), tmp_path / "m.json")
     kept = tmp_path / "kept"
     code = run_cli("synth", "--model", str(tmp_path / "m.json"),
                    "--spec", "fixtures/specs/theta2.json",

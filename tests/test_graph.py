@@ -18,6 +18,7 @@ from ssltl.graph import (
     bscc_accepting,
     bsccs,
     mec_decomposition,
+    pair_accepting_mecs,
     strongly_connected_components,
 )
 from ssltl.hoa import Dra, letters_of, load_hoa
@@ -309,6 +310,38 @@ def test_accepting_mecs_are_the_mecs_of_the_accepting_region():
         checked += bool(accepting)
     assert checked >= 10
 
+
+
+def test_pair_accepting_mecs_are_each_pairs_maximal_accepting_ecs():
+    """On small random products with one or two Rabin pairs, the components
+    listed for pair i are the maximal end components off S x Fin_i that
+    meet S x Inf_i, whether the MECs or the accepting components are
+    given."""
+    from helpers import random_lmdp
+
+    rng = np.random.default_rng(12)
+    checked = 0
+    for _ in range(60):
+        m = random_lmdp(rng, int(rng.integers(2, 5)), 2, det_prob=0.8)
+        d = random_dra(rng, int(rng.integers(2, 4)), ap=("p",),
+                       n_pairs=int(rng.integers(1, 3)))
+        p = build_product(m, d)
+        if len(p.states) > 10:
+            continue
+        mecs = mec_decomposition(p)
+        got = pair_accepting_mecs(mecs, p)
+        again = pair_accepting_mecs(accepting_mecs(mecs, p), p)
+        assert len(got) == len(again) == len(d.pairs)
+        for (fin, inf), comps, comps_again in zip(d.pairs, got, again):
+            outside = [i for i, (_, q) in enumerate(p.states)
+                       if q not in fin]
+            want = {e for e in brute_force_mecs(p, outside)
+                    if any(p.states[i][1] in inf for i in e)}
+            assert len(comps) == len(want) and set(comps) == want
+            assert len(comps_again) == len(want)
+            assert set(comps_again) == want
+            checked += bool(want)
+    assert checked >= 10
 
 def test_until_product_has_unique_amec():
     m = six_state_until_lmdp()

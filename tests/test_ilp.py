@@ -9,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from helpers import binaries, check_solution, fix_policy, random_dra, \
-    random_lmdp, six_state_until_lmdp, with_iks_block, with_rows_viii
+    random_lmdp, six_state_until_lmdp, with_iks_block, with_rows_viii, \
+    with_union_acceptance_row
 from ssltl.errors import ModelError, NoAcceptingStructureError, PolicyError
 from ssltl.graph import accepting_mecs, mec_decomposition
 from ssltl.hoa import Dra, letters_of, load_hoa, parse_hoa
@@ -34,6 +35,7 @@ from ssltl.model import GridSpec, Lmdp, generate_grid, load_spec, \
 from ssltl.product import Policy, build_product, induce_chain
 from ssltl.synthesis import _rejection_cuts, synthesize
 from ssltl.verify import verify_policy
+from test_synthesis import oracle_instance
 
 TRUE_DRA = parse_hoa("""HOA: v1
 States: 1
@@ -440,6 +442,60 @@ def test_pinned_occupation_excludes_no_verified_policy(seed, ss):
             optimum = admitted(model, pi)
             assert optimum is not None, pi.choice
             assert optimum >= long_run_reward(m, report, pi) - 1e-6
+
+
+def own_inf_mass(p, report) -> float:
+    """The limiting mass of the states of the policy's BSCCs that lie in S x
+    Inf_j for a Rabin pair j accepting their BSCC."""
+    mass = 0.0
+    for b in report.bsccs:
+        qs = {p.states[i][1] for i in b}
+        infs = set().union(*(inf for fin, inf in p.dra.pairs
+                             if not qs & fin and qs & inf))
+        mass += sum(report.product_distribution[p.states[i]] for i in b
+                    if p.states[i][1] in infs)
+    return mass
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       det_prob=st.sampled_from([0.6, 0.75, 0.9]), ss=st.booleans())
+# the union row admits 16 and 8 policies that row (xi) excludes
+@example(seed=6, det_prob=0.75, ss=False)
+@example(seed=14, det_prob=0.6, ss=True)
+def test_row_xi_counts_only_what_a_rabin_pair_accepts(seed, det_prob, ss):
+    """On the fuzz set's instances (one or two Rabin pairs) whose products
+    have at most six states, for every deterministic policy: the limiting
+    mass of a verified policy on the pairs row (xi) counts covers its BSCCs'
+    mass on the Inf states of their accepting pairs, and the program admits
+    it when that counted mass is at least acc_eps; and the program admits
+    the policy only if the row over the union of the Inf sets
+    (``helpers.with_union_acceptance_row``) does, with an optimum no
+    higher."""
+    m, d, spec = oracle_instance(seed, det_prob, ss)
+    p = build_product(m, d)
+    amecs = accepting_mecs(mec_decomposition(p), p)
+    if len(p.states) > 6 or not amecs:
+        return
+    model = build_program(p, amecs, spec)
+    (row,) = [r for r in model.rows if r.name == "c_xi_0"]
+    counted = {k for _, k in row.terms}
+    reference = with_union_acceptance_row(model)
+    for choice in itertools.product(*map(p.actions, range(len(p.states)))):
+        pi = Policy(dict(zip(p.states, choice)))
+        ours = admitted(model, pi)
+        if ours is not None:
+            theirs = admitted(reference, pi)
+            assert theirs is not None and ours <= theirs + 1e-6
+        report = verify_policy(m, d, spec, pi, product=p)
+        if report.verdict:
+            mass = sum(report.product_distribution[sq]
+                       for i, sq in enumerate(p.states)
+                       if sq in report.product_distribution
+                       and p.chosen_pair(i, pi) in counted)
+            assert mass >= own_inf_mass(p, report) - 1e-9
+            if mass >= row.rhs:
+                assert ours is not None, pi.choice
 
 
 def retained_pairs(p, amecs) -> set:

@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 from helpers import brute_force_synth, named_chain, power_iteration_limit, \
     random_dra, random_lmdp
 from ssltl.graph import accepting_mecs, mec_decomposition
-from ssltl.hoa import parse_hoa
+from ssltl.hoa import load_hoa, parse_hoa
 from ssltl.ilp import Columns, IlpConfig, SolverConfig, build_program
-from ssltl.model import Lmdp, model_from_json, spec_from_json, validate_lmdp
+from ssltl.model import GridSpec, Lmdp, generate_grid, load_spec, \
+    model_from_json, spec_from_json, validate_lmdp
 from ssltl.product import Policy, build_product, induce_chain
 from ssltl.synthesis import DEFAULT_MAX_CUT_ROUNDS, _rejection_cuts, \
     synthesize
@@ -662,6 +663,20 @@ def test_a_rare_exit_costs_no_extra_round(solver_cmd):
     m = chain_lmdp(trans, {"good"}, "s0")
     assert len(build_product(m, TRUE_DRA).states) == 12
     result = synthesize(m, TRUE_DRA, P_HIGH,
+                        IlpConfig(objective="feasibility"),
+                        solver=SolverConfig(command=solver_cmd, timeout=120))
+    assert result.status == "verified" and result.rounds == 1
+
+
+def test_a_bscc_no_rabin_pair_accepts_costs_no_extra_round(solver_cmd):
+    """4x4 theta2 (GF a | FG b) deterministic grid, seed 2, feasibility.
+    When row (xi) counted x on every pair of the Inf union, the solver put
+    x on BSCCs that alternate between b cells and cells with neither a nor
+    b, which fail both Rabin pairs, and the run took 6 rounds.  Counting
+    only pairs some Rabin pair can accept, the first candidate verifies."""
+    spec = load_spec("fixtures/specs/theta2.json")
+    result = synthesize(generate_grid(GridSpec(4, 4, seed=2)),
+                        load_hoa(spec.dra_source), spec,
                         IlpConfig(objective="feasibility"),
                         solver=SolverConfig(command=solver_cmd, timeout=120))
     assert result.status == "verified" and result.rounds == 1
