@@ -74,7 +74,7 @@ def _add_solver_flags(p):
 
 
 def _add_program_flags(p):
-    p.add_argument("--acc-eps", type=float, default=1e-4,
+    p.add_argument("--acc-eps", type=float, default=IlpConfig.acc_eps,
                    help="acceptance-mass threshold in (0, 1] replacing "
                         "strict > 0")
     _add_objective_flag(p)

@@ -94,6 +94,13 @@ def flow_increment(p: ProductLmdp) -> float:
     slack, and the cap 1e-4 is kept because every change of eps moves the
     solver's search.
 
+    A self-loop (i, i) is not a product edge (``ProductLmdp.edges``) and
+    has no f column.  Its f would appear only in its own row (v) and on the
+    inflow side of row (vii) of i, both of the <= form with coefficient +1
+    on it, since its in and out terms of row (vi) cancel.  So setting it to
+    0 keeps every solution feasible with the same (pi, x, isq), and the
+    program without it has the same projection onto the other columns.
+
     The row labels skip (viii), outflow >= inflow / 2, which bounded only f
     and took branch and bound through more nodes, and (xiv) and (xv), which
     encoded rows (xiii) through one auxiliary binary per (component, model
@@ -275,14 +282,14 @@ def build_program(p: ProductLmdp, amecs, spec: SsLtlSpec,
         terms = [(1.0, f) for f in in_edges[i]]
         terms += [(-1.0, f) for f in out_edges[i]]
         terms.append((-eps, cols.isq0 + i))
-        rows.append(IlpRow(f"c_vi_{j}", _merge(terms), ">=", 0.0))
+        rows.append(IlpRow(f"c_vi_{j}", tuple(terms), ">=", 0.0))
         j += 1
 
     # (vii) incoming flow forces the visit flag
     for i in range(n):
         terms = [(1.0, f) for f in in_edges[i]]
         terms.append((-1.0, cols.isq0 + i))
-        rows.append(IlpRow(f"c_vii_{i}", _merge(terms), "<=", 0.0))
+        rows.append(IlpRow(f"c_vii_{i}", tuple(terms), "<=", 0.0))
 
     # (ix) no measure on unflagged states
     for i in range(n):
@@ -341,17 +348,6 @@ def build_program(p: ProductLmdp, amecs, spec: SsLtlSpec,
 
     return IlpModel(variables=variables, objective=tuple(objective),
                     rows=tuple(rows), product=p, amecs=amecs)
-
-
-def _merge(terms):
-    acc: dict = {}
-    order = []
-    for coef, j in terms:
-        if j not in acc:
-            acc[j] = 0.0
-            order.append(j)
-        acc[j] += coef
-    return tuple((acc[j], j) for j in order if acc[j] != 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,10 @@ reached in one of two ways that share one call of ``milp`` (``run_milp``).
 
 Supported LP dialect: Maximize/Minimize, named constraints one per line
 under Subject To, a Bounds section (``lo <= x <= hi``, ``x <= hi``,
-``x >= lo``, ``x = v``, either side first, ``x free``), Binary and General
-sections (a Binary column still at the default bounds [0, inf) gets
-[0, 1]), End.  This covers the files this package writes plus ordinary
-hand-written ones.
+``x >= lo``, ``x = v``, either side first, ``x free``; a bound may be a
+signed ``inf`` or ``infinity``), Binary and General sections (a Binary
+column still at the default bounds [0, inf) gets [0, 1]), End.  This
+covers the files this package writes plus ordinary hand-written ones.
 """
 
 from __future__ import annotations
@@ -68,6 +68,12 @@ class LpFile(NamedTuple):
 
 def _is_number(tok: str) -> bool:
     return bool(_NUM_RE.match(tok))
+
+
+def _is_bound(tok: str) -> bool:
+    """A number or a signed infinity: only a Bounds line reads ``inf`` as a
+    value, an expression reads it as a column."""
+    return _is_number(tok) or tok.lstrip("+-").lower() in ("inf", "infinity")
 
 
 def _parse_terms(expr: str):
@@ -154,7 +160,7 @@ def parse_lp(text: str) -> LpFile:
         elif section == "bounds":
             parts = [t.strip() for t in re.split(r"(<=|>=|=)", line)
                      if t.strip()]
-            if len(parts) == 3 and not _is_number(parts[2]):
+            if len(parts) == 3 and not _is_bound(parts[2]):
                 # "lo <= x" is "x >= lo"
                 parts = [parts[2], _FLIP[parts[1]], parts[0]]
             if line.lower().endswith(" free"):
@@ -163,7 +169,7 @@ def parse_lp(text: str) -> LpFile:
             elif len(parts) == 5 and parts[1] == parts[3] == "<=":
                 j = column(parts[2])
                 lb[j], ub[j] = float(parts[0]), float(parts[4])
-            elif len(parts) == 3 and _is_number(parts[2]):
+            elif len(parts) == 3 and _is_bound(parts[2]):
                 j, val = column(parts[0]), float(parts[2])
                 if parts[1] != "<=":
                     lb[j] = val

@@ -22,8 +22,9 @@ class ProductLmdp:
     .. ``first[i + 1] - 1``, one per enabled action of s in the model's order,
     so pair k is x column k of the program.  ``succ[k]`` maps the successor
     states of pair k to their positive probabilities, ``edges`` lists the
-    (i, j) pairs with positive mass in sorted order, and ``initial`` is the
-    index of the initial state."""
+    (i, j) pairs with i != j and positive mass in sorted order (a self-loop
+    carries no reachability flow, see ``ilp.flow_increment``), and
+    ``initial`` is the index of the initial state."""
 
     model: Lmdp
     dra: Dra
@@ -84,7 +85,7 @@ def build_product(m: Lmdp, d: Dra) -> ProductLmdp:
         for a in m.enabled[sq[0]]:
             row = {index[t]: p for t, p in rows[(sq, a)].items()}
             succ.append(row)
-            edge_set.update((i, j) for j in row)
+            edge_set.update((i, j) for j in row if j != i)
         first.append(len(succ))
     return ProductLmdp(model=m, dra=d, states=states, initial=index[initial],
                        first=tuple(first), succ=tuple(succ),

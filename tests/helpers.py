@@ -466,22 +466,60 @@ def fix_policy(model: IlpModel, pi: Policy) -> IlpModel:
     return replace(model, rows=model.rows + tuple(extra))
 
 
+def self_loops(p: ProductLmdp) -> list:
+    """The states i with a self-loop (i, i), in order."""
+    return [i for i in range(len(p.states))
+            if any(i in p.succ[k] for k in p.pairs(i))]
+
+
+def with_self_loop_flows(model: IlpModel) -> IlpModel:
+    """The program with a flow column for every self-loop (i, i), as it was
+    built before self-loops left ``ProductLmdp.edges``: per self-loop, in
+    the order of ``self_loops``, one f column appended after the last one,
+    with its row (v), f <= the binaries of i's pairs that have the loop,
+    appended after the last row, and the column on the inflow side of row
+    (vii) of i.  Its in and out terms of row (vi) cancel.  An oracle for the
+    claim that dropping these columns changes no solution's (pi, x, isq)
+    (see ``ilp.flow_increment``)."""
+    p = model.product
+    pi0 = Columns(p).pi0
+    loop_col = {i: len(model.variables) + r
+                for r, i in enumerate(self_loops(p))}
+    rows = []
+    for row in model.rows:
+        i = int(row.name[6:]) if row.name.startswith("c_vii_") else None
+        if i in loop_col:
+            row = replace(row, terms=((1.0, loop_col[i]),) + row.terms)
+        rows.append(row)
+    for i, j in loop_col.items():
+        terms = [(1.0, j)]
+        terms += [(-1.0, pi0 + k) for k in p.pairs(i) if i in p.succ[k]]
+        rows.append(IlpRow(f"c_v_loop_{i}", tuple(terms), "<=", 0.0))
+    loops = (IlpVar(0.0, 1.0, False),) * len(loop_col)
+    return replace(model, variables=model.variables + loops,
+                   rows=tuple(rows))
+
+
 def with_rows_viii(model: IlpModel) -> IlpModel:
-    """The program with rows (viii), outflow >= inflow / 2 at every product
-    state, appended.  An oracle for the claim that it admits no fewer
-    policies without them (see ``ilp.flow_increment``)."""
+    """The program with its self-loop flows (``with_self_loop_flows``) and
+    rows (viii), outflow >= inflow / 2 at every product state, appended.  A
+    self-loop's f counts on both sides, with net coefficient 1/2.  An oracle
+    for the claim that the program admits no fewer policies without them
+    (see ``ilp.flow_increment``)."""
     p = model.product
     cols = Columns(p, len(model.amecs))
+    loop_col = {i: len(model.variables) + r
+                for r, i in enumerate(self_loops(p))}
+    model = with_self_loop_flows(model)
     extra = []
     for i in range(len(p.states)):
-        coef: dict = {}
-        for e, (a, b) in enumerate(p.edges):
-            if a == i:
-                coef[cols.f0 + e] = coef.get(cols.f0 + e, 0.0) + 1.0
-            if b == i:
-                coef[cols.f0 + e] = coef.get(cols.f0 + e, 0.0) - 0.5
-        terms = tuple((c, j) for j, c in coef.items() if c != 0.0)
-        extra.append(IlpRow(f"c_viii_{i}", terms, ">=", 0.0))
+        terms = [(1.0, cols.f0 + e) for e, (a, _) in enumerate(p.edges)
+                 if a == i]
+        terms += [(-0.5, cols.f0 + e) for e, (_, b) in enumerate(p.edges)
+                  if b == i]
+        if i in loop_col:
+            terms.append((0.5, loop_col[i]))
+        extra.append(IlpRow(f"c_viii_{i}", tuple(terms), ">=", 0.0))
     return replace(model, rows=model.rows + tuple(extra))
 
 

@@ -23,8 +23,8 @@ from perfbench.workloads import WORKLOADS, load  # noqa: E402
 
 # small-feas, large-feas, bnb-hard, then the smoke (warm-up) instance; per
 # instance the reward program, then the feasibility one.
-PROGRAMS_SHA256 = ("dbaff6a3b8bc0cb6b4fb526a6b8ca45d"
-                   "8c8b088ee0588f2a5472757d3b3ae25d")
+PROGRAMS_SHA256 = ("dca1768ec6981f48075b2ab8cc58d323"
+                   "a3e9c6416b9e16a8072b34890deaca7b")
 
 
 def benchmark_programs():

@@ -10,7 +10,7 @@ from scipy.optimize import linprog
 
 from helpers import binaries, check_solution, fix_policy, random_dra, \
     random_lmdp, six_state_until_lmdp, with_iks_block, with_rows_viii, \
-    with_union_acceptance_row
+    with_self_loop_flows, with_union_acceptance_row
 from ssltl.errors import ModelError, NoAcceptingStructureError, PolicyError
 from ssltl.graph import accepting_mecs, mec_decomposition
 from ssltl.hoa import Dra, letters_of, load_hoa, parse_hoa
@@ -199,6 +199,7 @@ FLOW_ROWS = ("c_v_", "c_vi_", "c_vii_")
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n_states=st.integers(2, 4),
        n_nodes=st.integers(1, 3))
+@example(seed=1019, n_states=2, n_nodes=1)     # one state, no edge
 def test_flow_rows_flag_every_state_a_policy_reaches(seed, n_states,
                                                      n_nodes):
     """With the policy binaries pinned to a random deterministic policy and
@@ -234,6 +235,9 @@ def test_flow_rows_flag_every_state_a_policy_reaches(seed, n_states,
         sign = -1.0 if row.sense == ">=" else 1.0
         a_ub.append(sign * a)
         b_ub.append(sign * rhs / eps)
+    if cols.pi0 == cols.f0:         # no edge, no flow: the rows are constant
+        assert min(b_ub) >= 0.0
+        return
     res = linprog(np.zeros(cols.pi0 - cols.f0), A_ub=np.array(a_ub),
                   b_ub=np.array(b_ub), bounds=(0.0, 1.0 / eps),
                   method="highs")
@@ -328,6 +332,37 @@ def test_rows_viii_exclude_no_policy(seed):
         return
     model = build_program(p, amecs, spec)
     reference = with_rows_viii(model)
+    for choice in itertools.product(*map(p.actions, range(len(p.states)))):
+        pi = Policy(dict(zip(p.states, choice)))
+        ours, theirs = admitted(model, pi), admitted(reference, pi)
+        assert (ours is None) == (theirs is None)
+        if ours is not None:
+            assert ours == pytest.approx(theirs, abs=1e-6)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), ss=st.booleans())
+def test_self_loop_flows_exclude_no_policy(seed, ss):
+    """Every deterministic policy of a random product of at most six states
+    is admitted by the program, which has no flow column for a self-loop,
+    and reaches the same reward optimum there, exactly when it is and does
+    with those columns and their rows (v) and (vii) terms put back
+    (``helpers.with_self_loop_flows``)."""
+    rng = np.random.default_rng(seed)
+    m = random_lmdp(rng, int(rng.integers(2, 5)), 2, ap=("p",),
+                    det_prob=float(rng.choice([0.6, 0.9])))
+    d = random_dra(rng, int(rng.integers(2, 4)), ap=("p",),
+                   n_pairs=int(rng.integers(1, 3)))
+    spec = no_ss_spec()
+    if ss:
+        spec = one_interval_spec("p", float(rng.choice([0.0, 0.1, 0.3])),
+                                 float(rng.choice([0.5, 0.8, 1.0])))
+    p = build_product(m, d)
+    amecs = accepting_mecs(mec_decomposition(p), p)
+    if len(p.states) > 6 or not amecs:
+        return
+    model = build_program(p, amecs, spec)
+    reference = with_self_loop_flows(model)
     for choice in itertools.product(*map(p.actions, range(len(p.states)))):
         pi = Policy(dict(zip(p.states, choice)))
         ours, theirs = admitted(model, pi), admitted(reference, pi)

@@ -41,6 +41,29 @@ End
         (0.0, 5.0, False), (-math.inf, math.inf, False), (0.0, 1.0, True)]
     assert prob.model.product is None
 
+
+@pytest.mark.parametrize("line, bounds", [
+    ("x >= -inf", (-math.inf, math.inf)),
+    ("-inf <= x", (-math.inf, math.inf)),
+    ("x <= +inf", (0.0, math.inf)),
+    ("x <= infinity", (0.0, math.inf)),
+    ("-Infinity <= x <= 5", (-math.inf, 5.0)),
+])
+def test_parse_lp_infinite_bounds(line, bounds):
+    prob = parse_lp(f"Maximize\n obj: 1 y\nSubject To\n c: 1 x + 1 y <= 3\n"
+                    f"Bounds\n {line}\nEnd\n")
+    assert prob.names == ["y", "x"]
+    assert (prob.model.variables[1].lb, prob.model.variables[1].ub) == bounds
+
+
+def test_column_named_inf_stays_a_column():
+    prob = parse_lp("Maximize\n obj: 1 inf\nSubject To\n"
+                    " c: 2 inf - 1 x <= 3\nBounds\n inf <= 4\nEnd\n")
+    assert prob.names == ["inf", "x"]
+    assert prob.model.rows[0].terms == ((2.0, 0), (-1.0, 1))
+    assert prob.model.variables[0].ub == 4.0
+
+
 def run_shim(tmp_path, lp_text, *extra):
     lp = tmp_path / "m.lp"
     sol = tmp_path / "m.sol"

@@ -51,7 +51,8 @@ def test_one_state_product():
     assert p.initial == 0
     assert p.pairs(0) == range(0, 1) and p.actions(0) == ("go",)
     assert p.succ == ({0: 1.0},)
-    assert p.edges == ((0, 0),)
+    # a self-loop is no edge of the flow graph
+    assert p.edges == ()
 
 
 def test_product_transition_rule_exact():
@@ -73,6 +74,9 @@ def test_product_transition_rule_exact():
                 for q_other in d.nodes:
                     if q_other != q2:
                         assert row.get((s2, q_other), 0.0) == 0.0
+    assert p.edges == tuple(sorted({(i, j) for i in range(len(p.states))
+                                    for k in p.pairs(i) for j in p.succ[k]
+                                    if j != i}))
 
 
 def test_until_instance_policy_trapped_in_amec():
