@@ -21,7 +21,8 @@ from typing import Optional
 
 from ssltl.errors import ModelError, SsltlError
 from ssltl.hoa import load_hoa
-from ssltl.ilp import IlpConfig, SolverConfig, build_program, export_lp
+from ssltl.ilp import (IlpConfig, SolverConfig, build_program, export_lp,
+                       single_search)
 from ssltl.graph import accepting_mecs, mec_decomposition
 from ssltl.model import GridSpec, SsLtlSpec, generate_grid, load_model, \
     load_spec, save_model
@@ -105,12 +106,14 @@ def _load_instance(args):
 
 
 def _solver_record(sol) -> Optional[dict]:
-    """What the solver returned in the last round; bound, gap and nodes are
+    """What the solver returned in the last round: bound, gap, nodes, the
+    seed of the search that answered and the number of searches raced are
     null when the backend does not report them."""
     if sol is None:
         return None
     return {"status": sol.status, "objective": sol.objective,
-            "bound": sol.bound, "gap": sol.gap, "nodes": sol.nodes}
+            "bound": sol.bound, "gap": sol.gap, "nodes": sol.nodes,
+            "seed": sol.seed, "searches": sol.searches}
 
 
 def cmd_synth(args) -> int:
@@ -255,7 +258,9 @@ def cmd_bench(args) -> int:
              for i in range(args.seeds)]
 
     if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        # the processes fill the CPUs already: each races one search
+        with ProcessPoolExecutor(max_workers=args.workers,
+                                 initializer=single_search) as pool:
             records = list(pool.map(_bench_one, tasks))
     else:
         records = [_bench_one(t) for t in tasks]

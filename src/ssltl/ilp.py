@@ -11,28 +11,34 @@ The program is indexed by integers: terms and solution values refer to a
 column by its position in ``IlpModel.variables`` (see ``Columns``), and
 variable names exist only in LP text.  With no external solver command in
 ``SolverConfig`` (this module reads no environment variable), the program
-goes as arrays (``highs_arrays``) to the bundled backend: one
-long-lived HiGHS worker process per caller (``milp_shim.serve``), started on
-the first solve and fed every later one, so that no round pays for an
-interpreter start, LP text or a solution file.  An external solver gets the
-program in CPLEX LP format through its command template (``{lp}`` and
-``{sol}`` placeholders), and solution files in either a generic ``name
-value`` layout or the index-prefixed column layout written by CBC are mapped
-back to columns; ``write_solution`` writes the ``name value`` layout for
-``--keep-files`` and ``ssltl-milp``.  Every solve ends in a ``Solution``
-whose status says how; a solver failure is status ``error``, never an
-exception.
+goes as arrays (``highs_arrays``) to the bundled backend: long-lived HiGHS
+worker processes (``milp_shim.serve``), started on the first solve and fed
+every later one, so that no round pays for an interpreter start, LP text or
+a solution file.  Each worker runs one search with its own HiGHS seed, one
+per CPU the caller may use (two at most, ``_RACER_SEEDS``); every program
+goes to each idle search, the first reply wins and the searches still
+running are paused until the next solve (``_ask_worker``).  An external
+solver gets the program in CPLEX LP format through its command template
+(``{lp}`` and ``{sol}`` placeholders), and solution files in either a
+generic ``name value`` layout or the index-prefixed column layout written by
+CBC are mapped back to columns; ``write_solution`` writes the ``name value``
+layout for ``--keep-files`` and ``ssltl-milp``.  Every solve ends in a
+``Solution`` whose status says how; a solver failure is status ``error``,
+never an exception.
 """
 
 from __future__ import annotations
 
 import atexit
 import contextlib
+import itertools
 import math
 import os
 import pickle
+import select
 import shlex
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -502,8 +508,10 @@ def default_solver_command(
 @dataclass(frozen=True)
 class Solution:
     """A solver's answer.  ``bound`` (the proven upper bound on the
-    objective), ``gap`` and ``nodes`` come from the bundled backend; they are
-    None when read from a solution file."""
+    objective), ``gap`` and ``nodes`` come from the bundled backend, as do
+    ``seed``, the HiGHS seed of the search that answered, and ``searches``,
+    the number of searches raced; all are None when read from a solution
+    file."""
 
     status: str          # optimal | feasible | infeasible | timeout | error
     values: Optional[np.ndarray] = None     # one value per column, if any
@@ -512,6 +520,8 @@ class Solution:
     bound: Optional[float] = None
     gap: Optional[float] = None
     nodes: Optional[int] = None
+    seed: Optional[int] = None
+    searches: Optional[int] = None
 
 
 def parse_solution_text(text: str, varnames) -> tuple:
@@ -653,22 +663,25 @@ def _keep_stem(keep_files: str, round_no: int) -> str:
 
 def _solve_bundled(model: IlpModel, time_limit: float,
                    keep_files: Optional[str], round_no: int) -> Solution:
-    """One exchange with the worker; under ``keep_files`` the program is also
-    written as LP text and the reply as a ``name value`` solution file."""
+    """One exchange with the workers (``_ask_worker``); under ``keep_files``
+    the program is also written as LP text and the reply as a ``name value``
+    solution file."""
     program, order = highs_arrays(model)
     if keep_files is not None:
         stem = _keep_stem(keep_files, round_no)
         write_lp(model, stem + ".lp")
-    status, x, dual_bound, gap, nodes = _ask_worker(program + (time_limit,))
+    status, x, dual_bound, gap, nodes, seed, searches = _ask_worker(
+        program + (time_limit,))
     output = f"Model status: {status}"
+    race = {"seed": seed, "searches": searches}
     if status == "Infeasible":
-        sol = Solution("infeasible", solver_output=output)
+        sol = Solution("infeasible", solver_output=output, **race)
     elif x is None and status.startswith("Time limit reached"):
-        sol = Solution("timeout", solver_output=output)
+        sol = Solution("timeout", solver_output=output, **race)
     elif x is None:
         sol = Solution("error", solver_output=f"the bundled HiGHS backend "
                                               f"returned no solution: "
-                                              f"{output}")
+                                              f"{output}", **race)
     else:
         values = np.empty(len(order))
         values[order] = x
@@ -679,7 +692,7 @@ def _solve_bundled(model: IlpModel, time_limit: float,
             values=values, objective=float(objective), solver_output=output,
             # 0.0 - b, not -b: a zero bound must not read -0.0
             bound=None if dual_bound is None else 0.0 - dual_bound,
-            gap=gap, nodes=nodes)
+            gap=gap, nodes=nodes, **race)
     if keep_files is not None:
         names = column_names(model)
         write_solution(stem + ".sol", status, sol.objective,
@@ -688,66 +701,176 @@ def _solve_bundled(model: IlpModel, time_limit: float,
 
 
 # ---------------------------------------------------------------------------
-# The bundled backend's worker process
+# The bundled backend's worker processes
 # ---------------------------------------------------------------------------
 
+# HiGHS's random_seed of each search: its time on one program can move 20x
+# with the seed, so the first of differently seeded searches to finish tends
+# to answer well before a lone one.  See ``_race_seeds`` for how many race.
+_RACER_SEEDS = (0, 1)
 _WORKER_ARGS = (sys.executable, "-c",
                 "from ssltl.milp_shim import serve; serve()")
+# Each worker leads its own process group.  When the owner dies, the group
+# of a paused worker is left with no link into the session, and the kernel
+# sends it SIGHUP and SIGCONT, which end the worker.
+_OWN_GROUP = ({"process_group": 0} if sys.version_info >= (3, 11)
+              else {"preexec_fn": os.setpgrp})
 _worker_lock = threading.Lock()
-_worker: Optional[tuple] = None         # (owner pid, Popen)
+_workers: Optional[tuple] = None        # (owner pid, {seed: _Search})
+_exchanges = itertools.count(1)
+
+
+class _Search:
+    """One worker process, the seed its requests carry, and ``owes``: the
+    number of the exchange whose reply it owes, 0 when it is idle."""
+
+    def __init__(self, seed: int):
+        # the worker imports this very package, wherever it was found
+        path = [os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        self.seed = seed
+        self.owes = 0
+        self.proc = subprocess.Popen(_WORKER_ARGS, stdin=subprocess.PIPE,
+                                     stdout=subprocess.PIPE, env=env,
+                                     **_OWN_GROUP)
+
+    def send(self, request: tuple, exchange: int) -> None:
+        pickle.dump(request + (self.seed,), self.proc.stdin,
+                    protocol=pickle.HIGHEST_PROTOCOL)
+        self.proc.stdin.flush()
+        self.owes = exchange
+
+
+def single_search() -> None:
+    """Race one search in this process from now on: for a process that
+    shares the CPUs with others of its kind, as each process of ``ssltl
+    bench --workers N`` does."""
+    global _RACER_SEEDS
+    _RACER_SEEDS = _RACER_SEEDS[:1]
+
+
+def _race_seeds() -> tuple:
+    """The seeds of the searches to race: ``_RACER_SEEDS`` cut to the CPUs
+    this process may run on, and to one where a search cannot be paused."""
+    if not hasattr(signal, "SIGSTOP"):
+        return _RACER_SEEDS[:1]
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return _RACER_SEEDS[:cpus]
 
 
 def _ask_worker(request: tuple) -> tuple:
-    """Send one request to this process's worker and return its reply (see
-    ``milp_shim.serve``).  If anything interrupts the exchange the worker is
-    killed and dropped, so that a later exchange never reads a stale reply;
-    a worker that exits mid-exchange is answered with an ``Error`` reply, and
-    every other interruption propagates."""
-    global _worker
+    """Race one request over this process's searches and return the first
+    reply (see ``milp_shim.serve``), followed by the seed of the search that
+    sent it and the number of searches raced.
+
+    Each idle search gets the request at once.  A search that owes the reply
+    to an earlier exchange was paused (SIGSTOP) when that exchange ended: it
+    is resumed (SIGCONT), and its stale reply is read and dropped before it
+    gets this request.  When the first reply arrives, every search still
+    running is paused: scipy cannot cancel a solve, and a killed worker
+    would count towards the owner's ``RUSAGE_CHILDREN``.  An ``Error``
+    reply, or the one made up for a worker that exits mid-exchange (it is
+    dropped, and replaced at the next exchange), is returned only when no
+    other search is still running.  Any other interruption kills and drops
+    every search, and propagates."""
     with _worker_lock:
-        proc = _live_worker()
+        searches = _live_searches()
         try:
-            pickle.dump(request, proc.stdin, protocol=pickle.HIGHEST_PROTOCOL)
-            proc.stdin.flush()
-            return _receive(proc)
-        except (EOFError, BrokenPipeError):
-            _worker = None
-            _stop(proc, grace=5.0)
-            return (f"Error (the bundled solver worker exited, code "
-                    f"{proc.returncode}, without a reply)", None, None, None,
-                    None)
+            return _race(searches, request, next(_exchanges))
         except BaseException:
-            _worker = None
-            _stop(proc)
+            for search in searches:
+                _drop(search)
             raise
+
+
+def _race(searches: list, request: tuple, exchange: int) -> tuple:
+    running, failed = [], None
+    for search in searches:
+        try:
+            if search.owes:
+                search.proc.send_signal(signal.SIGCONT)
+            else:
+                search.send(request, exchange)
+            running.append(search)
+        except BrokenPipeError:
+            failed = _exited(search)
+    while running:
+        ready, _, _ = select.select([s.proc.stdout for s in running], [], [])
+        for search in [s for s in running if s.proc.stdout in ready]:
+            try:
+                reply = _receive(search.proc)
+                if search.owes != exchange:         # stale: drop it
+                    search.send(request, exchange)
+                    continue
+            except (EOFError, pickle.UnpicklingError, BrokenPipeError):
+                running.remove(search)
+                failed = _exited(search)
+                continue
+            search.owes = 0
+            running.remove(search)
+            if reply[0].startswith("Error"):
+                failed = (reply, search)
+                continue
+            _pause(running)
+            return reply + (search.seed, len(searches))
+    reply, search = failed
+    return reply + (search.seed, len(searches))
 
 
 def _receive(proc: subprocess.Popen) -> tuple:
     return pickle.load(proc.stdout)
 
 
-def _live_worker() -> subprocess.Popen:
-    """This process's worker, started if there is none or it has died.  A
-    worker inherited through fork serves the parent: the child drops its
-    copies of the pipes and starts its own."""
-    global _worker
-    if _worker is not None:
-        owner, proc = _worker
-        if owner != os.getpid():
-            _close_pipes(proc)
-            _worker = None
-        elif proc.poll() is not None:
-            _stop(proc)
-            _worker = None
-    if _worker is None:
-        # the worker imports this very package, wherever it was found
-        path = [os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-        proc = subprocess.Popen(_WORKER_ARGS, stdin=subprocess.PIPE,
-                                stdout=subprocess.PIPE, env=env)
-        _worker = (os.getpid(), proc)
-    return _worker[1]
+def _exited(search: _Search) -> tuple:
+    """Drop a search whose worker died, with the reply that stands for it."""
+    _drop(search, grace=5.0)
+    return ((f"Error (the bundled solver worker exited, code "
+             f"{search.proc.returncode}, without a reply)", None, None, None,
+             None), search)
+
+
+def _pause(searches: list) -> None:
+    """SIGSTOP each search and wait until it has stopped (or exited)."""
+    for search in searches:
+        search.proc.send_signal(signal.SIGSTOP)
+    for search in searches:
+        with contextlib.suppress(ChildProcessError):
+            os.waitid(os.P_PID, search.proc.pid,
+                      os.WSTOPPED | os.WEXITED | os.WNOWAIT)
+
+
+def _live_searches() -> list:
+    """This process's searches for the seeds of ``_race_seeds``, each
+    started if there is none or it has died.  Workers inherited through fork
+    serve the parent: the child drops its copies of their pipes and starts
+    its own.  A search this process no longer races stays as it is, idle or
+    paused, until exit."""
+    global _workers
+    if _workers is not None and _workers[0] != os.getpid():
+        for search in _workers[1].values():
+            _close_pipes(search.proc)
+        _workers = None
+    if _workers is None:
+        _workers = (os.getpid(), {})
+    by_seed = _workers[1]
+    seeds = _race_seeds()
+    for seed in seeds:
+        search = by_seed.get(seed)
+        if search is not None and search.proc.poll() is not None:
+            _drop(search)
+        if seed not in by_seed:
+            by_seed[seed] = _Search(seed)
+    return [by_seed[seed] for seed in seeds]
+
+
+def _drop(search: _Search, grace: float = 0.0) -> None:
+    if _workers is not None and _workers[1].get(search.seed) is search:
+        del _workers[1][search.seed]
+    _stop(search.proc, grace)
 
 
 def _close_pipes(proc: subprocess.Popen) -> None:
@@ -768,9 +891,14 @@ def _stop(proc: subprocess.Popen, grace: float = 0.0) -> None:
 
 
 @atexit.register
-def _stop_worker_at_exit() -> None:
-    if _worker is not None and _worker[0] == os.getpid():
-        _stop(_worker[1], grace=1.0)
+def _stop_workers() -> None:
+    """Stop this process's workers: one that owes a stale reply is killed at
+    once, an idle one reads EOF and exits (or is killed after 1 s)."""
+    global _workers
+    if _workers is not None and _workers[0] == os.getpid():
+        for search in _workers[1].values():
+            _stop(search.proc, grace=0.0 if search.owes else 1.0)
+    _workers = None
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """The bundled MILP backend: the HiGHS engine behind scipy.optimize.milp,
 reached in one of two ways that share one call of ``milp`` (``run_milp``).
 
-* ``serve``: a long-lived worker process.  ``ssltl.ilp`` starts it once per
-  process and sends it each program as pickled arrays over its stdin; see
-  ``serve`` for the protocol.
+* ``serve``: a long-lived worker process.  ``ssltl.ilp`` starts one per
+  seeded search in each process and sends each program to them as pickled
+  arrays over their stdin; see ``serve`` for the protocol.
 * The stand-alone command, which reads a CPLEX-LP-format file into the
   package's own program (``parse_lp``), hands HiGHS the arrays
   ``ilp.highs_arrays`` builds from it, and writes a plain ``name value``
@@ -29,6 +29,7 @@ import re
 import signal
 import sys
 import traceback
+import warnings
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -192,10 +193,12 @@ def parse_lp(text: str) -> LpFile:
 
 
 def run_milp(c, a_rows, a_cols, a_vals, row_lb, row_ub, lb, ub, integrality,
-             time_limit=None, mip_rel_gap=None):
+             time_limit=None, mip_rel_gap=None, random_seed=0):
     """Minimize ``c @ x`` subject to ``row_lb <= A x <= row_ub`` and
     ``lb <= x <= ub``, with ``A`` given as COO triplets and the columns whose
-    ``integrality`` is 1 integer.  Returns scipy's OptimizeResult."""
+    ``integrality`` is 1 integer.  ``random_seed`` seeds HiGHS's search;
+    seed 0, HiGHS's default, passes no option.  Returns scipy's
+    OptimizeResult."""
     constraints = []
     if len(row_lb):
         a = sparse.csc_array((a_vals, (a_rows, a_cols)),
@@ -206,8 +209,15 @@ def run_milp(c, a_rows, a_cols, a_vals, row_lb, row_ub, lb, ub, integrality,
         options["time_limit"] = time_limit
     if mip_rel_gap is not None:
         options["mip_rel_gap"] = mip_rel_gap
-    return milp(c=c, constraints=constraints, integrality=integrality,
-                bounds=Bounds(lb, ub), options=options)
+    if random_seed:
+        options["random_seed"] = random_seed
+    with warnings.catch_warnings():
+        # scipy warns that it hands HiGHS an option it does not know, such
+        # as random_seed, verbatim
+        warnings.filterwarnings("ignore", "Unrecognized options",
+                                RuntimeWarning)
+        return milp(c=c, constraints=constraints, integrality=integrality,
+                    bounds=Bounds(lb, ub), options=options)
 
 
 def solve_lp_problem(prob: LpFile, time_limit=None, mip_rel_gap=None):
@@ -244,15 +254,22 @@ def serve() -> None:
     """Solve programs read from stdin until it reaches EOF.
 
     A request is the pickled tuple ``(c, a_rows, a_cols, a_vals, row_lb,
-    row_ub, lb, ub, integrality, time_limit)``, the arguments of
-    ``run_milp``.  The reply is the pickled tuple ``(status, x, dual_bound,
+    row_ub, lb, ub, integrality, time_limit, random_seed)``, the arguments
+    of ``run_milp``; ``ssltl.ilp`` gives each of its searches one seed, and
+    search 0 has HiGHS's default, so that a lone search solves as an
+    unseeded one.  The reply is the pickled tuple ``(status, x, dual_bound,
     gap, nodes)``: ``status`` is the ``model_status`` text, ``x`` the point
     or None, and the last three HiGHS's MIP statistics or None.  Replies go
     to a private copy of fd 1, and fd 1 itself is pointed at the null
     device, so that nothing HiGHS prints can corrupt the reply stream or
     reach the owner's terminal; tracebacks of failed requests still go to
-    stderr.  SIGINT is ignored: the owner kills the worker when an interrupt
-    reaches it mid-exchange.
+    stderr.
+
+    The owner may pause the worker (SIGSTOP) mid-solve when another search
+    has answered, and resume it (SIGCONT) at its next exchange, where it
+    reads and drops the stale reply; the worker does nothing about either.
+    SIGINT is ignored: the owner kills the worker when an interrupt reaches
+    it mid-exchange.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     replies = os.fdopen(os.dup(1), "wb")
@@ -262,11 +279,12 @@ def serve() -> None:
     requests = sys.stdin.buffer
     while True:
         try:
-            *program, time_limit = pickle.load(requests)
+            *program, time_limit, random_seed = pickle.load(requests)
         except EOFError:
             return
         try:
-            res = run_milp(*program, time_limit=time_limit)
+            res = run_milp(*program, time_limit=time_limit,
+                           random_seed=random_seed)
             reply = (model_status(res, time_limit), res.x,
                      _finite(getattr(res, "mip_dual_bound", None)),
                      _finite(getattr(res, "mip_gap", None)),

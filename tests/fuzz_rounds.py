@@ -15,9 +15,10 @@ the verdicts the oracle contradicts, and every ``timeout`` or ``error``.
 ``objective_differs`` counts the verified runs whose solver objective (the
 value of x) is not the reported long-run reward: x is not the policy's
 limiting distribution there.  The exit status is 1 on a wrong verdict or an
-``unverified`` run.
+``unverified`` run.  ``--search S`` races only the bundled backend's search
+of HiGHS seed S in each process, instead of all it may.
 
-    python tests/fuzz_rounds.py [--seeds 500] [--workers 2]
+    python tests/fuzz_rounds.py [--seeds 500] [--workers 2] [--search S]
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 
 from helpers import EnumerationLimitError, brute_force_synth  # noqa: E402
 from test_synthesis import oracle_instance  # noqa: E402
+from ssltl import ilp  # noqa: E402
 from ssltl.synthesis import synthesize  # noqa: E402
 
 DET_PROBS = (0.6, 0.75, 0.9)
@@ -57,16 +59,25 @@ def run(case: tuple) -> tuple:
     return result.rounds, wrong, status == "unverified", differs
 
 
+def race_only(seed) -> None:
+    if seed is not None:
+        ilp._RACER_SEEDS = (seed,)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, default=500,
                         help="seeds 0 .. N-1, N >= 1 (default 500)")
     parser.add_argument("--workers", type=int, default=2)
+    parser.add_argument("--search", type=int, choices=ilp._RACER_SEEDS,
+                        help="race only the search of this seed")
     args = parser.parse_args(argv)
     cases = [(seed, det, ss) for seed in range(args.seeds)
              for det in DET_PROBS for ss in (False, True)]
     spawn = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(args.workers, mp_context=spawn) as pool:
+    with ProcessPoolExecutor(args.workers, mp_context=spawn,
+                             initializer=race_only,
+                             initargs=(args.search,)) as pool:
         rounds, wrong, unverified, differs = zip(
             *pool.map(run, cases, chunksize=8))
     print(f"instances {len(rounds)} rounds {sum(rounds)} "

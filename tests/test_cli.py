@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from ssltl import ilp
 from ssltl.cli import main
 from ssltl.ilp import default_solver_command, parse_solution_text
 from ssltl.milp_shim import parse_lp
@@ -274,6 +275,8 @@ def test_record_reports_the_solver_answer(tmp_path, bundled_backend):
     assert solver["bound"] == pytest.approx(2.0)
     assert solver["gap"] == pytest.approx(0.0)
     assert isinstance(solver["nodes"], int)
+    assert solver["seed"] in ilp._RACER_SEEDS
+    assert solver["searches"] == len(ilp._race_seeds())
 
 
 def test_synth_infeasible_exit_2_and_no_policy_file(tmp_path):
@@ -417,6 +420,7 @@ def test_synth_records_a_solver_that_cannot_launch(tmp_path, capsys):
     assert rec["status"] == "error" and rec["rounds"] == 1
     assert rec["detail"].startswith("solver error: cannot launch solver: ")
     assert rec["solver"]["status"] == "error"
+    assert rec["solver"]["seed"] is rec["solver"]["searches"] is None
     assert not (tmp_path / "policy.json").exists()
 
 
@@ -454,13 +458,45 @@ def test_bench_reports_the_cause_of_an_attempt_that_raised(tmp_path, capsys):
         "zz_2x2_seed0: error: unknown proposition 'zz'"]
 
 
+def write_detour_instance(tmp_path):
+    """An instance whose first candidate fails whichever optimal solution
+    the solver returns: from c0, ``split`` leads to split, which moves to
+    good or bad with probability 0.5 each, and ``detour`` to good2.  good
+    (reward 1 per step) and good2 (reward 0.5) are labelled p, and the spec
+    asks for p at least 0.9 of the time.  The optimum of the first program
+    puts x on good alone, so it takes split at c0, whose chain spends half
+    its time in bad; the cut excludes that step, and the second candidate,
+    the detour, verifies."""
+    write_trivial_instance(tmp_path)
+    absorbing = ("good", "bad", "good2")
+    model = {
+        "states": [{"id": s, "labels": ["p"] if s.startswith("good") else []}
+                   for s in ("c0", "split") + absorbing],
+        "actions": ["split", "detour"],
+        "initial": "c0",
+        "transitions": (
+            [{"from": "c0", "action": "split", "to": "split", "p": 1.0},
+             {"from": "c0", "action": "detour", "to": "good2", "p": 1.0},
+             {"from": "split", "action": "split", "to": "good", "p": 0.5},
+             {"from": "split", "action": "split", "to": "bad", "p": 0.5}]
+            + [{"from": s, "action": "split", "to": s, "p": 1.0}
+               for s in absorbing]),
+        "rewards": [
+            {"from": "good", "action": "split", "to": "good", "r": 1.0},
+            {"from": "good2", "action": "split", "to": "good2", "r": 0.5}],
+    }
+    (tmp_path / "m.json").write_text(json.dumps(model))
+    spec = {"dra": "true.hoa",
+            "ss": [{"formula": "p", "lower": 0.9, "upper": 1.0}]}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+
+
 def test_synth_unverified_exit_3(tmp_path, bundled_backend):
-    """4x4 theta2 grid seed 7 in feasibility mode needs a second round, so a
-    one-round budget leaves its rejected candidate unverified."""
-    save_model(generate_grid(GridSpec(4, 4, seed=7)), tmp_path / "m.json")
+    """The detour instance needs a second round, so a one-round budget
+    leaves its rejected candidate unverified."""
+    write_detour_instance(tmp_path)
     code = run_cli("synth", "--model", str(tmp_path / "m.json"),
-                   "--spec", "fixtures/specs/theta2.json",
-                   "--objective", "feasibility",
+                   "--spec", str(tmp_path / "spec.json"),
                    "-o", str(tmp_path / "policy.json"),
                    "--max-cut-rounds", "1")
     assert code == 3
@@ -483,12 +519,11 @@ def test_synth_time_limit_exit_4(tmp_path, bundled_backend, capsys):
 
 
 def check_keep_files_keeps_every_round(tmp_path, *flags):
-    """4x4 theta2 grid seed 7 in feasibility mode takes two rounds."""
-    save_model(generate_grid(GridSpec(4, 4, seed=7)), tmp_path / "m.json")
+    """The detour instance takes two rounds."""
+    write_detour_instance(tmp_path)
     kept = tmp_path / "kept"
     code = run_cli("synth", "--model", str(tmp_path / "m.json"),
-                   "--spec", "fixtures/specs/theta2.json",
-                   "--objective", "feasibility",
+                   "--spec", str(tmp_path / "spec.json"),
                    "-o", str(tmp_path / "policy.json"),
                    "--record", str(tmp_path / "record.json"),
                    "--keep-files", str(kept), *flags)

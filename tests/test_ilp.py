@@ -196,7 +196,7 @@ def rare_step_lmdp(rng, n_states):
 FLOW_ROWS = ("c_v_", "c_vi_", "c_vii_")
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 32 - 1), n_states=st.integers(2, 4),
        n_nodes=st.integers(1, 3))
 @example(seed=1019, n_states=2, n_nodes=1)     # one state, no edge
