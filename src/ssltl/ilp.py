@@ -16,15 +16,15 @@ worker processes (``milp_shim.serve``), started on the first solve and fed
 every later one, so that no round pays for an interpreter start, LP text or
 a solution file.  Each worker runs one search with its own HiGHS seed, one
 per CPU the caller may use (two at most, ``_RACER_SEEDS``); every program
-goes to each idle search, the first reply wins and the searches still
-running are paused until the next solve (``_ask_worker``).  An external
-solver gets the program in CPLEX LP format through its command template
-(``{lp}`` and ``{sol}`` placeholders), and solution files in either a
-generic ``name value`` layout or the index-prefixed column layout written by
-CBC are mapped back to columns; ``write_solution`` writes the ``name value``
-layout for ``--keep-files`` and ``ssltl-milp``.  Every solve ends in a
-``Solution`` whose status says how; a solver failure is status ``error``,
-never an exception.
+goes to each search, the first reply wins and the searches still running
+are cancelled (``_ask_worker``).  An external solver gets the program in
+CPLEX LP format through its command template (``{lp}`` and ``{sol}``
+placeholders), and solution files in either a generic ``name value`` layout
+or the index-prefixed column layout written by CBC are mapped back to
+columns; ``write_solution`` writes the ``name value`` layout for
+``--keep-files`` and ``ssltl-milp``.  Every solve ends in a ``Solution``
+whose status says how; a solver failure is status ``error``, never an
+exception.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ import pickle
 import select
 import shlex
 import shutil
-import signal
 import subprocess
 import sys
 import tempfile
@@ -673,15 +672,17 @@ def _solve_bundled(model: IlpModel, time_limit: float,
     status, x, dual_bound, gap, nodes, seed, searches = _ask_worker(
         program + (time_limit,))
     output = f"Model status: {status}"
-    race = {"seed": seed, "searches": searches}
+    # 0.0 - b, not -b: a zero bound must not read -0.0
+    stats = {"bound": None if dual_bound is None else 0.0 - dual_bound,
+             "gap": gap, "nodes": nodes, "seed": seed, "searches": searches}
     if status == "Infeasible":
-        sol = Solution("infeasible", solver_output=output, **race)
+        sol = Solution("infeasible", solver_output=output, **stats)
     elif x is None and status.startswith("Time limit reached"):
-        sol = Solution("timeout", solver_output=output, **race)
+        sol = Solution("timeout", solver_output=output, **stats)
     elif x is None:
         sol = Solution("error", solver_output=f"the bundled HiGHS backend "
                                               f"returned no solution: "
-                                              f"{output}", **race)
+                                              f"{output}", **stats)
     else:
         values = np.empty(len(order))
         values[order] = x
@@ -690,9 +691,7 @@ def _solve_bundled(model: IlpModel, time_limit: float,
             status={"Optimal": "optimal", "Unbounded": "error"}.get(
                 status, "feasible"),
             values=values, objective=float(objective), solver_output=output,
-            # 0.0 - b, not -b: a zero bound must not read -0.0
-            bound=None if dual_bound is None else 0.0 - dual_bound,
-            gap=gap, nodes=nodes, **race)
+            **stats)
     if keep_files is not None:
         names = column_names(model)
         write_solution(stem + ".sol", status, sol.objective,
@@ -708,38 +707,50 @@ def _solve_bundled(model: IlpModel, time_limit: float,
 # with the seed, so the first of differently seeded searches to finish tends
 # to answer well before a lone one.  See ``_race_seeds`` for how many race.
 _RACER_SEEDS = (0, 1)
-_WORKER_ARGS = (sys.executable, "-c",
-                "from ssltl.milp_shim import serve; serve()")
-# Each worker leads its own process group.  When the owner dies, the group
-# of a paused worker is left with no link into the session, and the kernel
-# sends it SIGHUP and SIGCONT, which end the worker.
-_OWN_GROUP = ({"process_group": 0} if sys.version_info >= (3, 11)
-              else {"preexec_fn": os.setpgrp})
+# the worker's one argument is the read end of its cancel pipe
+_WORKER_ARGS = (sys.executable, "-c", "import sys; from ssltl.milp_shim "
+                "import serve; serve(int(sys.argv[1]))")
 _worker_lock = threading.Lock()
-_workers: Optional[tuple] = None        # (owner pid, {seed: _Search})
+_workers: dict = {}                     # {seed: _Search} of this process
 _exchanges = itertools.count(1)
 
 
 class _Search:
-    """One worker process, the seed its requests carry, and ``owes``: the
-    number of the exchange whose reply it owes, 0 when it is idle."""
+    """One worker process, the seed its requests carry, the write end of its
+    cancel pipe (see ``milp_shim.serve``), and ``owes``: whether the reply
+    to the exchange it was cancelled in is still to be read."""
 
     def __init__(self, seed: int):
         # the worker imports this very package, wherever it was found
         path = [os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                 os.environ.get("PYTHONPATH")]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-        self.seed = seed
-        self.owes = 0
-        self.proc = subprocess.Popen(_WORKER_ARGS, stdin=subprocess.PIPE,
-                                     stdout=subprocess.PIPE, env=env,
-                                     **_OWN_GROUP)
+        self.seed, self.owes = seed, False
+        read_end, write_end = os.pipe()
+        self.cancels = os.fdopen(write_end, "wb", buffering=0)
+        try:
+            self.proc = subprocess.Popen(
+                _WORKER_ARGS + (str(read_end),), stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE, env=env, pass_fds=(read_end,))
+        finally:
+            os.close(read_end)
 
     def send(self, request: tuple, exchange: int) -> None:
-        pickle.dump(request + (self.seed,), self.proc.stdin,
+        pickle.dump((exchange,) + request + (self.seed,), self.proc.stdin,
                     protocol=pickle.HIGHEST_PROTOCOL)
         self.proc.stdin.flush()
-        self.owes = exchange
+
+    def cancel(self, exchange: int) -> None:
+        self.owes = True
+        with contextlib.suppress(BrokenPipeError):      # the worker died
+            self.cancels.write(exchange.to_bytes(8, "little"))
+
+    def close(self) -> None:
+        """Close the pipes to the worker: an idle worker then reads EOF, and
+        a busy one stops its solve at the next interrupt check."""
+        for pipe in (self.proc.stdin, self.proc.stdout, self.cancels):
+            with contextlib.suppress(OSError):
+                pipe.close()
 
 
 def single_search() -> None:
@@ -752,9 +763,7 @@ def single_search() -> None:
 
 def _race_seeds() -> tuple:
     """The seeds of the searches to race: ``_RACER_SEEDS`` cut to the CPUs
-    this process may run on, and to one where a search cannot be paused."""
-    if not hasattr(signal, "SIGSTOP"):
-        return _RACER_SEEDS[:1]
+    this process may run on."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
@@ -767,12 +776,11 @@ def _ask_worker(request: tuple) -> tuple:
     reply (see ``milp_shim.serve``), followed by the seed of the search that
     sent it and the number of searches raced.
 
-    Each idle search gets the request at once.  A search that owes the reply
-    to an earlier exchange was paused (SIGSTOP) when that exchange ended: it
-    is resumed (SIGCONT), and its stale reply is read and dropped before it
-    gets this request.  When the first reply arrives, every search still
-    running is paused: scipy cannot cancel a solve, and a killed worker
-    would count towards the owner's ``RUSAGE_CHILDREN``.  An ``Error``
+    Each search gets the request at once, or, if it owes the reply to an
+    exchange it was cancelled in, as soon as that reply has come and been
+    dropped: HiGHS may run 0.1 s between two interrupt checks, and the
+    others need not wait.  The first reply cancels every search still
+    running, and is returned without waiting for theirs.  An ``Error``
     reply, or the one made up for a worker that exits mid-exchange (it is
     dropped, and replaced at the next exchange), is returned only when no
     other search is still running.  Any other interruption kills and drops
@@ -791,9 +799,7 @@ def _race(searches: list, request: tuple, exchange: int) -> tuple:
     running, failed = [], None
     for search in searches:
         try:
-            if search.owes:
-                search.proc.send_signal(signal.SIGCONT)
-            else:
+            if not search.owes:
                 search.send(request, exchange)
             running.append(search)
         except BrokenPipeError:
@@ -803,19 +809,20 @@ def _race(searches: list, request: tuple, exchange: int) -> tuple:
         for search in [s for s in running if s.proc.stdout in ready]:
             try:
                 reply = _receive(search.proc)
-                if search.owes != exchange:         # stale: drop it
+                if search.owes:         # stale: drop it
+                    search.owes = False
                     search.send(request, exchange)
                     continue
             except (EOFError, pickle.UnpicklingError, BrokenPipeError):
                 running.remove(search)
                 failed = _exited(search)
                 continue
-            search.owes = 0
             running.remove(search)
             if reply[0].startswith("Error"):
                 failed = (reply, search)
                 continue
-            _pause(running)
+            for loser in running:
+                loser.cancel(exchange)
             return reply + (search.seed, len(searches))
     reply, search = failed
     return reply + (search.seed, len(searches))
@@ -833,72 +840,49 @@ def _exited(search: _Search) -> tuple:
              None), search)
 
 
-def _pause(searches: list) -> None:
-    """SIGSTOP each search and wait until it has stopped (or exited)."""
-    for search in searches:
-        search.proc.send_signal(signal.SIGSTOP)
-    for search in searches:
-        with contextlib.suppress(ChildProcessError):
-            os.waitid(os.P_PID, search.proc.pid,
-                      os.WSTOPPED | os.WEXITED | os.WNOWAIT)
-
-
 def _live_searches() -> list:
     """This process's searches for the seeds of ``_race_seeds``, each
-    started if there is none or it has died.  Workers inherited through fork
-    serve the parent: the child drops its copies of their pipes and starts
-    its own.  A search this process no longer races stays as it is, idle or
-    paused, until exit."""
-    global _workers
-    if _workers is not None and _workers[0] != os.getpid():
-        for search in _workers[1].values():
-            _close_pipes(search.proc)
-        _workers = None
-    if _workers is None:
-        _workers = (os.getpid(), {})
-    by_seed = _workers[1]
+    started if there is none or it has died.  A search this process no
+    longer races stays as it is until exit."""
     seeds = _race_seeds()
     for seed in seeds:
-        search = by_seed.get(seed)
+        search = _workers.get(seed)
         if search is not None and search.proc.poll() is not None:
             _drop(search)
-        if seed not in by_seed:
-            by_seed[seed] = _Search(seed)
-    return [by_seed[seed] for seed in seeds]
+        if seed not in _workers:
+            _workers[seed] = _Search(seed)
+    return [_workers[seed] for seed in seeds]
 
 
 def _drop(search: _Search, grace: float = 0.0) -> None:
-    if _workers is not None and _workers[1].get(search.seed) is search:
-        del _workers[1][search.seed]
-    _stop(search.proc, grace)
-
-
-def _close_pipes(proc: subprocess.Popen) -> None:
-    for pipe in (proc.stdin, proc.stdout):
-        with contextlib.suppress(OSError):
-            pipe.close()
-
-
-def _stop(proc: subprocess.Popen, grace: float = 0.0) -> None:
-    """Close the worker's pipes (an idle worker then exits by itself) and
-    reap it, killing it after ``grace`` seconds."""
-    _close_pipes(proc)
+    """Forget a search, and stop its worker: reap it, killing it after
+    ``grace`` seconds."""
+    if _workers.get(search.seed) is search:
+        del _workers[search.seed]
+    search.close()
     try:
-        proc.wait(timeout=grace)
+        search.proc.wait(timeout=grace)
     except subprocess.TimeoutExpired:
-        proc.kill()
-        proc.wait()
+        search.proc.kill()
+        search.proc.wait()
 
 
 @atexit.register
 def _stop_workers() -> None:
-    """Stop this process's workers: one that owes a stale reply is killed at
-    once, an idle one reads EOF and exits (or is killed after 1 s)."""
-    global _workers
-    if _workers is not None and _workers[0] == os.getpid():
-        for search in _workers[1].values():
-            _stop(search.proc, grace=0.0 if search.owes else 1.0)
-    _workers = None
+    """Stop this process's workers, killing any still there after 1 s."""
+    for search in list(_workers.values()):
+        _drop(search, grace=1.0)
+
+
+def _forget_workers() -> None:
+    """In a fork child: close the pipes to the parent's workers, so that
+    only their owner holds them; the child starts its own."""
+    for search in _workers.values():
+        search.close()
+    _workers.clear()
+
+
+os.register_at_fork(after_in_child=_forget_workers)
 
 
 # ---------------------------------------------------------------------------

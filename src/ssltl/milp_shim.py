@@ -1,9 +1,10 @@
-"""The bundled MILP backend: the HiGHS engine behind scipy.optimize.milp,
-reached in one of two ways that share one call of ``milp`` (``run_milp``).
+"""The bundled MILP backend: HiGHS through its own binding in scipy, reached
+in one of two ways that share one HiGHS run (``run_milp``).
 
 * ``serve``: a long-lived worker process.  ``ssltl.ilp`` starts one per
-  seeded search in each process and sends each program to them as pickled
-  arrays over their stdin; see ``serve`` for the protocol.
+  seeded search in each process, sends each program to them as pickled
+  arrays over their stdin, and cancels a search through a second pipe; see
+  ``serve`` for the protocol.
 * The stand-alone command, which reads a CPLEX-LP-format file into the
   package's own program (``parse_lp``), hands HiGHS the arrays
   ``ilp.highs_arrays`` builds from it, and writes a plain ``name value``
@@ -26,15 +27,18 @@ import math
 import os
 import pickle
 import re
+import select
 import signal
 import sys
 import traceback
-import warnings
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize import OptimizeResult
+# HiGHS's own binding, which scipy's ``milp`` wraps (scipy 1.15 on)
+from scipy.optimize._highspy import _core as highs
+from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
 
 if TYPE_CHECKING:
     from ssltl.ilp import IlpModel
@@ -192,32 +196,74 @@ def parse_lp(text: str) -> LpFile:
     return LpFile(model, list(col), sign, offset)
 
 
+def _finite(value):
+    return float(value) if value is not None and math.isfinite(value) else None
+
+
+_STATUS = highs.HighsModelStatus
+# the statuses at which a MIP's incumbent, if it has one, is returned
+_LIMITS = (_STATUS.kTimeLimit, _STATUS.kIterationLimit,
+           _STATUS.kSolutionLimit)
+
+
 def run_milp(c, a_rows, a_cols, a_vals, row_lb, row_ub, lb, ub, integrality,
-             time_limit=None, mip_rel_gap=None, random_seed=0):
+             time_limit=None, mip_rel_gap=None, random_seed=0,
+             interrupt=None):
     """Minimize ``c @ x`` subject to ``row_lb <= A x <= row_ub`` and
     ``lb <= x <= ub``, with ``A`` given as COO triplets and the columns whose
-    ``integrality`` is 1 integer.  ``random_seed`` seeds HiGHS's search;
-    seed 0, HiGHS's default, passes no option.  Returns scipy's
-    OptimizeResult."""
-    constraints = []
-    if len(row_lb):
-        a = sparse.csc_array((a_vals, (a_rows, a_cols)),
-                             shape=(len(row_lb), len(c)))
-        constraints = [LinearConstraint(a, row_lb, row_ub)]
-    options = {}
+    ``integrality`` is 1 integer.  ``random_seed`` seeds HiGHS's search.
+    HiGHS gets the same column-wise matrix and options as from scipy's
+    ``milp``, so it searches the same way.  ``interrupt``, if given, is
+    called at HiGHS's MIP interrupt checks; the solve stops when it is true.
+
+    Returns an OptimizeResult with ``milp``'s ``status`` and ``message``
+    (status 4 for an interrupted solve), and ``x`` and ``fun`` where
+    ``milp`` has a point (at a limit, a MIP's incumbent); for a program with
+    an integer column, ``mip_node_count`` whatever the status, and
+    ``mip_dual_bound`` and ``mip_gap`` where they are finite."""
+    a = sparse.csc_array((a_vals, (a_rows, a_cols)),
+                         shape=(len(row_lb), len(c)))
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = len(c)
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(row_lb)
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_, lp.a_matrix_.index_ = a.indptr, a.indices
+    lp.a_matrix_.value_ = a.data
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, lb, ub
+    lp.row_lower_, lp.row_upper_ = row_lb, row_ub
+    lp.integrality_ = [highs.HighsVarType(int(v)) for v in integrality]
+
+    solver = highs._Highs()
+    solver.setOptionValue("log_to_console", False)
+    solver.setOptionValue("random_seed", int(random_seed))
     if time_limit is not None:
-        options["time_limit"] = time_limit
+        solver.setOptionValue("time_limit", float(time_limit))
     if mip_rel_gap is not None:
-        options["mip_rel_gap"] = mip_rel_gap
-    if random_seed:
-        options["random_seed"] = random_seed
-    with warnings.catch_warnings():
-        # scipy warns that it hands HiGHS an option it does not know, such
-        # as random_seed, verbatim
-        warnings.filterwarnings("ignore", "Unrecognized options",
-                                RuntimeWarning)
-        return milp(c=c, constraints=constraints, integrality=integrality,
-                    bounds=Bounds(lb, ub), options=options)
+        solver.setOptionValue("mip_rel_gap", float(mip_rel_gap))
+    if interrupt is not None:
+        def check(kind, message, data_out, data_in, user_data):
+            if interrupt():
+                data_in.user_interrupt = True
+        solver.setCallback(check, None)
+        solver.startCallback(highs.cb.HighsCallbackType.kCallbackMipInterrupt)
+    if solver.passModel(lp) == highs.HighsStatus.kError:
+        raise ValueError("HiGHS rejects the program")
+    solver.run()
+
+    status, info = solver.getModelStatus(), solver.getInfo()
+    mip = bool(np.any(integrality))
+    solved = status == _STATUS.kOptimal or (
+        mip and status in _LIMITS
+        and info.objective_function_value != highs.kHighsInf)
+    code, message = _highs_to_scipy_status_message(
+        status, solver.modelStatusToString(status))
+    return OptimizeResult(
+        status=code, message=message,
+        x=np.array(solver.getSolution().col_value) if solved else None,
+        fun=info.objective_function_value if solved else None,
+        mip_node_count=info.mip_node_count if mip else None,
+        mip_dual_bound=_finite(info.mip_dual_bound) if mip else None,
+        mip_gap=_finite(info.mip_gap) if mip else None)
 
 
 def solve_lp_problem(prob: LpFile, time_limit=None, mip_rel_gap=None):
@@ -246,49 +292,58 @@ def model_status(res, time_limit=None) -> str:
     return "Error"
 
 
-def _finite(value):
-    return float(value) if value is not None and math.isfinite(value) else None
+def serve(cancels: int) -> None:
+    """Solve programs read from stdin until it reaches EOF, and stop a solve
+    the owner cancels through the pipe whose read end is fd ``cancels``.
 
+    A request is the pickled tuple ``(exchange, c, a_rows, a_cols, a_vals,
+    row_lb, row_ub, lb, ub, integrality, time_limit, random_seed)``: the
+    owner's number of the exchange, then the arguments of ``run_milp``.  The
+    reply is the pickled tuple ``(status, x, dual_bound, gap, nodes)``: the
+    ``model_status`` text, the point or None, and HiGHS's MIP statistics.
 
-def serve() -> None:
-    """Solve programs read from stdin until it reaches EOF.
+    The cancel pipe carries exchange numbers, 8 bytes each.  At each MIP
+    interrupt check the worker reads them without blocking, and stops when
+    the newest is that of the exchange it solves or a later one; an earlier
+    one is stale.  It stops too at EOF: only the owner holds the write end,
+    so it is gone.  A stopped solve still replies, and the owner drops that
+    reply.
 
-    A request is the pickled tuple ``(c, a_rows, a_cols, a_vals, row_lb,
-    row_ub, lb, ub, integrality, time_limit, random_seed)``, the arguments
-    of ``run_milp``; ``ssltl.ilp`` gives each of its searches one seed, and
-    search 0 has HiGHS's default, so that a lone search solves as an
-    unseeded one.  The reply is the pickled tuple ``(status, x, dual_bound,
-    gap, nodes)``: ``status`` is the ``model_status`` text, ``x`` the point
-    or None, and the last three HiGHS's MIP statistics or None.  Replies go
-    to a private copy of fd 1, and fd 1 itself is pointed at the null
-    device, so that nothing HiGHS prints can corrupt the reply stream or
-    reach the owner's terminal; tracebacks of failed requests still go to
-    stderr.
-
-    The owner may pause the worker (SIGSTOP) mid-solve when another search
-    has answered, and resume it (SIGCONT) at its next exchange, where it
-    reads and drops the stale reply; the worker does nothing about either.
-    SIGINT is ignored: the owner kills the worker when an interrupt reaches
-    it mid-exchange.
+    Replies go to a private copy of fd 1, and fd 1 to the null device, so
+    that nothing HiGHS prints can corrupt them or reach the owner's
+    terminal; tracebacks of failed requests still go to stderr.  SIGINT is
+    ignored: the owner kills the worker when one reaches it mid-exchange.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     replies = os.fdopen(os.dup(1), "wb")
     devnull = os.open(os.devnull, os.O_WRONLY)
     os.dup2(devnull, 1)
     os.close(devnull)
+    poller = select.poll()      # a poll of no wait costs less than a read
+    poller.register(cancels, select.POLLIN)
+    newest = 0          # the newest exchange cancelled, None once at EOF
+
+    def cancelled(exchange: int) -> bool:
+        nonlocal newest
+        while newest is not None and poller.poll(0):
+            # exchanges count from 1, and EOF reads b"", that is 0
+            chunk = os.read(cancels, 4096)
+            newest = int.from_bytes(chunk[-8:], "little") or None
+        return newest is None or newest >= exchange
+
     requests = sys.stdin.buffer
     while True:
         try:
-            *program, time_limit, random_seed = pickle.load(requests)
+            exchange, *program, time_limit, random_seed = pickle.load(
+                requests)
         except EOFError:
             return
         try:
             res = run_milp(*program, time_limit=time_limit,
-                           random_seed=random_seed)
+                           random_seed=random_seed,
+                           interrupt=lambda: cancelled(exchange))
             reply = (model_status(res, time_limit), res.x,
-                     _finite(getattr(res, "mip_dual_bound", None)),
-                     _finite(getattr(res, "mip_gap", None)),
-                     getattr(res, "mip_node_count", None))
+                     res.mip_dual_bound, res.mip_gap, res.mip_node_count)
         except Exception as exc:  # reported to the owner, not fatal here
             traceback.print_exc()
             reply = (f"Error ({type(exc).__name__}: {exc})", None, None,

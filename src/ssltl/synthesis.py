@@ -10,7 +10,7 @@ each of its BSCCs lies in an accepting component (see
 ``ilp.build_program``), and the chain reaches its BSCCs almost surely.
 
 Each round's solve goes to the configured external command, else to the
-bundled backend's long-lived worker process, which the first round starts
+bundled backend's long-lived worker processes, which the first round starts
 and every later round (and every later call) reuses, so a cut round costs
 the solve itself, not a solver start.
 

@@ -16,7 +16,9 @@ the verdicts the oracle contradicts, and every ``timeout`` or ``error``.
 value of x) is not the reported long-run reward: x is not the policy's
 limiting distribution there.  The exit status is 1 on a wrong verdict or an
 ``unverified`` run.  ``--search S`` races only the bundled backend's search
-of HiGHS seed S in each process, instead of all it may.
+of HiGHS seed S in each process.  Without it, each of several pool
+processes races one search, as each process of ``ssltl bench --workers N``
+does, and a lone pool process all it may.
 
     python tests/fuzz_rounds.py [--seeds 500] [--workers 2] [--search S]
 """
@@ -59,9 +61,11 @@ def run(case: tuple) -> tuple:
     return result.rounds, wrong, status == "unverified", differs
 
 
-def race_only(seed) -> None:
+def race_only(seed, workers: int) -> None:
     if seed is not None:
         ilp._RACER_SEEDS = (seed,)
+    elif workers > 1:
+        ilp.single_search()
 
 
 def main(argv=None) -> int:
@@ -77,7 +81,7 @@ def main(argv=None) -> int:
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(args.workers, mp_context=spawn,
                              initializer=race_only,
-                             initargs=(args.search,)) as pool:
+                             initargs=(args.search, args.workers)) as pool:
         rounds, wrong, unverified, differs = zip(
             *pool.map(run, cases, chunksize=8))
     print(f"instances {len(rounds)} rounds {sum(rounds)} "

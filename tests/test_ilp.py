@@ -1,12 +1,14 @@
 import itertools
 import sys
 import tempfile
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.optimize import linprog
+from scipy import sparse
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from helpers import binaries, check_solution, fix_policy, random_dra, \
     random_lmdp, six_state_until_lmdp, with_iks_block, with_rows_viii, \
@@ -14,7 +16,7 @@ from helpers import binaries, check_solution, fix_policy, random_dra, \
 from ssltl.errors import ModelError, NoAcceptingStructureError, PolicyError
 from ssltl.graph import accepting_mecs, mec_decomposition
 from ssltl.hoa import Dra, letters_of, load_hoa, parse_hoa
-from ssltl import milp_shim
+from ssltl import ilp, milp_shim
 from ssltl.ilp import (
     Columns,
     IlpConfig,
@@ -738,7 +740,9 @@ def test_solution_file_gives_no_bound():
     assert (sol.bound, sol.gap, sol.nodes) == (None, None, None)
 
 
-@pytest.mark.parametrize("name, build", [
+# The golden LP files, each with the model that writes it, and three more
+# programs of the cut loop
+ARRAY_ROUTE_INPUTS = [
     ("two_state.lp", golden_two_state_model),
     ("grid3_theta2_slip_cuts.lp", lambda: grid_with_cuts_model()[0]),
     ("3x3-theta4-det-reward", lambda: grid_with_cuts_model(
@@ -747,7 +751,10 @@ def test_solution_file_gives_no_bound():
         4, 4, 0, "deterministic")[0]),
     ("4x3-theta4-slip-reward", lambda: grid_with_cuts_model(
         4, 3, 2, "slip", "theta4", "expected_reward")[0]),
-])
+]
+
+
+@pytest.mark.parametrize("name, build", ARRAY_ROUTE_INPUTS)
 def test_array_route_hands_highs_the_lp_file_program(monkeypatch,
                                                      bundled_backend, name,
                                                      build):
@@ -779,6 +786,51 @@ def test_array_route_hands_highs_the_lp_file_program(monkeypatch,
         == sol.solver_output
     if res.x is not None:
         assert sol.objective == pytest.approx(-res.fun, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name, build", ARRAY_ROUTE_INPUTS)
+def test_run_milp_searches_as_scipy_milp_does(name, build, seed):
+    """``run_milp`` hands HiGHS the program and options scipy's ``milp``
+    would: on the same arrays and seed, both end in the same status after
+    the same number of nodes, at the same objective."""
+    if name.endswith(".lp"):
+        with open(f"tests/golden/{name}", "r", encoding="utf-8") as fh:
+            model = milp_shim.parse_lp(fh.read()).model
+    else:
+        model = build()
+    program, _ = highs_arrays(model)
+    c, a_rows, a_cols, a_vals, row_lb, row_ub, lb, ub, integrality = program
+    a = sparse.csc_array((a_vals, (a_rows, a_cols)),
+                         shape=(len(row_lb), len(c)))
+    with warnings.catch_warnings():
+        # milp hands HiGHS the seed verbatim, and warns that it does
+        warnings.filterwarnings("ignore", "Unrecognized options",
+                                RuntimeWarning)
+        theirs = milp(c, constraints=LinearConstraint(a, row_lb, row_ub),
+                      integrality=integrality, bounds=Bounds(lb, ub),
+                      options={"time_limit": 60.0, "random_seed": seed})
+    ours = milp_shim.run_milp(*program, time_limit=60.0, random_seed=seed)
+    assert theirs.status == 0 and theirs.mip_node_count is not None
+    assert (ours.status, ours.mip_node_count) == (
+        theirs.status, theirs.mip_node_count)
+    assert ours.fun == pytest.approx(theirs.fun, abs=1e-9)
+
+
+def test_infeasibility_proof_reports_its_nodes(monkeypatch, bundled_backend):
+    """The bundled backend reports HiGHS's node count with every status:
+    one search proves the bnb-hard program of the 3x4 grid, seed 1, with
+    d in [0.9, 1] infeasible by branch and bound, and says after how many
+    nodes."""
+    monkeypatch.setattr(ilp, "_race_seeds", lambda: (0,))
+    spec = load_spec("fixtures/specs/theta2.json")
+    spec = replace(spec, ss=one_interval_spec("d", 0.9, 1.0).ss)
+    model = build_for(generate_grid(GridSpec(3, 4, seed=1)),
+                      load_hoa(spec.dra_source), spec,
+                      IlpConfig(objective="feasibility"))
+    sol = solve(model, SolverConfig(timeout=60.0))
+    assert (sol.status, sol.seed, sol.searches) == ("infeasible", 0, 1)
+    assert isinstance(sol.nodes, int) and sol.nodes > 0
 
 
 def test_solve_conflicting_ss_infeasible(solver_cmd):
