@@ -107,13 +107,14 @@ def _load_instance(args):
 
 def _solver_record(sol) -> Optional[dict]:
     """What the solver returned in the last round: bound, gap, nodes, the
-    seed of the search that answered and the number of searches raced are
-    null when the backend does not report them."""
+    seed of the search that answered, the number of searches and whether
+    they split the program are null when the backend does not report
+    them."""
     if sol is None:
         return None
     return {"status": sol.status, "objective": sol.objective,
             "bound": sol.bound, "gap": sol.gap, "nodes": sol.nodes,
-            "seed": sol.seed, "searches": sol.searches}
+            "seed": sol.seed, "searches": sol.searches, "split": sol.split}
 
 
 def cmd_synth(args) -> int:
@@ -258,7 +259,7 @@ def cmd_bench(args) -> int:
              for i in range(args.seeds)]
 
     if args.workers > 1:
-        # the processes fill the CPUs already: each races one search
+        # the processes fill the CPUs already: each runs one search
         with ProcessPoolExecutor(max_workers=args.workers,
                                  initializer=single_search) as pool:
             records = list(pool.map(_bench_one, tasks))

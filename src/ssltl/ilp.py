@@ -15,9 +15,12 @@ goes as arrays (``highs_arrays``) to the bundled backend: long-lived HiGHS
 worker processes (``milp_shim.serve``), started on the first solve and fed
 every later one, so that no round pays for an interpreter start, LP text or
 a solution file.  Each worker runs one search with its own HiGHS seed, one
-per CPU the caller may use (two at most, ``_RACER_SEEDS``); every program
-goes to each search, the first reply wins and the searches still running
-are cancelled (``_ask_worker``).  An external solver gets the program in
+per CPU the caller may use (two at most, ``_RACER_SEEDS``).  The searches
+split a program with objective terms on the pairs of the initial product
+state, each searching its own part of the policies, and combine their
+answers; any other program goes whole to each search, the first reply wins
+and the searches still running are cancelled (``_ask_worker``).  A lone
+search solves every program whole.  An external solver gets the program in
 CPLEX LP format through its command template (``{lp}`` and ``{sol}``
 placeholders), and solution files in either a generic ``name value`` layout
 or the index-prefixed column layout written by CBC are mapped back to
@@ -508,9 +511,12 @@ def default_solver_command(
 class Solution:
     """A solver's answer.  ``bound`` (the proven upper bound on the
     objective), ``gap`` and ``nodes`` come from the bundled backend, as do
-    ``seed``, the HiGHS seed of the search that answered, and ``searches``,
-    the number of searches raced; all are None when read from a solution
-    file."""
+    ``searches``, the number of its searches, ``split``, whether they split
+    the program or raced over all of it, and ``seed``, the HiGHS seed of
+    the search whose answer (in a split, whose point) this is; all are None
+    when read from a solution file.  In a split, ``nodes`` sums those of
+    the halves awaited, and ``bound`` and ``gap`` are the program's,
+    combined from theirs (see ``_ask_worker``)."""
 
     status: str          # optimal | feasible | infeasible | timeout | error
     values: Optional[np.ndarray] = None     # one value per column, if any
@@ -521,6 +527,7 @@ class Solution:
     nodes: Optional[int] = None
     seed: Optional[int] = None
     searches: Optional[int] = None
+    split: Optional[bool] = None
 
 
 def parse_solution_text(text: str, varnames) -> tuple:
@@ -669,12 +676,13 @@ def _solve_bundled(model: IlpModel, time_limit: float,
     if keep_files is not None:
         stem = _keep_stem(keep_files, round_no)
         write_lp(model, stem + ".lp")
-    status, x, dual_bound, gap, nodes, seed, searches = _ask_worker(
-        program + (time_limit,))
+    status, x, dual_bound, gap, nodes, seed, searches, split = _ask_worker(
+        program + (time_limit,), _initial_groups(model, order))
     output = f"Model status: {status}"
     # 0.0 - b, not -b: a zero bound must not read -0.0
     stats = {"bound": None if dual_bound is None else 0.0 - dual_bound,
-             "gap": gap, "nodes": nodes, "seed": seed, "searches": searches}
+             "gap": gap, "nodes": nodes, "seed": seed, "searches": searches,
+             "split": split}
     if status == "Infeasible":
         sol = Solution("infeasible", solver_output=output, **stats)
     elif x is None and status.startswith("Time limit reached"):
@@ -697,6 +705,25 @@ def _solve_bundled(model: IlpModel, time_limit: float,
         write_solution(stem + ".sol", status, sol.objective,
                        [names[j] for j in order], x)
     return sol
+
+
+def _initial_groups(model: IlpModel, order: np.ndarray) -> list:
+    """The HiGHS columns (``order`` maps them to model columns) of the
+    policy binaries of the initial product state's pairs, one array per
+    group of pairs with the same successor row and objective coefficient;
+    none for a program without objective terms or product, which the
+    searches race (see ``_ask_worker``)."""
+    p = model.product
+    if p is None or not model.objective:
+        return []
+    pos = np.argsort(order)             # the HiGHS column of each column
+    coef = {j: c for c, j in model.objective}
+    pi0 = Columns(p).pi0
+    groups: dict = {}
+    for k in p.pairs(p.initial):
+        key = (tuple(sorted(p.succ[k].items())), coef.get(k, 0.0))
+        groups.setdefault(key, []).append(pos[pi0 + k])
+    return [np.array(g) for g in groups.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -735,9 +762,11 @@ class _Search:
         finally:
             os.close(read_end)
 
-    def send(self, request: tuple, exchange: int) -> None:
-        pickle.dump((exchange,) + request + (self.seed,), self.proc.stdin,
-                    protocol=pickle.HIGHEST_PROTOCOL)
+    def send(self, request: tuple, exchange: int, beside: bool) -> None:
+        """Send a request; ``beside`` says whether another search runs
+        beside this one, that is, whether a cancel can come."""
+        pickle.dump((exchange,) + request + (self.seed, beside),
+                    self.proc.stdin, protocol=pickle.HIGHEST_PROTOCOL)
         self.proc.stdin.flush()
 
     def cancel(self, exchange: int) -> None:
@@ -754,16 +783,16 @@ class _Search:
 
 
 def single_search() -> None:
-    """Race one search in this process from now on: for a process that
-    shares the CPUs with others of its kind, as each process of ``ssltl
-    bench --workers N`` does."""
+    """Run one search in this process from now on, which solves every
+    program whole: for a process that shares the CPUs with others of its
+    kind, as each process of ``ssltl bench --workers N`` does."""
     global _RACER_SEEDS
     _RACER_SEEDS = _RACER_SEEDS[:1]
 
 
 def _race_seeds() -> tuple:
-    """The seeds of the searches to race: ``_RACER_SEEDS`` cut to the CPUs
-    this process may run on."""
+    """The seeds of this process's searches: ``_RACER_SEEDS`` cut to the
+    CPUs it may run on."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
@@ -771,61 +800,160 @@ def _race_seeds() -> tuple:
     return _RACER_SEEDS[:cpus]
 
 
-def _ask_worker(request: tuple) -> tuple:
-    """Race one request over this process's searches and return the first
-    reply (see ``milp_shim.serve``), followed by the seed of the search that
-    sent it and the number of searches raced.
+def _ask_worker(request: tuple, groups: list) -> tuple:
+    """Solve one request with this process's searches (see
+    ``milp_shim.serve``): the reply, the seed of the search whose answer it
+    is (None for a split without a point), the number of searches and
+    whether they split the program.
 
-    Each search gets the request at once, or, if it owes the reply to an
+    ``groups`` holds the HiGHS columns of the policy binaries of the
+    initial product state's pairs, in groups of interchangeable pairs.
+    With at least as many groups as searches, the searches *split* the
+    program: the groups are dealt into one part per search, and search s
+    gets the request with the upper bound of every other part's binaries
+    set to 0.  The split is exact, whatever the partition: row (iv) of the
+    initial state puts ``pi`` = 1 on exactly one of its pairs, so every
+    feasible point is feasible in the half whose part holds that pair, and
+    each half, the program with tighter bounds, has no other point.  So the
+    program's optimum is the better of the halves' optima, it is
+    infeasible exactly when every half is, and the larger of the halves'
+    proven bounds bounds it (``_combine``).  Grouping only keeps a search
+    from repeating another's tree: two pairs with the same successor row
+    and objective coefficient meet the same rows.  Every half's reply is
+    awaited, unless one is optimal at the largest objective any point can
+    reach (``_at_ceiling``), which proves the program's optimum: the other
+    halves are then cancelled, and the nodes are that half's alone.  When
+    a half fails, the others are cancelled and race the whole program, so
+    a half is never combined with nothing.
+
+    Otherwise the searches *race* the whole program, and the first reply
+    wins: it cancels every search still running, and is returned without
+    waiting for theirs.
+
+    Each search gets its request at once, or, if it owes the reply to an
     exchange it was cancelled in, as soon as that reply has come and been
     dropped: HiGHS may run 0.1 s between two interrupt checks, and the
-    others need not wait.  The first reply cancels every search still
-    running, and is returned without waiting for theirs.  An ``Error``
-    reply, or the one made up for a worker that exits mid-exchange (it is
-    dropped, and replaced at the next exchange), is returned only when no
-    other search is still running.  Any other interruption kills and drops
-    every search, and propagates."""
+    others need not wait.  An ``Error`` reply, or the one made up for a
+    worker that exits mid-exchange (it is dropped, and replaced at the next
+    exchange), is returned only when no other search is left.  Any other
+    interruption kills and drops every search, and propagates."""
     with _worker_lock:
         searches = _live_searches()
+        n = len(searches)
         try:
-            return _race(searches, request, next(_exchanges))
+            if 1 < n <= len(groups):
+                whole = request
+                requests = [_closed(request, [g for i, g in enumerate(groups)
+                                              if i % n != s])
+                            for s in range(n)]
+            else:
+                whole, requests = None, [request] * n
+            reply, seed, split = _race(searches, requests, next(_exchanges),
+                                       whole)
+            return reply + (seed, n, split)
         except BaseException:
             for search in searches:
                 _drop(search)
             raise
 
 
-def _race(searches: list, request: tuple, exchange: int) -> tuple:
-    running, failed = [], None
+def _closed(request: tuple, groups: list) -> tuple:
+    """``request`` with the upper bound of the columns in ``groups`` set to
+    0."""
+    ub = request[7].copy()
+    ub[np.concatenate(groups)] = 0.0
+    return request[:7] + (ub,) + request[8:]
+
+
+def _race(searches: list, requests: list, exchange: int,
+          whole: Optional[tuple] = None) -> tuple:
+    """Send each search its request and return ``(reply, seed, split)``:
+    with ``whole``, the program the requests split, every reply combined,
+    else the first decisive one (see ``_ask_worker``)."""
+    asked = dict(zip(searches, requests))
+    beside = len(searches) > 1
+    running, answers, failed = [], [], []
     for search in searches:
         try:
             if not search.owes:
-                search.send(request, exchange)
+                search.send(asked[search], exchange, beside)
             running.append(search)
         except BrokenPipeError:
-            failed = _exited(search)
-    while running:
+            failed.append(_exited(search))
+    while running and not (whole is not None and failed):
         ready, _, _ = select.select([s.proc.stdout for s in running], [], [])
         for search in [s for s in running if s.proc.stdout in ready]:
             try:
                 reply = _receive(search.proc)
                 if search.owes:         # stale: drop it
                     search.owes = False
-                    search.send(request, exchange)
+                    search.send(asked[search], exchange, beside)
                     continue
             except (EOFError, pickle.UnpicklingError, BrokenPipeError):
                 running.remove(search)
-                failed = _exited(search)
+                failed.append(_exited(search))
                 continue
             running.remove(search)
             if reply[0].startswith("Error"):
-                failed = (reply, search)
-                continue
-            for loser in running:
-                loser.cancel(exchange)
-            return reply + (search.seed, len(searches))
-    reply, search = failed
-    return reply + (search.seed, len(searches))
+                failed.append((reply, search))
+            elif whole is None or _at_ceiling(reply, whole[0]):
+                for loser in running:
+                    loser.cancel(exchange)
+                return reply, search.seed, whole is not None
+            else:
+                answers.append((search.seed, reply))
+    if whole is not None and not failed:
+        return _combine(answers, whole[0]) + (True,)
+    for loser in running:
+        loser.cancel(exchange)
+    lost = [search for _, search in failed]
+    left = [s for s in searches if s not in lost]
+    if whole is not None and left:
+        return _race(left, [whole] * len(left), next(_exchanges))
+    reply, search = failed[-1]
+    return reply, search.seed, False
+
+
+def _at_ceiling(reply: tuple, c: np.ndarray) -> bool:
+    """Whether a half's reply is optimal at a point no point of the program
+    beats: the objective weighs only x, whose entries sum to 1 (row (ii)),
+    so no point costs less than ``min(c)``."""
+    return reply[0] == "Optimal" and bool(
+        c @ reply[1] <= c.min() + 1e-9 * max(1.0, -c.min()))
+
+
+def _combine(answers: list, c: np.ndarray) -> tuple:
+    """``(reply, seed)`` of a split program from its halves' ``(seed,
+    reply)``, in HiGHS's terms (minimize ``c @ x``): optimal when every
+    half is optimal or infeasible, infeasible when every half is; else at a
+    limit, with a point if any half has one.  The point is the better
+    incumbent, from the search of ``seed``; the dual bound is the lowest
+    (an infeasible half's is +inf); the gap is HiGHS's |primal - dual| /
+    |primal| of that point and bound; the nodes are summed."""
+    statuses = [reply[0] for _, reply in answers]
+    points = [(float(c @ reply[1]), seed, reply[1])
+              for seed, reply in answers if reply[1] is not None]
+    bounds = [math.inf if reply[0] == "Infeasible" else reply[2]
+              for _, reply in answers]
+    bound = None if None in bounds or min(bounds) == math.inf \
+        else min(bounds)
+    primal, seed, x = min(points, key=lambda point: point[0],
+                          default=(None, None, None))
+    if primal is None or bound is None:
+        gap = None
+    elif primal == 0.0:
+        gap = 0.0 if bound == 0.0 else None
+    else:
+        gap = abs(primal - bound) / abs(primal)
+    if all(status in ("Optimal", "Infeasible") for status in statuses):
+        status = "Optimal" if points else "Infeasible"
+    elif points:
+        status = "Feasible (limit reached)"
+    else:
+        status = next(s for s in statuses if s not in ("Optimal",
+                                                       "Infeasible"))
+    nodes = sum(reply[4] or 0 for _, reply in answers)
+    return (status, x, bound, gap, nodes), seed
 
 
 def _receive(proc: subprocess.Popen) -> tuple:

@@ -2,9 +2,10 @@
 in one of two ways that share one HiGHS run (``run_milp``).
 
 * ``serve``: a long-lived worker process.  ``ssltl.ilp`` starts one per
-  seeded search in each process, sends each program to them as pickled
-  arrays over their stdin, and cancels a search through a second pipe; see
-  ``serve`` for the protocol.
+  seeded search in each process, sends each program, or its part of a
+  split program (the same arrays with other upper bounds), to them as
+  pickled arrays over their stdin, and cancels a search through a second
+  pipe; see ``serve`` for the protocol.
 * The stand-alone command, which reads a CPLEX-LP-format file into the
   package's own program (``parse_lp``), hands HiGHS the arrays
   ``ilp.highs_arrays`` builds from it, and writes a plain ``name value``
@@ -297,17 +298,21 @@ def serve(cancels: int) -> None:
     the owner cancels through the pipe whose read end is fd ``cancels``.
 
     A request is the pickled tuple ``(exchange, c, a_rows, a_cols, a_vals,
-    row_lb, row_ub, lb, ub, integrality, time_limit, random_seed)``: the
-    owner's number of the exchange, then the arguments of ``run_milp``.  The
-    reply is the pickled tuple ``(status, x, dual_bound, gap, nodes)``: the
-    ``model_status`` text, the point or None, and HiGHS's MIP statistics.
+    row_lb, row_ub, lb, ub, integrality, time_limit, random_seed, beside)``:
+    the owner's number of the exchange, the arguments of ``run_milp``, and
+    whether another search runs beside this one.  The reply is the pickled
+    tuple ``(status, x, dual_bound, gap, nodes)``: the ``model_status``
+    text, the point or None, and HiGHS's MIP statistics.
 
-    The cancel pipe carries exchange numbers, 8 bytes each.  At each MIP
-    interrupt check the worker reads them without blocking, and stops when
-    the newest is that of the exchange it solves or a later one; an earlier
-    one is stale.  It stops too at EOF: only the owner holds the write end,
-    so it is gone.  A stopped solve still replies, and the owner drops that
-    reply.
+    The cancel pipe carries exchange numbers, 8 bytes each.  Only a request
+    with ``beside`` set can be cancelled: its solve reads them without
+    blocking at each MIP interrupt check, and stops when the newest is that
+    of the exchange it solves or a later one; an earlier one is stale.  It
+    stops too at EOF: only the owner holds the write end, so it is gone.  A
+    stopped solve still replies, and the owner drops that reply.  A lone
+    search installs no interrupt callback, which costs about 1 % of a
+    branch-and-bound solve; so when its owner dies without running its exit
+    handlers, which kill it, it solves on to its end or time limit.
 
     Replies go to a private copy of fd 1, and fd 1 to the null device, so
     that nothing HiGHS prints can corrupt them or reach the owner's
@@ -334,14 +339,15 @@ def serve(cancels: int) -> None:
     requests = sys.stdin.buffer
     while True:
         try:
-            exchange, *program, time_limit, random_seed = pickle.load(
-                requests)
+            exchange, *program, time_limit, random_seed, beside = \
+                pickle.load(requests)
         except EOFError:
             return
         try:
             res = run_milp(*program, time_limit=time_limit,
                            random_seed=random_seed,
-                           interrupt=lambda: cancelled(exchange))
+                           interrupt=(lambda: cancelled(exchange)) if beside
+                           else None)
             reply = (model_status(res, time_limit), res.x,
                      res.mip_dual_bound, res.mip_gap, res.mip_node_count)
         except Exception as exc:  # reported to the owner, not fatal here

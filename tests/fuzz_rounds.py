@@ -15,10 +15,11 @@ the verdicts the oracle contradicts, and every ``timeout`` or ``error``.
 ``objective_differs`` counts the verified runs whose solver objective (the
 value of x) is not the reported long-run reward: x is not the policy's
 limiting distribution there.  The exit status is 1 on a wrong verdict or an
-``unverified`` run.  ``--search S`` races only the bundled backend's search
+``unverified`` run.  ``--search S`` runs only the bundled backend's search
 of HiGHS seed S in each process.  Without it, each of several pool
-processes races one search, as each process of ``ssltl bench --workers N``
-does, and a lone pool process all it may.
+processes runs one search, as each process of ``ssltl bench --workers N``
+does, and a lone pool process all it may: on two CPUs they split every
+reward program (``--workers 1``).
 
     python tests/fuzz_rounds.py [--seeds 500] [--workers 2] [--search S]
 """
@@ -74,7 +75,7 @@ def main(argv=None) -> int:
                         help="seeds 0 .. N-1, N >= 1 (default 500)")
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--search", type=int, choices=ilp._RACER_SEEDS,
-                        help="race only the search of this seed")
+                        help="run only the search of this seed")
     args = parser.parse_args(argv)
     cases = [(seed, det, ss) for seed in range(args.seeds)
              for det in DET_PROBS for ss in (False, True)]

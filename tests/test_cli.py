@@ -277,6 +277,7 @@ def test_record_reports_the_solver_answer(tmp_path, bundled_backend):
     assert isinstance(solver["nodes"], int)
     assert solver["seed"] in ilp._RACER_SEEDS
     assert solver["searches"] == len(ilp._race_seeds())
+    assert solver["split"] is False     # the initial state has one action
 
 
 def test_synth_infeasible_exit_2_and_no_policy_file(tmp_path):

@@ -737,7 +737,8 @@ def test_solution_file_gives_no_bound():
     sol = solve(build_for(one_state_model(), TRUE_DRA, no_ss_spec()),
                 SolverConfig(command=default_solver_command(), timeout=120))
     assert sol.status == "optimal"
-    assert (sol.bound, sol.gap, sol.nodes) == (None, None, None)
+    assert (sol.bound, sol.gap, sol.nodes, sol.split) == (None, None, None,
+                                                          None)
 
 
 # The golden LP files, each with the model that writes it, and three more
@@ -831,6 +832,57 @@ def test_infeasibility_proof_reports_its_nodes(monkeypatch, bundled_backend):
     sol = solve(model, SolverConfig(timeout=60.0))
     assert (sol.status, sol.seed, sol.searches) == ("infeasible", 0, 1)
     assert isinstance(sol.nodes, int) and sol.nodes > 0
+
+
+@pytest.mark.parametrize("name, build", ARRAY_ROUTE_INPUTS)
+def test_an_interrupt_check_leaves_the_search_as_it_is(name, build):
+    """A lone search solves without the interrupt callback that a search
+    racing another needs; one that never interrupts changes nothing: the
+    same status after the same nodes, at the same objective."""
+    program, _ = highs_arrays(build())
+    plain = milp_shim.run_milp(*program, time_limit=60.0)
+    checked = milp_shim.run_milp(*program, time_limit=60.0,
+                                 interrupt=lambda: False)
+    assert (checked.status, checked.mip_node_count) == (
+        plain.status, plain.mip_node_count)
+    assert checked.fun == plain.fun
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), ss=st.booleans())
+def test_a_split_answers_as_one_search_on_the_whole_program(seed, ss):
+    """On a random product with the reward objective, two searches that
+    split the program on the initial state's pairs (``ilp._ask_worker``)
+    reach what one search on the whole program does: the same status and
+    optimum, with a bound no lower than the optimum."""
+    rng = np.random.default_rng(seed)
+    m = random_lmdp(rng, int(rng.integers(2, 5)), int(rng.integers(2, 4)),
+                    ap=("p",), det_prob=float(rng.choice([0.6, 0.9])))
+    d = random_dra(rng, int(rng.integers(2, 4)), ap=("p",),
+                   n_pairs=int(rng.integers(1, 3)))
+    spec = no_ss_spec()
+    if ss:
+        spec = one_interval_spec("p", float(rng.choice([0.0, 0.1, 0.3])),
+                                 float(rng.choice([0.5, 0.8, 1.0])))
+    p = build_product(m, d)
+    amecs = accepting_mecs(mec_decomposition(p), p)
+    if not amecs:
+        return
+    model = build_program(p, amecs, spec)
+    race_seeds, answers = ilp._race_seeds, []
+    try:
+        for seeds in ((0,), (0, 1)):
+            ilp._race_seeds = lambda: seeds
+            answers.append(solve(model, SolverConfig(timeout=60.0)))
+    finally:
+        ilp._race_seeds = race_seeds
+    whole, split = answers
+    groups = ilp._initial_groups(model, highs_arrays(model)[1])
+    assert (whole.split, split.split) == (False, len(groups) > 1)
+    assert split.status == whole.status
+    if whole.status == "optimal":
+        assert split.objective == pytest.approx(whole.objective, abs=1e-9)
+        assert split.bound >= split.objective - 1e-9
 
 
 def test_solve_conflicting_ss_infeasible(solver_cmd):

@@ -1,7 +1,8 @@
-"""Lifetime of the bundled backend's worker processes: one per raced search
-in each process, reused across solves, cancelled when another search
-answers, replaced when they die or after a fork, and never left behind by
-their owner."""
+"""Lifetime of the bundled backend's worker processes: one per search in
+each process, reused across solves, cancelled when another search answers
+a race, replaced when they die or after a fork, and never left behind by
+their owner; and how the answers of searches that split a program are
+combined."""
 
 import io
 import os
@@ -9,6 +10,7 @@ import pickle
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,7 +19,7 @@ from ssltl import ilp
 from ssltl.hoa import parse_hoa
 from ssltl.ilp import IlpConfig, SolverConfig, build_program, solve
 from ssltl.graph import accepting_mecs, mec_decomposition
-from ssltl.model import Lmdp, SsLtlSpec, validate_lmdp
+from ssltl.model import Lmdp, SsLtlSpec, spec_from_json, validate_lmdp
 from ssltl.product import build_product
 from ssltl.synthesis import synthesize
 
@@ -39,20 +41,24 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def two_state_model(reward: float = 2.0) -> Lmdp:
     """s0 and s1 each stay or go to the other; staying earns 1 at s0 and
-    ``reward`` at s1, so the optimum is max(1, ``reward``).  Small as it is,
-    HiGHS's presolve leaves its program to the MIP solver, which makes
-    interrupt checks (``spinning_workers``)."""
-    states = ("s0", "s1")
-    trans = {}
+    ``reward`` at s1, so the optimum is max(1, ``reward``).  The run begins
+    in a state whose one action goes to s0, so the initial product state
+    has one pair, and the searches race over the whole program
+    (``ilp._ask_worker``).  Small as it is, HiGHS's presolve leaves its
+    program to the MIP solver, which makes interrupt checks
+    (``spinning_workers``)."""
+    states = ("start", "s0", "s1")
+    trans = {("start", "go"): {"s0": 1.0}}
     rewards = {("s0", "stay", "s0"): 1.0, ("s1", "stay", "s1"): reward}
-    for s, other in zip(states, reversed(states)):
+    for s, other in (("s0", "s1"), ("s1", "s0")):
         trans[(s, "stay")] = {s: 1.0}
         trans[(s, "go")] = {other: 1.0}
     return validate_lmdp(Lmdp(
         states=states, actions=("stay", "go"),
-        enabled={s: ("stay", "go") for s in states}, trans=trans,
+        enabled={"start": ("go",), "s0": ("stay", "go"),
+                 "s1": ("stay", "go")}, trans=trans,
         reward=rewards, ap=(), labels={s: frozenset() for s in states},
-        initial="s0"))
+        initial="start"))
 
 
 def two_state_program(reward: float = 2.0):
@@ -94,7 +100,8 @@ def spinning_workers(spins: dict, deaf=()) -> tuple:
     n-th solve (from 0), the last entry for every later one; seeds without
     an entry do not spin.  The spin reads the cancel pipe as it goes, so a
     cancel ends it, and the solve, at once; but the n-th solve of a search
-    whose ``(seed, n)`` is in ``deaf`` reads no cancel at all."""
+    whose ``(seed, n)`` is in ``deaf`` reads no cancel at all, nor does a
+    solve no cancel can reach (no other search runs beside it)."""
     code = ("import sys, time\n"
             "from ssltl import milp_shim\n"
             f"spins, deaf, calls = {spins!r}, {tuple(deaf)!r}, []\n"
@@ -103,7 +110,7 @@ def spinning_workers(spins: dict, deaf=()) -> tuple:
             "    plan, n = spins.get(random_seed, [0]), len(calls)\n"
             "    left = [plan[min(n, len(plan) - 1)]]\n"
             "    calls.append(None)\n"
-            "    if (random_seed, n) in deaf:\n"
+            "    if interrupt is None or (random_seed, n) in deaf:\n"
             "        interrupt = lambda: False\n"
             "    def spin():\n"
             "        deadline, left[0] = time.monotonic() + left[0], 0\n"
@@ -255,18 +262,158 @@ def test_no_worker_runs_after_synthesize_returns(two_searches):
     assert [state(pid) for pid in pids.values()] == ["S", "S"]
 
 
+def split_program(p_lower: float = 0.0, detour: float = 5.0):
+    """Two copies of ``two_state_model``'s s0 and s1 behind one start
+    state, which two searches split on its two pairs: search 0 gets
+    "stay", to t0, where staying at t1 earns 2, and search 1 "go", to s0,
+    where staying at s1 earns 3.  s1 is labelled p, the long-run mass on p
+    must be at least ``p_lower``, and going from s0 to s1 earns
+    ``detour``.  No policy earns ``detour`` per step, so with ``detour``
+    above 3 no half reaches the largest reward, and both are awaited.
+    Each half, unlike the program of one copy alone, goes to the MIP
+    solver, which makes interrupt checks (``spinning_workers``)."""
+    states, trans, reward = ("start", "t0", "t1", "s0", "s1"), {}, {}
+    for a, b, r in (("t0", "t1", 2.0), ("s0", "s1", 3.0)):
+        trans[(a, "stay")], trans[(a, "go")] = {a: 1.0}, {b: 1.0}
+        trans[(b, "stay")], trans[(b, "go")] = {b: 1.0}, {a: 1.0}
+        reward[(a, "stay", a)], reward[(b, "stay", b)] = 1.0, r
+    trans[("start", "stay")], trans[("start", "go")] = {"t0": 1.0}, {
+        "s0": 1.0}
+    reward[("s0", "go", "s1")] = detour
+    m = validate_lmdp(Lmdp(
+        states=states, actions=("stay", "go"),
+        enabled={s: ("stay", "go") for s in states}, trans=trans,
+        reward=reward, ap=("p",),
+        labels={s: frozenset({"p"} if s == "s1" else ()) for s in states},
+        initial="start"))
+    spec = spec_from_json({"dra": "x", "ss": [
+        {"formula": "p", "lower": p_lower, "upper": max(p_lower, 1.0)}]})
+    p = build_product(m, TRUE_DRA)
+    return build_program(p, accepting_mecs(mec_decomposition(p), p), spec,
+                         IlpConfig())
+
+
+def test_split_halves_are_combined(monkeypatch, two_searches):
+    """Both halves are optimal, and the program's optimum is the better
+    one, with the nodes of both."""
+    two_searches()
+    nodes, receive = [], ilp._receive
+
+    def counting(proc):
+        reply = receive(proc)
+        nodes.append(reply[4])
+        return reply
+
+    monkeypatch.setattr(ilp, "_receive", counting)
+    sol = solve(split_program(), SolverConfig(timeout=60))
+    assert (sol.status, sol.seed, sol.searches, sol.split) == (
+        "optimal", 1, 2, True)
+    assert sol.objective == pytest.approx(3.0)
+    assert sol.bound == pytest.approx(3.0) and sol.gap == pytest.approx(0.0)
+    assert len(nodes) == 2 and sol.nodes == sum(nodes)
+
+
+def test_a_half_proven_at_the_largest_reward_answers_at_once(two_searches):
+    """Without the detour's reward no policy earns more than 3 per step,
+    and search 1 proves its half's optimum 3: the program is solved, and
+    search 0, spinning 30 s in its half, is cancelled."""
+    two_searches({0: [30.0]})
+    t0 = time.monotonic()
+    sol = solve(split_program(detour=0.0), SolverConfig(timeout=60))
+    assert time.monotonic() - t0 < 10.0
+    assert (sol.status, sol.seed, sol.split) == ("optimal", 1, True)
+    assert sol.objective == pytest.approx(3.0)
+    assert ilp._workers[0].owes
+
+
+def test_split_optimal_and_infeasible_halves_are_optimal(two_searches):
+    """With mass 1/2 on p asked for, search 0's half is infeasible: it has
+    no bound, and the other half's optimum and bound stand."""
+    two_searches()
+    sol = solve(split_program(p_lower=0.5), SolverConfig(timeout=60))
+    assert (sol.status, sol.seed, sol.split) == ("optimal", 1, True)
+    assert sol.objective == pytest.approx(3.0)
+    assert sol.bound == pytest.approx(3.0) and sol.gap == pytest.approx(0.0)
+
+
+def test_split_infeasible_halves_are_infeasible(two_searches):
+    """No policy puts more than all its mass on p: both halves are
+    infeasible, and so is the program."""
+    two_searches()
+    sol = solve(split_program(p_lower=1.5), SolverConfig(timeout=60))
+    assert (sol.status, sol.seed, sol.split) == ("infeasible", None, True)
+    assert (sol.bound, sol.gap) == (None, None)
+    assert isinstance(sol.nodes, int)
+
+
+def test_split_half_at_its_limit_leaves_the_program_at_a_limit(
+        monkeypatch, two_searches):
+    """Search 0's half stops at its limit, with its optimum 2 as incumbent
+    and 5 as bound: the program is at a limit too, at search 1's point 3,
+    with bound 5 and gap 2/3."""
+    two_searches()
+    solve(split_program(), SolverConfig(timeout=60))
+    receive, limited = ilp._receive, ilp._workers[0].proc.pid
+
+    def at_limit(proc):
+        reply = receive(proc)
+        if proc.pid != limited:
+            return reply
+        return ("Feasible (limit reached)", reply[1], -5.0, 4.0, reply[4])
+
+    monkeypatch.setattr(ilp, "_receive", at_limit)
+    sol = solve(split_program(), SolverConfig(timeout=60))
+    assert (sol.status, sol.seed, sol.split) == ("feasible", 1, True)
+    assert sol.objective == pytest.approx(3.0)
+    assert sol.bound == pytest.approx(5.0)
+    assert sol.gap == pytest.approx(2.0 / 3.0)
+
+
+@pytest.mark.parametrize("spins", [{1: [0.0, 30.0, 0.0]}, {0: [0.0, 0.5]}],
+                         ids=["survivor-running", "survivor-answered"])
+def test_a_search_killed_mid_split_leaves_the_whole_program_to_the_other(
+        monkeypatch, two_searches, spins):
+    """Search 0, which holds the worse half, is killed when its reply is
+    read: while search 1 still spins 30 s in its half, or after it has
+    answered.  Search 1 then solves the whole program, at once (a running
+    half is cancelled), and its optimum is the answer: never the other
+    half's alone taken for the program's.  The first split, which leaves
+    neither search owing a reply, starts the workers."""
+    two_searches(spins)
+    solve(split_program(), SolverConfig(timeout=60))
+    kill_mid_exchange(monkeypatch, seeds=(0,))
+    t0 = time.monotonic()
+    sol = solve(split_program(), SolverConfig(timeout=60))
+    assert time.monotonic() - t0 < 10.0
+    assert (sol.status, sol.seed, sol.searches, sol.split) == (
+        "optimal", 1, 2, False)
+    assert sol.objective == pytest.approx(3.0)
+    assert 0 not in ilp._workers
+
+
+def test_every_search_killed_mid_split_is_a_solver_error(monkeypatch,
+                                                         two_searches):
+    two_searches()
+    solve_once()
+    kill_mid_exchange(monkeypatch)
+    sol = solve(split_program(), SolverConfig(timeout=60))
+    assert sol.status == "error" and "worker exited" in sol.solver_output
+    assert ilp._workers == {}
+
+
 def run_worker(requests: list, cancels=()) -> list:
     """The replies of a worker (``ilp._WORKER_ARGS``) to ``requests``, each
-    ``(exchange, program, seed)``, with the exchange numbers in ``cancels``
-    already waiting in its cancel pipe; the test holds the pipe's write end
-    open throughout."""
+    ``(exchange, program, seed)`` and sent as one a cancel can reach, with
+    the exchange numbers in ``cancels`` already waiting in its cancel pipe;
+    the test holds the pipe's write end open throughout."""
     read_end, write_end = os.pipe()
     try:
         for exchange in cancels:
             os.write(write_end, exchange.to_bytes(8, "little"))
         proc = subprocess.run(
             ilp._WORKER_ARGS + (str(read_end),),
-            input=b"".join(pickle.dumps((exchange,) + program + (60.0, seed))
+            input=b"".join(pickle.dumps((exchange,) + program
+                                        + (60.0, seed, True))
                            for exchange, program, seed in requests),
             capture_output=True, timeout=120, pass_fds=(read_end,),
             env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
