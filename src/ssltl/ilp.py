@@ -11,34 +11,32 @@ The program is indexed by integers: terms and solution values refer to a
 column by its position in ``IlpModel.variables`` (see ``Columns``), and
 variable names exist only in LP text.  With no external solver command in
 ``SolverConfig`` (this module reads no environment variable), the program
-goes as arrays (``highs_arrays``) to the bundled backend: long-lived HiGHS
-worker processes (``milp_shim.serve``), started on the first solve and fed
-every later one, so that no round pays for an interpreter start, LP text or
-a solution file.  Each worker runs one search with its own HiGHS seed, one
-per CPU the caller may use (two at most, ``_RACER_SEEDS``).  The searches
-split a program with objective terms on the pairs of the initial product
-state, each searching its own part of the policies, and combine their
-answers; any other program goes whole to each search, the first reply wins
-and the searches still running are cancelled (``_ask_worker``).  A lone
-search solves every program whole.  An external solver gets the program in
-CPLEX LP format through its command template (``{lp}`` and ``{sol}``
-placeholders), and solution files in either a generic ``name value`` layout
-or the index-prefixed column layout written by CBC are mapped back to
-columns; ``write_solution`` writes the ``name value`` layout for
-``--keep-files`` and ``ssltl-milp``.  Every solve ends in a ``Solution``
-whose status says how; a solver failure is status ``error``, never an
-exception.
+goes as arrays (``highs_arrays``) to the bundled backend: one long-lived
+HiGHS worker process per calling process (``milp_shim.serve``), started on
+the first solve and fed every later one, so that no round pays for an
+interpreter start, LP text or a solution file.  The worker runs one search
+per CPU the caller may use (two at most, ``_RACER_SEEDS``), each a thread
+with its own HiGHS seed.  The searches split a program with objective terms
+on the pairs of the initial product state, each searching its own part of
+the policies, and combine their answers; any other program goes whole to
+each search, the first reply wins and the searches still running are
+stopped (``milp_shim.solve_request``).  A lone search solves every program
+whole.  An external solver gets the program in CPLEX LP format through its
+command template (``{lp}`` and ``{sol}`` placeholders), and solution files
+in either a generic ``name value`` layout or the index-prefixed column
+layout written by CBC are mapped back to columns; ``write_solution`` writes
+the ``name value`` layout for ``--keep-files`` and ``ssltl-milp``.  Every
+solve ends in a ``Solution`` whose status says how; a solver failure is
+status ``error``, never an exception.
 """
 
 from __future__ import annotations
 
 import atexit
 import contextlib
-import itertools
 import math
 import os
 import pickle
-import select
 import shlex
 import shutil
 import subprocess
@@ -293,7 +291,11 @@ def build_program(p: ProductLmdp, amecs, spec: SsLtlSpec,
         rows.append(IlpRow(f"c_vi_{j}", tuple(terms), ">=", 0.0))
         j += 1
 
-    # (vii) incoming flow forces the visit flag
+    # (vii) incoming flow forces the visit flag.  Without the row the same
+    # (pi, x) stay feasible: the argument of ``flow_increment`` never uses
+    # it, and the flows it builds satisfy it.  It stays for the search:
+    # without it the 8x8 fixture's round-1 program took 2.4 s and 208 nodes
+    # under seed 0, not 0.26 s and 1 node.
     for i in range(n):
         terms = [(1.0, f) for f in in_edges[i]]
         terms.append((-1.0, cols.isq0 + i))
@@ -516,7 +518,7 @@ class Solution:
     the search whose answer (in a split, whose point) this is; all are None
     when read from a solution file.  In a split, ``nodes`` sums those of
     the halves awaited, and ``bound`` and ``gap`` are the program's,
-    combined from theirs (see ``_ask_worker``)."""
+    combined from theirs (see ``milp_shim.solve_request``)."""
 
     status: str          # optimal | feasible | infeasible | timeout | error
     values: Optional[np.ndarray] = None     # one value per column, if any
@@ -669,20 +671,22 @@ def _keep_stem(keep_files: str, round_no: int) -> str:
 
 def _solve_bundled(model: IlpModel, time_limit: float,
                    keep_files: Optional[str], round_no: int) -> Solution:
-    """One exchange with the workers (``_ask_worker``); under ``keep_files``
-    the program is also written as LP text and the reply as a ``name value``
-    solution file."""
+    """One exchange with the worker (``_ask_worker``), whose searches race
+    or split the program (``milp_shim.solve_request``); under
+    ``keep_files`` the program is also written as LP text and the reply as
+    a ``name value`` solution file."""
     program, order = highs_arrays(model)
     if keep_files is not None:
         stem = _keep_stem(keep_files, round_no)
         write_lp(model, stem + ".lp")
-    status, x, dual_bound, gap, nodes, seed, searches, split = _ask_worker(
-        program + (time_limit,), _initial_groups(model, order))
+    seeds = _race_seeds()
+    status, x, dual_bound, gap, nodes, seed, split = _ask_worker(
+        program + (time_limit, seeds, _initial_groups(model, order)))
     output = f"Model status: {status}"
     # 0.0 - b, not -b: a zero bound must not read -0.0
     stats = {"bound": None if dual_bound is None else 0.0 - dual_bound,
-             "gap": gap, "nodes": nodes, "seed": seed, "searches": searches,
-             "split": split}
+             "gap": gap, "nodes": nodes, "seed": seed,
+             "searches": len(seeds), "split": split}
     if status == "Infeasible":
         sol = Solution("infeasible", solver_output=output, **stats)
     elif x is None and status.startswith("Time limit reached"):
@@ -712,7 +716,7 @@ def _initial_groups(model: IlpModel, order: np.ndarray) -> list:
     policy binaries of the initial product state's pairs, one array per
     group of pairs with the same successor row and objective coefficient;
     none for a program without objective terms or product, which the
-    searches race (see ``_ask_worker``)."""
+    searches race (see ``milp_shim.solve_request``)."""
     p = model.product
     if p is None or not model.objective:
         return []
@@ -727,59 +731,17 @@ def _initial_groups(model: IlpModel, order: np.ndarray) -> list:
 
 
 # ---------------------------------------------------------------------------
-# The bundled backend's worker processes
+# The bundled backend's worker process
 # ---------------------------------------------------------------------------
 
 # HiGHS's random_seed of each search: its time on one program can move 20x
 # with the seed, so the first of differently seeded searches to finish tends
-# to answer well before a lone one.  See ``_race_seeds`` for how many race.
+# to answer well before a lone one.  See ``_race_seeds`` for how many run.
 _RACER_SEEDS = (0, 1)
-# the worker's one argument is the read end of its cancel pipe
-_WORKER_ARGS = (sys.executable, "-c", "import sys; from ssltl.milp_shim "
-                "import serve; serve(int(sys.argv[1]))")
+_WORKER_ARGS = (sys.executable, "-c",
+                "from ssltl.milp_shim import serve; serve()")
 _worker_lock = threading.Lock()
-_workers: dict = {}                     # {seed: _Search} of this process
-_exchanges = itertools.count(1)
-
-
-class _Search:
-    """One worker process, the seed its requests carry, the write end of its
-    cancel pipe (see ``milp_shim.serve``), and ``owes``: whether the reply
-    to the exchange it was cancelled in is still to be read."""
-
-    def __init__(self, seed: int):
-        # the worker imports this very package, wherever it was found
-        path = [os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-        self.seed, self.owes = seed, False
-        read_end, write_end = os.pipe()
-        self.cancels = os.fdopen(write_end, "wb", buffering=0)
-        try:
-            self.proc = subprocess.Popen(
-                _WORKER_ARGS + (str(read_end),), stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE, env=env, pass_fds=(read_end,))
-        finally:
-            os.close(read_end)
-
-    def send(self, request: tuple, exchange: int, beside: bool) -> None:
-        """Send a request; ``beside`` says whether another search runs
-        beside this one, that is, whether a cancel can come."""
-        pickle.dump((exchange,) + request + (self.seed, beside),
-                    self.proc.stdin, protocol=pickle.HIGHEST_PROTOCOL)
-        self.proc.stdin.flush()
-
-    def cancel(self, exchange: int) -> None:
-        self.owes = True
-        with contextlib.suppress(BrokenPipeError):      # the worker died
-            self.cancels.write(exchange.to_bytes(8, "little"))
-
-    def close(self) -> None:
-        """Close the pipes to the worker: an idle worker then reads EOF, and
-        a busy one stops its solve at the next interrupt check."""
-        for pipe in (self.proc.stdin, self.proc.stdout, self.cancels):
-            with contextlib.suppress(OSError):
-                pipe.close()
+_worker: Optional[subprocess.Popen] = None      # this process's worker
 
 
 def single_search() -> None:
@@ -800,217 +762,77 @@ def _race_seeds() -> tuple:
     return _RACER_SEEDS[:cpus]
 
 
-def _ask_worker(request: tuple, groups: list) -> tuple:
-    """Solve one request with this process's searches (see
-    ``milp_shim.serve``): the reply, the seed of the search whose answer it
-    is (None for a split without a point), the number of searches and
-    whether they split the program.
-
-    ``groups`` holds the HiGHS columns of the policy binaries of the
-    initial product state's pairs, in groups of interchangeable pairs.
-    With at least as many groups as searches, the searches *split* the
-    program: the groups are dealt into one part per search, and search s
-    gets the request with the upper bound of every other part's binaries
-    set to 0.  The split is exact, whatever the partition: row (iv) of the
-    initial state puts ``pi`` = 1 on exactly one of its pairs, so every
-    feasible point is feasible in the half whose part holds that pair, and
-    each half, the program with tighter bounds, has no other point.  So the
-    program's optimum is the better of the halves' optima, it is
-    infeasible exactly when every half is, and the larger of the halves'
-    proven bounds bounds it (``_combine``).  Grouping only keeps a search
-    from repeating another's tree: two pairs with the same successor row
-    and objective coefficient meet the same rows.  Every half's reply is
-    awaited, unless one is optimal at the largest objective any point can
-    reach (``_at_ceiling``), which proves the program's optimum: the other
-    halves are then cancelled, and the nodes are that half's alone.  When
-    a half fails, the others are cancelled and race the whole program, so
-    a half is never combined with nothing.
-
-    Otherwise the searches *race* the whole program, and the first reply
-    wins: it cancels every search still running, and is returned without
-    waiting for theirs.
-
-    Each search gets its request at once, or, if it owes the reply to an
-    exchange it was cancelled in, as soon as that reply has come and been
-    dropped: HiGHS may run 0.1 s between two interrupt checks, and the
-    others need not wait.  An ``Error`` reply, or the one made up for a
-    worker that exits mid-exchange (it is dropped, and replaced at the next
-    exchange), is returned only when no other search is left.  Any other
-    interruption kills and drops every search, and propagates."""
+def _ask_worker(request: tuple) -> tuple:
+    """Send one request to this process's worker (``milp_shim.serve``),
+    started if there is none or it has died, and return its reply.  A
+    worker that exits without a reply is dropped, and the reply made up for
+    it is an ``Error``; any other interruption kills and drops the worker,
+    and propagates."""
+    global _worker
     with _worker_lock:
-        searches = _live_searches()
-        n = len(searches)
+        if _worker is not None and _worker.poll() is not None:
+            _stop_worker()
+        if _worker is None:
+            # the worker imports this very package, wherever it was found
+            path = [os.path.dirname(os.path.dirname(os.path.abspath(
+                __file__))), os.environ.get("PYTHONPATH")]
+            env = dict(os.environ,
+                       PYTHONPATH=os.pathsep.join(filter(None, path)))
+            _worker = subprocess.Popen(_WORKER_ARGS, stdin=subprocess.PIPE,
+                                       stdout=subprocess.PIPE, env=env)
         try:
-            if 1 < n <= len(groups):
-                whole = request
-                requests = [_closed(request, [g for i, g in enumerate(groups)
-                                              if i % n != s])
-                            for s in range(n)]
-            else:
-                whole, requests = None, [request] * n
-            reply, seed, split = _race(searches, requests, next(_exchanges),
-                                       whole)
-            return reply + (seed, n, split)
+            pickle.dump(request, _worker.stdin,
+                        protocol=pickle.HIGHEST_PROTOCOL)
+            _worker.stdin.flush()
+            return _receive(_worker)
+        except (EOFError, pickle.UnpicklingError, BrokenPipeError):
+            code = _stop_worker(grace=5.0)
+            return (f"Error (the bundled solver worker exited, code {code}, "
+                    f"without a reply)", None, None, None, None, None, False)
         except BaseException:
-            for search in searches:
-                _drop(search)
+            _stop_worker(grace=0.0)
             raise
-
-
-def _closed(request: tuple, groups: list) -> tuple:
-    """``request`` with the upper bound of the columns in ``groups`` set to
-    0."""
-    ub = request[7].copy()
-    ub[np.concatenate(groups)] = 0.0
-    return request[:7] + (ub,) + request[8:]
-
-
-def _race(searches: list, requests: list, exchange: int,
-          whole: Optional[tuple] = None) -> tuple:
-    """Send each search its request and return ``(reply, seed, split)``:
-    with ``whole``, the program the requests split, every reply combined,
-    else the first decisive one (see ``_ask_worker``)."""
-    asked = dict(zip(searches, requests))
-    beside = len(searches) > 1
-    running, answers, failed = [], [], []
-    for search in searches:
-        try:
-            if not search.owes:
-                search.send(asked[search], exchange, beside)
-            running.append(search)
-        except BrokenPipeError:
-            failed.append(_exited(search))
-    while running and not (whole is not None and failed):
-        ready, _, _ = select.select([s.proc.stdout for s in running], [], [])
-        for search in [s for s in running if s.proc.stdout in ready]:
-            try:
-                reply = _receive(search.proc)
-                if search.owes:         # stale: drop it
-                    search.owes = False
-                    search.send(asked[search], exchange, beside)
-                    continue
-            except (EOFError, pickle.UnpicklingError, BrokenPipeError):
-                running.remove(search)
-                failed.append(_exited(search))
-                continue
-            running.remove(search)
-            if reply[0].startswith("Error"):
-                failed.append((reply, search))
-            elif whole is None or _at_ceiling(reply, whole[0]):
-                for loser in running:
-                    loser.cancel(exchange)
-                return reply, search.seed, whole is not None
-            else:
-                answers.append((search.seed, reply))
-    if whole is not None and not failed:
-        return _combine(answers, whole[0]) + (True,)
-    for loser in running:
-        loser.cancel(exchange)
-    lost = [search for _, search in failed]
-    left = [s for s in searches if s not in lost]
-    if whole is not None and left:
-        return _race(left, [whole] * len(left), next(_exchanges))
-    reply, search = failed[-1]
-    return reply, search.seed, False
-
-
-def _at_ceiling(reply: tuple, c: np.ndarray) -> bool:
-    """Whether a half's reply is optimal at a point no point of the program
-    beats: the objective weighs only x, whose entries sum to 1 (row (ii)),
-    so no point costs less than ``min(c)``."""
-    return reply[0] == "Optimal" and bool(
-        c @ reply[1] <= c.min() + 1e-9 * max(1.0, -c.min()))
-
-
-def _combine(answers: list, c: np.ndarray) -> tuple:
-    """``(reply, seed)`` of a split program from its halves' ``(seed,
-    reply)``, in HiGHS's terms (minimize ``c @ x``): optimal when every
-    half is optimal or infeasible, infeasible when every half is; else at a
-    limit, with a point if any half has one.  The point is the better
-    incumbent, from the search of ``seed``; the dual bound is the lowest
-    (an infeasible half's is +inf); the gap is HiGHS's |primal - dual| /
-    |primal| of that point and bound; the nodes are summed."""
-    statuses = [reply[0] for _, reply in answers]
-    points = [(float(c @ reply[1]), seed, reply[1])
-              for seed, reply in answers if reply[1] is not None]
-    bounds = [math.inf if reply[0] == "Infeasible" else reply[2]
-              for _, reply in answers]
-    bound = None if None in bounds or min(bounds) == math.inf \
-        else min(bounds)
-    primal, seed, x = min(points, key=lambda point: point[0],
-                          default=(None, None, None))
-    if primal is None or bound is None:
-        gap = None
-    elif primal == 0.0:
-        gap = 0.0 if bound == 0.0 else None
-    else:
-        gap = abs(primal - bound) / abs(primal)
-    if all(status in ("Optimal", "Infeasible") for status in statuses):
-        status = "Optimal" if points else "Infeasible"
-    elif points:
-        status = "Feasible (limit reached)"
-    else:
-        status = next(s for s in statuses if s not in ("Optimal",
-                                                       "Infeasible"))
-    nodes = sum(reply[4] or 0 for _, reply in answers)
-    return (status, x, bound, gap, nodes), seed
 
 
 def _receive(proc: subprocess.Popen) -> tuple:
     return pickle.load(proc.stdout)
 
 
-def _exited(search: _Search) -> tuple:
-    """Drop a search whose worker died, with the reply that stands for it."""
-    _drop(search, grace=5.0)
-    return ((f"Error (the bundled solver worker exited, code "
-             f"{search.proc.returncode}, without a reply)", None, None, None,
-             None), search)
-
-
-def _live_searches() -> list:
-    """This process's searches for the seeds of ``_race_seeds``, each
-    started if there is none or it has died.  A search this process no
-    longer races stays as it is until exit."""
-    seeds = _race_seeds()
-    for seed in seeds:
-        search = _workers.get(seed)
-        if search is not None and search.proc.poll() is not None:
-            _drop(search)
-        if seed not in _workers:
-            _workers[seed] = _Search(seed)
-    return [_workers[seed] for seed in seeds]
-
-
-def _drop(search: _Search, grace: float = 0.0) -> None:
-    """Forget a search, and stop its worker: reap it, killing it after
-    ``grace`` seconds."""
-    if _workers.get(search.seed) is search:
-        del _workers[search.seed]
-    search.close()
-    try:
-        search.proc.wait(timeout=grace)
-    except subprocess.TimeoutExpired:
-        search.proc.kill()
-        search.proc.wait()
+def _close_pipes() -> None:
+    """Close the pipes to the worker: an idle worker then reads EOF, and the
+    searches of a busy one stop at their next interrupt checks."""
+    for pipe in (_worker.stdin, _worker.stdout):
+        with contextlib.suppress(OSError):
+            pipe.close()
 
 
 @atexit.register
-def _stop_workers() -> None:
-    """Stop this process's workers, killing any still there after 1 s."""
-    for search in list(_workers.values()):
-        _drop(search, grace=1.0)
+def _stop_worker(grace: float = 1.0) -> Optional[int]:
+    """Drop this process's worker, if any, and return its exit code: close
+    its pipes and reap it, killing it after ``grace`` seconds."""
+    global _worker
+    if _worker is None:
+        return None
+    _close_pipes()
+    proc, _worker = _worker, None
+    try:
+        proc.wait(timeout=grace)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.wait()
+    return proc.returncode
 
 
-def _forget_workers() -> None:
-    """In a fork child: close the pipes to the parent's workers, so that
-    only their owner holds them; the child starts its own."""
-    for search in _workers.values():
-        search.close()
-    _workers.clear()
+def _forget_worker() -> None:
+    """In a fork child: close the pipes to the parent's worker, so that only
+    its owner holds them; the child starts its own."""
+    global _worker
+    if _worker is not None:
+        _close_pipes()
+        _worker = None
 
 
-os.register_at_fork(after_in_child=_forget_workers)
+os.register_at_fork(after_in_child=_forget_worker)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """The bundled MILP backend: HiGHS through its own binding in scipy, reached
 in one of two ways that share one HiGHS run (``run_milp``).
 
-* ``serve``: a long-lived worker process.  ``ssltl.ilp`` starts one per
-  seeded search in each process, sends each program, or its part of a
-  split program (the same arrays with other upper bounds), to them as
-  pickled arrays over their stdin, and cancels a search through a second
-  pipe; see ``serve`` for the protocol.
+* ``serve``: a long-lived worker process.  ``ssltl.ilp`` starts one in
+  each process and sends it each program as pickled arrays over its stdin,
+  with the HiGHS seeds of the searches that solve it.  The searches run as
+  threads of the worker; they race over the program, or split it
+  (``solve_request``), and the worker sends back one reply.
 * The stand-alone command, which reads a CPLEX-LP-format file into the
   package's own program (``parse_lp``), hands HiGHS the arrays
   ``ilp.highs_arrays`` builds from it, and writes a plain ``name value``
@@ -27,10 +27,12 @@ import argparse
 import math
 import os
 import pickle
+import queue
 import re
 import select
 import signal
 import sys
+import threading
 import traceback
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -293,30 +295,192 @@ def model_status(res, time_limit=None) -> str:
     return "Error"
 
 
-def serve(cancels: int) -> None:
-    """Solve programs read from stdin until it reaches EOF, and stop a solve
-    the owner cancels through the pipe whose read end is fd ``cancels``.
+def solve_request(request: tuple, hangup=None) -> tuple:
+    """Solve one request of ``serve`` with one search per seed, each in the
+    thread of this process that runs the searches of that HiGHS seed
+    (``_search_thread``), and return ``(status, x, dual_bound, gap, nodes,
+    seed, split)``: the ``model_status`` text, the point or None, HiGHS's
+    MIP statistics, the seed of the search whose answer (in a split, whose
+    point) this is (None for a split without a point), and whether the
+    searches split the program.  A search stops at HiGHS's next interrupt
+    check once the request is answered, or once the write end of the pipe
+    ``hangup``, if given, is closed.
 
-    A request is the pickled tuple ``(exchange, c, a_rows, a_cols, a_vals,
-    row_lb, row_ub, lb, ub, integrality, time_limit, random_seed, beside)``:
-    the owner's number of the exchange, the arguments of ``run_milp``, and
-    whether another search runs beside this one.  The reply is the pickled
-    tuple ``(status, x, dual_bound, gap, nodes)``: the ``model_status``
-    text, the point or None, and HiGHS's MIP statistics.
+    The request ends with ``seeds`` and ``groups``: the HiGHS columns of the
+    policy binaries of the initial product state's pairs, in groups of
+    interchangeable pairs (``ilp._initial_groups``).  With at least as many
+    groups as searches, the searches *split* the program: the groups are
+    dealt into one part per search, and search s gets the program with the
+    upper bound of every other part's binaries set to 0 (``_closed``).  The
+    split is exact, whatever the partition: row (iv) of the initial state
+    puts ``pi`` = 1 on exactly one of its pairs, so every feasible point is
+    feasible in the half whose part holds that pair, and each half, the
+    program with tighter bounds, has no other point.  So the program's
+    optimum is the better of the halves' optima, it is infeasible exactly
+    when every half is, and the larger of the halves' proven bounds bounds
+    it (``_combine``).  Grouping only keeps a search from repeating
+    another's tree: two pairs with the same successor row and objective
+    coefficient meet the same rows.  Every half's reply is awaited, unless
+    one is optimal at the largest objective any point can reach
+    (``_at_ceiling``), which proves the program's optimum: the other halves
+    are then stopped, and the nodes are that half's alone.  When a half
+    fails, the others are stopped and the searches that did not fail race
+    the whole program, so a half is never combined with nothing.
 
-    The cancel pipe carries exchange numbers, 8 bytes each.  Only a request
-    with ``beside`` set can be cancelled: its solve reads them without
-    blocking at each MIP interrupt check, and stops when the newest is that
-    of the exchange it solves or a later one; an earlier one is stale.  It
-    stops too at EOF: only the owner holds the write end, so it is gone.  A
-    stopped solve still replies, and the owner drops that reply.  A lone
-    search installs no interrupt callback, which costs about 1 % of a
-    branch-and-bound solve; so when its owner dies without running its exit
-    handlers, which kill it, it solves on to its end or time limit.
+    Otherwise the searches *race* the whole program, and the first reply
+    wins: the searches still running are stopped, and their replies never
+    read.  A search that raises answers ``Error``, which is returned only
+    when no other search is left."""
+    *program, time_limit, seeds, groups = request
+    program, n = tuple(program), len(seeds)
+    split = 1 < n <= len(groups)
+    if split:
+        programs = [_closed(program, [g for i, g in enumerate(groups)
+                                      if i % n != s]) for s in range(n)]
+    else:
+        programs = [program] * n
+    replies, done = queue.SimpleQueue(), threading.Event()
+    for seed, part in zip(seeds, programs):
+        _search_thread(seed).put((part, time_limit, seed, replies, done,
+                                  hangup))
+    answers, failed = [], {}
+    try:
+        for _ in seeds:
+            seed, reply = replies.get()
+            if reply[0].startswith("Error"):
+                failed[seed] = reply
+                if split:
+                    break
+            elif not split or _at_ceiling(reply, program[0]):
+                return reply + (seed, split)
+            else:
+                answers.append((seed, reply))
+    finally:
+        done.set()
+    if not failed:
+        return _combine(answers, program[0]) + (True,)
+    left = [seed for seed in seeds if seed not in failed]
+    if split and left:
+        return solve_request(program + (time_limit, left, []), hangup)
+    seed, reply = list(failed.items())[-1]
+    return reply + (seed, False)
+
+
+_searches: dict = {}        # {seed: the searches its thread has yet to run}
+
+
+def _search_thread(seed: int) -> queue.SimpleQueue:
+    """The queue of searches of the thread of ``seed``, started on first
+    use.  The thread runs them one after another for as long as the process
+    lives: so a stopped search ends before its seed's next one starts, and
+    HiGHS reuses the thread's memory (a new thread per search took about 20
+    ms more on small programs, as its first allocations touch new pages)."""
+    if seed not in _searches:
+        _searches[seed] = queue.SimpleQueue()
+        threading.Thread(target=_run_searches, args=(_searches[seed],),
+                         daemon=True).start()
+    return _searches[seed]
+
+
+def _run_searches(searches: queue.SimpleQueue) -> None:
+    while True:
+        _search(*searches.get())
+
+
+# a fork child has none of the search threads
+os.register_at_fork(after_in_child=_searches.clear)
+
+
+def _search(program: tuple, time_limit, seed: int,
+            replies: queue.SimpleQueue, done: threading.Event,
+            hangup) -> None:
+    """One search of ``solve_request``: put ``(seed, reply)`` in
+    ``replies``, and stop at an interrupt check once ``done`` is set or the
+    write end of pipe ``hangup`` is closed.  Each search polls with a poller
+    of its own, since one poller cannot poll in two threads at once; a poll
+    of no wait costs less than a read."""
+    poller = select.poll()
+    if hangup is not None:
+        poller.register(hangup, select.POLLHUP)
+    try:
+        res = run_milp(*program, time_limit=time_limit, random_seed=seed,
+                       interrupt=lambda: done.is_set() or bool(
+                           poller.poll(0)))
+        reply = (model_status(res, time_limit), res.x, res.mip_dual_bound,
+                 res.mip_gap, res.mip_node_count)
+    except Exception as exc:  # reported to the owner, not fatal here
+        traceback.print_exc()
+        reply = (f"Error ({type(exc).__name__}: {exc})", None, None, None,
+                 None)
+    replies.put((seed, reply))
+
+
+def _closed(program: tuple, groups: list) -> tuple:
+    """``program`` with the upper bound of the columns in ``groups`` set to
+    0."""
+    ub = program[7].copy()
+    ub[np.concatenate(groups)] = 0.0
+    return program[:7] + (ub,) + program[8:]
+
+
+def _at_ceiling(reply: tuple, c: np.ndarray) -> bool:
+    """Whether a half's reply is optimal at a point no point of the program
+    beats: the objective weighs only x, whose entries sum to 1 (row (ii)),
+    so no point costs less than ``min(c)``."""
+    return reply[0] == "Optimal" and bool(
+        c @ reply[1] <= c.min() + 1e-9 * max(1.0, -c.min()))
+
+
+def _combine(answers: list, c: np.ndarray) -> tuple:
+    """``(status, x, dual_bound, gap, nodes, seed)`` of a split program from
+    its halves' ``(seed, reply)``, in HiGHS's terms (minimize ``c @ x``):
+    optimal when every half is optimal or infeasible, infeasible when every
+    half is; else at a limit, with a point if any half has one.  The point
+    is the better incumbent, from the search of ``seed``; the dual bound is
+    the lowest (an infeasible half's is +inf); the gap is HiGHS's |primal -
+    dual| / |primal| of that point and bound; the nodes are summed."""
+    statuses = [reply[0] for _, reply in answers]
+    points = [(float(c @ reply[1]), seed, reply[1])
+              for seed, reply in answers if reply[1] is not None]
+    bounds = [math.inf if reply[0] == "Infeasible" else reply[2]
+              for _, reply in answers]
+    bound = None if None in bounds or min(bounds) == math.inf \
+        else min(bounds)
+    primal, seed, x = min(points, key=lambda point: point[0],
+                          default=(None, None, None))
+    if primal is None or bound is None:
+        gap = None
+    elif primal == 0.0:
+        gap = 0.0 if bound == 0.0 else None
+    else:
+        gap = abs(primal - bound) / abs(primal)
+    if all(status in ("Optimal", "Infeasible") for status in statuses):
+        status = "Optimal" if points else "Infeasible"
+    elif points:
+        status = "Feasible (limit reached)"
+    else:
+        status = next(s for s in statuses if s not in ("Optimal",
+                                                       "Infeasible"))
+    nodes = sum(reply[4] or 0 for _, reply in answers)
+    return status, x, bound, gap, nodes, seed
+
+
+def serve() -> None:
+    """Answer requests read from stdin until it reaches EOF, one reply
+    each.
+
+    A request is the pickled tuple ``(c, a_rows, a_cols, a_vals, row_lb,
+    row_ub, lb, ub, integrality, time_limit, seeds, groups)``: the
+    arguments of ``run_milp``, the HiGHS seed of each search and the groups
+    a split deals out.  The reply is the pickled tuple ``solve_request``
+    returns.  The searches run as threads of this process, in parallel,
+    since HiGHS's ``run`` releases the interpreter lock.  The owner is the
+    only holder of the write end of stdin, so when it is gone, each search
+    sees the hangup at its next interrupt check and stops.
 
     Replies go to a private copy of fd 1, and fd 1 to the null device, so
     that nothing HiGHS prints can corrupt them or reach the owner's
-    terminal; tracebacks of failed requests still go to stderr.  SIGINT is
+    terminal; tracebacks of failed searches still go to stderr.  SIGINT is
     ignored: the owner kills the worker when one reaches it mid-exchange.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -324,41 +488,22 @@ def serve(cancels: int) -> None:
     devnull = os.open(os.devnull, os.O_WRONLY)
     os.dup2(devnull, 1)
     os.close(devnull)
-    poller = select.poll()      # a poll of no wait costs less than a read
-    poller.register(cancels, select.POLLIN)
-    newest = 0          # the newest exchange cancelled, None once at EOF
-
-    def cancelled(exchange: int) -> bool:
-        nonlocal newest
-        while newest is not None and poller.poll(0):
-            # exchanges count from 1, and EOF reads b"", that is 0
-            chunk = os.read(cancels, 4096)
-            newest = int.from_bytes(chunk[-8:], "little") or None
-        return newest is None or newest >= exchange
-
     requests = sys.stdin.buffer
     while True:
         try:
-            exchange, *program, time_limit, random_seed, beside = \
-                pickle.load(requests)
+            request = pickle.load(requests)
         except EOFError:
-            return
-        try:
-            res = run_milp(*program, time_limit=time_limit,
-                           random_seed=random_seed,
-                           interrupt=(lambda: cancelled(exchange)) if beside
-                           else None)
-            reply = (model_status(res, time_limit), res.x,
-                     res.mip_dual_bound, res.mip_gap, res.mip_node_count)
-        except Exception as exc:  # reported to the owner, not fatal here
-            traceback.print_exc()
-            reply = (f"Error ({type(exc).__name__}: {exc})", None, None,
-                     None, None)
+            break
+        reply = solve_request(request, hangup=requests.fileno())
         try:
             pickle.dump(reply, replies, protocol=pickle.HIGHEST_PROTOCOL)
             replies.flush()
         except BrokenPipeError:     # the owner is gone
-            return
+            break
+    # a stopped search may still be inside HiGHS, whose exit handlers then
+    # abort the process: skip them
+    sys.stderr.flush()
+    os._exit(0)
 
 
 def main(argv=None) -> int:

@@ -10,11 +10,12 @@ each of its BSCCs lies in an accepting component (see
 ``ilp.build_program``), and the chain reaches its BSCCs almost surely.
 
 Each round's solve goes to the configured external command, else to the
-bundled backend's long-lived worker processes, which the first round starts
+bundled backend's long-lived worker process, which the first round starts
 and every later round (and every later call) reuses, so a cut round costs
-the solve itself, not a solver start.  On two CPUs the two workers split a
-reward program's policies between them on the initial state's actions, and
-race over a feasibility program (``ilp._ask_worker``).
+the solve itself, not a solver start.  On two CPUs the worker's two search
+threads split a reward program's policies between them on the initial
+state's actions, and race over a feasibility program
+(``milp_shim.solve_request``).
 
 The program's occupation measure x lives on the pairs the accepting
 components retain, so a candidate's x is a stationary measure inside them.

@@ -836,9 +836,9 @@ def test_infeasibility_proof_reports_its_nodes(monkeypatch, bundled_backend):
 
 @pytest.mark.parametrize("name, build", ARRAY_ROUTE_INPUTS)
 def test_an_interrupt_check_leaves_the_search_as_it_is(name, build):
-    """A lone search solves without the interrupt callback that a search
-    racing another needs; one that never interrupts changes nothing: the
-    same status after the same nodes, at the same objective."""
+    """An interrupt callback that never interrupts, as every search of the
+    bundled worker installs, changes nothing: the same status after the
+    same nodes, at the same objective."""
     program, _ = highs_arrays(build())
     plain = milp_shim.run_milp(*program, time_limit=60.0)
     checked = milp_shim.run_milp(*program, time_limit=60.0,
@@ -852,9 +852,10 @@ def test_an_interrupt_check_leaves_the_search_as_it_is(name, build):
 @given(seed=st.integers(0, 2 ** 32 - 1), ss=st.booleans())
 def test_a_split_answers_as_one_search_on_the_whole_program(seed, ss):
     """On a random product with the reward objective, two searches that
-    split the program on the initial state's pairs (``ilp._ask_worker``)
-    reach what one search on the whole program does: the same status and
-    optimum, with a bound no lower than the optimum."""
+    split the program on the initial state's pairs
+    (``milp_shim.solve_request``) reach what one search on the whole
+    program does: the same status and optimum, with a bound no lower than
+    the optimum."""
     rng = np.random.default_rng(seed)
     m = random_lmdp(rng, int(rng.integers(2, 5)), int(rng.integers(2, 4)),
                     ap=("p",), det_prob=float(rng.choice([0.6, 0.9])))

@@ -1,10 +1,14 @@
 import math
 import subprocess
 import sys
+import threading
+import time
 
+import numpy as np
 import pytest
+from scipy import sparse
 
-from ssltl.milp_shim import main, parse_lp, _parse_terms
+from ssltl.milp_shim import highs, main, parse_lp, _parse_terms
 
 
 def test_parse_terms_signs_and_scientific_notation():
@@ -127,3 +131,42 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "x 2.0" in sol.read_text()
+
+
+def test_highs_run_releases_the_interpreter_lock():
+    """The bundled worker's searches run in parallel as threads only
+    because HiGHS's ``run`` releases the interpreter lock: this thread keeps
+    running Python while another is inside ``run`` on a dense LP."""
+    rng = np.random.default_rng(0)
+    n = 300
+    a = sparse.csc_array(rng.random((n, n)))
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = lp.num_row_ = \
+        lp.a_matrix_.num_row_ = n
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_, lp.a_matrix_.index_ = a.indptr, a.indices
+    lp.a_matrix_.value_ = a.data
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = (
+        -rng.random(n), np.zeros(n), np.full(n, np.inf))
+    lp.row_lower_, lp.row_upper_ = np.full(n, -np.inf), np.ones(n)
+    solver = highs._Highs()
+    solver.setOptionValue("log_to_console", False)
+    solver.passModel(lp)
+    span = []
+
+    def run():
+        span.append(time.monotonic())
+        solver.run()
+        span.append(time.monotonic())
+
+    thread, ticks = threading.Thread(target=run), []
+    thread.start()
+    while thread.is_alive():
+        ticks.append(time.monotonic())
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert solver.getModelStatus() == highs.HighsModelStatus.kOptimal
+    start, end = span
+    quarter = (end - start) / 4
+    assert quarter > 0.002
+    assert any(start + quarter < t < end - quarter for t in ticks)

@@ -1,10 +1,8 @@
-"""Lifetime of the bundled backend's worker processes: one per search in
-each process, reused across solves, cancelled when another search answers
-a race, replaced when they die or after a fork, and never left behind by
-their owner; and how the answers of searches that split a program are
-combined."""
+"""Lifetime of the bundled backend's worker process: one per process,
+reused across solves, replaced when it dies or after a fork, and never left
+behind by its owner; and the rules by which its search threads race over a
+program or split it, checked in-process (``milp_shim.solve_request``)."""
 
-import io
 import os
 import pickle
 import subprocess
@@ -15,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from ssltl import ilp
+from ssltl import ilp, milp_shim
 from ssltl.hoa import parse_hoa
 from ssltl.ilp import IlpConfig, SolverConfig, build_program, solve
 from ssltl.graph import accepting_mecs, mec_decomposition
@@ -36,7 +34,8 @@ State: 0 {1}
 
 
 NO_SS = SsLtlSpec(dra_source="x", ss=())
-ROOT = Path(__file__).resolve().parent.parent
+TESTS = Path(__file__).resolve().parent
+ROOT = TESTS.parent
 
 
 def two_state_model(reward: float = 2.0) -> Lmdp:
@@ -44,9 +43,9 @@ def two_state_model(reward: float = 2.0) -> Lmdp:
     ``reward`` at s1, so the optimum is max(1, ``reward``).  The run begins
     in a state whose one action goes to s0, so the initial product state
     has one pair, and the searches race over the whole program
-    (``ilp._ask_worker``).  Small as it is, HiGHS's presolve leaves its
-    program to the MIP solver, which makes interrupt checks
-    (``spinning_workers``)."""
+    (``milp_shim.solve_request``).  Small as it is, HiGHS's presolve leaves
+    its program to the MIP solver, which makes interrupt checks
+    (``spinning``)."""
     states = ("start", "s0", "s1")
     trans = {("start", "go"): {"s0": 1.0}}
     rewards = {("s0", "stay", "s0"): 1.0, ("s1", "stay", "s1"): reward}
@@ -74,9 +73,8 @@ def solve_once(reward: float = 2.0) -> float:
     return sol.objective
 
 
-def worker_pids() -> dict:
-    """The worker pid of each search of this process."""
-    return {seed: search.proc.pid for seed, search in ilp._workers.items()}
+def worker_pid() -> int:
+    return ilp._worker.pid
 
 
 def gone(pid: int) -> bool:
@@ -84,8 +82,9 @@ def gone(pid: int) -> bool:
     return state(pid) in (None, "Z")
 
 
-def state(pid: int):
-    """The ``State:`` letter of a process, None if there is none."""
+def state(pid):
+    """The ``State:`` letter of a process, or of a thread named
+    ``pid/task/tid``; None if there is none."""
     try:
         with open(f"/proc/{pid}/status", encoding="utf-8") as fh:
             return next(line.split()[1] for line in fh
@@ -94,58 +93,118 @@ def state(pid: int):
         return None
 
 
-def spinning_workers(spins: dict, deaf=()) -> tuple:
-    """Worker arguments under which the search of seed s spins (busy, not
-    asleep) ``spins[s][n]`` seconds at the first interrupt check of its
+def thread_states(pid: int) -> list:
+    """The ``State:`` letter of each thread of a process."""
+    return [state(f"{pid}/task/{tid}") for tid in os.listdir(
+        f"/proc/{pid}/task")]
+
+
+def children(pid: int) -> list:
+    """The pids of a process's children."""
+    found = []
+    for tid in os.listdir(f"/proc/{pid}/task"):
+        with open(f"/proc/{pid}/task/{tid}/children", encoding="utf-8") as fh:
+            found += map(int, fh.read().split())
+    return found
+
+
+def spinning(spins: dict, deaf=()):
+    """A stand-in for ``milp_shim.run_milp`` under which the search of seed
+    s spins (busy, not asleep, though it yields the interpreter lock at
+    every turn) ``spins[s][n]`` seconds at the first interrupt check of its
     n-th solve (from 0), the last entry for every later one; seeds without
-    an entry do not spin.  The spin reads the cancel pipe as it goes, so a
-    cancel ends it, and the solve, at once; but the n-th solve of a search
-    whose ``(seed, n)`` is in ``deaf`` reads no cancel at all, nor does a
-    solve no cancel can reach (no other search runs beside it)."""
-    code = ("import sys, time\n"
+    an entry do not spin.  The spin checks for a stop as it goes, so a stop
+    ends it, and the solve, at once; but the n-th solve of the search of
+    seed s checks none when ``(s, n)`` is in ``deaf``.  The stand-in's
+    ``stopped`` lists the ``(s, n)`` of each solve stopped."""
+    run_milp, calls, stopped = milp_shim.run_milp, {}, []
+
+    def spinning_run(*args, random_seed, interrupt, **kwargs):
+        n = calls[random_seed] = calls.get(random_seed, -1) + 1
+        plan = spins.get(random_seed, [0.0])
+        left = [plan[min(n, len(plan) - 1)]]
+        if (random_seed, n) in deaf:
+            interrupt = lambda: False       # noqa: E731
+
+        def spin():
+            deadline, left[0] = time.monotonic() + left[0], 0
+            while not interrupt():
+                if time.monotonic() >= deadline:
+                    return False
+                time.sleep(0)
+            stopped.append((random_seed, n))
+            return True
+        return run_milp(*args, random_seed=random_seed, interrupt=spin,
+                        **kwargs)
+    spinning_run.stopped = stopped
+    return spinning_run
+
+
+def failing(run, seed: int = 0):
+    """``run`` under which the first solve of the search of ``seed`` raises
+    once it has run."""
+    calls = []
+
+    def failing_run(*args, random_seed, **kwargs):
+        res = run(*args, random_seed=random_seed, **kwargs)
+        if random_seed == seed and not calls:
+            calls.append(None)
+            raise RuntimeError("the search failed")
+        return res
+    return failing_run
+
+
+def spinning_workers(spins: dict, deaf=()) -> tuple:
+    """Worker arguments under which the searches spin (see ``spinning``)."""
+    code = ("import sys\n"
+            f"sys.path.insert(0, {str(TESTS)!r})\n"
             "from ssltl import milp_shim\n"
-            f"spins, deaf, calls = {spins!r}, {tuple(deaf)!r}, []\n"
-            "run_milp = milp_shim.run_milp\n"
-            "def spinning(*args, random_seed=0, interrupt, **kwargs):\n"
-            "    plan, n = spins.get(random_seed, [0]), len(calls)\n"
-            "    left = [plan[min(n, len(plan) - 1)]]\n"
-            "    calls.append(None)\n"
-            "    if interrupt is None or (random_seed, n) in deaf:\n"
-            "        interrupt = lambda: False\n"
-            "    def spin():\n"
-            "        deadline, left[0] = time.monotonic() + left[0], 0\n"
-            "        while time.monotonic() < deadline:\n"
-            "            if interrupt():\n"
-            "                return True\n"
-            "        return interrupt()\n"
-            "    return run_milp(*args, random_seed=random_seed,\n"
-            "                    interrupt=spin, **kwargs)\n"
-            "milp_shim.run_milp = spinning\n"
-            "milp_shim.serve(int(sys.argv[1]))\n")
+            "from test_worker import spinning\n"
+            f"milp_shim.run_milp = spinning({spins!r}, {tuple(deaf)!r})\n"
+            "milp_shim.serve()\n")
     return (sys.executable, "-c", code)
 
 
 @pytest.fixture
 def two_searches(monkeypatch):
-    """Fresh workers for two racing searches, however many CPUs there are;
-    called with a spin plan (see ``spinning_workers``)."""
+    """A fresh worker for two racing searches, however many CPUs there
+    are; called with a spin plan (see ``spinning``)."""
     def start(spins=None, deaf=()):
-        ilp._stop_workers()
+        ilp._stop_worker()
         if spins is not None:
             monkeypatch.setattr(ilp, "_WORKER_ARGS",
                                 spinning_workers(spins, deaf))
     monkeypatch.setattr(ilp, "_race_seeds", lambda: (0, 1))
     yield start
-    ilp._stop_workers()
+    ilp._stop_worker()
+
+
+@pytest.fixture
+def in_process(monkeypatch):
+    """Two searches that answer every request in this process, as the
+    worker does; a test stubs ``milp_shim.run_milp`` to steer them."""
+    monkeypatch.setattr(ilp, "_race_seeds", lambda: (0, 1))
+    monkeypatch.setattr(ilp, "_ask_worker", milp_shim.solve_request)
 
 
 def test_solves_share_one_worker():
-    """One worker per search, the same for every solve."""
+    """One worker, the same for every solve."""
     solve_once()
-    pids = worker_pids()
-    assert set(pids) >= set(ilp._race_seeds())
+    pid = worker_pid()
     assert solve_once() == pytest.approx(2.0)
-    assert worker_pids() == pids
+    assert worker_pid() == pid
+
+
+def test_two_racing_searches_answer_from_one_worker(two_searches):
+    """Search 0 answers the first program while search 1 spins, and search
+    1 the second while search 0 spins: both from one worker, the owner's
+    only child."""
+    two_searches({0: [0.0, 5.0], 1: [5.0, 0.0]})
+    first = solve(two_state_program(), SolverConfig(timeout=60))
+    pid = worker_pid()
+    second = solve(two_state_program(3.0), SolverConfig(timeout=60))
+    assert (first.seed, second.seed) == (0, 1)
+    assert worker_pid() == pid and children(os.getpid()) == [pid]
 
 
 def test_searches_are_cut_to_the_usable_cpus(monkeypatch):
@@ -163,25 +222,21 @@ def test_searches_are_cut_to_the_usable_cpus(monkeypatch):
 def test_dead_worker_is_replaced(two_searches):
     two_searches()
     solve_once()
-    killed = worker_pids()
-    for search in ilp._workers.values():
-        search.proc.kill()
-        search.proc.wait()
+    killed = worker_pid()
+    ilp._worker.kill()
+    ilp._worker.wait()
     assert solve_once() == pytest.approx(2.0)
-    assert not set(worker_pids().values()) & set(killed.values())
+    assert worker_pid() != killed
 
 
-def kill_mid_exchange(monkeypatch, seeds=(0, 1)):
-    """Kill the worker of each search in ``seeds`` when its reply is read."""
+def kill_mid_exchange(monkeypatch):
+    """Kill the worker when its reply is read."""
     receive = ilp._receive
-    doomed = {search.proc.pid for seed, search in ilp._workers.items()
-              if seed in seeds}
 
     def killed_first(p):
-        if p.pid in doomed:
-            p.kill()
-            p.wait()
-            p.stdout.read()     # a reply written before the kill is lost
+        p.kill()
+        p.wait()
+        p.stdout.read()     # a reply written before the kill is lost
         return receive(p)
 
     monkeypatch.setattr(ilp, "_receive", killed_first)
@@ -189,57 +244,51 @@ def kill_mid_exchange(monkeypatch, seeds=(0, 1)):
 
 def test_worker_killed_mid_exchange_is_a_solver_error(monkeypatch,
                                                       two_searches):
-    """With every search killed before its reply the solve is an error."""
+    """With the worker killed before its reply the solve is an error, and
+    the next solve starts a new worker."""
     two_searches()
     solve_once()
-    killed, receive = worker_pids(), ilp._receive
+    killed, receive = worker_pid(), ilp._receive
     kill_mid_exchange(monkeypatch)
     sol = solve(two_state_program(), SolverConfig(timeout=60))
     assert sol.status == "error" and "worker exited" in sol.solver_output
-    assert ilp._workers == {}
+    assert ilp._worker is None
     monkeypatch.setattr(ilp, "_receive", receive)
     assert solve_once() == pytest.approx(2.0)
-    assert not set(worker_pids().values()) & set(killed.values())
+    assert worker_pid() != killed
 
 
-def test_a_search_killed_mid_exchange_leaves_the_other_to_answer(
-        monkeypatch, two_searches):
-    """Search 1 spins, so search 0's reply is read first, and lost."""
-    two_searches({1: [0.5]})
-    solve_once()
-    killed, receive = worker_pids()[0], ilp._receive
-    kill_mid_exchange(monkeypatch, seeds=(0,))
+def test_a_failing_search_leaves_the_other_to_answer(monkeypatch,
+                                                     in_process):
+    """Search 0 raises at once, and search 1, after a spin of 0.5 s,
+    answers the race."""
+    monkeypatch.setattr(milp_shim, "run_milp",
+                        failing(spinning({1: [0.5]})))
     sol = solve(two_state_program(3.0), SolverConfig(timeout=60))
-    assert (sol.status, sol.seed, sol.objective) == ("optimal", 1, 3.0)
-    assert 0 not in ilp._workers
-    monkeypatch.setattr(ilp, "_receive", receive)
-    solve_once()
-    assert worker_pids()[0] != killed
+    assert (sol.status, sol.seed, sol.objective, sol.split) == (
+        "optimal", 1, 3.0, False)
 
 
 def test_a_stale_reply_is_never_returned(two_searches):
     """Search 0 answers the first program at once; search 1, deaf to the
-    cancel, spins 1 s and then solves it too.  In the next exchange search
-    0 spins 5 s, and search 1's stale reply, the first program's optimum
-    (staying at s0, which the second program rewards 1), is dropped when
-    it comes; search 1 then gets the second program, and returns its
-    optimum."""
+    stop, spins 1 s and then solves it too.  In the next exchange search 0
+    spins 5 s, and search 1 answers the second program with its optimum,
+    never with its answer to the first (staying at s0, which the second
+    program rewards 1)."""
     two_searches({1: [1.0, 0.0], 0: [0.0, 5.0]}, deaf=[(1, 0)])
     first = solve(two_state_program(0.5), SolverConfig(timeout=60))
     assert (first.seed, first.objective) == (0, 1.0)
-    assert ilp._workers[1].owes
     t0 = time.monotonic()
     second = solve(two_state_program(3.0), SolverConfig(timeout=60))
     assert (second.status, second.seed, second.objective) == (
         "optimal", 1, 3.0)
     assert time.monotonic() - t0 < 4.0
-    assert ilp._workers[0].owes and not ilp._workers[1].owes
 
 
 def test_a_cancelled_search_answers_the_next_program_at_once(two_searches):
-    """Search 1, cancelled 30 s short of the end of its first solve, stops
-    it: it answers the second program while search 0 spins, without first
-    spending those 30 s on the first one."""
+    """Search 1, stopped 30 s short of the end of its first solve, answers
+    the second program while search 0 spins, without first spending those
+    30 s on the first one."""
     two_searches({1: [30.0, 0.0], 0: [0.0, 30.0]})
     assert solve(two_state_program(2.0), SolverConfig(timeout=60)).seed == 0
     t0 = time.monotonic()
@@ -249,17 +298,17 @@ def test_a_cancelled_search_answers_the_next_program_at_once(two_searches):
 
 
 def test_no_worker_runs_after_synthesize_returns(two_searches):
-    """The loser, busy in its solve, is cancelled; within 1 s it has sent
-    its reply, and both workers sleep on their next request."""
+    """The loser, busy in its solve, is stopped; within 1 s every thread of
+    the worker sleeps."""
     two_searches({1: [30.0]})
     result = synthesize(two_state_model(), TRUE_DRA, NO_SS)
     assert result.status == "verified" and result.solution.seed == 0
-    pids = worker_pids()
+    pid = worker_pid()
     deadline = time.monotonic() + 1.0
-    while (any(state(pid) != "S" for pid in pids.values())
+    while (set(thread_states(pid)) != {"S"}
            and time.monotonic() < deadline):
         time.sleep(0.01)
-    assert [state(pid) for pid in pids.values()] == ["S", "S"]
+    assert set(thread_states(pid)) == {"S"}
 
 
 def split_program(p_lower: float = 0.0, detour: float = 5.0):
@@ -271,7 +320,7 @@ def split_program(p_lower: float = 0.0, detour: float = 5.0):
     ``detour``.  No policy earns ``detour`` per step, so with ``detour``
     above 3 no half reaches the largest reward, and both are awaited.
     Each half, unlike the program of one copy alone, goes to the MIP
-    solver, which makes interrupt checks (``spinning_workers``)."""
+    solver, which makes interrupt checks (``spinning``)."""
     states, trans, reward = ("start", "t0", "t1", "s0", "s1"), {}, {}
     for a, b, r in (("t0", "t1", 2.0), ("s0", "s1", 3.0)):
         trans[(a, "stay")], trans[(a, "go")] = {a: 1.0}, {b: 1.0}
@@ -293,18 +342,17 @@ def split_program(p_lower: float = 0.0, detour: float = 5.0):
                          IlpConfig())
 
 
-def test_split_halves_are_combined(monkeypatch, two_searches):
+def test_split_halves_are_combined(monkeypatch, in_process):
     """Both halves are optimal, and the program's optimum is the better
     one, with the nodes of both."""
-    two_searches()
-    nodes, receive = [], ilp._receive
+    nodes, run_milp = [], milp_shim.run_milp
 
-    def counting(proc):
-        reply = receive(proc)
-        nodes.append(reply[4])
-        return reply
+    def counting(*args, **kwargs):
+        res = run_milp(*args, **kwargs)
+        nodes.append(res.mip_node_count)
+        return res
 
-    monkeypatch.setattr(ilp, "_receive", counting)
+    monkeypatch.setattr(milp_shim, "run_milp", counting)
     sol = solve(split_program(), SolverConfig(timeout=60))
     assert (sol.status, sol.seed, sol.searches, sol.split) == (
         "optimal", 1, 2, True)
@@ -313,33 +361,36 @@ def test_split_halves_are_combined(monkeypatch, two_searches):
     assert len(nodes) == 2 and sol.nodes == sum(nodes)
 
 
-def test_a_half_proven_at_the_largest_reward_answers_at_once(two_searches):
+def test_a_half_proven_at_the_largest_reward_answers_at_once(monkeypatch,
+                                                             in_process):
     """Without the detour's reward no policy earns more than 3 per step,
     and search 1 proves its half's optimum 3: the program is solved, and
-    search 0, spinning 30 s in its half, is cancelled."""
-    two_searches({0: [30.0]})
+    search 0, spinning 30 s in its half, is stopped."""
+    run = spinning({0: [30.0]})
+    monkeypatch.setattr(milp_shim, "run_milp", run)
     t0 = time.monotonic()
     sol = solve(split_program(detour=0.0), SolverConfig(timeout=60))
     assert time.monotonic() - t0 < 10.0
     assert (sol.status, sol.seed, sol.split) == ("optimal", 1, True)
     assert sol.objective == pytest.approx(3.0)
-    assert ilp._workers[0].owes
+    deadline = time.monotonic() + 1.0
+    while not run.stopped and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert run.stopped == [(0, 0)]
 
 
-def test_split_optimal_and_infeasible_halves_are_optimal(two_searches):
+def test_split_optimal_and_infeasible_halves_are_optimal(in_process):
     """With mass 1/2 on p asked for, search 0's half is infeasible: it has
     no bound, and the other half's optimum and bound stand."""
-    two_searches()
     sol = solve(split_program(p_lower=0.5), SolverConfig(timeout=60))
     assert (sol.status, sol.seed, sol.split) == ("optimal", 1, True)
     assert sol.objective == pytest.approx(3.0)
     assert sol.bound == pytest.approx(3.0) and sol.gap == pytest.approx(0.0)
 
 
-def test_split_infeasible_halves_are_infeasible(two_searches):
+def test_split_infeasible_halves_are_infeasible(in_process):
     """No policy puts more than all its mass on p: both halves are
     infeasible, and so is the program."""
-    two_searches()
     sol = solve(split_program(p_lower=1.5), SolverConfig(timeout=60))
     assert (sol.status, sol.seed, sol.split) == ("infeasible", None, True)
     assert (sol.bound, sol.gap) == (None, None)
@@ -347,21 +398,19 @@ def test_split_infeasible_halves_are_infeasible(two_searches):
 
 
 def test_split_half_at_its_limit_leaves_the_program_at_a_limit(
-        monkeypatch, two_searches):
+        monkeypatch, in_process):
     """Search 0's half stops at its limit, with its optimum 2 as incumbent
     and 5 as bound: the program is at a limit too, at search 1's point 3,
     with bound 5 and gap 2/3."""
-    two_searches()
-    solve(split_program(), SolverConfig(timeout=60))
-    receive, limited = ilp._receive, ilp._workers[0].proc.pid
+    run_milp = milp_shim.run_milp
 
-    def at_limit(proc):
-        reply = receive(proc)
-        if proc.pid != limited:
-            return reply
-        return ("Feasible (limit reached)", reply[1], -5.0, 4.0, reply[4])
+    def at_limit(*args, random_seed, **kwargs):
+        res = run_milp(*args, random_seed=random_seed, **kwargs)
+        if random_seed == 0:
+            res.update(status=1, mip_dual_bound=-5.0, mip_gap=4.0)
+        return res
 
-    monkeypatch.setattr(ilp, "_receive", at_limit)
+    monkeypatch.setattr(milp_shim, "run_milp", at_limit)
     sol = solve(split_program(), SolverConfig(timeout=60))
     assert (sol.status, sol.seed, sol.split) == ("feasible", 1, True)
     assert sol.objective == pytest.approx(3.0)
@@ -369,80 +418,33 @@ def test_split_half_at_its_limit_leaves_the_program_at_a_limit(
     assert sol.gap == pytest.approx(2.0 / 3.0)
 
 
-@pytest.mark.parametrize("spins", [{1: [0.0, 30.0, 0.0]}, {0: [0.0, 0.5]}],
+@pytest.mark.parametrize("spins", [{1: [30.0, 0.0]}, {0: [0.5]}],
                          ids=["survivor-running", "survivor-answered"])
 def test_a_search_killed_mid_split_leaves_the_whole_program_to_the_other(
-        monkeypatch, two_searches, spins):
-    """Search 0, which holds the worse half, is killed when its reply is
-    read: while search 1 still spins 30 s in its half, or after it has
-    answered.  Search 1 then solves the whole program, at once (a running
-    half is cancelled), and its optimum is the answer: never the other
-    half's alone taken for the program's.  The first split, which leaves
-    neither search owing a reply, starts the workers."""
-    two_searches(spins)
-    solve(split_program(), SolverConfig(timeout=60))
-    kill_mid_exchange(monkeypatch, seeds=(0,))
+        monkeypatch, in_process, spins):
+    """Search 0, which holds the worse half, fails once its solve has run:
+    while search 1 still spins 30 s in its half, or after it has answered.
+    Search 1 then solves the whole program, at once (a running half is
+    stopped), and its optimum is the answer: never the other half's alone
+    taken for the program's."""
+    monkeypatch.setattr(milp_shim, "run_milp", failing(spinning(spins)))
     t0 = time.monotonic()
     sol = solve(split_program(), SolverConfig(timeout=60))
     assert time.monotonic() - t0 < 10.0
     assert (sol.status, sol.seed, sol.searches, sol.split) == (
         "optimal", 1, 2, False)
     assert sol.objective == pytest.approx(3.0)
-    assert 0 not in ilp._workers
 
 
 def test_every_search_killed_mid_split_is_a_solver_error(monkeypatch,
                                                          two_searches):
+    """The worker, which runs every search, is killed mid-split."""
     two_searches()
     solve_once()
     kill_mid_exchange(monkeypatch)
     sol = solve(split_program(), SolverConfig(timeout=60))
     assert sol.status == "error" and "worker exited" in sol.solver_output
-    assert ilp._workers == {}
-
-
-def run_worker(requests: list, cancels=()) -> list:
-    """The replies of a worker (``ilp._WORKER_ARGS``) to ``requests``, each
-    ``(exchange, program, seed)`` and sent as one a cancel can reach, with
-    the exchange numbers in ``cancels`` already waiting in its cancel pipe;
-    the test holds the pipe's write end open throughout."""
-    read_end, write_end = os.pipe()
-    try:
-        for exchange in cancels:
-            os.write(write_end, exchange.to_bytes(8, "little"))
-        proc = subprocess.run(
-            ilp._WORKER_ARGS + (str(read_end),),
-            input=b"".join(pickle.dumps((exchange,) + program
-                                        + (60.0, seed, True))
-                           for exchange, program, seed in requests),
-            capture_output=True, timeout=120, pass_fds=(read_end,),
-            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
-    finally:
-        os.close(read_end)
-        os.close(write_end)
-    assert proc.returncode == 0, proc.stderr
-    # nothing else reaches the reply stream or stderr
-    assert proc.stderr == b""
-    replies = io.BytesIO(proc.stdout)
-    answers = [pickle.load(replies) for _ in requests]
-    assert replies.read() == b""
-    return answers
-
-
-def test_a_stale_cancel_never_interrupts_a_later_exchange():
-    program, _ = ilp.highs_arrays(two_state_program())
-    for seed in (0, 1):
-        (status, x, _, _, _), = run_worker([(3, program, seed)],
-                                           cancels=(1, 2))
-        assert status == "Optimal" and -program[0] @ x == pytest.approx(2.0)
-
-
-def test_a_cancel_written_before_the_request_is_read_still_cancels_it():
-    program, _ = ilp.highs_arrays(two_state_program())
-    replies = run_worker([(2, program, 0), (3, program, 1)], cancels=(1, 2))
-    assert [(status, x) for status, x, _, _, _ in replies[:1]] == [
-        ("Error", None)]
-    assert replies[1][0] == "Optimal"
+    assert ilp._worker is None
 
 
 def fail_the_request(monkeypatch):
@@ -453,15 +455,15 @@ def fail_the_request(monkeypatch):
 
 
 def test_failed_request_is_a_solver_error_and_keeps_the_worker(monkeypatch):
-    """Every search fails the request; the workers live on."""
+    """Every search fails the request; the worker lives on."""
     solve_once()
-    pids = worker_pids()
+    pid = worker_pid()
     fail_the_request(monkeypatch)
     sol = solve(two_state_program(), SolverConfig(timeout=60))
     assert sol.status == "error" and "no solution" in sol.solver_output
     monkeypatch.undo()
     assert solve_once() == pytest.approx(2.0)
-    assert worker_pids() == pids
+    assert worker_pid() == pid
 
 
 @pytest.mark.parametrize("failure, cause", [
@@ -482,22 +484,36 @@ def test_worker_failure_ends_synthesis_in_status_error(monkeypatch, failure,
     assert synthesize(two_state_model(), TRUE_DRA, NO_SS).status == "verified"
 
 
-def test_solver_prints_reach_neither_the_replies_nor_stderr(monkeypatch):
+def test_solver_prints_reach_neither_the_replies_nor_stderr():
     """Whatever the solver writes to fd 1 is dropped: the reply arrives
-    intact and alone, and the worker's stderr stays empty."""
-    code = ("import os, sys\n"
+    intact and alone, and the worker's stderr stays empty.  The test holds
+    the worker's stdin open until the reply is read, since the searches
+    stop when the owner closes it."""
+    code = ("import os\n"
             "from ssltl import milp_shim\n"
             "run_milp = milp_shim.run_milp\n"
             "def noisy(*args, **kwargs):\n"
             "    os.write(1, b'noise\\n')\n"
             "    return run_milp(*args, **kwargs)\n"
             "milp_shim.run_milp = noisy\n"
-            "milp_shim.serve(int(sys.argv[1]))\n")
-    monkeypatch.setattr(ilp, "_WORKER_ARGS", (sys.executable, "-c", code))
+            "milp_shim.serve()\n")
     program, _ = ilp.highs_arrays(two_state_program())
-    (status, x, _, _, nodes), = run_worker([(1, program, 1)])
-    assert status == "Optimal" and nodes is not None
-    assert -program[0] @ x == pytest.approx(2.0)
+    proc = subprocess.Popen(
+        (sys.executable, "-c", code), stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    try:
+        pickle.dump(program + (60.0, (1,), []), proc.stdin)
+        proc.stdin.flush()
+        reply = pickle.load(proc.stdout)
+        rest, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert (proc.returncode, rest, err) == (0, b"", b"")
+    status, x, _, _, nodes, seed, split = reply
+    assert (status, seed, split) == ("Optimal", 1, False)
+    assert nodes is not None and -program[0] @ x == pytest.approx(2.0)
 
 
 def test_solver_binaries_on_path_leave_the_bundled_route(tmp_path,
@@ -515,26 +531,25 @@ def test_solver_binaries_on_path_leave_the_bundled_route(tmp_path,
 
 
 def test_forked_child_starts_its_own_worker():
-    """The child closes its copies of the pipes to the parent's workers at
-    once, so that the parent stays their only owner."""
+    """The child closes its copies of the pipes to the parent's worker at
+    once, so that the parent stays its only owner."""
     solve_once()
-    parent_workers = worker_pids()
-    parent_cancels = [s.cancels.fileno() for s in ilp._workers.values()]
+    parent_worker = worker_pid()
+    parent_pipes = [ilp._worker.stdin.fileno(), ilp._worker.stdout.fileno()]
     read_end, write_end = os.pipe()
     child = os.fork()
     if child == 0:              # pragma: no cover - runs in the child
         code = 1
         try:
             os.close(read_end)
-            for fd in parent_cancels:
+            for fd in parent_pipes:
                 try:
                     os.fstat(fd)
                     os._exit(2)
                 except OSError:
                     pass
             objective = solve_once()
-            pids = " ".join(map(str, worker_pids().values()))
-            os.write(write_end, f"{objective!r} {pids}".encode())
+            os.write(write_end, f"{objective!r} {worker_pid()}".encode())
             code = 0
         finally:
             os._exit(code)
@@ -543,51 +558,59 @@ def test_forked_child_starts_its_own_worker():
         reply = fh.read()
     _, status = os.waitpid(child, 0)
     assert os.waitstatus_to_exitcode(status) == 0
-    objective, *child_workers = reply.split()
+    objective, child_worker = reply.split()
     assert float(objective) == pytest.approx(2.0)
-    assert len(child_workers) == len(ilp._race_seeds())
-    assert not {int(pid) for pid in child_workers} & {
-        child, *parent_workers.values()}
-    assert worker_pids() == parent_workers
+    assert int(child_worker) not in (child, parent_worker)
+    assert worker_pid() == parent_worker
     assert solve_once() == pytest.approx(2.0)
 
 
-@pytest.mark.parametrize("exit_call", ["sys.exit(0)", "os._exit(0)"])
-def test_owner_exit_leaves_no_worker(exit_call, tmp_path):
-    """The owner exits while both searches spin in their second solve, 60 s
-    from its end.  At exit both read EOF from their cancel pipes and stop;
-    when the owner skips its exit handlers, they read it all the same, since
-    the owner held the only write ends.  The workers share the owner's
-    stderr, so it goes to a file: the test must not wait for them to close
-    a pipe."""
+def exit_mid_solve(tmp_path, exit_call: str, seeds: tuple,
+                   spins: dict) -> None:
+    """Run an owner whose searches of ``seeds`` spin as ``spins`` plans
+    (see ``spinning``), and which exits by ``exit_call`` 0.5 s into its
+    second solve; its worker must be gone 2 s later.  The worker shares the
+    owner's stderr, so it goes to a file: the test must not wait for the
+    worker to close a pipe."""
     code = ("import os, sys, threading, time\n"
             "from ssltl import ilp\n"
             "from test_worker import solve_once, spinning_workers, "
-            "worker_pids\n"
-            "ilp._WORKER_ARGS = spinning_workers({0: [0.0, 60.0], "
-            "1: [60.0]})\n"
-            "ilp._race_seeds = lambda: (0, 1)\n"
+            "worker_pid\n"
+            f"ilp._WORKER_ARGS = spinning_workers({spins!r})\n"
+            f"ilp._race_seeds = lambda: {seeds!r}\n"
             "solve_once()\n"
-            "print(*worker_pids().values(), flush=True)\n"
+            "print(worker_pid(), flush=True)\n"
             "threading.Thread(target=solve_once, daemon=True).start()\n"
             "time.sleep(0.5)\n"
             f"{exit_call}\n")
-    tests = Path(__file__).resolve().parent
     env = dict(os.environ, PATH=os.path.dirname(sys.executable),
-               PYTHONPATH=os.pathsep.join([str(tests.parent / "src"),
-                                           str(tests)]))
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(TESTS)]))
     with open(tmp_path / "stderr", "w+", encoding="utf-8") as err:
         proc = subprocess.run([sys.executable, "-c", code],
                               stdout=subprocess.PIPE, stderr=err, text=True,
                               timeout=120, env=env)
         err.seek(0)
         assert proc.returncode == 0, err.read()
-    pids = [int(pid) for pid in proc.stdout.split()]
-    assert len(pids) == 2
+    pid = int(proc.stdout)
     deadline = time.monotonic() + 2.0
-    while not all(map(gone, pids)) and time.monotonic() < deadline:
+    while not gone(pid) and time.monotonic() < deadline:
         time.sleep(0.05)
-    assert all(map(gone, pids))
+    assert gone(pid)
+
+
+@pytest.mark.parametrize("exit_call", ["sys.exit(0)", "os._exit(0)"])
+def test_owner_exit_leaves_no_worker(exit_call, tmp_path):
+    """The owner exits while both searches spin in their second solve, 60 s
+    from its end.  At exit it closes the worker's stdin, and both searches
+    see the hangup and stop; when the owner skips its exit handlers, they
+    see it all the same, since the owner held the only write end."""
+    exit_mid_solve(tmp_path, exit_call, (0, 1), {0: [0.0, 60.0], 1: [60.0]})
+
+
+def test_owner_death_stops_a_lone_search(tmp_path):
+    """A lone search, which no other search can stop, still stops when its
+    owner dies without running its exit handlers."""
+    exit_mid_solve(tmp_path, "os._exit(0)", (0,), {0: [0.0, 60.0]})
 
 
 def test_default_route_never_imports_scipy_into_the_caller():
