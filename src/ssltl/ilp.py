@@ -137,7 +137,7 @@ class IlpModel:
                           # accepting component retains are pinned to 0
     objective: tuple      # ((coef, column), ...)
     rows: tuple
-    product: Optional[ProductLmdp]      # None if read from an LP file
+    product: ProductLmdp
     amecs: tuple          # the accepting components (frozensets of product
                           # state indices), one indicator ik each
 
@@ -436,10 +436,11 @@ def highs_arrays(model: IlpModel) -> tuple:
 
     Columns go in the order in which ``export_lp`` text first mentions them
     (objective, rows, Bounds, Binary) and rows in model order: HiGHS time
-    moves severalfold with column order.  ``milp_shim.parse_lp`` numbers an
-    LP file's columns in that order, so the stand-alone command hands HiGHS
-    the same bytes for ``export_lp`` text as the worker gets for the model.
-    This is the only builder of ``run_milp`` arguments."""
+    moves severalfold with column order.  HiGHS's LP reader numbers an LP
+    file's columns in that order too, so the stand-alone command
+    (``milp_shim.parse_lp``) hands HiGHS the same program for ``export_lp``
+    text as the worker gets for the model, which
+    ``tests/test_benchmark_programs.py`` pins."""
     n = len(model.variables)
     a_rows, a_cols, a_vals = [], [], []
     row_lb = np.full(len(model.rows), -np.inf)
@@ -700,8 +701,7 @@ def _solve_bundled(model: IlpModel, time_limit: float,
         values[order] = x
         objective = sum(coef * values[j] for coef, j in model.objective)
         sol = Solution(
-            status={"Optimal": "optimal", "Unbounded": "error"}.get(
-                status, "feasible"),
+            status="optimal" if status == "Optimal" else "feasible",
             values=values, objective=float(objective), solver_output=output,
             **stats)
     if keep_files is not None:
@@ -715,10 +715,10 @@ def _initial_groups(model: IlpModel, order: np.ndarray) -> list:
     """The HiGHS columns (``order`` maps them to model columns) of the
     policy binaries of the initial product state's pairs, one array per
     group of pairs with the same successor row and objective coefficient;
-    none for a program without objective terms or product, which the
-    searches race (see ``milp_shim.solve_request``)."""
+    none for a program without objective terms, which the searches race
+    (see ``milp_shim.solve_request``)."""
     p = model.product
-    if p is None or not model.objective:
+    if not model.objective:
         return []
     pos = np.argsort(order)             # the HiGHS column of each column
     coef = {j: c for c, j in model.objective}

@@ -6,19 +6,12 @@ in one of two ways that share one HiGHS run (``run_milp``).
   with the HiGHS seeds of the searches that solve it.  The searches run as
   threads of the worker; they race over the program, or split it
   (``solve_request``), and the worker sends back one reply.
-* The stand-alone command, which reads a CPLEX-LP-format file into the
-  package's own program (``parse_lp``), hands HiGHS the arrays
-  ``ilp.highs_arrays`` builds from it, and writes a plain ``name value``
+* The stand-alone command, which reads a CPLEX-LP-format file with HiGHS's
+  own LP reader (``parse_lp``), whatever the file's name, hands HiGHS the
+  program as ``run_milp``'s arrays, and writes a plain ``name value``
   solution file:
   ``python -m ssltl.milp_shim MODEL.lp OUT.sol [--time-limit S]`` (also
   installed as the ``ssltl-milp`` script).
-
-Supported LP dialect: Maximize/Minimize, named constraints one per line
-under Subject To, a Bounds section (``lo <= x <= hi``, ``x <= hi``,
-``x >= lo``, ``x = v``, either side first, ``x free``; a bound may be a
-signed ``inf`` or ``infinity``), Binary and General sections (a Binary
-column still at the default bounds [0, inf) gets [0, 1]), End.  This
-covers the files this package writes plus ordinary hand-written ones.
 """
 
 from __future__ import annotations
@@ -28,13 +21,13 @@ import math
 import os
 import pickle
 import queue
-import re
 import select
 import signal
 import sys
+import tempfile
 import threading
 import traceback
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -43,160 +36,50 @@ from scipy.optimize import OptimizeResult
 from scipy.optimize._highspy import _core as highs
 from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
 
-if TYPE_CHECKING:
-    from ssltl.ilp import IlpModel
-
-_NUM_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
-# a sign, a number (2.5e-05 is one token) or a name
-_TOKEN_RE = re.compile(r"[+-]|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|[^\s+-]+")
-_SECTIONS = {
-    "maximize": "objective", "minimize": "objective", "max": "objective",
-    "min": "objective", "subject": "constraints", "such": "constraints",
-    "st": "constraints", "s.t.": "constraints", "bounds": "bounds",
-    "bound": "bounds", "binary": "binary", "binaries": "binary",
-    "bin": "binary", "general": "general", "generals": "general",
-    "gen": "general", "integer": "general", "integers": "general",
-    "end": "end",
-}
-_FLIP = {"<=": ">=", ">=": "<=", "=": "="}
-
 
 class LpFile(NamedTuple):
-    """An LP file read into the package's program.  ``model`` is an
-    ``ilp.IlpModel`` without a product that maximizes ``sign`` times the
-    file's objective less its constant: the file's objective is ``sign`` times
-    the model's plus ``offset``.  ``names`` holds the column names, the
-    columns numbered in the order in which the file first mentions them."""
+    """An LP file as HiGHS's LP reader reads it.  ``program`` holds the
+    arguments of ``run_milp``: its cost is ``-sign`` times the file's
+    objective without the constant ``offset`` (``sign`` is 1 for Maximize,
+    -1 for Minimize), so the file's objective at a point of cost ``fun`` is
+    ``offset - sign * fun``.  ``names`` holds the column names, the columns
+    numbered in the order in which the file first mentions them."""
 
-    model: IlpModel
+    program: tuple
     names: list
     sign: float
     offset: float
 
 
-def _is_number(tok: str) -> bool:
-    return bool(_NUM_RE.match(tok))
-
-
-def _is_bound(tok: str) -> bool:
-    """A number or a signed infinity: only a Bounds line reads ``inf`` as a
-    value, an expression reads it as a column."""
-    return _is_number(tok) or tok.lstrip("+-").lower() in ("inf", "infinity")
-
-
-def _parse_terms(expr: str):
-    """Linear expression -> (coefficient dict, constant offset)."""
-    coefs: dict = {}
-    const = 0.0
-    sign = 1.0
-    pending: float | None = None
-    for tok in _TOKEN_RE.findall(expr):
-        if tok == "+":
-            continue
-        if tok == "-":
-            sign = -sign
-            continue
-        if _is_number(tok):
-            val = float(tok)
-            if pending is None:
-                pending = sign * val
-            else:
-                pending *= val
-            sign = 1.0
-            continue
-        coef = sign if pending is None else pending
-        coefs[tok] = coefs.get(tok, 0.0) + coef
-        pending = None
-        sign = 1.0
-    if pending is not None:
-        const += pending
-    return coefs, const
-
-
 def parse_lp(text: str) -> LpFile:
-    # here, not at the top: the worker (``serve``) needs no program layer
-    from ssltl.ilp import IlpModel, IlpRow, IlpVar
-
-    col: dict = {}              # name -> column
-    lb, ub, integer = [], [], []
-    objective: dict = {}        # column -> coefficient
-    rows, offset, maximize, section = [], 0.0, False, None
-
-    def column(name: str) -> int:
-        if name not in col:
-            col[name] = len(lb)
-            lb.append(0.0)
-            ub.append(math.inf)
-            integer.append(False)
-        return col[name]
-
-    for raw in text.splitlines():
-        line = raw.split("\\")[0].strip()
-        if not line:
-            continue
-        head = line.split()[0].lower().rstrip(":")
-        if head in _SECTIONS:
-            section = _SECTIONS[head]
-            if section == "objective":
-                maximize = head.startswith("max")
-            if section == "end":
-                break
-            # 'Subject To' style lines carry no payload of their own
-            continue
-        if section == "objective":
-            coefs, const = _parse_terms(line.partition(":")[2] if ":" in line
-                                        else line)
-            for n, c in coefs.items():
-                j = column(n)
-                objective[j] = objective.get(j, 0.0) + c
-            offset += const
-        elif section == "constraints":
-            name, _, rest = line.partition(":")
-            if not rest:
-                raise ValueError(f"constraint without name: {line!r}")
-            m = re.search(r"(<=|>=|=|<|>)", rest)
-            if not m:
-                raise ValueError(f"constraint without relation: {line!r}")
-            coefs, const = _parse_terms(rest[:m.start()])
-            rhs_coefs, rhs_const = _parse_terms(rest[m.end():])
-            if rhs_coefs:
-                raise ValueError(f"variables on constraint rhs: {line!r}")
-            rows.append(IlpRow(name.strip(),
-                               tuple((c, column(n)) for n, c in coefs.items()),
-                               {"<": "<=", ">": ">="}.get(m[1], m[1]),
-                               rhs_const - const))
-        elif section == "bounds":
-            parts = [t.strip() for t in re.split(r"(<=|>=|=)", line)
-                     if t.strip()]
-            if len(parts) == 3 and not _is_bound(parts[2]):
-                # "lo <= x" is "x >= lo"
-                parts = [parts[2], _FLIP[parts[1]], parts[0]]
-            if line.lower().endswith(" free"):
-                j = column(line.split()[0])
-                lb[j], ub[j] = -math.inf, math.inf
-            elif len(parts) == 5 and parts[1] == parts[3] == "<=":
-                j = column(parts[2])
-                lb[j], ub[j] = float(parts[0]), float(parts[4])
-            elif len(parts) == 3 and _is_bound(parts[2]):
-                j, val = column(parts[0]), float(parts[2])
-                if parts[1] != "<=":
-                    lb[j] = val
-                if parts[1] != ">=":
-                    ub[j] = val
-            else:
-                raise ValueError(f"cannot parse bounds line: {line!r}")
-        elif section in ("general", "binary"):
-            for name in line.split():
-                j = column(name)
-                integer[j] = True
-                if section == "binary" and (lb[j], ub[j]) == (0.0, math.inf):
-                    ub[j] = 1.0
-    sign = 1.0 if maximize else -1.0
-    model = IlpModel(
-        variables=tuple(map(IlpVar, lb, ub, integer)),
-        objective=tuple((sign * c, j) for j, c in objective.items()),
-        rows=tuple(rows), product=None, amecs=())
-    return LpFile(model, list(col), sign, offset)
+    """Read CPLEX LP text with HiGHS's reader.  Raises ValueError for text
+    the reader refuses."""
+    solver = highs._Highs()
+    # else HiGHS prints its banner on stdout
+    solver.setOptionValue("output_flag", False)
+    with tempfile.TemporaryDirectory(prefix="ssltl_") as tmp:
+        # HiGHS picks its reader by the file's extension
+        path = os.path.join(tmp, "model.lp")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        if solver.readModel(path) == highs.HighsStatus.kError:
+            raise ValueError("HiGHS cannot read the LP text")
+    lp = solver.getLp()
+    sign = 1.0 if lp.sense_ == highs.ObjSense.kMaximize else -1.0
+    n, a = lp.num_col_, lp.a_matrix_
+    start = np.asarray(a.start_, dtype=np.int64)
+    integrality = (np.array([int(v) for v in lp.integrality_],
+                            dtype=np.float64)
+                   if lp.integrality_ else np.zeros(n))
+    program = (-sign * np.asarray(lp.col_cost_, dtype=np.float64),
+               np.asarray(a.index_, dtype=np.int64),
+               np.repeat(np.arange(n, dtype=np.int64), np.diff(start)),
+               np.asarray(a.value_, dtype=np.float64),
+               np.asarray(lp.row_lower_, dtype=np.float64),
+               np.asarray(lp.row_upper_, dtype=np.float64),
+               np.asarray(lp.col_lower_, dtype=np.float64),
+               np.asarray(lp.col_upper_, dtype=np.float64), integrality)
+    return LpFile(program, list(lp.col_names_), sign, float(lp.offset_))
 
 
 def _finite(value):
@@ -270,14 +153,11 @@ def run_milp(c, a_rows, a_cols, a_vals, row_lb, row_ub, lb, ub, integrality,
 
 
 def solve_lp_problem(prob: LpFile, time_limit=None, mip_rel_gap=None):
-    """Solve the program of an LP file with the arrays the bundled worker
-    gets (``ilp.highs_arrays``).  Returns scipy's OptimizeResult and
-    ``order``, the model column of each HiGHS column."""
-    from ssltl.ilp import highs_arrays
-
-    program, order = highs_arrays(prob.model)
-    return run_milp(*program, time_limit=time_limit,
-                    mip_rel_gap=mip_rel_gap), order
+    """Solve the program of an LP file.  Returns scipy's OptimizeResult and
+    the file's objective at its point, or None without a point."""
+    res = run_milp(*prob.program, time_limit=time_limit,
+                   mip_rel_gap=mip_rel_gap)
+    return res, None if res.x is None else prob.offset - prob.sign * res.fun
 
 
 def model_status(res, time_limit=None) -> str:
@@ -522,13 +402,10 @@ def main(argv=None) -> int:
 
     with open(args.lp, "r", encoding="utf-8") as fh:
         prob = parse_lp(fh.read())
-    res, order = solve_lp_problem(prob, time_limit=args.time_limit,
-                                  mip_rel_gap=args.mip_rel_gap)
-    coef = {j: c for c, j in prob.model.objective}
-    objective = None if res.x is None else prob.sign * float(np.dot(
-        [coef.get(j, 0.0) for j in order], res.x)) + prob.offset
+    res, objective = solve_lp_problem(prob, time_limit=args.time_limit,
+                                      mip_rel_gap=args.mip_rel_gap)
     write_solution(args.sol, model_status(res, args.time_limit), objective,
-                   [prob.names[j] for j in order], res.x)
+                   prob.names, res.x)
     return 0
 
 

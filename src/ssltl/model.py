@@ -35,7 +35,7 @@ _LATERAL = {"left": ("up", "down"), "right": ("up", "down"),
 # Boolean formulas
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*([\w?]+|[!&|()])")
+_FORMULA_TOKEN = re.compile(r"\s*([\w?]+|[!&|()])")
 
 
 def parse_formula(text: str, atom: Callable[[str], Callable],
@@ -53,7 +53,7 @@ def parse_formula(text: str, atom: Callable[[str], Callable],
     tokens = []
     pos, end = 0, len(text.rstrip())
     while pos < end:
-        match = _TOKEN_RE.match(text, pos)
+        match = _FORMULA_TOKEN.match(text, pos)
         if match is None:
             raise error(f"unexpected character {text[pos:].lstrip()[0]!r} "
                         f"in formula {text!r}")

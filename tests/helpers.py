@@ -17,15 +17,18 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional
 
 import numpy as np
+from scipy import sparse
 
 from ssltl.chain import _kernel
 from ssltl.errors import ModelError, SsltlError
+from ssltl.graph import bscc_accepting, strongly_connected_components
 from ssltl.hoa import Dra, dra_step, letters_of
 from ssltl.ilp import Columns, IlpModel, IlpRow, IlpVar, Solution, \
     column_names
-from ssltl.model import PROB_TOL, Lmdp, SsLtlSpec, validate_lmdp
+from ssltl.model import PROB_TOL, Lmdp, SsLtlSpec, labeled_subset, \
+    validate_lmdp
 from ssltl.product import Policy, ProductLmc, ProductLmdp, build_product
-from ssltl.verify import verify_policy
+from ssltl.verify import SS_BOUND_TOL, verify_policy
 
 LUMP_ROW_TOL = 1e-12
 FEASIBILITY_TOL = 1e-6
@@ -453,6 +456,29 @@ def check_solution(model: IlpModel, sol: Solution,
     return worst
 
 
+def assert_same_highs_program(ours: tuple, theirs: tuple) -> None:
+    """Two ``run_milp`` argument tuples hand HiGHS the same program: the
+    cost, row bounds, column bounds and integrality byte for byte, and the
+    same column-wise matrix, less explicit zeros (``ilp.highs_arrays`` keeps
+    the ``0 x`` term of a row without terms, HiGHS's LP reader drops it)."""
+    assert len(ours) == len(theirs) == 9
+    for i in (0, 4, 5, 6, 7, 8):
+        assert ours[i].dtype == theirs[i].dtype
+        assert ours[i].shape == theirs[i].shape
+        assert ours[i].tobytes() == theirs[i].tobytes()
+    matrices = []
+    for rows, cols, vals in (ours[1:4], theirs[1:4]):
+        assert (rows.dtype, cols.dtype, vals.dtype) == (
+            np.int64, np.int64, np.float64)
+        a = sparse.csc_array((vals, (rows, cols)),
+                             shape=(len(ours[4]), len(ours[0])))
+        a.eliminate_zeros()
+        matrices.append(a)
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(matrices[0], part),
+                              getattr(matrices[1], part))
+
+
 def fix_policy(model: IlpModel, pi: Policy) -> IlpModel:
     """Pin the policy binaries to a given deterministic policy (used to ask
     the solver for a feasibility certificate of a known policy)."""
@@ -764,3 +790,62 @@ def brute_force_synth(m: Lmdp, d: Dra, spec: SsLtlSpec,
         return None
 
     return search()
+
+
+# ---------------------------------------------------------------------------
+# Exact reward of deterministic grids
+# ---------------------------------------------------------------------------
+
+def best_lasso_reward(m: Lmdp, d: Dra, spec: SsLtlSpec) -> Optional[float]:
+    """The best long-run reward of a policy that passes verification, for a
+    model whose every move is deterministic, or None if no policy passes.
+
+    A deterministic policy then reaches exactly one lasso from the initial
+    product state: its chain's one BSCC is the lasso's cycle, which the
+    limiting distribution spreads evenly.  The cycles of the lassos are the
+    simple cycles of the product (one pair per state): every product state
+    is reachable, and a shortest path to a cycle meets it only at its end.
+    So this enumerates the simple cycles, each once from its lowest state
+    within its strongly connected component, keeps those that are
+    Rabin-accepting (``graph.bscc_accepting``) and meet every steady-state
+    interval, and returns the best mean reward of theirs."""
+    p = build_product(m, d)
+    members = [labeled_subset(m, iv.formula) for iv in spec.ss]
+    succ = {i: [j for k in p.pairs(i) for j in p.succ[k]]
+            for i in range(len(p.states))}
+    component = {i: c for c, scc in enumerate(
+        strongly_connected_components(range(len(p.states)), succ))
+        for i in scc}
+    best = None
+    path, rewards = [], []      # the cycle so far, the reward of each step
+
+    def accepted(cycle: list) -> bool:
+        model_states = [p.states[i][0] for i in cycle]
+        return bscc_accepting(cycle, p) and all(
+            iv.lower - SS_BOUND_TOL
+            <= sum(s in member for s in model_states) / len(cycle)
+            <= iv.upper + SS_BOUND_TOL
+            for iv, member in zip(spec.ss, members))
+
+    def walk(root: int, i: int) -> None:
+        nonlocal best
+        path.append(i)
+        s = p.states[i][0]
+        for k, a in zip(p.pairs(i), p.actions(i)):
+            (j,) = p.succ[k]
+            if j < root or component[j] != component[root] or (
+                    j != root and j in path):
+                continue
+            rewards.append(sum(prob * m.reward_value(s, a, s2)
+                               for s2, prob in m.trans[(s, a)].items()))
+            if j != root:
+                walk(root, j)
+            elif best is None or sum(rewards) / len(path) > best:
+                if accepted(path):
+                    best = sum(rewards) / len(path)
+            rewards.pop()
+        path.pop()
+
+    for root in range(len(p.states)):
+        walk(root, root)
+    return best

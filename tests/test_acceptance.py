@@ -15,6 +15,7 @@ import pytest
 from helpers import (
     Lmc,
     aggregate,
+    best_lasso_reward,
     brute_force_synth,
     check_lumpable,
     lump_distribution,
@@ -219,7 +220,9 @@ def test_criterion_7_limiting_distribution_oracle():
 def test_criterion_8_end_to_end_grid_suite(fixtures_dir):
     """Runtime suite: recurrence-or-persistence
     and until-style specs on ten random 4x4 grids each complete end-to-end
-    under 60 s per instance, with every feasible result verifier-passing."""
+    under 60 s per instance, with every feasible result verifier-passing and
+    no better than the exact optimum (``best_lasso_reward``), and every
+    infeasible one without a passing policy."""
     solver = _solver(15, kill_after=120)
     worst_time = 0.0
     statuses = []
@@ -238,9 +241,13 @@ def test_criterion_8_end_to_end_grid_suite(fixtures_dir):
             assert result.status in ("verified", "infeasible"), (
                 f"{spec_name} seed {seed}: {result.status} ({result.detail})")
             statuses.append(result.status)
+            best = best_lasso_reward(m, d, spec)
             if result.status == "verified":
                 report = verify_policy(m, d, spec, result.policy)
                 assert report.verdict
+                assert result.objective <= best + 1e-9
+            else:
+                assert best is None
     n_ok = statuses.count("verified")
     _report(8, True,
             f"20 instances, {n_ok} verified-feasible, "

@@ -8,16 +8,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from ssltl.milp_shim import highs, main, parse_lp, _parse_terms
-
-
-def test_parse_terms_signs_and_scientific_notation():
-    # 9.6e-05 is the flow increment eps above 2500 product states.
-    coefs, const = _parse_terms(
-        "0.5 x - 1 y + 2.5e-05 z - w - 9.6e-05 v + 1 e - 5 u + 3")
-    assert coefs == {"x": 0.5, "y": -1.0, "z": pytest.approx(2.5e-05),
-                     "w": -1.0, "v": -9.6e-05, "e": 1.0, "u": -5.0}
-    assert const == 3.0
+from ssltl.milp_shim import highs, main, parse_lp
 
 
 def test_parse_lp_sections():
@@ -34,16 +25,31 @@ Binary
 End
 """
     prob = parse_lp(text)
+    c, a_rows, a_cols, a_vals, row_lb, row_ub, lb, ub, integrality = \
+        prob.program
     assert prob.names == ["x", "y", "b"]
-    # the model maximizes, so a Minimize file's objective is negated
+    # run_milp minimizes -sign times the file's objective: a Minimize file's
+    # cost goes as written
     assert (prob.sign, prob.offset) == (-1.0, 0.0)
-    assert prob.model.objective == ((-1.0, 0), (-2.0, 1))
-    assert [(r.name, r.terms, r.sense, r.rhs) for r in prob.model.rows] == [
-        ("c1", ((1.0, 0), (1.0, 1)), ">=", 2.0),
-        ("c2", ((1.0, 0), (-1.0, 1)), "=", 0.0)]
-    assert [(v.lb, v.ub, v.binary) for v in prob.model.variables] == [
-        (0.0, 5.0, False), (-math.inf, math.inf, False), (0.0, 1.0, True)]
-    assert prob.model.product is None
+    assert list(c) == [1.0, 2.0, 0.0]
+    assert (list(a_rows), list(a_cols), list(a_vals)) == (
+        [0, 1, 0, 1], [0, 0, 1, 1], [1.0, 1.0, 1.0, -1.0])
+    assert (list(row_lb), list(row_ub)) == ([2.0, 0.0], [math.inf, 0.0])
+    assert (list(lb), list(ub), list(integrality)) == (
+        [0.0, -math.inf, 0.0], [5.0, math.inf, 1.0], [0.0, 0.0, 1.0])
+    assert [a.dtype for a in prob.program] == \
+        [np.float64] + [np.int64] * 2 + [np.float64] * 6
+
+
+def test_parse_terms_signs_and_scientific_notation():
+    # 9.6e-05 is the flow increment eps above 2500 product states; the
+    # constant 3 is the offset, and a Maximize file's cost is negated
+    prob = parse_lp("Maximize\n obj: 0.5 x - 1 y + 2.5e-05 z - w - 9.6e-05 v"
+                    " + 1 e - 5 u + 3\nSubject To\n c: 1 x <= 1\nEnd\n")
+    assert prob.names == ["x", "y", "z", "w", "v", "e", "u"]
+    assert (prob.sign, prob.offset) == (1.0, 3.0)
+    assert list(-prob.program[0]) == [0.5, -1.0, 2.5e-05, -1.0, -9.6e-05,
+                                      1.0, -5.0]
 
 
 @pytest.mark.parametrize("line, bounds", [
@@ -56,16 +62,29 @@ End
 def test_parse_lp_infinite_bounds(line, bounds):
     prob = parse_lp(f"Maximize\n obj: 1 y\nSubject To\n c: 1 x + 1 y <= 3\n"
                     f"Bounds\n {line}\nEnd\n")
+    lb, ub = prob.program[6:8]
     assert prob.names == ["y", "x"]
-    assert (prob.model.variables[1].lb, prob.model.variables[1].ub) == bounds
+    assert (lb[1], ub[1]) == bounds
 
 
-def test_column_named_inf_stays_a_column():
-    prob = parse_lp("Maximize\n obj: 1 inf\nSubject To\n"
-                    " c: 2 inf - 1 x <= 3\nBounds\n inf <= 4\nEnd\n")
-    assert prob.names == ["inf", "x"]
-    assert prob.model.rows[0].terms == ((2.0, 0), (-1.0, 1))
-    assert prob.model.variables[0].ub == 4.0
+def run_cli(tmp_path, name, lp_text):
+    """``ssltl-milp`` on ``lp_text`` in file ``name``: the process and the
+    path of its solution file."""
+    lp, sol = tmp_path / name, tmp_path / "m.sol"
+    lp.write_text(lp_text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ssltl.milp_shim", str(lp), str(sol)],
+        capture_output=True, text=True)
+    return proc, sol
+
+
+def test_column_named_inf_is_refused(tmp_path):
+    """HiGHS's LP reader refuses a column named ``inf``."""
+    proc, sol = run_cli(tmp_path, "m.lp", "Maximize\n obj: 1 inf\n"
+                        "Subject To\n c: 2 inf - 1 x <= 3\nBounds\n"
+                        " inf <= 4\nEnd\n")
+    assert proc.returncode != 0
+    assert not sol.exists()
 
 
 def run_shim(tmp_path, lp_text, *extra):
@@ -122,14 +141,12 @@ End
 
 
 def test_console_entry_point(tmp_path):
-    lp = tmp_path / "m.lp"
-    sol = tmp_path / "m.sol"
-    lp.write_text("Maximize\n obj: 1 x\nSubject To\n c: 1 x <= 2\n"
-                  "Bounds\n 0 <= x <= 9\nEnd\n")
-    proc = subprocess.run(
-        [sys.executable, "-m", "ssltl.milp_shim", str(lp), str(sol)],
-        capture_output=True, text=True)
+    """Any file name will do, and nothing reaches stdout."""
+    proc, sol = run_cli(tmp_path, "m.txt", "Maximize\n obj: 1 x\n"
+                        "Subject To\n c: 1 x <= 2\nBounds\n 0 <= x <= 9\n"
+                        "End\n")
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
     assert "x 2.0" in sol.read_text()
 
 

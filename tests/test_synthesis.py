@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import brute_force_synth, named_chain, power_iteration_limit, \
-    random_dra, random_lmdp
+from helpers import best_lasso_reward, brute_force_synth, named_chain, \
+    power_iteration_limit, random_dra, random_lmdp
 from ssltl import ilp
 from ssltl.graph import accepting_mecs, mec_decomposition
 from ssltl.hoa import load_hoa, parse_hoa
@@ -249,6 +249,26 @@ def fin_touching_mec_model():
                ("s1", "go"): {"s0": 1.0}},
         reward={}, ap=("f",),
         labels={"s0": frozenset(), "s1": frozenset(["f"])}, initial="s0"))
+
+
+@pytest.mark.parametrize("width, height, seed, spec, best", [
+    (4, 4, 0, "fixtures/specs/theta2.json", 0.875),
+    (4, 4, 4, "fixtures/specs/theta2.json", 0.8),
+    (4, 4, 7, "fixtures/specs/theta2.json", 5 / 6),
+    (4, 4, 8, "fixtures/specs/theta2.json", 0.875),
+    (3, 4, 1, "fixtures/specs/theta2.json", 0.7),
+    (3, 4, 1, "perfbench/specs/theta2_d_high.json", None),
+    (4, 3, 0, "perfbench/specs/theta2_d_high.json", None),
+])
+def test_best_lasso_reward_of_deterministic_grids(width, height, seed, spec,
+                                                  best):
+    """The exact optimum of criterion 8's theta2 grids whose best reward
+    is below 1, and of the benchmark's bnb-hard grids: a reward plateau at
+    0.7 and two specs no policy meets."""
+    spec = load_spec(spec)
+    found = best_lasso_reward(generate_grid(GridSpec(width, height, seed)),
+                              load_hoa(spec.dra_source), spec)
+    assert found == (None if best is None else pytest.approx(best))
 
 
 def test_oracle_finds_the_policy_inside_a_fin_touching_mec():
