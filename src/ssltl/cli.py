@@ -107,14 +107,15 @@ def _load_instance(args):
 
 def _solver_record(sol) -> Optional[dict]:
     """What the solver returned in the last round: bound, gap, nodes, the
-    seed of the search that answered, the number of searches and whether
-    they split the program are null when the backend does not report
-    them."""
+    seed of the search that answered, the number of searches, whether they
+    split the program and whether the point came from a dive's restriction
+    are null when the backend does not report them."""
     if sol is None:
         return None
     return {"status": sol.status, "objective": sol.objective,
             "bound": sol.bound, "gap": sol.gap, "nodes": sol.nodes,
-            "seed": sol.seed, "searches": sol.searches, "split": sol.split}
+            "seed": sol.seed, "searches": sol.searches, "split": sol.split,
+            "dive": sol.dive}
 
 
 def cmd_synth(args) -> int:

@@ -21,11 +21,15 @@ on the pairs of the initial product state, each searching its own part of
 the policies, and combine their answers; any other program goes whole to
 each search, the first reply wins and the searches still running are
 stopped (``milp_shim.solve_request``).  A lone search solves every program
-whole.  An external solver gets the program in CPLEX LP format through its
-command template (``{lp}`` and ``{sol}`` placeholders), and solution files
-in either a generic ``name value`` layout or the index-prefixed column
-layout written by CBC are mapped back to columns; ``write_solution`` writes
-the ``name value`` layout for ``--keep-files`` and ``ssltl-milp``.  Every
+whole.  Every search of a feasibility program first dives: it solves the
+LP relaxation and then the program with every binary the relaxation leaves
+at 0 or 1 fixed, and searches the whole program only when that restriction
+has no point (``milp_shim.search``).  An external solver gets the program
+in CPLEX LP format through its command template (``{lp}`` and ``{sol}``
+placeholders), and solution files in either a generic ``name value`` layout
+or the index-prefixed column layout written by CBC are mapped back to
+columns; ``write_solution`` writes the ``name value`` layout for
+``--keep-files`` and ``ssltl-milp``.  Every
 solve ends in a ``Solution`` whose status says how; a solver failure is
 status ``error``, never an exception.
 """
@@ -515,11 +519,14 @@ class Solution:
     """A solver's answer.  ``bound`` (the proven upper bound on the
     objective), ``gap`` and ``nodes`` come from the bundled backend, as do
     ``searches``, the number of its searches, ``split``, whether they split
-    the program or raced over all of it, and ``seed``, the HiGHS seed of
-    the search whose answer (in a split, whose point) this is; all are None
-    when read from a solution file.  In a split, ``nodes`` sums those of
-    the halves awaited, and ``bound`` and ``gap`` are the program's,
-    combined from theirs (see ``milp_shim.solve_request``)."""
+    the program or raced over all of it, ``seed``, the HiGHS seed of the
+    search whose answer (in a split, whose point) this is, and ``dive``,
+    whether that search's point is one of the restriction its dive solved
+    (``milp_shim.search``); all are None when read from a solution file.
+    In a split, ``nodes`` sums those of the halves awaited, and ``bound``
+    and ``gap`` are the program's, combined from theirs (see
+    ``milp_shim.solve_request``).  After a dive, ``nodes`` sums those of
+    the restriction and of the whole program, if that was searched."""
 
     status: str          # optimal | feasible | infeasible | timeout | error
     values: Optional[np.ndarray] = None     # one value per column, if any
@@ -531,6 +538,7 @@ class Solution:
     seed: Optional[int] = None
     searches: Optional[int] = None
     split: Optional[bool] = None
+    dive: Optional[bool] = None
 
 
 def parse_solution_text(text: str, varnames) -> tuple:
@@ -681,13 +689,13 @@ def _solve_bundled(model: IlpModel, time_limit: float,
         stem = _keep_stem(keep_files, round_no)
         write_lp(model, stem + ".lp")
     seeds = _race_seeds()
-    status, x, dual_bound, gap, nodes, seed, split = _ask_worker(
+    status, x, dual_bound, gap, nodes, dive, seed, split = _ask_worker(
         program + (time_limit, seeds, _initial_groups(model, order)))
     output = f"Model status: {status}"
     # 0.0 - b, not -b: a zero bound must not read -0.0
     stats = {"bound": None if dual_bound is None else 0.0 - dual_bound,
              "gap": gap, "nodes": nodes, "seed": seed,
-             "searches": len(seeds), "split": split}
+             "searches": len(seeds), "split": split, "dive": dive}
     if status == "Infeasible":
         sol = Solution("infeasible", solver_output=output, **stats)
     elif x is None and status.startswith("Time limit reached"):
@@ -788,7 +796,8 @@ def _ask_worker(request: tuple) -> tuple:
         except (EOFError, pickle.UnpicklingError, BrokenPipeError):
             code = _stop_worker(grace=5.0)
             return (f"Error (the bundled solver worker exited, code {code}, "
-                    f"without a reply)", None, None, None, None, None, False)
+                    f"without a reply)", None, None, None, None, False, None,
+                    False)
         except BaseException:
             _stop_worker(grace=0.0)
             raise

@@ -5,13 +5,16 @@ in one of two ways that share one HiGHS run (``run_milp``).
   each process and sends it each program as pickled arrays over its stdin,
   with the HiGHS seeds of the searches that solve it.  The searches run as
   threads of the worker; they race over the program, or split it
-  (``solve_request``), and the worker sends back one reply.
+  (``solve_request``), and the worker sends back one reply.  A search of a
+  feasibility program dives first: it solves the restriction its LP
+  relaxation leaves, and goes on to the whole program only when that has
+  no point (``search``).
 * The stand-alone command, which reads a CPLEX-LP-format file with HiGHS's
   own LP reader (``parse_lp``), whatever the file's name, hands HiGHS the
-  program as ``run_milp``'s arrays, and writes a plain ``name value``
-  solution file:
+  program as ``run_milp``'s arrays in one plain run, with no dive, and
+  writes a plain ``name value`` solution file:
   ``python -m ssltl.milp_shim MODEL.lp OUT.sol [--time-limit S]`` (also
-  installed as the ``ssltl-milp`` script).
+  installed as the ``ssltl-milp`` script).  It prints nothing on stdout.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import signal
 import sys
 import tempfile
 import threading
+import time
 import traceback
 from typing import NamedTuple
 
@@ -100,7 +104,9 @@ def run_milp(c, a_rows, a_cols, a_vals, row_lb, row_ub, lb, ub, integrality,
     ``integrality`` is 1 integer.  ``random_seed`` seeds HiGHS's search.
     HiGHS gets the same column-wise matrix and options as from scipy's
     ``milp``, so it searches the same way.  ``interrupt``, if given, is
-    called at HiGHS's MIP interrupt checks; the solve stops when it is true.
+    called at HiGHS's MIP interrupt checks, and in an LP (no integer
+    column) at its simplex interrupt checks, which HiGHS does not make in a
+    MIP solve; the solve stops when it is true.
 
     Returns an OptimizeResult with ``milp``'s ``status`` and ``message``
     (status 4 for an interrupted solve), and ``x`` and ``fun`` where
@@ -132,6 +138,8 @@ def run_milp(c, a_rows, a_cols, a_vals, row_lb, row_ub, lb, ub, integrality,
                 data_in.user_interrupt = True
         solver.setCallback(check, None)
         solver.startCallback(highs.cb.HighsCallbackType.kCallbackMipInterrupt)
+        solver.startCallback(
+            highs.cb.HighsCallbackType.kCallbackSimplexInterrupt)
     if solver.passModel(lp) == highs.HighsStatus.kError:
         raise ValueError("HiGHS rejects the program")
     solver.run()
@@ -179,12 +187,13 @@ def solve_request(request: tuple, hangup=None) -> tuple:
     """Solve one request of ``serve`` with one search per seed, each in the
     thread of this process that runs the searches of that HiGHS seed
     (``_search_thread``), and return ``(status, x, dual_bound, gap, nodes,
-    seed, split)``: the ``model_status`` text, the point or None, HiGHS's
-    MIP statistics, the seed of the search whose answer (in a split, whose
-    point) this is (None for a split without a point), and whether the
-    searches split the program.  A search stops at HiGHS's next interrupt
-    check once the request is answered, or once the write end of the pipe
-    ``hangup``, if given, is closed.
+    dive, seed, split)``: the reply of that search (``search``; a
+    feasibility program's search dives first), the seed of the search
+    whose answer (in a split, whose point) this is (None for a split
+    without a point), and whether the searches split the program.  A
+    search stops at HiGHS's next interrupt check once the request is
+    answered, or once the write end of the pipe ``hangup``, if given, is
+    closed.
 
     The request ends with ``seeds`` and ``groups``: the HiGHS columns of the
     policy binaries of the initial product state's pairs, in groups of
@@ -283,16 +292,86 @@ def _search(program: tuple, time_limit, seed: int,
     if hangup is not None:
         poller.register(hangup, select.POLLHUP)
     try:
-        res = run_milp(*program, time_limit=time_limit, random_seed=seed,
-                       interrupt=lambda: done.is_set() or bool(
-                           poller.poll(0)))
-        reply = (model_status(res, time_limit), res.x, res.mip_dual_bound,
-                 res.mip_gap, res.mip_node_count)
+        reply = search(program, time_limit, seed,
+                       lambda: done.is_set() or bool(poller.poll(0)))
     except Exception as exc:  # reported to the owner, not fatal here
         traceback.print_exc()
         reply = (f"Error ({type(exc).__name__}: {exc})", None, None, None,
-                 None)
+                 None, False)
     replies.put((seed, reply))
+
+
+# a binary the LP relaxation leaves this close to 0 or 1 is fixed in the dive
+_FIX_TOL = 1e-9
+
+
+def search(program: tuple, time_limit, seed: int, interrupt) -> tuple:
+    """Solve ``program`` (``run_milp``'s arrays) under HiGHS seed ``seed``
+    and within ``time_limit`` seconds, stopping once ``interrupt()`` is
+    true, and return ``(status, x, dual_bound, gap, nodes, dive)``: the
+    ``model_status`` text, the point or None, HiGHS's MIP statistics, and
+    whether the point is one of the dive's restriction.
+
+    A program with integer columns and no cost, a feasibility program,
+    whose every point is optimal, is *dived* first, as RENS does (Berthold,
+    Math. Prog. Comp. 2014), but before HiGHS's root cut loop, whose cuts
+    cannot move a bound that is 0 from the root LP on:
+
+    1. Solve the LP relaxation.  If it has no point, neither has the
+       program: the answer is ``Infeasible``, with 0 nodes.
+    2. Else fix every binary the relaxation's point leaves within
+       ``_FIX_TOL`` of 0 or 1 (``_restriction``) and solve the restriction.
+       Its bounds are tighter than the program's, so a point of it is a
+       point of the program, and the answer is ``Optimal`` there.
+
+    Only when the restriction has no point (it is infeasible, or stopped at
+    the time limit) does the whole program get the time left, and its nodes
+    add to the restriction's.  A search stopped in the dive answers
+    ``Error``, as a stopped HiGHS run does; both LP and MIP solves stop at
+    their interrupt checks (``run_milp``)."""
+    limit, nodes = time_limit, 0
+    if not np.any(program[0]) and np.any(program[8]):
+        start = time.monotonic()
+        res = run_milp(*program[:8], np.zeros_like(program[8]),
+                       time_limit=time_limit, random_seed=seed,
+                       interrupt=interrupt)
+        if res.status == 2:
+            return "Infeasible", None, None, None, 0, False
+        if res.status == 0:
+            res = run_milp(*_restriction(program, res.x),
+                           time_limit=_left(time_limit, start),
+                           random_seed=seed, interrupt=interrupt)
+            nodes = res.mip_node_count
+            if res.x is not None:
+                return ("Optimal", res.x, res.mip_dual_bound, res.mip_gap,
+                        nodes, True)
+        if interrupt():
+            return "Error (stopped in the dive)", None, None, None, nodes, \
+                False
+        limit = _left(time_limit, start)
+    res = run_milp(*program, time_limit=limit, random_seed=seed,
+                   interrupt=interrupt)
+    return (model_status(res, time_limit), res.x, res.mip_dual_bound,
+            res.mip_gap, None if res.mip_node_count is None
+            else nodes + res.mip_node_count, False)
+
+
+def _left(time_limit, start: float):
+    """What is left of ``time_limit`` seconds (None: no limit) that began at
+    ``time.monotonic()`` = ``start``."""
+    if time_limit is None:
+        return None
+    return max(0.0, time_limit - (time.monotonic() - start))
+
+
+def _restriction(program: tuple, x: np.ndarray) -> tuple:
+    """``program`` with each integer column that ``x`` leaves within
+    ``_FIX_TOL`` of 0 or 1 fixed at that value."""
+    lb, ub = program[6].copy(), program[7].copy()
+    fixed = (program[8] == 1) & (
+        np.minimum(np.abs(x), np.abs(x - 1.0)) <= _FIX_TOL)
+    lb[fixed] = ub[fixed] = np.round(x[fixed])
+    return program[:6] + (lb, ub) + program[8:]
 
 
 def _closed(program: tuple, groups: list) -> tuple:
@@ -312,22 +391,23 @@ def _at_ceiling(reply: tuple, c: np.ndarray) -> bool:
 
 
 def _combine(answers: list, c: np.ndarray) -> tuple:
-    """``(status, x, dual_bound, gap, nodes, seed)`` of a split program from
-    its halves' ``(seed, reply)``, in HiGHS's terms (minimize ``c @ x``):
-    optimal when every half is optimal or infeasible, infeasible when every
-    half is; else at a limit, with a point if any half has one.  The point
-    is the better incumbent, from the search of ``seed``; the dual bound is
-    the lowest (an infeasible half's is +inf); the gap is HiGHS's |primal -
-    dual| / |primal| of that point and bound; the nodes are summed."""
+    """``(status, x, dual_bound, gap, nodes, dive, seed)`` of a split
+    program from its halves' ``(seed, reply)``, in HiGHS's terms (minimize
+    ``c @ x``): optimal when every half is optimal or infeasible,
+    infeasible when every half is; else at a limit, with a point if any
+    half has one.  The point is the better incumbent, from the search of
+    ``seed``, and ``dive`` is that search's; the dual bound is the lowest
+    (an infeasible half's is +inf); the gap is HiGHS's |primal - dual| /
+    |primal| of that point and bound; the nodes are summed."""
     statuses = [reply[0] for _, reply in answers]
-    points = [(float(c @ reply[1]), seed, reply[1])
+    points = [(float(c @ reply[1]), seed, reply[1], reply[5])
               for seed, reply in answers if reply[1] is not None]
     bounds = [math.inf if reply[0] == "Infeasible" else reply[2]
               for _, reply in answers]
     bound = None if None in bounds or min(bounds) == math.inf \
         else min(bounds)
-    primal, seed, x = min(points, key=lambda point: point[0],
-                          default=(None, None, None))
+    primal, seed, x, dive = min(points, key=lambda point: point[0],
+                                default=(None, None, None, False))
     if primal is None or bound is None:
         gap = None
     elif primal == 0.0:
@@ -342,7 +422,7 @@ def _combine(answers: list, c: np.ndarray) -> tuple:
         status = next(s for s in statuses if s not in ("Optimal",
                                                        "Infeasible"))
     nodes = sum(reply[4] or 0 for _, reply in answers)
-    return status, x, bound, gap, nodes, seed
+    return status, x, bound, gap, nodes, dive, seed
 
 
 def serve() -> None:
@@ -364,10 +444,7 @@ def serve() -> None:
     ignored: the owner kills the worker when one reaches it mid-exchange.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    replies = os.fdopen(os.dup(1), "wb")
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, 1)
-    os.close(devnull)
+    replies = os.fdopen(_silence_fd1(), "wb")
     requests = sys.stdin.buffer
     while True:
         try:
@@ -386,6 +463,18 @@ def serve() -> None:
     os._exit(0)
 
 
+def _silence_fd1() -> int:
+    """Send fd 1 to the null device and return a copy of what it was.
+    HiGHS 1.12 prints ``HighsMipSolverData::transformNewIntegerFeasibleSolution
+    tmpSolver.run();`` on fd 1 during some MIP solves, output off or not."""
+    sys.stdout.flush()
+    saved = os.dup(1)
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, 1)
+    os.close(devnull)
+    return saved
+
+
 def main(argv=None) -> int:
     # here, not at the top: the worker (``serve``) needs no program layer
     from ssltl.ilp import write_solution
@@ -402,8 +491,15 @@ def main(argv=None) -> int:
 
     with open(args.lp, "r", encoding="utf-8") as fh:
         prob = parse_lp(fh.read())
-    res, objective = solve_lp_problem(prob, time_limit=args.time_limit,
-                                      mip_rel_gap=args.mip_rel_gap)
+    # the external route reads a solver's stdout for status hints, and
+    # HiGHS's stray print holds one ("Feasible")
+    stdout = _silence_fd1()
+    try:
+        res, objective = solve_lp_problem(prob, time_limit=args.time_limit,
+                                          mip_rel_gap=args.mip_rel_gap)
+    finally:
+        os.dup2(stdout, 1)
+        os.close(stdout)
     write_solution(args.sol, model_status(res, args.time_limit), objective,
                    prob.names, res.x)
     return 0

@@ -15,7 +15,8 @@ and every later round (and every later call) reuses, so a cut round costs
 the solve itself, not a solver start.  On two CPUs the worker's two search
 threads split a reward program's policies between them on the initial
 state's actions, and race over a feasibility program
-(``milp_shim.solve_request``).
+(``milp_shim.solve_request``), each diving first into the restriction its
+LP relaxation leaves (``milp_shim.search``).
 
 The program's occupation measure x lives on the pairs the accepting
 components retain, so a candidate's x is a stationary measure inside them.

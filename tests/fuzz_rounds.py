@@ -5,6 +5,9 @@ Every instance ``oracle_instance`` (tests/test_synthesis.py) makes for seeds
 0 .. N-1 x det_prob {0.6, 0.75, 0.9} x ss {no, yes} goes through
 ``synthesize`` on the bundled backend with the default round budget, and its
 verdict is compared with ``brute_force_synth`` wherever that can enumerate.
+``--objective feasibility`` builds feasibility programs in place of the
+default reward programs: every search of one dives first
+(``milp_shim.search``).
 One line is printed (wrapped here):
 
     instances 3000 rounds 2040 over1 69 max 15 wrong 0 unverified 0
@@ -22,11 +25,13 @@ does, and a lone pool process all it may: on two CPUs they split every
 reward program (``--workers 1``).
 
     python tests/fuzz_rounds.py [--seeds 500] [--workers 2] [--search S]
+        [--objective feasibility]
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -38,16 +43,17 @@ sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 from helpers import EnumerationLimitError, brute_force_synth  # noqa: E402
 from test_synthesis import oracle_instance  # noqa: E402
 from ssltl import ilp  # noqa: E402
+from ssltl.ilp import IlpConfig  # noqa: E402
 from ssltl.synthesis import synthesize  # noqa: E402
 
 DET_PROBS = (0.6, 0.75, 0.9)
 OBJECTIVE_TOL = 1e-6
 
 
-def run(case: tuple) -> tuple:
+def run(case: tuple, objective: str) -> tuple:
     """(rounds, wrong, unverified, objective differs) of one instance."""
     m, d, spec = oracle_instance(*case)
-    result = synthesize(m, d, spec)
+    result = synthesize(m, d, spec, cfg=IlpConfig(objective=objective))
     try:
         expected = ("infeasible" if brute_force_synth(m, d, spec) is None
                     else "verified")
@@ -76,6 +82,10 @@ def main(argv=None) -> int:
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--search", type=int, choices=ilp._RACER_SEEDS,
                         help="run only the search of this seed")
+    parser.add_argument("--objective", default="expected_reward",
+                        choices=("expected_reward", "feasibility"),
+                        help="the programs' objective (default "
+                             "expected_reward)")
     args = parser.parse_args(argv)
     cases = [(seed, det, ss) for seed in range(args.seeds)
              for det in DET_PROBS for ss in (False, True)]
@@ -84,7 +94,8 @@ def main(argv=None) -> int:
                              initializer=race_only,
                              initargs=(args.search, args.workers)) as pool:
         rounds, wrong, unverified, differs = zip(
-            *pool.map(run, cases, chunksize=8))
+            *pool.map(functools.partial(run, objective=args.objective),
+                      cases, chunksize=8))
     print(f"instances {len(rounds)} rounds {sum(rounds)} "
           f"over1 {sum(r > 1 for r in rounds)} max {max(rounds)} "
           f"wrong {sum(wrong)} unverified {sum(unverified)} "

@@ -278,6 +278,25 @@ def test_record_reports_the_solver_answer(tmp_path, bundled_backend):
     assert solver["seed"] in ilp._RACER_SEEDS
     assert solver["searches"] == len(ilp._race_seeds())
     assert solver["split"] is False     # the initial state has one action
+    assert solver["dive"] is False      # a reward program is never dived
+
+
+def test_record_of_a_feasibility_run_names_the_dive(tmp_path,
+                                                    bundled_backend):
+    """Every point of a feasibility program is optimal, so each search
+    dives first.  The one policy's binaries are integral in the LP
+    relaxation, so the restriction holds its point, and the record says that
+    the point came from there."""
+    write_trivial_instance(tmp_path)
+    code = run_cli("synth", "--model", str(tmp_path / "model.json"),
+                   "--spec", str(tmp_path / "spec.json"),
+                   "--objective", "feasibility",
+                   "-o", str(tmp_path / "policy.json"),
+                   "--record", str(tmp_path / "record.json"))
+    assert code == 0
+    solver = json.loads((tmp_path / "record.json").read_text())["solver"]
+    assert (solver["status"], solver["objective"], solver["dive"]) == (
+        "optimal", 0.0, True)
 
 
 def test_synth_infeasible_exit_2_and_no_policy_file(tmp_path):
@@ -422,6 +441,7 @@ def test_synth_records_a_solver_that_cannot_launch(tmp_path, capsys):
     assert rec["detail"].startswith("solver error: cannot launch solver: ")
     assert rec["solver"]["status"] == "error"
     assert rec["solver"]["seed"] is rec["solver"]["searches"] is None
+    assert rec["solver"]["dive"] is None
     assert not (tmp_path / "policy.json").exists()
 
 

@@ -3,12 +3,16 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import sparse
 
+from ssltl import cli
 from ssltl.milp_shim import highs, main, parse_lp
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_parse_lp_sections():
@@ -148,6 +152,23 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ""
     assert "x 2.0" in sol.read_text()
+
+
+def test_highs_prints_do_not_reach_stdout(tmp_path):
+    """HiGHS prints ``HighsMipSolverData::transformNewIntegerFeasibleSolution
+    tmpSolver.run();`` on fd 1 while it solves this reward program (the 4x4
+    slip grid of seed 0 under theta2), and the external route reads a
+    solver's stdout for status hints: none reaches it."""
+    grid, lp = tmp_path / "grid.json", tmp_path / "m.lp"
+    assert cli.main(["gen-grid", "--size", "4", "--seed", "0", "--dynamics",
+                     "slip", "-o", str(grid)]) == 0
+    assert cli.main(["export-lp", "--model", str(grid), "--spec",
+                     str(ROOT / "fixtures/specs/theta2.json"), "-o",
+                     str(lp)]) == 0
+    proc, sol = run_cli(tmp_path, "m.lp", lp.read_text())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
+    assert sol.read_text().startswith("Model status: Optimal\n")
 
 
 def test_highs_run_releases_the_interpreter_lock():

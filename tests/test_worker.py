@@ -1,7 +1,8 @@
 """Lifetime of the bundled backend's worker process: one per process,
 reused across solves, replaced when it dies or after a fork, and never left
 behind by its owner; and the rules by which its search threads race over a
-program or split it, checked in-process (``milp_shim.solve_request``)."""
+program or split it, and dive into a feasibility program, checked
+in-process (``milp_shim.solve_request``, ``milp_shim.search``)."""
 
 import os
 import pickle
@@ -11,13 +12,16 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy import sparse
 
 from ssltl import ilp, milp_shim
-from ssltl.hoa import parse_hoa
+from ssltl.hoa import load_hoa, parse_hoa
 from ssltl.ilp import IlpConfig, SolverConfig, build_program, solve
 from ssltl.graph import accepting_mecs, mec_decomposition
-from ssltl.model import Lmdp, SsLtlSpec, spec_from_json, validate_lmdp
+from ssltl.model import (GridSpec, Lmdp, SsLtlSpec, generate_grid, load_spec,
+                         spec_from_json, validate_lmdp)
 from ssltl.product import build_product
 from ssltl.synthesis import synthesize
 
@@ -60,10 +64,14 @@ def two_state_model(reward: float = 2.0) -> Lmdp:
         initial="start"))
 
 
-def two_state_program(reward: float = 2.0):
+def two_state_program(reward: float = 2.0,
+                      objective: str = "expected_reward"):
+    """``two_state_model``'s program; every point of its feasibility
+    program is optimal, so each search dives first
+    (``milp_shim.search``)."""
     p = build_product(two_state_model(reward), TRUE_DRA)
     return build_program(p, accepting_mecs(mec_decomposition(p), p), NO_SS,
-                         IlpConfig())
+                         IlpConfig(objective=objective))
 
 
 def solve_once(reward: float = 2.0) -> float:
@@ -116,7 +124,8 @@ def spinning(spins: dict, deaf=()):
     an entry do not spin.  The spin checks for a stop as it goes, so a stop
     ends it, and the solve, at once; but the n-th solve of the search of
     seed s checks none when ``(s, n)`` is in ``deaf``.  The stand-in's
-    ``stopped`` lists the ``(s, n)`` of each solve stopped."""
+    ``stopped`` lists the ``(s, n)`` of each solve stopped, and its
+    ``calls`` the number n of the last solve of each seed."""
     run_milp, calls, stopped = milp_shim.run_milp, {}, []
 
     def spinning_run(*args, random_seed, interrupt, **kwargs):
@@ -136,7 +145,7 @@ def spinning(spins: dict, deaf=()):
             return True
         return run_milp(*args, random_seed=random_seed, interrupt=spin,
                         **kwargs)
-    spinning_run.stopped = stopped
+    spinning_run.stopped, spinning_run.calls = stopped, calls
     return spinning_run
 
 
@@ -311,7 +320,8 @@ def test_no_worker_runs_after_synthesize_returns(two_searches):
     assert set(thread_states(pid)) == {"S"}
 
 
-def split_program(p_lower: float = 0.0, detour: float = 5.0):
+def split_program(p_lower: float = 0.0, detour: float = 5.0,
+                  objective: str = "expected_reward"):
     """Two copies of ``two_state_model``'s s0 and s1 behind one start
     state, which two searches split on its two pairs: search 0 gets
     "stay", to t0, where staying at t1 earns 2, and search 1 "go", to s0,
@@ -320,7 +330,8 @@ def split_program(p_lower: float = 0.0, detour: float = 5.0):
     ``detour``.  No policy earns ``detour`` per step, so with ``detour``
     above 3 no half reaches the largest reward, and both are awaited.
     Each half, unlike the program of one copy alone, goes to the MIP
-    solver, which makes interrupt checks (``spinning``)."""
+    solver, which makes interrupt checks (``spinning``).  ``objective``
+    is the program's."""
     states, trans, reward = ("start", "t0", "t1", "s0", "s1"), {}, {}
     for a, b, r in (("t0", "t1", 2.0), ("s0", "s1", 3.0)):
         trans[(a, "stay")], trans[(a, "go")] = {a: 1.0}, {b: 1.0}
@@ -339,7 +350,7 @@ def split_program(p_lower: float = 0.0, detour: float = 5.0):
         {"formula": "p", "lower": p_lower, "upper": max(p_lower, 1.0)}]})
     p = build_product(m, TRUE_DRA)
     return build_program(p, accepting_mecs(mec_decomposition(p), p), spec,
-                         IlpConfig())
+                         IlpConfig(objective=objective))
 
 
 def test_split_halves_are_combined(monkeypatch, in_process):
@@ -359,6 +370,7 @@ def test_split_halves_are_combined(monkeypatch, in_process):
     assert sol.objective == pytest.approx(3.0)
     assert sol.bound == pytest.approx(3.0) and sol.gap == pytest.approx(0.0)
     assert len(nodes) == 2 and sol.nodes == sum(nodes)
+    assert sol.dive is False
 
 
 def test_a_half_proven_at_the_largest_reward_answers_at_once(monkeypatch,
@@ -447,6 +459,128 @@ def test_every_search_killed_mid_split_is_a_solver_error(monkeypatch,
     assert ilp._worker is None
 
 
+def grid_feasibility_program():
+    """The feasibility program of the 4x4 grid of seed 0 under theta4, whose
+    LP relaxation and, under seed 0, restriction reach HiGHS's interrupt
+    checks (``spinning``)."""
+    spec = load_spec(ROOT / "fixtures/specs/theta4.json")
+    p = build_product(generate_grid(GridSpec(4, 4, seed=0)),
+                      load_hoa(spec.dra_source))
+    return build_program(p, accepting_mecs(mec_decomposition(p), p), spec,
+                         IlpConfig(objective="feasibility"))
+
+
+def recording(run):
+    """``run`` that keeps ``(program, time_limit, result)`` of each solve in
+    its ``solves``."""
+    solves = []
+
+    def recording_run(*program, time_limit=None, **kwargs):
+        res = run(*program, time_limit=time_limit, **kwargs)
+        solves.append((program, time_limit, res))
+        return res
+    recording_run.solves = solves
+    return recording_run
+
+
+@pytest.fixture
+def one_search(monkeypatch):
+    """One search, seed 0, that answers every request in this process, its
+    solves recorded (``recording``)."""
+    run = recording(milp_shim.run_milp)
+    monkeypatch.setattr(milp_shim, "run_milp", run)
+    monkeypatch.setattr(ilp, "_race_seeds", lambda: (0,))
+    monkeypatch.setattr(ilp, "_ask_worker", milp_shim.solve_request)
+    return run
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_feasibility_program_answers_from_the_dive(monkeypatch, one_search,
+                                                    seed):
+    """The search solves the LP relaxation, then the restriction it leaves,
+    and answers with the restriction's point, which meets every row and
+    bound of the program."""
+    monkeypatch.setattr(ilp, "_race_seeds", lambda: (seed,))
+    model = two_state_program(objective="feasibility")
+    program, order = ilp.highs_arrays(model)
+    sol = solve(model, SolverConfig(timeout=60))
+    assert (sol.status, sol.seed, sol.dive) == ("optimal", seed, True)
+    (relaxed, _, _), (restricted, _, res) = one_search.solves
+    assert not relaxed[8].any() and restricted[8].any()
+    fixed_lb, fixed_ub = restricted[6:8]
+    assert np.all(fixed_lb >= program[6]) and np.all(fixed_ub <= program[7])
+    assert np.any((fixed_lb == fixed_ub) & (program[6] < program[7]))
+    assert sol.nodes == res.mip_node_count
+    c, rows, cols, vals, row_lb, row_ub, lb, ub, integrality = program
+    x = sol.values[order]
+    ax = sparse.coo_array((vals, (rows, cols)),
+                          shape=(len(row_lb), len(c))) @ x
+    assert np.all(ax >= row_lb - 1e-7) and np.all(ax <= row_ub + 1e-7)
+    assert np.all(x >= lb - 1e-7) and np.all(x <= ub + 1e-7)
+    binaries = x[integrality == 1]
+    assert np.allclose(binaries, np.round(binaries), atol=1e-7)
+
+
+def test_a_restriction_without_a_point_leaves_the_whole_program(monkeypatch,
+                                                               one_search):
+    """With every binary fixed at 0 the restriction has no point (the
+    initial state must take a pair): the search solves the whole program in
+    the time left, answers as a plain HiGHS run does, and counts the nodes
+    of both solves."""
+    monkeypatch.setattr(milp_shim, "_restriction", lambda program, x: (
+        program[:7] + (np.where(program[8] == 1, 0.0, program[7]),)
+        + program[8:]))
+    model = two_state_program(objective="feasibility")
+    program, _ = ilp.highs_arrays(model)
+    sol = solve(model, SolverConfig(timeout=60))
+    assert (sol.status, sol.dive) == ("optimal", False)
+    _, (_, _, restricted), (whole, limit, res) = one_search.solves
+    assert restricted.status == 2
+    assert all(np.array_equal(a, b) for a, b in zip(whole, program))
+    assert 50.0 < limit < 60.0
+    assert sol.nodes == restricted.mip_node_count + res.mip_node_count
+    assert res.status == 0 and sol.objective == 0.0
+
+
+def test_an_lp_infeasible_program_is_infeasible_without_a_mip(one_search):
+    """More than all the mass on p: the LP relaxation has no point, and the
+    program is infeasible with no MIP solve and no node."""
+    sol = solve(split_program(p_lower=1.5, objective="feasibility"),
+                SolverConfig(timeout=60))
+    assert (sol.status, sol.nodes, sol.dive) == ("infeasible", 0, False)
+    [(relaxed, _, res)] = one_search.solves
+    assert not relaxed[8].any() and res.status == 2
+
+
+def test_a_reward_program_never_dives(one_search):
+    sol = solve(two_state_program(), SolverConfig(timeout=60))
+    [(program, limit, res)] = one_search.solves
+    assert program[8].any() and limit == 60.0
+    assert (sol.status, sol.dive, sol.nodes) == (
+        "optimal", False, res.mip_node_count)
+
+
+@pytest.mark.parametrize("plan", [[30.0], [0.0, 30.0]],
+                         ids=["lp-relaxation", "restriction"])
+def test_a_search_stopped_in_its_dive_stops(monkeypatch, in_process, plan):
+    """Search 0 spins 30 s in its LP relaxation, which stops at HiGHS's
+    simplex interrupt checks (``run_milp``), or in the restriction; search
+    1 answers from its dive, and search 0 stops where it spins, without
+    going on to the whole program."""
+    run = spinning({0: plan})
+    monkeypatch.setattr(milp_shim, "run_milp", run)
+    t0 = time.monotonic()
+    sol = solve(grid_feasibility_program(), SolverConfig(timeout=60))
+    assert time.monotonic() - t0 < 10.0
+    assert (sol.status, sol.seed, sol.dive) == ("optimal", 1, True)
+    deadline = time.monotonic() + 1.0
+    while not run.stopped and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert run.stopped == [(0, len(plan) - 1)]
+    time.sleep(0.2)
+    assert run.calls[0] == len(plan) - 1
+
+
 def fail_the_request(monkeypatch):
     program, order = ilp.highs_arrays(two_state_program())
     c, a_rows, a_cols, *rest = program
@@ -511,8 +645,8 @@ def test_solver_prints_reach_neither_the_replies_nor_stderr():
         proc.kill()
         proc.wait()
     assert (proc.returncode, rest, err) == (0, b"", b"")
-    status, x, _, _, nodes, seed, split = reply
-    assert (status, seed, split) == ("Optimal", 1, False)
+    status, x, _, _, nodes, dive, seed, split = reply
+    assert (status, dive, seed, split) == ("Optimal", False, 1, False)
     assert nodes is not None and -program[0] @ x == pytest.approx(2.0)
 
 
