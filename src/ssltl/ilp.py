@@ -11,10 +11,11 @@ The program is indexed by integers: terms and solution values refer to a
 column by its position in ``IlpModel.variables`` (see ``Columns``), and
 variable names exist only in LP text.  With no external solver command in
 ``SolverConfig`` (this module reads no environment variable), the program
-goes as arrays (``highs_arrays``) to the bundled backend: one long-lived
-HiGHS worker process per calling process (``milp_shim.serve``), started on
-the first solve and fed every later one, so that no round pays for an
-interpreter start, LP text or a solution file.  The worker runs one search
+goes as a ``Program`` of arrays (``highs_arrays``) to the bundled backend:
+one long-lived HiGHS worker process per calling process
+(``milp_shim.serve``), started on the first solve and fed every later one,
+so that no round pays for an interpreter start, LP text or a solution
+file.  It answers each program with a ``Reply``.  The worker runs one search
 per CPU the caller may use (two at most, ``_RACER_SEEDS``), each a thread
 with its own HiGHS seed.  The searches split a program with objective terms
 on the pairs of the initial product state, each searching its own part of
@@ -49,7 +50,7 @@ import tempfile
 import threading
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -432,11 +433,28 @@ def write_lp(model: IlpModel, path) -> None:
         fh.write(export_lp(model))
 
 
+class Program(NamedTuple):
+    """A program as the bundled backend hands it to HiGHS, in the arguments
+    of ``milp_shim.run_milp``: minimize ``c @ x`` subject to ``row_lb <= A x
+    <= row_ub`` and ``lb <= x <= ub``, with ``A`` as COO triplets and the
+    columns whose ``integrality`` is 1 integer.  It lives here, not in
+    ``milp_shim``, as ``Reply`` does, so that the caller builds programs
+    and unpickles replies without importing scipy."""
+
+    c: np.ndarray
+    a_rows: np.ndarray
+    a_cols: np.ndarray
+    a_vals: np.ndarray
+    row_lb: np.ndarray
+    row_ub: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
+    integrality: np.ndarray
+
+
 def highs_arrays(model: IlpModel) -> tuple:
-    """The program as the bundled backend hands it to HiGHS: ``(c, a_rows,
-    a_cols, a_vals, row_lb, row_ub, lb, ub, integrality)``, the arguments of
-    ``milp_shim.run_milp`` (``c`` negated, since HiGHS minimizes), and
-    ``order``, the model column of each HiGHS column.
+    """The ``Program`` of ``model`` (``c`` negated, since HiGHS minimizes),
+    and ``order``, the model column of each HiGHS column.
 
     Columns go in the order in which ``export_lp`` text first mentions them
     (objective, rows, Bounds, Binary) and rows in model order: HiGHS time
@@ -473,9 +491,9 @@ def highs_arrays(model: IlpModel) -> tuple:
         c[pos[j]] = coef
     lb = np.array([model.variables[j].lb for j in order], dtype=np.float64)
     ub = np.array([model.variables[j].ub for j in order], dtype=np.float64)
-    program = (-c, np.array(a_rows, dtype=np.int64), pos[a_cols],
-               np.array(a_vals, dtype=np.float64), row_lb, row_ub, lb, ub,
-               binary[order].astype(np.float64))
+    program = Program(-c, np.array(a_rows, dtype=np.int64), pos[a_cols],
+                      np.array(a_vals, dtype=np.float64), row_lb, row_ub, lb,
+                      ub, binary[order].astype(np.float64))
     return program, order
 
 
@@ -689,13 +707,14 @@ def _solve_bundled(model: IlpModel, time_limit: float,
         stem = _keep_stem(keep_files, round_no)
         write_lp(model, stem + ".lp")
     seeds = _race_seeds()
-    status, x, dual_bound, gap, nodes, dive, seed, split = _ask_worker(
-        program + (time_limit, seeds, _initial_groups(model, order)))
+    reply = _ask_worker(program, time_limit, seeds,
+                        _initial_groups(model, order))
+    status, x = reply.status, reply.x
     output = f"Model status: {status}"
     # 0.0 - b, not -b: a zero bound must not read -0.0
-    stats = {"bound": None if dual_bound is None else 0.0 - dual_bound,
-             "gap": gap, "nodes": nodes, "seed": seed,
-             "searches": len(seeds), "split": split, "dive": dive}
+    stats = {"bound": None if reply.bound is None else 0.0 - reply.bound,
+             "gap": reply.gap, "nodes": reply.nodes, "seed": reply.seed,
+             "searches": len(seeds), "split": reply.split, "dive": reply.dive}
     if status == "Infeasible":
         sol = Solution("infeasible", solver_output=output, **stats)
     elif x is None and status.startswith("Time limit reached"):
@@ -742,6 +761,25 @@ def _initial_groups(model: IlpModel, order: np.ndarray) -> list:
 # The bundled backend's worker process
 # ---------------------------------------------------------------------------
 
+class Reply(NamedTuple):
+    """The worker's answer to a ``Program``: the ``milp_shim.model_status``
+    text; the point or None; HiGHS's dual bound, gap and node count, in its
+    terms (it minimizes); whether the point is one of the restriction the
+    search's dive solved (``milp_shim.search``); the HiGHS seed of the
+    search whose answer (in a split, whose point) this is, None for a split
+    without a point; and whether the searches split the program
+    (``milp_shim.solve_request``)."""
+
+    status: str
+    x: Optional[np.ndarray] = None
+    bound: Optional[float] = None
+    gap: Optional[float] = None
+    nodes: Optional[int] = None
+    dive: bool = False
+    seed: Optional[int] = None
+    split: bool = False
+
+
 # HiGHS's random_seed of each search: its time on one program can move 20x
 # with the seed, so the first of differently seeded searches to finish tends
 # to answer well before a lone one.  See ``_race_seeds`` for how many run.
@@ -770,12 +808,12 @@ def _race_seeds() -> tuple:
     return _RACER_SEEDS[:cpus]
 
 
-def _ask_worker(request: tuple) -> tuple:
-    """Send one request to this process's worker (``milp_shim.serve``),
-    started if there is none or it has died, and return its reply.  A
-    worker that exits without a reply is dropped, and the reply made up for
-    it is an ``Error``; any other interruption kills and drops the worker,
-    and propagates."""
+def _ask_worker(*request) -> Reply:
+    """Send the arguments of ``milp_shim.solve_request`` to this process's
+    worker (``milp_shim.serve``), started if there is none or it has died,
+    and return its reply.  A worker that exits without a reply is dropped,
+    and the reply made up for it is an ``Error``; any other interruption
+    kills and drops the worker, and propagates."""
     global _worker
     with _worker_lock:
         if _worker is not None and _worker.poll() is not None:
@@ -795,15 +833,14 @@ def _ask_worker(request: tuple) -> tuple:
             return _receive(_worker)
         except (EOFError, pickle.UnpicklingError, BrokenPipeError):
             code = _stop_worker(grace=5.0)
-            return (f"Error (the bundled solver worker exited, code {code}, "
-                    f"without a reply)", None, None, None, None, False, None,
-                    False)
+            return Reply(f"Error (the bundled solver worker exited, code "
+                         f"{code}, without a reply)")
         except BaseException:
             _stop_worker(grace=0.0)
             raise
 
 
-def _receive(proc: subprocess.Popen) -> tuple:
+def _receive(proc: subprocess.Popen) -> Reply:
     return pickle.load(proc.stdout)
 
 

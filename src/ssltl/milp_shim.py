@@ -5,10 +5,14 @@ in one of two ways that share one HiGHS run (``run_milp``).
   each process and sends it each program as pickled arrays over its stdin,
   with the HiGHS seeds of the searches that solve it.  The searches run as
   threads of the worker; they race over the program, or split it
-  (``solve_request``), and the worker sends back one reply.  A search of a
-  feasibility program dives first: it solves the restriction its LP
+  (``solve_request``), and the worker sends back one reply.  A search of
+  a feasibility program dives first: it solves the restriction its LP
   relaxation leaves, and goes on to the whole program only when that has
-  no point (``search``).
+  no point (``search``).  The wire format lives in ``ssltl.ilp``, not
+  here: a request is the pickled arguments of ``solve_request``, whose
+  program is an ``ilp.Program``, and a reply is an ``ilp.Reply``.  The
+  caller unpickles every reply, and pickle imports the module that defines
+  its type, so the caller stays free of scipy.
 * The stand-alone command, which reads a CPLEX-LP-format file with HiGHS's
   own LP reader (``parse_lp``), whatever the file's name, hands HiGHS the
   program as ``run_milp``'s arrays in one plain run, with no dive, and
@@ -40,16 +44,18 @@ from scipy.optimize import OptimizeResult
 from scipy.optimize._highspy import _core as highs
 from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
 
+from ssltl.ilp import Program, Reply, write_solution
+
 
 class LpFile(NamedTuple):
-    """An LP file as HiGHS's LP reader reads it.  ``program`` holds the
-    arguments of ``run_milp``: its cost is ``-sign`` times the file's
-    objective without the constant ``offset`` (``sign`` is 1 for Maximize,
-    -1 for Minimize), so the file's objective at a point of cost ``fun`` is
-    ``offset - sign * fun``.  ``names`` holds the column names, the columns
-    numbered in the order in which the file first mentions them."""
+    """An LP file as HiGHS's LP reader reads it.  The cost of ``program``
+    is ``-sign`` times the file's objective without the constant ``offset``
+    (``sign`` is 1 for Maximize, -1 for Minimize), so the file's objective
+    at a point of cost ``fun`` is ``offset - sign * fun``.  ``names`` holds
+    the column names, the columns numbered in the order in which the file
+    first mentions them."""
 
-    program: tuple
+    program: Program
     names: list
     sign: float
     offset: float
@@ -75,14 +81,15 @@ def parse_lp(text: str) -> LpFile:
     integrality = (np.array([int(v) for v in lp.integrality_],
                             dtype=np.float64)
                    if lp.integrality_ else np.zeros(n))
-    program = (-sign * np.asarray(lp.col_cost_, dtype=np.float64),
-               np.asarray(a.index_, dtype=np.int64),
-               np.repeat(np.arange(n, dtype=np.int64), np.diff(start)),
-               np.asarray(a.value_, dtype=np.float64),
-               np.asarray(lp.row_lower_, dtype=np.float64),
-               np.asarray(lp.row_upper_, dtype=np.float64),
-               np.asarray(lp.col_lower_, dtype=np.float64),
-               np.asarray(lp.col_upper_, dtype=np.float64), integrality)
+    program = Program(-sign * np.asarray(lp.col_cost_, dtype=np.float64),
+                      np.asarray(a.index_, dtype=np.int64),
+                      np.repeat(np.arange(n, dtype=np.int64), np.diff(start)),
+                      np.asarray(a.value_, dtype=np.float64),
+                      np.asarray(lp.row_lower_, dtype=np.float64),
+                      np.asarray(lp.row_upper_, dtype=np.float64),
+                      np.asarray(lp.col_lower_, dtype=np.float64),
+                      np.asarray(lp.col_upper_, dtype=np.float64),
+                      integrality)
     return LpFile(program, list(lp.col_names_), sign, float(lp.offset_))
 
 
@@ -183,24 +190,22 @@ def model_status(res, time_limit=None) -> str:
     return "Error"
 
 
-def solve_request(request: tuple, hangup=None) -> tuple:
-    """Solve one request of ``serve`` with one search per seed, each in the
-    thread of this process that runs the searches of that HiGHS seed
-    (``_search_thread``), and return ``(status, x, dual_bound, gap, nodes,
-    dive, seed, split)``: the reply of that search (``search``; a
-    feasibility program's search dives first), the seed of the search
-    whose answer (in a split, whose point) this is (None for a split
-    without a point), and whether the searches split the program.  A
-    search stops at HiGHS's next interrupt check once the request is
-    answered, or once the write end of the pipe ``hangup``, if given, is
-    closed.
+def solve_request(program: Program, time_limit, seeds, groups,
+                  hangup=None) -> Reply:
+    """Solve ``program`` within ``time_limit`` seconds with one search per
+    HiGHS seed in ``seeds``, each in the thread of this process that runs
+    the searches of that seed (``_search_thread``), and return the reply of
+    the answering search (``search``; a feasibility program's search dives
+    first).  A search stops at HiGHS's next interrupt check once the
+    program is answered, or once the write end of the pipe ``hangup``, if
+    given, is closed.
 
-    The request ends with ``seeds`` and ``groups``: the HiGHS columns of the
-    policy binaries of the initial product state's pairs, in groups of
-    interchangeable pairs (``ilp._initial_groups``).  With at least as many
-    groups as searches, the searches *split* the program: the groups are
-    dealt into one part per search, and search s gets the program with the
-    upper bound of every other part's binaries set to 0 (``_closed``).  The
+    ``groups`` holds the HiGHS columns of the policy binaries of the
+    initial product state's pairs, in groups of interchangeable pairs
+    (``ilp._initial_groups``).  With at least as many groups as searches,
+    the searches *split* the program: the groups are dealt into one part
+    per search, and search s gets the program with the upper bound of
+    every other part's binaries set to 0 (``_closed``).  The
     split is exact, whatever the partition: row (iv) of the initial state
     puts ``pi`` = 1 on exactly one of its pairs, so every feasible point is
     feasible in the half whose part holds that pair, and each half, the
@@ -220,8 +225,7 @@ def solve_request(request: tuple, hangup=None) -> tuple:
     wins: the searches still running are stopped, and their replies never
     read.  A search that raises answers ``Error``, which is returned only
     when no other search is left."""
-    *program, time_limit, seeds, groups = request
-    program, n = tuple(program), len(seeds)
+    n = len(seeds)
     split = 1 < n <= len(groups)
     if split:
         programs = [_closed(program, [g for i, g in enumerate(groups)
@@ -232,27 +236,26 @@ def solve_request(request: tuple, hangup=None) -> tuple:
     for seed, part in zip(seeds, programs):
         _search_thread(seed).put((part, time_limit, seed, replies, done,
                                   hangup))
-    answers, failed = [], {}
+    answers, failed = [], []
     try:
         for _ in seeds:
-            seed, reply = replies.get()
-            if reply[0].startswith("Error"):
-                failed[seed] = reply
+            reply = replies.get()
+            if reply.status.startswith("Error"):
+                failed.append(reply)
                 if split:
                     break
-            elif not split or _at_ceiling(reply, program[0]):
-                return reply + (seed, split)
+            elif not split or _at_ceiling(reply, program.c):
+                return reply._replace(split=split)
             else:
-                answers.append((seed, reply))
+                answers.append(reply)
     finally:
         done.set()
     if not failed:
-        return _combine(answers, program[0]) + (True,)
-    left = [seed for seed in seeds if seed not in failed]
+        return _combine(answers, program.c)
+    left = [seed for seed in seeds if seed not in {r.seed for r in failed}]
     if split and left:
-        return solve_request(program + (time_limit, left, []), hangup)
-    seed, reply = list(failed.items())[-1]
-    return reply + (seed, False)
+        return solve_request(program, time_limit, left, [], hangup)
+    return failed[-1]
 
 
 _searches: dict = {}        # {seed: the searches its thread has yet to run}
@@ -280,14 +283,14 @@ def _run_searches(searches: queue.SimpleQueue) -> None:
 os.register_at_fork(after_in_child=_searches.clear)
 
 
-def _search(program: tuple, time_limit, seed: int,
+def _search(program: Program, time_limit, seed: int,
             replies: queue.SimpleQueue, done: threading.Event,
             hangup) -> None:
-    """One search of ``solve_request``: put ``(seed, reply)`` in
-    ``replies``, and stop at an interrupt check once ``done`` is set or the
-    write end of pipe ``hangup`` is closed.  Each search polls with a poller
-    of its own, since one poller cannot poll in two threads at once; a poll
-    of no wait costs less than a read."""
+    """One search of ``solve_request``: put its reply in ``replies``, and
+    stop at an interrupt check once ``done`` is set or the write end of
+    pipe ``hangup`` is closed.  Each search polls with a poller of its own,
+    since one poller cannot poll in two threads at once; a poll of no wait
+    costs less than a read."""
     poller = select.poll()
     if hangup is not None:
         poller.register(hangup, select.POLLHUP)
@@ -296,21 +299,18 @@ def _search(program: tuple, time_limit, seed: int,
                        lambda: done.is_set() or bool(poller.poll(0)))
     except Exception as exc:  # reported to the owner, not fatal here
         traceback.print_exc()
-        reply = (f"Error ({type(exc).__name__}: {exc})", None, None, None,
-                 None, False)
-    replies.put((seed, reply))
+        reply = Reply(f"Error ({type(exc).__name__}: {exc})", seed=seed)
+    replies.put(reply)
 
 
 # a binary the LP relaxation leaves this close to 0 or 1 is fixed in the dive
 _FIX_TOL = 1e-9
 
 
-def search(program: tuple, time_limit, seed: int, interrupt) -> tuple:
-    """Solve ``program`` (``run_milp``'s arrays) under HiGHS seed ``seed``
-    and within ``time_limit`` seconds, stopping once ``interrupt()`` is
-    true, and return ``(status, x, dual_bound, gap, nodes, dive)``: the
-    ``model_status`` text, the point or None, HiGHS's MIP statistics, and
-    whether the point is one of the dive's restriction.
+def search(program: Program, time_limit, seed: int, interrupt) -> Reply:
+    """Solve ``program`` under HiGHS seed ``seed`` and within
+    ``time_limit`` seconds, stopping once ``interrupt()`` is true, and
+    return the reply, which carries ``seed``.
 
     A program with integer columns and no cost, a feasibility program,
     whose every point is optimal, is *dived* first, as RENS does (Berthold,
@@ -330,30 +330,31 @@ def search(program: tuple, time_limit, seed: int, interrupt) -> tuple:
     ``Error``, as a stopped HiGHS run does; both LP and MIP solves stop at
     their interrupt checks (``run_milp``)."""
     limit, nodes = time_limit, 0
-    if not np.any(program[0]) and np.any(program[8]):
+    if not np.any(program.c) and np.any(program.integrality):
         start = time.monotonic()
-        res = run_milp(*program[:8], np.zeros_like(program[8]),
-                       time_limit=time_limit, random_seed=seed,
+        relaxation = program._replace(
+            integrality=np.zeros_like(program.integrality))
+        res = run_milp(*relaxation, time_limit=time_limit, random_seed=seed,
                        interrupt=interrupt)
         if res.status == 2:
-            return "Infeasible", None, None, None, 0, False
+            return Reply("Infeasible", nodes=0, seed=seed)
         if res.status == 0:
             res = run_milp(*_restriction(program, res.x),
                            time_limit=_left(time_limit, start),
                            random_seed=seed, interrupt=interrupt)
             nodes = res.mip_node_count
             if res.x is not None:
-                return ("Optimal", res.x, res.mip_dual_bound, res.mip_gap,
-                        nodes, True)
+                return Reply("Optimal", res.x, res.mip_dual_bound,
+                             res.mip_gap, nodes, dive=True, seed=seed)
         if interrupt():
-            return "Error (stopped in the dive)", None, None, None, nodes, \
-                False
+            return Reply("Error (stopped in the dive)", nodes=nodes,
+                         seed=seed)
         limit = _left(time_limit, start)
-    res = run_milp(*program, time_limit=limit, random_seed=seed,
+    res = run_milp(*program, random_seed=seed, time_limit=limit,
                    interrupt=interrupt)
-    return (model_status(res, time_limit), res.x, res.mip_dual_bound,
-            res.mip_gap, None if res.mip_node_count is None
-            else nodes + res.mip_node_count, False)
+    return Reply(model_status(res, time_limit), res.x, res.mip_dual_bound,
+                 res.mip_gap, None if res.mip_node_count is None
+                 else nodes + res.mip_node_count, seed=seed)
 
 
 def _left(time_limit, start: float):
@@ -364,50 +365,50 @@ def _left(time_limit, start: float):
     return max(0.0, time_limit - (time.monotonic() - start))
 
 
-def _restriction(program: tuple, x: np.ndarray) -> tuple:
+def _restriction(program: Program, x: np.ndarray) -> Program:
     """``program`` with each integer column that ``x`` leaves within
     ``_FIX_TOL`` of 0 or 1 fixed at that value."""
-    lb, ub = program[6].copy(), program[7].copy()
-    fixed = (program[8] == 1) & (
+    lb, ub = program.lb.copy(), program.ub.copy()
+    fixed = (program.integrality == 1) & (
         np.minimum(np.abs(x), np.abs(x - 1.0)) <= _FIX_TOL)
     lb[fixed] = ub[fixed] = np.round(x[fixed])
-    return program[:6] + (lb, ub) + program[8:]
+    return program._replace(lb=lb, ub=ub)
 
 
-def _closed(program: tuple, groups: list) -> tuple:
+def _closed(program: Program, groups: list) -> Program:
     """``program`` with the upper bound of the columns in ``groups`` set to
     0."""
-    ub = program[7].copy()
+    ub = program.ub.copy()
     ub[np.concatenate(groups)] = 0.0
-    return program[:7] + (ub,) + program[8:]
+    return program._replace(ub=ub)
 
 
-def _at_ceiling(reply: tuple, c: np.ndarray) -> bool:
+def _at_ceiling(reply: Reply, c: np.ndarray) -> bool:
     """Whether a half's reply is optimal at a point no point of the program
     beats: the objective weighs only x, whose entries sum to 1 (row (ii)),
     so no point costs less than ``min(c)``."""
-    return reply[0] == "Optimal" and bool(
-        c @ reply[1] <= c.min() + 1e-9 * max(1.0, -c.min()))
+    return reply.status == "Optimal" and bool(
+        c @ reply.x <= c.min() + 1e-9 * max(1.0, -c.min()))
 
 
-def _combine(answers: list, c: np.ndarray) -> tuple:
-    """``(status, x, dual_bound, gap, nodes, dive, seed)`` of a split
-    program from its halves' ``(seed, reply)``, in HiGHS's terms (minimize
-    ``c @ x``): optimal when every half is optimal or infeasible,
-    infeasible when every half is; else at a limit, with a point if any
-    half has one.  The point is the better incumbent, from the search of
-    ``seed``, and ``dive`` is that search's; the dual bound is the lowest
-    (an infeasible half's is +inf); the gap is HiGHS's |primal - dual| /
+def _combine(answers: list, c: np.ndarray) -> Reply:
+    """The reply of a split program from its halves' replies, in HiGHS's
+    terms (minimize ``c @ x``): optimal when every half is optimal or
+    infeasible, infeasible when every half is; else at a limit, with a
+    point if any half has one.  The point is the better incumbent, and the
+    seed and dive are its search's; the dual bound is the lowest (an
+    infeasible half's is +inf); the gap is HiGHS's |primal - dual| /
     |primal| of that point and bound; the nodes are summed."""
-    statuses = [reply[0] for _, reply in answers]
-    points = [(float(c @ reply[1]), seed, reply[1], reply[5])
-              for seed, reply in answers if reply[1] is not None]
-    bounds = [math.inf if reply[0] == "Infeasible" else reply[2]
-              for _, reply in answers]
+    statuses = [reply.status for reply in answers]
+    points = [reply for reply in answers if reply.x is not None]
+    bounds = [math.inf if reply.status == "Infeasible" else reply.bound
+              for reply in answers]
     bound = None if None in bounds or min(bounds) == math.inf \
         else min(bounds)
-    primal, seed, x, dive = min(points, key=lambda point: point[0],
-                                default=(None, None, None, False))
+    # without a point, no seed and no dive
+    best = min(points, key=lambda reply: float(c @ reply.x),
+               default=Reply(""))
+    primal = None if best.x is None else float(c @ best.x)
     if primal is None or bound is None:
         gap = None
     elif primal == 0.0:
@@ -421,22 +422,21 @@ def _combine(answers: list, c: np.ndarray) -> tuple:
     else:
         status = next(s for s in statuses if s not in ("Optimal",
                                                        "Infeasible"))
-    nodes = sum(reply[4] or 0 for _, reply in answers)
-    return status, x, bound, gap, nodes, dive, seed
+    nodes = sum(reply.nodes or 0 for reply in answers)
+    return Reply(status, best.x, bound, gap, nodes, best.dive, best.seed,
+                 split=True)
 
 
 def serve() -> None:
     """Answer requests read from stdin until it reaches EOF, one reply
     each.
 
-    A request is the pickled tuple ``(c, a_rows, a_cols, a_vals, row_lb,
-    row_ub, lb, ub, integrality, time_limit, seeds, groups)``: the
-    arguments of ``run_milp``, the HiGHS seed of each search and the groups
-    a split deals out.  The reply is the pickled tuple ``solve_request``
-    returns.  The searches run as threads of this process, in parallel,
-    since HiGHS's ``run`` releases the interpreter lock.  The owner is the
-    only holder of the write end of stdin, so when it is gone, each search
-    sees the hangup at its next interrupt check and stops.
+    A request is the pickled tuple of ``solve_request``'s arguments but
+    ``hangup``, and the reply is the pickled ``ilp.Reply`` it returns.  The
+    searches run as threads of this process, in parallel, since HiGHS's
+    ``run`` releases the interpreter lock.  The owner is the only holder of
+    the write end of stdin, so when it is gone, each search sees the hangup
+    at its next interrupt check and stops.
 
     Replies go to a private copy of fd 1, and fd 1 to the null device, so
     that nothing HiGHS prints can corrupt them or reach the owner's
@@ -451,7 +451,7 @@ def serve() -> None:
             request = pickle.load(requests)
         except EOFError:
             break
-        reply = solve_request(request, hangup=requests.fileno())
+        reply = solve_request(*request, hangup=requests.fileno())
         try:
             pickle.dump(reply, replies, protocol=pickle.HIGHEST_PROTOCOL)
             replies.flush()
@@ -476,9 +476,6 @@ def _silence_fd1() -> int:
 
 
 def main(argv=None) -> int:
-    # here, not at the top: the worker (``serve``) needs no program layer
-    from ssltl.ilp import write_solution
-
     parser = argparse.ArgumentParser(
         prog="ssltl-milp",
         description="Solve an LP-format mixed-integer program (HiGHS via "

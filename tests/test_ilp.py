@@ -378,7 +378,8 @@ def relaxation_optimum(model):
     """The reward optimum of ``model``'s LP relaxation, or None if it is
     infeasible."""
     program, _ = highs_arrays(model)
-    res = milp_shim.run_milp(*program[:-1], np.zeros_like(program[-1]))
+    res = milp_shim.run_milp(*program._replace(
+        integrality=np.zeros_like(program.integrality)))
     assert res.status in (0, 2), res.message
     return None if res.status == 2 else -res.fun
 
@@ -560,7 +561,7 @@ def test_x_is_pinned_to_0_off_the_retained_pairs():
     for j, v in enumerate(model.variables):
         assert (v.lb, v.ub) == ((0.0, 0.0) if j in pinned else (0.0, 1.0))
     prob = milp_shim.parse_lp(export_lp(model))
-    read = dict(zip(prob.names, zip(*prob.program[6:8])))
+    read = dict(zip(prob.names, zip(prob.program.lb, prob.program.ub)))
     for k, name in enumerate(column_names(model)[:n_pairs]):
         assert read[name] == ((0.0, 0.0) if k in pinned else (0.0, 1.0))
 
@@ -737,8 +738,7 @@ def test_solution_file_gives_no_bound():
     sol = solve(build_for(one_state_model(), TRUE_DRA, no_ss_spec()),
                 SolverConfig(command=default_solver_command(), timeout=120))
     assert sol.status == "optimal"
-    assert (sol.bound, sol.gap, sol.nodes, sol.split) == (None, None, None,
-                                                          None)
+    assert (sol.bound, sol.gap, sol.nodes, sol.split) == (None,) * 4
 
 
 # The golden LP files, each with the model that writes it, and three more
@@ -808,7 +808,7 @@ def test_run_milp_searches_as_scipy_milp_does(name, build, seed):
         theirs = milp(c, constraints=LinearConstraint(a, row_lb, row_ub),
                       integrality=integrality, bounds=Bounds(lb, ub),
                       options={"time_limit": 60.0, "random_seed": seed})
-    ours = milp_shim.run_milp(*program, time_limit=60.0, random_seed=seed)
+    ours = milp_shim.run_milp(*program, random_seed=seed, time_limit=60.0)
     assert theirs.status == 0 and theirs.mip_node_count is not None
     assert (ours.status, ours.mip_node_count) == (
         theirs.status, theirs.mip_node_count)
@@ -837,9 +837,9 @@ def test_an_interrupt_check_leaves_the_search_as_it_is(name, build):
     bundled worker installs, changes nothing: the same status after the
     same nodes, at the same objective."""
     program, _ = highs_arrays(build())
-    plain = milp_shim.run_milp(*program, time_limit=60.0)
-    checked = milp_shim.run_milp(*program, time_limit=60.0,
-                                 interrupt=lambda: False)
+    plain = milp_shim.run_milp(*program, interrupt=None, time_limit=60.0)
+    checked = milp_shim.run_milp(*program, interrupt=lambda: False,
+                                 time_limit=60.0)
     assert (checked.status, checked.mip_node_count) == (
         plain.status, plain.mip_node_count)
     assert checked.fun == plain.fun

@@ -52,8 +52,8 @@ def test_parse_terms_signs_and_scientific_notation():
                     " + 1 e - 5 u + 3\nSubject To\n c: 1 x <= 1\nEnd\n")
     assert prob.names == ["x", "y", "z", "w", "v", "e", "u"]
     assert (prob.sign, prob.offset) == (1.0, 3.0)
-    assert list(-prob.program[0]) == [0.5, -1.0, 2.5e-05, -1.0, -9.6e-05,
-                                      1.0, -5.0]
+    assert list(-prob.program.c) == [0.5, -1.0, 2.5e-05, -1.0, -9.6e-05,
+                                     1.0, -5.0]
 
 
 @pytest.mark.parametrize("line, bounds", [
@@ -66,7 +66,7 @@ def test_parse_terms_signs_and_scientific_notation():
 def test_parse_lp_infinite_bounds(line, bounds):
     prob = parse_lp(f"Maximize\n obj: 1 y\nSubject To\n c: 1 x + 1 y <= 3\n"
                     f"Bounds\n {line}\nEnd\n")
-    lb, ub = prob.program[6:8]
+    lb, ub = prob.program.lb, prob.program.ub
     assert prob.names == ["y", "x"]
     assert (lb[1], ub[1]) == bounds
 

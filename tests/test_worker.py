@@ -472,12 +472,12 @@ def grid_feasibility_program():
 
 def recording(run):
     """``run`` that keeps ``(program, time_limit, result)`` of each solve in
-    its ``solves``."""
+    its ``solves``, the program an ``ilp.Program``."""
     solves = []
 
-    def recording_run(*program, time_limit=None, **kwargs):
-        res = run(*program, time_limit=time_limit, **kwargs)
-        solves.append((program, time_limit, res))
+    def recording_run(*arrays, time_limit=None, **kwargs):
+        res = run(*arrays, time_limit=time_limit, **kwargs)
+        solves.append((ilp.Program(*arrays), time_limit, res))
         return res
     recording_run.solves = solves
     return recording_run
@@ -506,10 +506,10 @@ def test_a_feasibility_program_answers_from_the_dive(monkeypatch, one_search,
     sol = solve(model, SolverConfig(timeout=60))
     assert (sol.status, sol.seed, sol.dive) == ("optimal", seed, True)
     (relaxed, _, _), (restricted, _, res) = one_search.solves
-    assert not relaxed[8].any() and restricted[8].any()
-    fixed_lb, fixed_ub = restricted[6:8]
-    assert np.all(fixed_lb >= program[6]) and np.all(fixed_ub <= program[7])
-    assert np.any((fixed_lb == fixed_ub) & (program[6] < program[7]))
+    assert not relaxed.integrality.any() and restricted.integrality.any()
+    fixed_lb, fixed_ub = restricted.lb, restricted.ub
+    assert np.all(fixed_lb >= program.lb) and np.all(fixed_ub <= program.ub)
+    assert np.any((fixed_lb == fixed_ub) & (program.lb < program.ub))
     assert sol.nodes == res.mip_node_count
     c, rows, cols, vals, row_lb, row_ub, lb, ub, integrality = program
     x = sol.values[order]
@@ -528,8 +528,8 @@ def test_a_restriction_without_a_point_leaves_the_whole_program(monkeypatch,
     the time left, answers as a plain HiGHS run does, and counts the nodes
     of both solves."""
     monkeypatch.setattr(milp_shim, "_restriction", lambda program, x: (
-        program[:7] + (np.where(program[8] == 1, 0.0, program[7]),)
-        + program[8:]))
+        program._replace(ub=np.where(program.integrality == 1, 0.0,
+                                     program.ub))))
     model = two_state_program(objective="feasibility")
     program, _ = ilp.highs_arrays(model)
     sol = solve(model, SolverConfig(timeout=60))
@@ -549,13 +549,13 @@ def test_an_lp_infeasible_program_is_infeasible_without_a_mip(one_search):
                 SolverConfig(timeout=60))
     assert (sol.status, sol.nodes, sol.dive) == ("infeasible", 0, False)
     [(relaxed, _, res)] = one_search.solves
-    assert not relaxed[8].any() and res.status == 2
+    assert not relaxed.integrality.any() and res.status == 2
 
 
 def test_a_reward_program_never_dives(one_search):
     sol = solve(two_state_program(), SolverConfig(timeout=60))
     [(program, limit, res)] = one_search.solves
-    assert program[8].any() and limit == 60.0
+    assert program.integrality.any() and limit == 60.0
     assert (sol.status, sol.dive, sol.nodes) == (
         "optimal", False, res.mip_node_count)
 
@@ -583,8 +583,8 @@ def test_a_search_stopped_in_its_dive_stops(monkeypatch, in_process, plan):
 
 def fail_the_request(monkeypatch):
     program, order = ilp.highs_arrays(two_state_program())
-    c, a_rows, a_cols, *rest = program
-    bad = (c, a_rows, a_cols + len(c), *rest)   # columns out of range
+    # columns out of range
+    bad = program._replace(a_cols=program.a_cols + len(program.c))
     monkeypatch.setattr(ilp, "highs_arrays", lambda model: (bad, order))
 
 
@@ -637,7 +637,7 @@ def test_solver_prints_reach_neither_the_replies_nor_stderr():
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
     try:
-        pickle.dump(program + (60.0, (1,), []), proc.stdin)
+        pickle.dump((program, 60.0, (1,), []), proc.stdin)
         proc.stdin.flush()
         reply = pickle.load(proc.stdout)
         rest, err = proc.communicate(timeout=120)
@@ -645,9 +645,10 @@ def test_solver_prints_reach_neither_the_replies_nor_stderr():
         proc.kill()
         proc.wait()
     assert (proc.returncode, rest, err) == (0, b"", b"")
-    status, x, _, _, nodes, dive, seed, split = reply
-    assert (status, dive, seed, split) == ("Optimal", False, 1, False)
-    assert nodes is not None and -program[0] @ x == pytest.approx(2.0)
+    assert (reply.status, reply.dive, reply.seed, reply.split) == (
+        "Optimal", False, 1, False)
+    assert reply.nodes is not None
+    assert -program.c @ reply.x == pytest.approx(2.0)
 
 
 def test_solver_binaries_on_path_leave_the_bundled_route(tmp_path,
@@ -749,21 +750,27 @@ def test_owner_death_stops_a_lone_search(tmp_path):
 
 def test_default_route_never_imports_scipy_into_the_caller():
     """The bundled backend's scipy lives in the worker only; the caller's
-    memory and start-up stay free of it."""
+    memory and start-up stay free of it, also as it unpickles the replies
+    of a raced feasibility program and of a split reward program (two
+    searches run, however many CPUs there are)."""
     code = ("import sys\n"
+            "from ssltl import ilp\n"
             "from ssltl.hoa import load_hoa\n"
-            "from ssltl.ilp import IlpConfig\n"
             "from ssltl.model import GridSpec, generate_grid, load_spec\n"
             "from ssltl.synthesis import synthesize\n"
+            "ilp._race_seeds = lambda: (0, 1)\n"
             "spec = load_spec('fixtures/specs/theta4.json')\n"
-            "result = synthesize(generate_grid(GridSpec(4, 4, seed=0)),\n"
-            "                    load_hoa(spec.dra_source), spec,\n"
-            "                    cfg=IlpConfig(objective='feasibility'))\n"
-            "print(result.status, sorted(m for m in sys.modules\n"
-            "                            if m.split('.')[0] == 'scipy'))\n")
+            "for objective in ('feasibility', 'expected_reward'):\n"
+            "    result = synthesize(generate_grid(GridSpec(4, 4, seed=0)),\n"
+            "                        load_hoa(spec.dra_source), spec,\n"
+            "                        cfg=ilp.IlpConfig(objective=objective))\n"
+            "    print(result.status, result.solution.split,\n"
+            "          sorted(m for m in sys.modules\n"
+            "                 if m.split('.')[0] == 'scipy'))\n")
     env = dict(os.environ, PATH=os.path.dirname(sys.executable),
                PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120, env=env, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["verified", "[]"]
+    assert proc.stdout.split() == ["verified", "False", "[]",
+                                   "verified", "True", "[]"]
