@@ -108,14 +108,16 @@ def _load_instance(args):
 def _solver_record(sol) -> Optional[dict]:
     """What the solver returned in the last round: bound, gap, nodes, the
     seed of the search that answered, the number of searches, whether they
-    split the program and whether the point came from a dive's restriction
-    are null when the backend does not report them."""
+    split the program, whether the point came from a dive's restriction and
+    the number of rejecting self-loops barred in the LP that proved the
+    program infeasible (0 when none did) are null when the backend does not
+    report them."""
     if sol is None:
         return None
     return {"status": sol.status, "objective": sol.objective,
             "bound": sol.bound, "gap": sol.gap, "nodes": sol.nodes,
             "seed": sol.seed, "searches": sol.searches, "split": sol.split,
-            "dive": sol.dive}
+            "dive": sol.dive, "barred": sol.barred}
 
 
 def cmd_synth(args) -> int:

@@ -25,12 +25,18 @@ stopped (``milp_shim.solve_request``).  A lone search solves every program
 whole.  Every search of a feasibility program first dives: it solves the
 LP relaxation and then the program with every binary the relaxation leaves
 at 0 or 1 fixed, and searches the whole program only when that restriction
-has no point (``milp_shim.search``).  An external solver gets the program
-in CPLEX LP format through its command template (``{lp}`` and ``{sol}``
-placeholders), and solution files in either a generic ``name value`` layout
-or the index-prefixed column layout written by CBC are mapped back to
-columns; ``write_solution`` writes the ``name value`` layout for
-``--keep-files`` and ``ssltl-milp``.  Every
+has no point (``milp_shim.search``).  A search about to branch and bound
+on the whole program (a feasibility program after a failed dive, a reward
+program or split half at once) first solves the LP relaxation with x kept
+at 0 on every absorbing self-loop that no Rabin pair accepts
+(``_rejecting_loops``): no verified policy puts mass there, so when that LP
+has no point, no policy exists, and the search answers ``Infeasible``.  Of
+searches racing over one program, only the first makes this check.  An
+external solver gets the program in CPLEX LP format through its command
+template (``{lp}`` and ``{sol}`` placeholders), and solution files in
+either a generic ``name value`` layout or the index-prefixed column layout
+written by CBC are mapped back to columns; ``write_solution`` writes the
+``name value`` layout for ``--keep-files`` and ``ssltl-milp``.  Every
 solve ends in a ``Solution`` whose status says how; a solver failure is
 status ``error``, never an exception.
 """
@@ -55,7 +61,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from ssltl.errors import ModelError, NoAcceptingStructureError, PolicyError
-from ssltl.graph import pair_accepting_mecs
+from ssltl.graph import bscc_accepting, pair_accepting_mecs
 from ssltl.model import SsLtlSpec, labeled_subset
 from ssltl.product import Policy, ProductLmdp
 
@@ -544,7 +550,11 @@ class Solution:
     In a split, ``nodes`` sums those of the halves awaited, and ``bound``
     and ``gap`` are the program's, combined from theirs (see
     ``milp_shim.solve_request``).  After a dive, ``nodes`` sums those of
-    the restriction and of the whole program, if that was searched."""
+    the restriction and of the whole program, if that was searched.
+    ``barred``, when positive, says that the program is infeasible because
+    its LP relaxation has no point once x is kept at 0 on that many
+    rejecting self-loops (``_rejecting_loops``); it is 0 when no such LP
+    answered, and None when read from a solution file."""
 
     status: str          # optimal | feasible | infeasible | timeout | error
     values: Optional[np.ndarray] = None     # one value per column, if any
@@ -557,6 +567,7 @@ class Solution:
     searches: Optional[int] = None
     split: Optional[bool] = None
     dive: Optional[bool] = None
+    barred: Optional[int] = None
 
 
 def parse_solution_text(text: str, varnames) -> tuple:
@@ -708,13 +719,15 @@ def _solve_bundled(model: IlpModel, time_limit: float,
         write_lp(model, stem + ".lp")
     seeds = _race_seeds()
     reply = _ask_worker(program, time_limit, seeds,
-                        _initial_groups(model, order))
+                        _initial_groups(model, order),
+                        _rejecting_loops(model, order))
     status, x = reply.status, reply.x
     output = f"Model status: {status}"
     # 0.0 - b, not -b: a zero bound must not read -0.0
     stats = {"bound": None if reply.bound is None else 0.0 - reply.bound,
              "gap": reply.gap, "nodes": reply.nodes, "seed": reply.seed,
-             "searches": len(seeds), "split": reply.split, "dive": reply.dive}
+             "searches": len(seeds), "split": reply.split, "dive": reply.dive,
+             "barred": reply.barred}
     if status == "Infeasible":
         sol = Solution("infeasible", solver_output=output, **stats)
     elif x is None and status.startswith("Time limit reached"):
@@ -757,6 +770,31 @@ def _initial_groups(model: IlpModel, order: np.ndarray) -> list:
     return [np.array(g) for g in groups.values()]
 
 
+def _rejecting_loops(model: IlpModel, order: np.ndarray) -> np.ndarray:
+    """The HiGHS columns (``order`` maps them to model columns) of the x of
+    every *rejecting self-loop* that the program does not already pin to 0:
+    a pair k of product state i = (s, q) whose only successor is i, where
+    no Rabin pair accepts {i} (for every pair, q is in Fin or not in Inf).
+
+    Every point of the program that carries a verified policy (the one
+    ``build_program`` constructs, x the policy's limiting frequencies) has x
+    = 0 on these columns.  If x_k > 0, then i carries limiting mass, so it
+    is recurrent and the policy picks k there.  k returns to i with
+    probability 1 (the automaton is deterministic, so the run stays at
+    (s, q)), so {i} is a reachable BSCC of the policy's chain, and a
+    verified policy's BSCCs are Rabin-accepting, which {i} is not.  So the LP
+    relaxation with these columns kept at 0 contains every such point, and
+    when it has no point, no policy exists (``milp_shim.search``).  On a
+    slip grid no pair returns to its state with probability 1, and there is
+    no such column."""
+    p = model.product
+    pos = np.argsort(order)             # the HiGHS column of each column
+    loops = [k for i in range(len(p.states)) if not bscc_accepting((i,), p)
+             for k in p.pairs(i)
+             if p.succ[k].keys() == {i} and model.variables[k].ub > 0.0]
+    return pos[np.array(loops, dtype=np.int64)]
+
+
 # ---------------------------------------------------------------------------
 # The bundled backend's worker process
 # ---------------------------------------------------------------------------
@@ -767,8 +805,11 @@ class Reply(NamedTuple):
     terms (it minimizes); whether the point is one of the restriction the
     search's dive solved (``milp_shim.search``); the HiGHS seed of the
     search whose answer (in a split, whose point) this is, None for a split
-    without a point; and whether the searches split the program
-    (``milp_shim.solve_request``)."""
+    without a point; whether the searches split the program
+    (``milp_shim.solve_request``); and, for an ``Infeasible`` that the LP
+    relaxation with the rejecting self-loops barred proved (in a split, in
+    every half), the number of columns barred, else 0
+    (``milp_shim.search``)."""
 
     status: str
     x: Optional[np.ndarray] = None
@@ -778,6 +819,7 @@ class Reply(NamedTuple):
     dive: bool = False
     seed: Optional[int] = None
     split: bool = False
+    barred: int = 0
 
 
 # HiGHS's random_seed of each search: its time on one program can move 20x

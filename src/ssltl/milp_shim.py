@@ -8,11 +8,14 @@ in one of two ways that share one HiGHS run (``run_milp``).
   (``solve_request``), and the worker sends back one reply.  A search of
   a feasibility program dives first: it solves the restriction its LP
   relaxation leaves, and goes on to the whole program only when that has
-  no point (``search``).  The wire format lives in ``ssltl.ilp``, not
-  here: a request is the pickled arguments of ``solve_request``, whose
-  program is an ``ilp.Program``, and a reply is an ``ilp.Reply``.  The
-  caller unpickles every reply, and pickle imports the module that defines
-  its type, so the caller stays free of scipy.
+  no point.  Before a search branches and bounds on the whole program, it
+  may check: it solves the LP relaxation with the program's rejecting
+  self-loops barred, and answers ``Infeasible`` when that has no point
+  (``search``; in a race only the first search checks).  The wire format
+  lives in ``ssltl.ilp``, not here: a request is the pickled arguments of
+  ``solve_request``, whose program is an ``ilp.Program``, and a reply is
+  an ``ilp.Reply``.  The caller unpickles every reply, and pickle imports
+  the module that defines its type, so the caller stays free of scipy.
 * The stand-alone command, which reads a CPLEX-LP-format file with HiGHS's
   own LP reader (``parse_lp``), whatever the file's name, hands HiGHS the
   program as ``run_milp``'s arrays in one plain run, with no dive, and
@@ -190,15 +193,19 @@ def model_status(res, time_limit=None) -> str:
     return "Error"
 
 
-def solve_request(program: Program, time_limit, seeds, groups,
+def solve_request(program: Program, time_limit, seeds, groups, loops,
                   hangup=None) -> Reply:
     """Solve ``program`` within ``time_limit`` seconds with one search per
     HiGHS seed in ``seeds``, each in the thread of this process that runs
     the searches of that seed (``_search_thread``), and return the reply of
     the answering search (``search``; a feasibility program's search dives
-    first).  A search stops at HiGHS's next interrupt check once the
-    program is answered, or once the write end of the pipe ``hangup``, if
-    given, is closed.
+    first).  A search that checks bars the HiGHS columns ``loops``, the x
+    of the rejecting self-loops of ``ilp._rejecting_loops``, in one LP
+    before it branches and bounds: every half of a split, and the first
+    search of a race, as that LP's answer does not depend on the seed.  A
+    search stops at HiGHS's next interrupt check once the program is
+    answered, or once the write end of the pipe ``hangup``, if given, is
+    closed.
 
     ``groups`` holds the HiGHS columns of the policy binaries of the
     initial product state's pairs, in groups of interchangeable pairs
@@ -233,9 +240,10 @@ def solve_request(program: Program, time_limit, seeds, groups,
     else:
         programs = [program] * n
     replies, done = queue.SimpleQueue(), threading.Event()
-    for seed, part in zip(seeds, programs):
-        _search_thread(seed).put((part, time_limit, seed, replies, done,
-                                  hangup))
+    for s, (seed, part) in enumerate(zip(seeds, programs)):
+        _search_thread(seed).put((part, time_limit, seed,
+                                  loops if split or s == 0 else [], replies,
+                                  done, hangup))
     answers, failed = [], []
     try:
         for _ in seeds:
@@ -254,7 +262,7 @@ def solve_request(program: Program, time_limit, seeds, groups,
         return _combine(answers, program.c)
     left = [seed for seed in seeds if seed not in {r.seed for r in failed}]
     if split and left:
-        return solve_request(program, time_limit, left, [], hangup)
+        return solve_request(program, time_limit, left, [], loops, hangup)
     return failed[-1]
 
 
@@ -283,7 +291,7 @@ def _run_searches(searches: queue.SimpleQueue) -> None:
 os.register_at_fork(after_in_child=_searches.clear)
 
 
-def _search(program: Program, time_limit, seed: int,
+def _search(program: Program, time_limit, seed: int, loops,
             replies: queue.SimpleQueue, done: threading.Event,
             hangup) -> None:
     """One search of ``solve_request``: put its reply in ``replies``, and
@@ -295,7 +303,7 @@ def _search(program: Program, time_limit, seed: int,
     if hangup is not None:
         poller.register(hangup, select.POLLHUP)
     try:
-        reply = search(program, time_limit, seed,
+        reply = search(program, time_limit, seed, loops,
                        lambda: done.is_set() or bool(poller.poll(0)))
     except Exception as exc:  # reported to the owner, not fatal here
         traceback.print_exc()
@@ -307,7 +315,8 @@ def _search(program: Program, time_limit, seed: int,
 _FIX_TOL = 1e-9
 
 
-def search(program: Program, time_limit, seed: int, interrupt) -> Reply:
+def search(program: Program, time_limit, seed: int, loops,
+           interrupt) -> Reply:
     """Solve ``program`` under HiGHS seed ``seed`` and within
     ``time_limit`` seconds, stopping once ``interrupt()`` is true, and
     return the reply, which carries ``seed``.
@@ -324,16 +333,26 @@ def search(program: Program, time_limit, seed: int, interrupt) -> Reply:
        Its bounds are tighter than the program's, so a point of it is a
        point of the program, and the answer is ``Optimal`` there.
 
-    Only when the restriction has no point (it is infeasible, or stopped at
-    the time limit) does the whole program get the time left, and its nodes
-    add to the restriction's.  A search stopped in the dive answers
+    Before the search branches and bounds on the whole program (a
+    feasibility program's when the restriction has no point, or is stopped
+    at the time limit; any other program's at once), it *checks*: it solves
+    the LP relaxation with the upper bound of the HiGHS columns ``loops``
+    set to 0.  They are the x of the program's rejecting self-loops, pairs
+    that return to their own product state with probability 1 and that no
+    Rabin pair accepts there, and no verified policy puts limiting mass on
+    one (``ilp._rejecting_loops``).  So when that LP has no point, no
+    policy exists: the answer is ``Infeasible``, with the dive's nodes and
+    ``barred`` the number of columns barred.  The check is no dive: its
+    point is never used, and without ``loops`` it is skipped.
+
+    Else the whole program gets the time left, and its nodes add to the
+    restriction's.  A search stopped in the dive or the check answers
     ``Error``, as a stopped HiGHS run does; both LP and MIP solves stop at
     their interrupt checks (``run_milp``)."""
-    limit, nodes = time_limit, 0
+    start, limit, nodes = time.monotonic(), time_limit, 0
+    relaxation = program._replace(
+        integrality=np.zeros_like(program.integrality))
     if not np.any(program.c) and np.any(program.integrality):
-        start = time.monotonic()
-        relaxation = program._replace(
-            integrality=np.zeros_like(program.integrality))
         res = run_milp(*relaxation, time_limit=time_limit, random_seed=seed,
                        interrupt=interrupt)
         if res.status == 2:
@@ -348,6 +367,16 @@ def search(program: Program, time_limit, seed: int, interrupt) -> Reply:
                              res.mip_gap, nodes, dive=True, seed=seed)
         if interrupt():
             return Reply("Error (stopped in the dive)", nodes=nodes,
+                         seed=seed)
+        limit = _left(time_limit, start)
+    if len(loops):
+        res = run_milp(*_closed(relaxation, [loops]), time_limit=limit,
+                       random_seed=seed, interrupt=interrupt)
+        if res.status == 2:
+            return Reply("Infeasible", nodes=nodes, seed=seed,
+                         barred=len(loops))
+        if interrupt():
+            return Reply("Error (stopped in the check)", nodes=nodes,
                          seed=seed)
         limit = _left(time_limit, start)
     res = run_milp(*program, random_seed=seed, time_limit=limit,
@@ -398,7 +427,8 @@ def _combine(answers: list, c: np.ndarray) -> Reply:
     point if any half has one.  The point is the better incumbent, and the
     seed and dive are its search's; the dual bound is the lowest (an
     infeasible half's is +inf); the gap is HiGHS's |primal - dual| /
-    |primal| of that point and bound; the nodes are summed."""
+    |primal| of that point and bound; the nodes are summed; and an
+    infeasible program is ``barred`` when every half is."""
     statuses = [reply.status for reply in answers]
     points = [reply for reply in answers if reply.x is not None]
     bounds = [math.inf if reply.status == "Infeasible" else reply.bound
@@ -423,8 +453,11 @@ def _combine(answers: list, c: np.ndarray) -> Reply:
         status = next(s for s in statuses if s not in ("Optimal",
                                                        "Infeasible"))
     nodes = sum(reply.nodes or 0 for reply in answers)
+    # the check proved the program infeasible only if it proved every half
+    barred = min(reply.barred for reply in answers) \
+        if status == "Infeasible" else 0
     return Reply(status, best.x, bound, gap, nodes, best.dive, best.seed,
-                 split=True)
+                 split=True, barred=barred)
 
 
 def serve() -> None:

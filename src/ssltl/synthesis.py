@@ -16,7 +16,10 @@ the solve itself, not a solver start.  On two CPUs the worker's two search
 threads split a reward program's policies between them on the initial
 state's actions, and race over a feasibility program
 (``milp_shim.solve_request``), each diving first into the restriction its
-LP relaxation leaves (``milp_shim.search``).
+LP relaxation leaves (``milp_shim.search``).  Before branch and bound, a
+search (in a race, the first) solves the LP relaxation with x barred from
+the absorbing self-loops no Rabin pair accepts; when that has no point,
+the run ends ``infeasible`` with a ``detail`` that says so.
 
 The program's occupation measure x lives on the pairs the accepting
 components retain, so a candidate's x is a stationary measure inside them.
@@ -151,7 +154,7 @@ def synthesize(m: Lmdp, d: Dra, spec: SsLtlSpec,
         sol = solve(model, solver, keep_files=keep_files, round_no=rounds)
         solve_seconds += time.monotonic() - t_solve
         if sol.status == "infeasible":
-            status, detail = "infeasible", ""
+            status, detail = "infeasible", _infeasible_detail(sol)
             break
         if sol.status in ("timeout", "error"):
             status, detail = sol.status, _solver_detail(sol)
@@ -190,6 +193,18 @@ def _long_run_objective(model: IlpModel, pi: Policy,
     dist = report.product_distribution
     return sum(dist.get(p.states[i], 0.0) * coef.get(p.chosen_pair(i, pi), 0.0)
                for i in report.chain.states)
+
+
+def _infeasible_detail(sol: Solution) -> str:
+    """Why an ``infeasible`` solve proves that no policy exists, where the
+    solver says why: only the bundled backend's check of the rejecting
+    self-loops does (``milp_shim.search``); else empty."""
+    if not sol.barred:
+        return ""
+    loops = "loop" if sol.barred == 1 else "loops"
+    return (f"no policy: the LP relaxation has no point once x is kept off "
+            f"the {sol.barred} absorbing self-{loops} that no Rabin pair "
+            f"accepts")
 
 
 def _solver_detail(sol: Solution) -> str:

@@ -299,6 +299,31 @@ def test_record_of_a_feasibility_run_names_the_dive(tmp_path,
         "optimal", 0.0, True)
 
 
+def test_record_of_an_infeasibility_the_barred_lp_proves(tmp_path,
+                                                        bundled_backend):
+    """On the deterministic 4x3 grid of seed 0 under theta2, no policy puts
+    mass 0.9 on d, and the LP relaxation with x kept off the rejecting
+    self-loops has no point: the run is infeasible without branch and
+    bound, and the record names that proof."""
+    save_model(generate_grid(GridSpec(4, 3, seed=0)), tmp_path / "m.json")
+    (tmp_path / "spec.json").write_text(json.dumps({
+        "dra": str(Path("fixtures/automata/theta2.hoa").resolve()),
+        "ss": [{"formula": "d", "lower": 0.9, "upper": 1.0}]}))
+    code = run_cli("synth", "--model", str(tmp_path / "m.json"),
+                   "--spec", str(tmp_path / "spec.json"),
+                   "--objective", "feasibility",
+                   "-o", str(tmp_path / "policy.json"),
+                   "--record", str(tmp_path / "record.json"))
+    assert code == 2
+    rec = json.loads((tmp_path / "record.json").read_text())
+    assert rec["status"] == "infeasible" and rec["solver"]["barred"] > 0
+    assert rec["detail"] == (
+        f"no policy: the LP relaxation has no point once x is kept off the "
+        f"{rec['solver']['barred']} absorbing self-loops that no Rabin pair "
+        f"accepts")
+    assert not (tmp_path / "policy.json").exists()
+
+
 def test_synth_infeasible_exit_2_and_no_policy_file(tmp_path):
     model = {
         "states": [{"id": "s0", "labels": ["p"]},

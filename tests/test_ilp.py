@@ -10,12 +10,13 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
-from helpers import assert_same_highs_program, binaries, check_solution, \
-    fix_policy, random_dra, random_lmdp, six_state_until_lmdp, \
-    with_iks_block, with_rows_viii, with_self_loop_flows, \
-    with_union_acceptance_row
+from helpers import assert_same_highs_program, best_lasso_reward, \
+    binaries, check_solution, fix_policy, random_dra, random_lmdp, \
+    six_state_until_lmdp, with_iks_block, with_rows_viii, \
+    with_self_loop_flows, with_union_acceptance_row
 from ssltl.errors import ModelError, NoAcceptingStructureError, PolicyError
-from ssltl.graph import accepting_mecs, mec_decomposition
+from ssltl.graph import accepting_mecs, almost_sure_reach, \
+    mec_decomposition
 from ssltl.hoa import Dra, letters_of, load_hoa, parse_hoa
 from ssltl import ilp, milp_shim
 from ssltl.ilp import (
@@ -829,6 +830,67 @@ def test_infeasibility_proof_reports_its_nodes(monkeypatch, bundled_backend):
     sol = solve(model, SolverConfig(timeout=60.0))
     assert (sol.status, sol.seed, sol.searches) == ("infeasible", 0, 1)
     assert isinstance(sol.nodes, int) and sol.nodes > 0
+
+
+def test_rejecting_loops_are_the_unpinned_self_loops_no_rabin_pair_accepts():
+    """On a deterministic grid under theta2, a move into a wall is a pair
+    that returns to its product state.  At a c or d cell the state's node
+    is 0, which no Rabin pair accepts, and the pair's x is barred; at an a
+    cell it is node 2, which Inf(1) of the first pair accepts, and it is
+    not.  A pinned x column is never barred, and a slip grid, whose every
+    move may slip elsewhere, has no pair to bar."""
+    spec = load_spec("fixtures/specs/theta2.json")
+    dra = load_hoa(spec.dra_source)
+    model = build_for(generate_grid(GridSpec(4, 4, seed=0)), dra, spec)
+    p = model.product
+    order = highs_arrays(model)[1]
+    barred = set(order[ilp._rejecting_loops(model, order)].tolist())
+    loops = {k: p.model.labels[s] for i, (s, _) in enumerate(p.states)
+             for k in p.pairs(i) if p.succ[k].keys() == {i}}
+    assert barred == {k for k, label in loops.items()
+                      if label & {"c", "d"} and model.variables[k].ub > 0}
+    assert barred and any(label == {"a"} for label in loops.values())
+    k = min(barred)
+    variables = list(model.variables)
+    variables[k] = replace(variables[k], ub=0.0)
+    pinned = replace(model, variables=tuple(variables))
+    assert set(order[ilp._rejecting_loops(pinned, order)].tolist()) == (
+        barred - {k})
+    slip = build_for(generate_grid(GridSpec(4, 4, seed=0, dynamics="slip")),
+                     dra, spec)
+    assert len(ilp._rejecting_loops(slip, highs_arrays(slip)[1])) == 0
+
+
+def test_a_barred_lp_without_a_point_means_no_policy():
+    """Wherever the LP relaxation with the rejecting self-loops barred
+    (``ilp._rejecting_loops``, ``milp_shim.search``) has no point, the
+    exact oracle finds no policy: on deterministic 3x3, 3x4, 4x3 and 4x4
+    grids, seeds 0-7, under theta2 with d in [lower, 1].  The check must
+    fire on at least 20 of the 96 instances, so that the test cannot pass
+    for want of a firing."""
+    dra = load_hoa(load_spec("fixtures/specs/theta2.json").dra_source)
+    fired = []
+    for (w, h), seed, lower in itertools.product(
+            ((3, 3), (3, 4), (4, 3), (4, 4)), range(8), (0.5, 0.75, 0.9)):
+        m = generate_grid(GridSpec(w, h, seed))
+        spec = one_interval_spec("d", lower, 1.0)
+        p = build_product(m, dra)
+        amecs = accepting_mecs(mec_decomposition(p), p)
+        if p.initial not in almost_sure_reach(p, frozenset().union(*amecs)):
+            continue        # synthesize answers without a program
+        model = build_program(p, amecs, spec,
+                              IlpConfig(objective="feasibility"))
+        program, order = highs_arrays(model)
+        loops = ilp._rejecting_loops(model, order)
+        if not len(loops):
+            continue
+        relaxation = program._replace(
+            integrality=np.zeros_like(program.integrality))
+        if milp_shim.run_milp(*milp_shim._closed(relaxation,
+                                                 [loops])).status == 2:
+            fired.append((w, h, seed, lower))
+            assert best_lasso_reward(m, dra, spec) is None, fired[-1]
+    assert len(fired) >= 20
 
 
 @pytest.mark.parametrize("name, build", ARRAY_ROUTE_INPUTS)

@@ -8,6 +8,7 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -560,6 +561,178 @@ def test_a_reward_program_never_dives(one_search):
         "optimal", False, res.mip_node_count)
 
 
+GF_P_DRA = parse_hoa("""HOA: v1
+States: 2
+Start: 0
+AP: 1 "p"
+acc-name: Rabin 1
+Acceptance: 2 Fin(0) & Inf(1)
+--BODY--
+State: 0
+[!0] 0
+[0] 1
+State: 1 {1}
+[!0] 0
+[0] 1
+--END--
+""")
+
+
+def loop_instance(r_lower: float, objective: str = "feasibility",
+                  r_at_w: bool = False) -> tuple:
+    """The model, automaton, spec and program knobs of this instance:
+    infinitely often p, with long-run mass at least ``r_lower`` on r.
+    The run begins in "start", whose action "a" goes to s0 (labelled r) and
+    whose action "b", with ``objective`` a reward, goes to w (labelled p,
+    and r if ``r_at_w``), where staying earns 1.  s0 and s1 (labelled p)
+    each stay or go to the other, and going from s0 earns 5, which no
+    policy earns per step.  Staying at s0 is a rejecting self-loop, the
+    program's only one: a verified policy that takes "a" stays at s1 or
+    goes round s0 and s1, and puts at most 1/2 on r.  The LP relaxation
+    can park x on s0's loop, so with ``r_lower`` above 1/2 only the barred
+    LP sees that "a" leads to no policy.  A reward program is split on
+    "a" and "b": search 0 gets "a"."""
+    reward = objective != "feasibility"
+    states = ("start", "s0", "s1") + (("w",) if reward else ())
+    trans = {("start", "a"): {"s0": 1.0}, ("s0", "stay"): {"s0": 1.0},
+             ("s0", "go"): {"s1": 1.0}, ("s1", "stay"): {"s1": 1.0},
+             ("s1", "go"): {"s0": 1.0}}
+    enabled = {"start": ("a",), "s0": ("stay", "go"), "s1": ("stay", "go")}
+    labels = {"start": frozenset(), "s0": frozenset({"r"}),
+              "s1": frozenset({"p"})}
+    rewards = {("s0", "go", "s1"): 5.0}
+    if reward:
+        trans[("start", "b")], trans[("w", "stay")] = {"w": 1.0}, {"w": 1.0}
+        enabled["start"], enabled["w"] = ("a", "b"), ("stay",)
+        labels["w"] = frozenset({"p", "r"} if r_at_w else {"p"})
+        rewards[("w", "stay", "w")] = 1.0
+    m = validate_lmdp(Lmdp(
+        states=states, actions=("a", "b", "stay", "go"), enabled=enabled,
+        trans=trans, reward=rewards, ap=("p", "r"), labels=labels,
+        initial="start"))
+    spec = spec_from_json({"dra": "x", "ss": [
+        {"formula": "r", "lower": r_lower, "upper": 1.0}]})
+    return m, GF_P_DRA, spec, IlpConfig(objective=objective)
+
+
+def loop_program(*args):
+    """The program of ``loop_instance(*args)``."""
+    m, dra, spec, cfg = loop_instance(*args)
+    p = build_product(m, dra)
+    return build_program(p, accepting_mecs(mec_decomposition(p), p), spec,
+                         cfg)
+
+
+def is_barred_lp(program: ilp.Program, whole: ilp.Program,
+                 loops: np.ndarray) -> bool:
+    """Whether ``program`` is ``whole``'s LP relaxation with the upper bound
+    of the columns ``loops`` set to 0, and no other bound moved."""
+    ub = whole.ub.copy()
+    ub[loops] = 0.0
+    return (not program.integrality.any()
+            and np.array_equal(program.lb, whole.lb)
+            and np.array_equal(program.ub, ub))
+
+
+def test_a_failed_dive_whose_barred_lp_has_no_point_is_infeasible(
+        one_search):
+    """The LP relaxation parks x on s0's loop, the restriction it leaves
+    has no point, and the LP with that loop barred has none either: the
+    program is infeasible, with the restriction's nodes, and the whole
+    program never reaches HiGHS with its integrality."""
+    model = loop_program(0.9)
+    program, order = ilp.highs_arrays(model)
+    loops = ilp._rejecting_loops(model, order)
+    assert len(loops) == 1
+    sol = solve(model, SolverConfig(timeout=60))
+    assert (sol.status, sol.dive, sol.barred) == ("infeasible", False, 1)
+    (relaxed, _, lp), (restricted, _, res), (barred, limit, check) = \
+        one_search.solves
+    assert not relaxed.integrality.any() and lp.status == 0
+    assert restricted.integrality.any() and res.status == 2
+    assert is_barred_lp(barred, program, loops) and check.status == 2
+    assert 50.0 < limit < 60.0
+    assert sol.nodes == res.mip_node_count
+    m, dra, spec, cfg = loop_instance(0.9)
+    result = synthesize(m, dra, spec, cfg)
+    assert result.status == "infeasible" and result.rounds == 1
+    assert result.detail == (
+        "no policy: the LP relaxation has no point once x is kept off the "
+        "1 absorbing self-loop that no Rabin pair accepts")
+
+
+def test_a_barred_lp_with_a_point_leaves_the_whole_program(monkeypatch,
+                                                          one_search):
+    """Mass 1/2 on r is met by going round s0 and s1.  A reward program
+    is not dived, and its barred LP, which is no dive, has a point: the
+    search goes on to the whole program, in the time left, and answers as
+    it does with no loop to bar."""
+    model = loop_program(0.5, "expected_reward")
+    program, order = ilp.highs_arrays(model)
+    loops = ilp._rejecting_loops(model, order)
+    sol = solve(model, SolverConfig(timeout=60))
+    (barred, _, check), (whole, limit, res) = one_search.solves
+    assert is_barred_lp(barred, program, loops) and check.status == 0
+    assert all(np.array_equal(a, b) for a, b in zip(whole, program))
+    assert 50.0 < limit < 60.0
+    assert (sol.status, sol.dive, sol.barred, sol.nodes) == (
+        "optimal", False, 0, res.mip_node_count)
+    monkeypatch.setattr(ilp, "_rejecting_loops",
+                        lambda model, order: np.array([], dtype=np.int64))
+    plain = solve(model, SolverConfig(timeout=60))
+    assert len(one_search.solves) == 3
+    assert (plain.status, plain.objective) == (sol.status, sol.objective)
+    assert sol.objective == pytest.approx(2.5)
+
+
+@pytest.mark.parametrize("r_at_w, status, objective, barred", [
+    (True, "optimal", 1.0, 0), (False, "infeasible", None, 1)],
+    ids=["other-half-optimal", "both-halves-barred"])
+def test_a_reward_half_answers_from_its_barred_lp(monkeypatch, in_process,
+                                                  r_at_w, status, objective,
+                                                  barred):
+    """Search 0's half, which takes "a", answers ``Infeasible`` from its
+    barred LP, with no MIP solve; the program's answer is search 1's half's
+    ("b": staying at w, mass 1 on r, reward 1), and it is barred only when
+    that half is too (no mass on r at w)."""
+    run = recording(milp_shim.run_milp)
+    monkeypatch.setattr(milp_shim, "run_milp", run)
+    sol = solve(loop_program(0.9, "expected_reward", r_at_w),
+                SolverConfig(timeout=60))
+    assert (sol.status, sol.split, sol.barred) == (status, True, barred)
+    assert sol.objective == (None if objective is None
+                             else pytest.approx(objective))
+    infeasible = [prog for prog, _, res in run.solves if res.status == 2]
+    assert infeasible and not any(prog.integrality.any()
+                                  for prog in infeasible)
+    assert len(run.solves) == 3 - barred
+
+
+def test_only_the_first_search_of_a_race_checks(monkeypatch):
+    """The barred LP's answer does not depend on the seed, so of two
+    searches racing over a feasibility program only search 0 solves it.
+    Search 0's check is held up, and search 1 goes from its failed dive
+    straight to the whole program, which it proves infeasible by branch
+    and bound: the answer is its own, and not barred."""
+    model = loop_program(0.9)
+    program, order = ilp.highs_arrays(model)
+    loops = ilp._rejecting_loops(model, order)
+    plain, checked, seeds = milp_shim.run_milp, threading.Event(), []
+
+    def run(*arrays, random_seed=0, **kwargs):
+        if is_barred_lp(ilp.Program(*arrays), program, loops):
+            seeds.append(random_seed)
+            checked.set()
+            time.sleep(0.5)
+        elif arrays[-1].any() and np.array_equal(arrays[7], program.ub):
+            assert checked.wait(10.0)   # the whole program, after the dive
+        return plain(*arrays, random_seed=random_seed, **kwargs)
+    monkeypatch.setattr(milp_shim, "run_milp", run)
+    reply = milp_shim.solve_request(program, 60.0, (0, 1), [], loops)
+    assert (reply.status, reply.seed, reply.barred) == ("Infeasible", 1, 0)
+    assert seeds == [0]
+
+
 @pytest.mark.parametrize("plan", [[30.0], [0.0, 30.0]],
                          ids=["lp-relaxation", "restriction"])
 def test_a_search_stopped_in_its_dive_stops(monkeypatch, in_process, plan):
@@ -579,6 +752,32 @@ def test_a_search_stopped_in_its_dive_stops(monkeypatch, in_process, plan):
     assert run.stopped == [(0, len(plan) - 1)]
     time.sleep(0.2)
     assert run.calls[0] == len(plan) - 1
+
+
+def test_a_search_stopped_in_its_check_stops(monkeypatch, in_process):
+    """On the 4x3 grid of seed 0 under theta2 with d in [0.9, 1], both
+    dives fail.  Search 0 spins 30 s in its check, its third solve, while
+    search 1, which does not check, proves the program infeasible by branch
+    and bound; search 0 then stops in its check, without going on to the
+    whole program."""
+    spec = spec_from_json({"dra": "x", "ss": [
+        {"formula": "d", "lower": 0.9, "upper": 1.0}]})
+    p = build_product(generate_grid(GridSpec(4, 3, seed=0)),
+                      load_hoa(ROOT / "fixtures/automata/theta2.hoa"))
+    model = build_program(p, accepting_mecs(mec_decomposition(p), p), spec,
+                          IlpConfig(objective="feasibility"))
+    run = spinning({0: [0.0, 0.0, 30.0]})
+    monkeypatch.setattr(milp_shim, "run_milp", run)
+    t0 = time.monotonic()
+    sol = solve(model, SolverConfig(timeout=60))
+    assert time.monotonic() - t0 < 20.0
+    assert (sol.status, sol.seed, sol.barred) == ("infeasible", 1, 0)
+    deadline = time.monotonic() + 1.0
+    while not run.stopped and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert run.stopped == [(0, 2)]
+    time.sleep(0.2)
+    assert run.calls[0] == 2
 
 
 def fail_the_request(monkeypatch):
@@ -637,7 +836,7 @@ def test_solver_prints_reach_neither_the_replies_nor_stderr():
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
     try:
-        pickle.dump((program, 60.0, (1,), []), proc.stdin)
+        pickle.dump((program, 60.0, (1,), [], []), proc.stdin)
         proc.stdin.flush()
         reply = pickle.load(proc.stdout)
         rest, err = proc.communicate(timeout=120)
