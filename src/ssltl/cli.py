@@ -108,16 +108,18 @@ def _load_instance(args):
 def _solver_record(sol) -> Optional[dict]:
     """What the solver returned in the last round: bound, gap, nodes, the
     seed of the search that answered, the number of searches, whether they
-    split the program, whether the point came from a dive's restriction and
+    split the program, whether the point came from a dive's restriction,
     the number of rejecting self-loops barred in the LP that proved the
-    program infeasible (0 when none did) are null when the backend does not
-    report them."""
+    program infeasible (0 when none did) and the number barred in the
+    branch and bound that answered (0 when none was) are null when the
+    backend does not report them."""
     if sol is None:
         return None
     return {"status": sol.status, "objective": sol.objective,
             "bound": sol.bound, "gap": sol.gap, "nodes": sol.nodes,
             "seed": sol.seed, "searches": sol.searches, "split": sol.split,
-            "dive": sol.dive, "barred": sol.barred}
+            "dive": sol.dive, "barred": sol.barred,
+            "mip_barred": sol.mip_barred}
 
 
 def cmd_synth(args) -> int:

@@ -30,8 +30,13 @@ on the whole program (a feasibility program after a failed dive, a reward
 program or split half at once) first solves the LP relaxation with x kept
 at 0 on every absorbing self-loop that no Rabin pair accepts
 (``_rejecting_loops``): no verified policy puts mass there, so when that LP
-has no point, no policy exists, and the search answers ``Infeasible``.  Of
-searches racing over one program, only the first makes this check.  An
+has no point, no policy exists, and the search answers ``Infeasible``.
+Where that LP has a point, a search may go on to branch and bound with
+those x kept at 0 too (the *barred program*, which still holds every
+verified policy's point): of two searches racing over one program, the
+last checks and branches on the barred program and the first does
+neither; every half of a split checks and branches on its barred half;
+a lone search checks and branches on the whole program.  An
 external solver gets the program in CPLEX LP format through its command
 template (``{lp}`` and ``{sol}`` placeholders), and solution files in
 either a generic ``name value`` layout or the index-prefixed column layout
@@ -554,7 +559,13 @@ class Solution:
     ``barred``, when positive, says that the program is infeasible because
     its LP relaxation has no point once x is kept at 0 on that many
     rejecting self-loops (``_rejecting_loops``); it is 0 when no such LP
-    answered, and None when read from a solution file."""
+    answered, and None when read from a solution file.  ``mip_barred``,
+    when positive, says that the answer (in a split, some half's) comes
+    from branch and bound with x kept at 0 on that many rejecting
+    self-loops: then ``bound`` bounds the long-run reward of every verified
+    policy, not the program's optimum, and ``infeasible`` still means that
+    no policy exists; it is 0 when the search branched on the program
+    unchanged, and None when read from a solution file."""
 
     status: str          # optimal | feasible | infeasible | timeout | error
     values: Optional[np.ndarray] = None     # one value per column, if any
@@ -568,6 +579,7 @@ class Solution:
     split: Optional[bool] = None
     dive: Optional[bool] = None
     barred: Optional[int] = None
+    mip_barred: Optional[int] = None
 
 
 def parse_solution_text(text: str, varnames) -> tuple:
@@ -727,7 +739,7 @@ def _solve_bundled(model: IlpModel, time_limit: float,
     stats = {"bound": None if reply.bound is None else 0.0 - reply.bound,
              "gap": reply.gap, "nodes": reply.nodes, "seed": reply.seed,
              "searches": len(seeds), "split": reply.split, "dive": reply.dive,
-             "barred": reply.barred}
+             "barred": reply.barred, "mip_barred": reply.mip_barred}
     if status == "Infeasible":
         sol = Solution("infeasible", solver_output=output, **stats)
     elif x is None and status.startswith("Time limit reached"):
@@ -808,8 +820,9 @@ class Reply(NamedTuple):
     without a point; whether the searches split the program
     (``milp_shim.solve_request``); and, for an ``Infeasible`` that the LP
     relaxation with the rejecting self-loops barred proved (in a split, in
-    every half), the number of columns barred, else 0
-    (``milp_shim.search``)."""
+    every half), the number of columns barred, else 0; and the number of
+    columns barred in the answering search's branch and bound (in a split,
+    the most of any half's), else 0 (``milp_shim.search``)."""
 
     status: str
     x: Optional[np.ndarray] = None
@@ -820,6 +833,7 @@ class Reply(NamedTuple):
     seed: Optional[int] = None
     split: bool = False
     barred: int = 0
+    mip_barred: int = 0
 
 
 # HiGHS's random_seed of each search: its time on one program can move 20x

@@ -8,10 +8,14 @@ in one of two ways that share one HiGHS run (``run_milp``).
   (``solve_request``), and the worker sends back one reply.  A search of
   a feasibility program dives first: it solves the restriction its LP
   relaxation leaves, and goes on to the whole program only when that has
-  no point.  Before a search branches and bounds on the whole program, it
-  may check: it solves the LP relaxation with the program's rejecting
-  self-loops barred, and answers ``Infeasible`` when that has no point
-  (``search``; in a race only the first search checks).  The wire format
+  no point.  Before a search branches and bounds, it may check: it solves
+  the LP relaxation with the program's rejecting self-loops barred, and
+  answers ``Infeasible`` when that has no point.  A search that checks may
+  also bar: it then branches and bounds on the program with those
+  self-loops barred, not on the whole program (``search``).  In a race the
+  last search checks and bars and search 0 does neither, every half of a
+  split checks and bars, and a lone search checks without barring
+  (``solve_request``).  The wire format
   lives in ``ssltl.ilp``, not here: a request is the pickled arguments of
   ``solve_request``, whose program is an ``ilp.Program``, and a reply is
   an ``ilp.Reply``.  The caller unpickles every reply, and pickle imports
@@ -199,11 +203,20 @@ def solve_request(program: Program, time_limit, seeds, groups, loops,
     HiGHS seed in ``seeds``, each in the thread of this process that runs
     the searches of that seed (``_search_thread``), and return the reply of
     the answering search (``search``; a feasibility program's search dives
-    first).  A search that checks bars the HiGHS columns ``loops``, the x
-    of the rejecting self-loops of ``ilp._rejecting_loops``, in one LP
-    before it branches and bounds: every half of a split, and the first
-    search of a race, as that LP's answer does not depend on the seed.  A
-    search stops at HiGHS's next interrupt check once the program is
+    first).  The searches are a portfolio over the HiGHS columns ``loops``,
+    the x of the rejecting self-loops of ``ilp._rejecting_loops``.  A
+    search that *checks* solves the LP relaxation with ``loops`` barred
+    before it branches and bounds, and one that also *bars* then branches
+    and bounds with ``loops`` barred (the *barred program*):
+
+    * in a race, the last search checks and bars, and search 0 does
+      neither and branches on the program unchanged (that LP's answer does
+      not depend on the seed, so one check is enough);
+    * every half of a split checks and bars;
+    * a lone search checks and does not bar, as the barred program's tree
+      can be the larger one (the 8x8 fixture's, when its dive fails).
+
+    A search stops at HiGHS's next interrupt check once the program is
     answered, or once the write end of the pipe ``hangup``, if given, is
     closed.
 
@@ -228,11 +241,12 @@ def solve_request(program: Program, time_limit, seeds, groups, loops,
     fails, the others are stopped and the searches that did not fail race
     the whole program, so a half is never combined with nothing.
 
-    Otherwise the searches *race* the whole program, and the first reply
-    wins: the searches still running are stopped, and their replies never
-    read.  A search that raises answers ``Error``, which is returned only
-    when no other search is left."""
-    n = len(seeds)
+    Otherwise the searches *race* over the program (the last one over its
+    barred program), and the first reply wins: the searches still running
+    are stopped, and their replies never read.  A search that raises answers ``Error``, which is returned only
+    when no other search is left; the fallback race of a failed split gets
+    what is left of ``time_limit``."""
+    start, n = time.monotonic(), len(seeds)
     split = 1 < n <= len(groups)
     if split:
         programs = [_closed(program, [g for i, g in enumerate(groups)
@@ -241,9 +255,10 @@ def solve_request(program: Program, time_limit, seeds, groups, loops,
         programs = [program] * n
     replies, done = queue.SimpleQueue(), threading.Event()
     for s, (seed, part) in enumerate(zip(seeds, programs)):
+        check = split or s == n - 1
         _search_thread(seed).put((part, time_limit, seed,
-                                  loops if split or s == 0 else [], replies,
-                                  done, hangup))
+                                  loops if check else [], check and n > 1,
+                                  replies, done, hangup))
     answers, failed = [], []
     try:
         for _ in seeds:
@@ -262,7 +277,8 @@ def solve_request(program: Program, time_limit, seeds, groups, loops,
         return _combine(answers, program.c)
     left = [seed for seed in seeds if seed not in {r.seed for r in failed}]
     if split and left:
-        return solve_request(program, time_limit, left, [], loops, hangup)
+        return solve_request(program, _left(time_limit, start), left, [],
+                             loops, hangup)
     return failed[-1]
 
 
@@ -291,7 +307,7 @@ def _run_searches(searches: queue.SimpleQueue) -> None:
 os.register_at_fork(after_in_child=_searches.clear)
 
 
-def _search(program: Program, time_limit, seed: int, loops,
+def _search(program: Program, time_limit, seed: int, loops, bar: bool,
             replies: queue.SimpleQueue, done: threading.Event,
             hangup) -> None:
     """One search of ``solve_request``: put its reply in ``replies``, and
@@ -303,7 +319,7 @@ def _search(program: Program, time_limit, seed: int, loops,
     if hangup is not None:
         poller.register(hangup, select.POLLHUP)
     try:
-        reply = search(program, time_limit, seed, loops,
+        reply = search(program, time_limit, seed, loops, bar,
                        lambda: done.is_set() or bool(poller.poll(0)))
     except Exception as exc:  # reported to the owner, not fatal here
         traceback.print_exc()
@@ -315,7 +331,7 @@ def _search(program: Program, time_limit, seed: int, loops,
 _FIX_TOL = 1e-9
 
 
-def search(program: Program, time_limit, seed: int, loops,
+def search(program: Program, time_limit, seed: int, loops, bar: bool,
            interrupt) -> Reply:
     """Solve ``program`` under HiGHS seed ``seed`` and within
     ``time_limit`` seconds, stopping once ``interrupt()`` is true, and
@@ -333,22 +349,33 @@ def search(program: Program, time_limit, seed: int, loops,
        Its bounds are tighter than the program's, so a point of it is a
        point of the program, and the answer is ``Optimal`` there.
 
-    Before the search branches and bounds on the whole program (a
-    feasibility program's when the restriction has no point, or is stopped
-    at the time limit; any other program's at once), it *checks*: it solves
-    the LP relaxation with the upper bound of the HiGHS columns ``loops``
-    set to 0.  They are the x of the program's rejecting self-loops, pairs
-    that return to their own product state with probability 1 and that no
-    Rabin pair accepts there, and no verified policy puts limiting mass on
-    one (``ilp._rejecting_loops``).  So when that LP has no point, no
-    policy exists: the answer is ``Infeasible``, with the dive's nodes and
+    Before the search branches and bounds (a feasibility program's when the
+    restriction has no point, or is stopped at the time limit; any other
+    program's at once), it *checks*: it solves the LP relaxation with the
+    upper bound of the HiGHS columns ``loops`` set to 0.  They are the x of
+    the program's rejecting self-loops, pairs that return to their own
+    product state with probability 1 and that no Rabin pair accepts there,
+    and no verified policy puts limiting mass on one
+    (``ilp._rejecting_loops``).  So when that LP has no point, no policy
+    exists: the answer is ``Infeasible``, with the dive's nodes and
     ``barred`` the number of columns barred.  The check is no dive: its
     point is never used, and without ``loops`` it is skipped.
 
-    Else the whole program gets the time left, and its nodes add to the
-    restriction's.  A search stopped in the dive or the check answers
-    ``Error``, as a stopped HiGHS run does; both LP and MIP solves stop at
-    their interrupt checks (``run_milp``)."""
+    Else the search branches and bounds in the time left, and its nodes add
+    to the restriction's.  With ``bar`` true it branches on the *barred
+    program*, the program with the upper bound of ``loops`` at 0, and the
+    reply's ``mip_barred`` is their number; else on the whole program.
+    The barred program is sound.  Its bounds are tighter than the
+    program's, so each of its points is a point of the program, and
+    extraction and verification take it as they take any.  It still holds
+    every point built from a verified policy, by the argument above; so
+    ``Infeasible`` from it means that no policy exists, and its dual bound
+    bounds the long-run reward of every verified policy, though not the
+    program's own optimum.  The dive always solves the program unbarred.
+
+    A search stopped in the dive or the check answers ``Error``, as a
+    stopped HiGHS run does; both LP and MIP solves stop at their interrupt
+    checks (``run_milp``)."""
     start, limit, nodes = time.monotonic(), time_limit, 0
     relaxation = program._replace(
         integrality=np.zeros_like(program.integrality))
@@ -369,6 +396,7 @@ def search(program: Program, time_limit, seed: int, loops,
             return Reply("Error (stopped in the dive)", nodes=nodes,
                          seed=seed)
         limit = _left(time_limit, start)
+    mip_barred = 0
     if len(loops):
         res = run_milp(*_closed(relaxation, [loops]), time_limit=limit,
                        random_seed=seed, interrupt=interrupt)
@@ -379,11 +407,14 @@ def search(program: Program, time_limit, seed: int, loops,
             return Reply("Error (stopped in the check)", nodes=nodes,
                          seed=seed)
         limit = _left(time_limit, start)
+        if bar:
+            program, mip_barred = _closed(program, [loops]), len(loops)
     res = run_milp(*program, random_seed=seed, time_limit=limit,
                    interrupt=interrupt)
     return Reply(model_status(res, time_limit), res.x, res.mip_dual_bound,
                  res.mip_gap, None if res.mip_node_count is None
-                 else nodes + res.mip_node_count, seed=seed)
+                 else nodes + res.mip_node_count, seed=seed,
+                 mip_barred=mip_barred)
 
 
 def _left(time_limit, start: float):
@@ -427,8 +458,10 @@ def _combine(answers: list, c: np.ndarray) -> Reply:
     point if any half has one.  The point is the better incumbent, and the
     seed and dive are its search's; the dual bound is the lowest (an
     infeasible half's is +inf); the gap is HiGHS's |primal - dual| /
-    |primal| of that point and bound; the nodes are summed; and an
-    infeasible program is ``barred`` when every half is."""
+    |primal| of that point and bound; the nodes are summed; an infeasible
+    program is ``barred`` when every half is; and ``mip_barred`` is the
+    largest of the halves', so that it is positive when any half's answer
+    is the barred program's."""
     statuses = [reply.status for reply in answers]
     points = [reply for reply in answers if reply.x is not None]
     bounds = [math.inf if reply.status == "Infeasible" else reply.bound
@@ -457,7 +490,8 @@ def _combine(answers: list, c: np.ndarray) -> Reply:
     barred = min(reply.barred for reply in answers) \
         if status == "Infeasible" else 0
     return Reply(status, best.x, bound, gap, nodes, best.dive, best.seed,
-                 split=True, barred=barred)
+                 split=True, barred=barred,
+                 mip_barred=max(reply.mip_barred for reply in answers))
 
 
 def serve() -> None:

@@ -17,9 +17,11 @@ threads split a reward program's policies between them on the initial
 state's actions, and race over a feasibility program
 (``milp_shim.solve_request``), each diving first into the restriction its
 LP relaxation leaves (``milp_shim.search``).  Before branch and bound, a
-search (in a race, the first) solves the LP relaxation with x barred from
+search (in a race, the last) solves the LP relaxation with x barred from
 the absorbing self-loops no Rabin pair accepts; when that has no point,
-the run ends ``infeasible`` with a ``detail`` that says so.
+the run ends ``infeasible`` with a ``detail`` that says so.  Where it has
+one, that search (in a race, or a split's half) branches and bounds with
+those x still barred, and an ``infeasible`` it proves says so too.
 
 The program's occupation measure x lives on the pairs the accepting
 components retain, so a candidate's x is a stationary measure inside them.
@@ -197,14 +199,22 @@ def _long_run_objective(model: IlpModel, pi: Policy,
 
 def _infeasible_detail(sol: Solution) -> str:
     """Why an ``infeasible`` solve proves that no policy exists, where the
-    solver says why: only the bundled backend's check of the rejecting
-    self-loops does (``milp_shim.search``); else empty."""
-    if not sol.barred:
-        return ""
-    loops = "loop" if sol.barred == 1 else "loops"
-    return (f"no policy: the LP relaxation has no point once x is kept off "
-            f"the {sol.barred} absorbing self-{loops} that no Rabin pair "
-            f"accepts")
+    solver says why: only the bundled backend does, when its check of the
+    rejecting self-loops or its branch and bound with them barred answered
+    (``milp_shim.search``); else empty."""
+    if sol.barred:
+        return (f"no policy: the LP relaxation has no point once x is kept "
+                f"off the {_loops(sol.barred)}")
+    if sol.mip_barred:
+        return (f"no policy: branch and bound finds no point once x is kept "
+                f"off the {_loops(sol.mip_barred)} (proven by HiGHS, not "
+                f"certified)")
+    return ""
+
+
+def _loops(n: int) -> str:
+    return (f"{n} absorbing self-loop{'' if n == 1 else 's'} that no Rabin "
+            f"pair accepts")
 
 
 def _solver_detail(sol: Solution) -> str:

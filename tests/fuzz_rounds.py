@@ -22,7 +22,8 @@ limiting distribution there.  The exit status is 1 on a wrong verdict or an
 of HiGHS seed S in each process.  Without it, each of several pool
 processes runs one search, as each process of ``ssltl bench --workers N``
 does, and a lone pool process all it may: on two CPUs they split every
-reward program (``--workers 1``).
+reward program, and race over every feasibility program, search 0 on the
+program unchanged and the other on the barred program (``--workers 1``).
 
     python tests/fuzz_rounds.py [--seeds 500] [--workers 2] [--search S]
         [--objective feasibility]

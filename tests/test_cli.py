@@ -279,6 +279,7 @@ def test_record_reports_the_solver_answer(tmp_path, bundled_backend):
     assert solver["searches"] == len(ilp._race_seeds())
     assert solver["split"] is False     # the initial state has one action
     assert solver["dive"] is False      # a reward program is never dived
+    assert solver["mip_barred"] == 0    # no rejecting self-loop to bar
 
 
 def test_record_of_a_feasibility_run_names_the_dive(tmp_path,
@@ -317,6 +318,7 @@ def test_record_of_an_infeasibility_the_barred_lp_proves(tmp_path,
     assert code == 2
     rec = json.loads((tmp_path / "record.json").read_text())
     assert rec["status"] == "infeasible" and rec["solver"]["barred"] > 0
+    assert rec["solver"]["mip_barred"] == 0
     assert rec["detail"] == (
         f"no policy: the LP relaxation has no point once x is kept off the "
         f"{rec['solver']['barred']} absorbing self-loops that no Rabin pair "
@@ -466,7 +468,7 @@ def test_synth_records_a_solver_that_cannot_launch(tmp_path, capsys):
     assert rec["detail"].startswith("solver error: cannot launch solver: ")
     assert rec["solver"]["status"] == "error"
     assert rec["solver"]["seed"] is rec["solver"]["searches"] is None
-    assert rec["solver"]["dive"] is None
+    assert rec["solver"]["dive"] is rec["solver"]["mip_barred"] is None
     assert not (tmp_path / "policy.json").exists()
 
 

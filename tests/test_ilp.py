@@ -893,6 +893,39 @@ def test_a_barred_lp_without_a_point_means_no_policy():
     assert len(fired) >= 20
 
 
+def test_the_barred_program_keeps_the_best_verified_policy():
+    """The program with x kept at 0 on the rejecting self-loops, solved as
+    a MIP (the *barred program* of ``milp_shim.search``), never cuts off
+    the best verified policy (``best_lasso_reward``): where it has no
+    point, no policy exists, and its reward optimum is no lower than the
+    best policy's.  On deterministic 3x3, 3x4 and 4x3 grids, seeds 0-2,
+    under theta2's automaton: the reward program with d in [0.5, 1] and
+    the feasibility program with d in [0.9, 1].  The bars must prove at
+    least 6 of the 18 programs infeasible and leave at least 6 reward
+    optima to compare, so that the test cannot pass for want of either."""
+    dra = load_hoa(load_spec("fixtures/specs/theta2.json").dra_source)
+    proved, compared = [], []
+    for (w, h), seed, (objective, lower) in itertools.product(
+            ((3, 3), (3, 4), (4, 3)), range(3),
+            (("expected_reward", 0.5), ("feasibility", 0.9))):
+        m = generate_grid(GridSpec(w, h, seed))
+        spec = one_interval_spec("d", lower, 1.0)
+        model = build_for(m, dra, spec, IlpConfig(objective=objective))
+        program, order = highs_arrays(model)
+        loops = ilp._rejecting_loops(model, order)
+        assert len(loops)
+        res = milp_shim.run_milp(*milp_shim._closed(program, [loops]))
+        best = best_lasso_reward(m, dra, spec)
+        if res.status == 2:
+            proved.append((w, h, seed, objective))
+            assert best is None, proved[-1]
+        elif objective == "expected_reward":
+            compared.append((w, h, seed))
+            assert res.status == 0 and best is not None, compared[-1]
+            assert -res.fun >= best - 1e-9, compared[-1]
+    assert len(proved) >= 6 and len(compared) >= 6
+
+
 @pytest.mark.parametrize("name, build", ARRAY_ROUTE_INPUTS)
 def test_an_interrupt_check_leaves_the_search_as_it_is(name, build):
     """An interrupt callback that never interrupts, as every search of the

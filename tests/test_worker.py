@@ -623,15 +623,21 @@ def loop_program(*args):
                          cfg)
 
 
+def barred_ub(program: ilp.Program, loops: np.ndarray) -> np.ndarray:
+    """``program``'s upper bounds with those of the columns ``loops`` at
+    0."""
+    ub = program.ub.copy()
+    ub[loops] = 0.0
+    return ub
+
+
 def is_barred_lp(program: ilp.Program, whole: ilp.Program,
                  loops: np.ndarray) -> bool:
     """Whether ``program`` is ``whole``'s LP relaxation with the upper bound
     of the columns ``loops`` set to 0, and no other bound moved."""
-    ub = whole.ub.copy()
-    ub[loops] = 0.0
     return (not program.integrality.any()
             and np.array_equal(program.lb, whole.lb)
-            and np.array_equal(program.ub, ub))
+            and np.array_equal(program.ub, barred_ub(whole, loops)))
 
 
 def test_a_failed_dive_whose_barred_lp_has_no_point_is_infeasible(
@@ -665,8 +671,8 @@ def test_a_barred_lp_with_a_point_leaves_the_whole_program(monkeypatch,
                                                           one_search):
     """Mass 1/2 on r is met by going round s0 and s1.  A reward program
     is not dived, and its barred LP, which is no dive, has a point: the
-    search goes on to the whole program, in the time left, and answers as
-    it does with no loop to bar."""
+    search, alone, goes on to the whole program with s0's loop unbarred, in
+    the time left, and answers as it does with no loop to bar."""
     model = loop_program(0.5, "expected_reward")
     program, order = ilp.highs_arrays(model)
     loops = ilp._rejecting_loops(model, order)
@@ -675,8 +681,8 @@ def test_a_barred_lp_with_a_point_leaves_the_whole_program(monkeypatch,
     assert is_barred_lp(barred, program, loops) and check.status == 0
     assert all(np.array_equal(a, b) for a, b in zip(whole, program))
     assert 50.0 < limit < 60.0
-    assert (sol.status, sol.dive, sol.barred, sol.nodes) == (
-        "optimal", False, 0, res.mip_node_count)
+    assert (sol.status, sol.dive, sol.barred, sol.mip_barred, sol.nodes) == (
+        "optimal", False, 0, 0, res.mip_node_count)
     monkeypatch.setattr(ilp, "_rejecting_loops",
                         lambda model, order: np.array([], dtype=np.int64))
     plain = solve(model, SolverConfig(timeout=60))
@@ -708,12 +714,12 @@ def test_a_reward_half_answers_from_its_barred_lp(monkeypatch, in_process,
     assert len(run.solves) == 3 - barred
 
 
-def test_only_the_first_search_of_a_race_checks(monkeypatch):
+def test_only_the_last_search_of_a_race_checks(monkeypatch):
     """The barred LP's answer does not depend on the seed, so of two
-    searches racing over a feasibility program only search 0 solves it.
-    Search 0's check is held up, and search 1 goes from its failed dive
-    straight to the whole program, which it proves infeasible by branch
-    and bound: the answer is its own, and not barred."""
+    searches racing over a feasibility program only the last, search 1,
+    solves it.  Search 1's check is held up, and search 0 goes from its
+    failed dive straight to the whole program, which it proves infeasible
+    by branch and bound: the answer is its own, and not barred."""
     model = loop_program(0.9)
     program, order = ilp.highs_arrays(model)
     loops = ilp._rejecting_loops(model, order)
@@ -729,8 +735,125 @@ def test_only_the_first_search_of_a_race_checks(monkeypatch):
         return plain(*arrays, random_seed=random_seed, **kwargs)
     monkeypatch.setattr(milp_shim, "run_milp", run)
     reply = milp_shim.solve_request(program, 60.0, (0, 1), [], loops)
-    assert (reply.status, reply.seed, reply.barred) == ("Infeasible", 1, 0)
-    assert seeds == [0]
+    assert (reply.status, reply.seed, reply.barred, reply.mip_barred) == (
+        "Infeasible", 0, 0, 0)
+    assert seeds == [1]
+
+
+def starting_mips(run):
+    """``run`` that keeps the ``(seed, program)`` of each solve in its
+    ``solves`` as it starts, and holds each MIP solve until two of them
+    have started, so that neither search is stopped before its MIP."""
+    solves, started = [], threading.Barrier(2)
+
+    def starting_run(*arrays, random_seed=0, **kwargs):
+        solves.append((random_seed, ilp.Program(*arrays)))
+        if arrays[-1].any():
+            started.wait(10.0)
+        return run(*arrays, random_seed=random_seed, **kwargs)
+    starting_run.solves = solves
+    return starting_run
+
+
+def test_in_a_race_only_the_last_search_branches_on_the_barred_program(
+        monkeypatch):
+    """Two searches race over the reward program of mass 1/2 on r, whose
+    barred LP has a point.  Search 0 neither checks nor bars: its one solve
+    is the MIP of the program unchanged.  Search 1 checks, and its MIP
+    keeps s0's loop at 0, and no other bound moved.  The answer says which
+    program it comes from."""
+    model = loop_program(0.5, "expected_reward")
+    program, order = ilp.highs_arrays(model)
+    loops = ilp._rejecting_loops(model, order)
+    run = starting_mips(milp_shim.run_milp)
+    monkeypatch.setattr(milp_shim, "run_milp", run)
+    reply = milp_shim.solve_request(program, 60.0, (0, 1), [], loops)
+    assert (reply.status, reply.split, reply.barred) == ("Optimal", False, 0)
+    assert reply.mip_barred == (1 if reply.seed == 1 else 0)
+    [whole] = [prog for seed, prog in run.solves if seed == 0]
+    assert whole.integrality.any()
+    assert all(np.array_equal(a, b) for a, b in zip(whole, program))
+    check, mip = [prog for seed, prog in run.solves if seed == 1]
+    assert is_barred_lp(check, program, loops)
+    assert mip.integrality.any() and np.array_equal(mip.lb, program.lb)
+    assert np.array_equal(mip.ub, barred_ub(program, loops))
+
+
+def test_each_split_half_branches_on_its_barred_half(monkeypatch,
+                                                     in_process):
+    """With mass 1/2 on r, and r at w, both halves' barred LPs have a
+    point: each search's MIP is its barred LP with the integrality back,
+    its half with s0's loop kept at 0.  Neither half reaches the largest
+    reward, so both are awaited, and the program's answer is the better
+    half's ("a": 5/2 per step round s0 and s1)."""
+    model = loop_program(0.5, "expected_reward", True)
+    program, order = ilp.highs_arrays(model)
+    loops = ilp._rejecting_loops(model, order)
+    run = starting_mips(milp_shim.run_milp)
+    monkeypatch.setattr(milp_shim, "run_milp", run)
+    sol = solve(model, SolverConfig(timeout=60))
+    assert (sol.status, sol.split, sol.barred, sol.mip_barred) == (
+        "optimal", True, 0, 1)
+    assert sol.objective == pytest.approx(2.5)
+    for seed in (0, 1):
+        check, mip = [prog for s, prog in run.solves if s == seed]
+        assert not check.integrality.any() and mip.integrality.any()
+        assert np.array_equal(mip.lb, check.lb)
+        assert np.array_equal(mip.ub, check.ub)
+        assert np.all(mip.ub[loops] == 0.0)
+        assert not np.array_equal(mip.ub, barred_ub(program, loops))
+
+
+def grid_program(width: int, height: int, seed: int, spec,
+                 objective: str):
+    """The program of the deterministic grid of ``seed`` under theta2 and
+    ``spec``."""
+    p = build_product(generate_grid(GridSpec(width, height, seed=seed)),
+                      load_hoa(ROOT / "fixtures/automata/theta2.hoa"))
+    return build_program(p, accepting_mecs(mec_decomposition(p), p), spec,
+                         IlpConfig(objective=objective))
+
+
+def test_an_infeasibility_the_barred_branch_and_bound_proves_says_so(
+        monkeypatch, in_process):
+    """On the 3x3 grid of seed 0 under theta2 with d in [0.9, 1], the
+    barred LP has a point, but the barred program has none.  Search 0
+    spins 30 s in its LP relaxation, so search 1 answers from its branch
+    and bound on the barred program, and the run's detail names that
+    proof."""
+    spec = spec_from_json({"dra": "x", "ss": [
+        {"formula": "d", "lower": 0.9, "upper": 1.0}]})
+    model = grid_program(3, 3, 0, spec, "feasibility")
+    program, order = ilp.highs_arrays(model)
+    n = len(ilp._rejecting_loops(model, order))
+    monkeypatch.setattr(milp_shim, "run_milp", spinning({0: [30.0]}))
+    sol = solve(model, SolverConfig(timeout=60))
+    assert (sol.status, sol.seed, sol.barred, sol.mip_barred) == (
+        "infeasible", 1, 0, n)
+    result = synthesize(generate_grid(GridSpec(3, 3, seed=0)),
+                        load_hoa(ROOT / "fixtures/automata/theta2.hoa"),
+                        spec, IlpConfig(objective="feasibility"))
+    assert result.status == "infeasible" and result.rounds == 1
+    assert result.detail == (
+        f"no policy: branch and bound finds no point once x is kept off the "
+        f"{n} absorbing self-loops that no Rabin pair accepts (proven by "
+        f"HiGHS, not certified)")
+
+
+def test_a_failed_half_leaves_the_race_what_is_left_of_the_limit(
+        monkeypatch, in_process):
+    """Search 0's half spins 1 s and then fails: search 1 races the whole
+    program alone, within what is left of the 60 s limit, not all of it
+    again."""
+    run = recording(failing(spinning({0: [1.0]})))
+    monkeypatch.setattr(milp_shim, "run_milp", run)
+    model = split_program()
+    program, _ = ilp.highs_arrays(model)
+    sol = solve(model, SolverConfig(timeout=60))
+    assert (sol.status, sol.seed, sol.split) == ("optimal", 1, False)
+    whole, limit, _ = run.solves[-1]
+    assert all(np.array_equal(a, b) for a, b in zip(whole, program))
+    assert 50.0 < limit < 59.0
 
 
 @pytest.mark.parametrize("plan", [[30.0], [0.0, 30.0]],
@@ -756,28 +879,26 @@ def test_a_search_stopped_in_its_dive_stops(monkeypatch, in_process, plan):
 
 def test_a_search_stopped_in_its_check_stops(monkeypatch, in_process):
     """On the 4x3 grid of seed 0 under theta2 with d in [0.9, 1], both
-    dives fail.  Search 0 spins 30 s in its check, its third solve, while
-    search 1, which does not check, proves the program infeasible by branch
-    and bound; search 0 then stops in its check, without going on to the
-    whole program."""
+    dives fail.  Search 1, the last, spins 30 s in its check, its third
+    solve, while search 0, which does not check, proves the program
+    infeasible by branch and bound; search 1 then stops in its check,
+    without going on to the barred program."""
     spec = spec_from_json({"dra": "x", "ss": [
         {"formula": "d", "lower": 0.9, "upper": 1.0}]})
-    p = build_product(generate_grid(GridSpec(4, 3, seed=0)),
-                      load_hoa(ROOT / "fixtures/automata/theta2.hoa"))
-    model = build_program(p, accepting_mecs(mec_decomposition(p), p), spec,
-                          IlpConfig(objective="feasibility"))
-    run = spinning({0: [0.0, 0.0, 30.0]})
+    model = grid_program(4, 3, 0, spec, "feasibility")
+    run = spinning({1: [0.0, 0.0, 30.0]})
     monkeypatch.setattr(milp_shim, "run_milp", run)
     t0 = time.monotonic()
     sol = solve(model, SolverConfig(timeout=60))
     assert time.monotonic() - t0 < 20.0
-    assert (sol.status, sol.seed, sol.barred) == ("infeasible", 1, 0)
+    assert (sol.status, sol.seed, sol.barred, sol.mip_barred) == (
+        "infeasible", 0, 0, 0)
     deadline = time.monotonic() + 1.0
     while not run.stopped and time.monotonic() < deadline:
         time.sleep(0.01)
-    assert run.stopped == [(0, 2)]
+    assert run.stopped == [(1, 2)]
     time.sleep(0.2)
-    assert run.calls[0] == 2
+    assert run.calls[1] == 2
 
 
 def fail_the_request(monkeypatch):
